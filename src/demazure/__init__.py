@@ -11,6 +11,7 @@ from .errors import (  # noqa: F401
     DemazureError,
     DuplicateRay,
     InvalidColoring,
+    NegativeBound,
     NoDegreeZeroLND,
     NoRays,
     NotARoot,

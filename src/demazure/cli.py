@@ -5,7 +5,8 @@ prints a versioned JSON report to stdout.  Identical input produces
 byte-identical output.  Exit codes are a stable contract:
 
     0  success
-    2  unreadable input, malformed JSON, or a schema violation
+    2  unreadable input, malformed JSON, a schema violation, or a
+       negative --bound
     3  fan validation failure (bad rays, bad cones, bad intersections)
     4  unbounded root enumeration without --bound
     5  the supplied character is not a root
@@ -41,6 +42,7 @@ from .divisors import (
 )
 from .errors import (
     DemazureError,
+    NegativeBound,
     NotARoot,
     NotNilpotent,
     SchemaError,
@@ -50,11 +52,9 @@ from .errors import (
 )
 from .fan import cone_properties, is_complete
 from .orbits import (
-    fan_automorphisms,
     classify_roots,
-    g_invariant_divisors,
+    fan_automorphisms,
     g_orbit_partition,
-    he_connected_pairs,
 )
 from .roots import roots_of_fan
 
@@ -142,7 +142,7 @@ def _cmd_orbits(args):
     fan = serialize.fan_from_json(_load_json(args))
     e = _parse_int_vector(args.root, fan.rank, "--root")
     partition = g_orbit_partition(fan, e)
-    pairs = he_connected_pairs(fan, e)
+    pairs = partition.pairs
     orbits = []
     for orbit in partition.orbits:
         stab = orbit.stabilizer
@@ -156,7 +156,7 @@ def _cmd_orbits(args):
                 "contains_ga": stab.contains_ga,
             },
         })
-    invariant = g_invariant_divisors(fan, e)
+    invariant = list(partition.invariant_divisors)
     if args.dot:
         Path(args.dot).write_text(serialize.dot_graph(fan, pairs))
     return {
@@ -496,7 +496,7 @@ def main(argv=None):
         args.family = "fan"
     try:
         result, code = args.handler(args)
-    except SchemaError as exc:
+    except (SchemaError, NegativeBound) as exc:
         return _fail(args, exc, 2)
     except (WeightEscape, NotNilpotent) as exc:
         return _fail(args, exc, 8)

@@ -60,6 +60,14 @@ class UnboundedRoots(DemazureError):
         )
 
 
+class NegativeBound(DemazureError):
+    """A root search bound (max |coordinate|) must be nonnegative."""
+
+    def __init__(self, bound):
+        self.bound = bound
+        super().__init__(f"bound must be nonnegative, got {bound}")
+
+
 class NotARoot(DemazureError):
     """The given character is not a Demazure root of the fan."""
 

@@ -22,7 +22,13 @@ from .errors import (
     NotStronglyConvex,
     RankMismatch,
 )
-from .lattice import Cone, mat_rank, primitive, smith_normal_form
+from .lattice import (
+    Cone,
+    dual_description,
+    mat_rank,
+    primitive,
+    smith_normal_form,
+)
 
 
 @dataclass(frozen=True)
@@ -50,6 +56,7 @@ class Fan:
         self._ray_index = {r: i for i, r in enumerate(rays)}
         self._geom = {}
         self._face_sets = {}
+        self._automorphisms = None  # memo of orbits.fan_automorphisms
 
     def __repr__(self):
         return f"Fan(rank={self.rank}, rays={len(self.rays)}, cones={len(self.cones)})"
@@ -98,6 +105,88 @@ class Fan:
                 if not any(k < other for other in keys)]
 
 
+class FanDraft:
+    """A fan under construction: its rays and supplied maximal cones are
+    valid, the intersections of its cones are not yet checked.
+
+    `supplied` lists the maximal cones as extremal-ray index sets.  The
+    generating cones are the supplied ones followed by every ray that is
+    not supplied as a 1-cone; they and their faces are the cones of the
+    fan, which is valid iff every two generating cones meet in a common
+    face (the same then holds for all their faces).
+    """
+
+    def __init__(self, rank, rays, supplied):
+        self.rank = rank
+        self.rays = rays
+        self._supplied = set(supplied)
+        self.generating = list(supplied) + [
+            frozenset({i}) for i in range(len(rays))
+            if frozenset({i}) not in self._supplied
+        ]
+        self._ray_of = {r: i for i, r in enumerate(rays)}
+        self._geom = {}
+        self._faces = {}
+        self._dims = {frozenset(): 0}  # every face of a generating cone
+        for g in self.generating:
+            geom = Cone(rank, [rays[i] for i in g])
+            local = geom.rays()
+            fsets = {
+                frozenset(self._ray_of[local[j]] for j in fs)
+                for fs in geom.face_ray_sets()
+            }
+            for fs in fsets:
+                if fs not in self._dims:
+                    self._dims[fs] = mat_rank([rays[i] for i in fs])
+            self._geom[g] = geom
+            self._faces[g] = fsets
+
+    def cone_id(self, key):
+        return f"{self._dims[key]}:" + ",".join(map(str, sorted(key)))
+
+    def _spanned_by_common_rays(self, a, b):
+        """Is the intersection of generating cones a and b spanned by the
+        rays they share?  One dual computation at most.
+
+        The intersection is pointed, so it is spanned by the common rays
+        iff each of its extremal rays is a common ray.
+        """
+        common = a & b
+        if common == a or common == b:
+            return True  # one cone lies in the other
+        if len(a) == 1 or len(b) == 1:
+            # a ray outside the other cone's ray set meets it in 0 or itself
+            (i,), other = (a, b) if len(a) == 1 else (b, a)
+            return not self._geom[other].contains(self.rays[i])
+        E, _ = dual_description(
+            self._geom[a].dual_generators() + self._geom[b].dual_generators(),
+            self.rank,
+        )
+        return all(self._ray_of.get(e) in common for e in E)
+
+    def intersection_defect(self, a, b):
+        """None if generating cones a and b meet in a common face, else the
+        reason they do not."""
+        if not self._spanned_by_common_rays(a, b):
+            return "their intersection is not spanned by common rays"
+        common = a & b
+        if common not in self._faces[a] or common not in self._faces[b]:
+            return "the common rays do not span a face of both"
+        return None
+
+    def fan(self):
+        order = sorted(self._dims.items(),
+                       key=lambda kv: (kv[1], tuple(sorted(kv[0]))))
+        cones = {
+            fs: ConeRef(tuple(sorted(fs)), dim, fs in self._supplied)
+            for fs, dim in order
+        }
+        fan = Fan(self.rank, self.rays, cones)
+        fan._geom.update(self._geom)
+        fan._face_sets.update(self._faces)
+        return fan
+
+
 def build_fan(rank, ray_list, maximal_cones):
     """Validated fan from rays and maximal cones (lists of ray indices).
 
@@ -133,58 +222,15 @@ def build_fan(rank, ray_list, maximal_cones):
         ext = frozenset(ray_of[r] for r in geom.rays())
         if ext not in supplied:
             supplied.append(ext)
-    supplied_set = set(supplied)
 
-    generating = list(supplied)
-    for i in range(len(rays)):
-        if frozenset({i}) not in supplied_set:
-            generating.append(frozenset({i}))
-    generating.sort(key=lambda fs: (len(fs), tuple(sorted(fs))))
-
-    # face closure
-    collected = {frozenset(): 0}
-    gen_geom = {}
-    gen_faces = {}
-    for g in generating:
-        geom = Cone(rank, [rays[i] for i in g])
-        gen_geom[g] = geom
-        local = geom.rays()
-        fsets = set()
-        for fs in geom.face_ray_sets():
-            fan_fs = frozenset(ray_of[local[j]] for j in fs)
-            fsets.add(fan_fs)
-            if fan_fs not in collected:
-                collected[fan_fs] = mat_rank([rays[i] for i in fan_fs])
-        gen_faces[g] = fsets
-
-    # pairwise intersections of generating cones must be common faces; the
-    # same then follows for all their faces.
-    def _id(fs):
-        return f"{collected.get(fs, mat_rank([rays[i] for i in fs]))}:" + \
-            ",".join(map(str, sorted(fs)))
-
+    draft = FanDraft(rank, rays, supplied)
+    generating = sorted(draft.generating,
+                        key=lambda fs: (len(fs), tuple(sorted(fs))))
     for a, b in itertools.combinations(generating, 2):
-        common = a & b
-        ga, gb = gen_geom[a], gen_geom[b]
-        inter = Cone(
-            rank, list(ga.dual_generators()) + list(gb.dual_generators())
-        ).dual()
-        common_cone = Cone(rank, [rays[i] for i in common])
-        if not inter.equals(common_cone):
-            raise BadIntersection(
-                _id(a), _id(b), "their intersection is not spanned by common rays"
-            )
-        if common not in gen_faces[a] or common not in gen_faces[b]:
-            raise BadIntersection(
-                _id(a), _id(b), "the common rays do not span a face of both"
-            )
-
-    order = sorted(collected.items(), key=lambda kv: (kv[1], tuple(sorted(kv[0]))))
-    cones = {
-        fs: ConeRef(tuple(sorted(fs)), dim, fs in supplied_set)
-        for fs, dim in order
-    }
-    return Fan(rank, rays, cones)
+        why = draft.intersection_defect(a, b)
+        if why:
+            raise BadIntersection(draft.cone_id(a), draft.cone_id(b), why)
+    return draft.fan()
 
 
 def is_complete(fan):

@@ -1,10 +1,16 @@
 """Exact lattice and polyhedral-cone primitives.
 
 All arithmetic is arbitrary precision (int / fractions.Fraction); no floats
-appear anywhere.  Cones are finitely generated convex cones in Q^n stored by
-primitive integer generators.  Duality is computed by a subset-enumeration
-double description which is exact and entirely adequate at the small ranks
-(<= 6 or so) this package targets.
+appear anywhere.  Linear algebra (rank, nullspace, determinant, inverse)
+runs on one fraction-free integer elimination, `_echelon`; Fractions only
+appear at the boundary, for rational input and the entries of an inverse.
+Cones are finitely generated convex cones in Q^n stored by primitive
+integer generators.  Duality is computed by a subset-enumeration double
+description which is exact and entirely adequate at the small ranks
+(<= 6 or so) this package targets.  A cone computes one dual and reads
+everything else off it: its extremal rays are the generators whose
+annihilating dual generators span a hyperplane, and its faces are the
+intersections of the ray sets of its facets.
 
 Conventions:
   * vectors are tuples; matrices are sequences of row tuples/lists;
@@ -18,7 +24,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .errors import (
     NotStronglyConvex,
@@ -37,7 +44,7 @@ def dot(a, b):
         raise RankMismatch(
             f"pairing of a length-{len(a)} with a length-{len(b)} vector"
         )
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vadd(a, b):
@@ -64,73 +71,109 @@ def primitive(v):
     >>> primitive((Fraction(-3, 2), Fraction(9, 4)))
     (-2, 3)
     """
-    fr = [Fraction(x) for x in v]
-    if not any(fr):
+    if all(type(x) is int for x in v):
+        ints = v
+    else:
+        fr = [Fraction(x) for x in v]
+        den = lcm(*(x.denominator for x in fr))
+        ints = [int(x * den) for x in fr]
+    g = gcd(*ints)
+    if not g:
         raise ZeroVector("the zero vector spans no ray")
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
     return tuple(x // g for x in ints)
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Q
+# exact linear algebra over Q, by fraction-free integer elimination
 
 
-def _rref(rows):
-    """Reduced row echelon form over Q: returns (matrix, pivot_columns)."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
+def _echelon(rows):
+    """Fraction-free reduced row echelon form of a rational matrix.
+
+    Returns (m, pivots, (num, den)).  Row i of the integer matrix m has
+    its leading entry at column pivots[i] and is zero in every other pivot
+    column; dividing each row by its leading entry gives the reduced row
+    echelon form over Q.  Rows are made integral by clearing their
+    denominators, eliminated by cross-multiplication and divided by the
+    gcd of their entries, which keeps the entries small (Bareiss 1968
+    divides by the previous pivot instead).  For a square matrix,
+    den * det(m) = num * det(rows).
+    """
+    m = []
+    num = den = 1
+    for row in rows:
+        if all(type(x) is int for x in row):
+            m.append(list(row))
+        else:
+            fr = [Fraction(x) for x in row]
+            d = lcm(*(x.denominator for x in fr))
+            m.append([int(x * d) for x in fr])
+            num *= d
     pivots = []
+    if not m:
+        return m, pivots, (1, 1)
     r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+    for c in range(len(m[0])):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pr is None:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            num = -num
+        row = m[r]
+        g = gcd(*row)
+        if g > 1:
+            m[r] = row = [x // g for x in row]
+            den *= g
+        p = row[c]
+        for i, other in enumerate(m):
+            f = other[c]
+            if f and i != r:
+                new = [p * x - f * y for x, y in zip(other, row)]
+                g = gcd(*new)
+                if g > 1:
+                    new = [x // g for x in new]
+                    den *= g
+                m[i] = new
+                num *= p
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m, pivots
+    return m, pivots, (num, den)
 
 
 def mat_rank(rows):
-    return len(_rref(rows)[1])
+    return len(_echelon(rows)[1])
 
 
 def nullspace(rows, n):
     """Primitive integer basis of {x in Q^n : rows @ x = 0}, deterministic.
 
-    Each basis vector is primitive with its first nonzero entry positive.
+    Each basis vector is primitive with its first nonzero entry positive;
+    the basis is the one read off the reduced row echelon form, one vector
+    per free column.
     """
     rows = list(rows)
     for r in rows:
         if len(r) != n:
             raise RankMismatch(f"row of length {len(r)} in ambient rank {n}")
-    m, pivots = _rref(rows)
-    free = [c for c in range(n) if c not in pivots]
+    m, pivots, _ = _echelon(rows)
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = -m[ri][fc]
+    for fc in range(n):
+        if fc in pivot_set:
+            continue
+        # x[fc] = 1 and x[pc] = -m[ri][fc] / m[ri][pc], scaled by the lcm
+        # of the pivots involved so that the vector stays integral
+        used = [(ri, pc) for ri, pc in enumerate(pivots) if m[ri][fc]]
+        scale = lcm(*(m[ri][pc] for ri, pc in used))
+        v = [0] * n
+        v[fc] = scale
+        for ri, pc in used:
+            v[pc] = -m[ri][fc] * scale // m[ri][pc]
         p = primitive(v)
-        first = next(x for x in p if x)
-        if first < 0:
+        if next(x for x in p if x) < 0:
             p = vneg(p)
         basis.append(p)
     return basis
@@ -141,21 +184,12 @@ def det(rows):
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise RankMismatch("determinant of a non-square matrix")
-    m = [[Fraction(x) for x in r] for r in rows]
-    d = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return 0
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            d = -d
-        d *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    m, pivots, (num, den) = _echelon(rows)
+    if len(pivots) < n:
+        return 0
+    d = Fraction(den, num)
+    for i in range(n):
+        d *= m[i][i]
     return int(d) if d.denominator == 1 else d
 
 
@@ -180,22 +214,13 @@ def mat_vec(A, v):
 def mat_inverse(rows):
     """Exact inverse over Q (list of Fraction rows); ValueError if singular."""
     n = len(rows)
-    m = [[Fraction(x) for x in r] + [Fraction(1 if i == j else 0) for j in range(n)]
+    m, pivots, _ = _echelon(
+        [list(r) + [1 if i == j else 0 for j in range(n)]
          for i, r in enumerate(rows)]
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, n) if m[i][c] != 0), None)
-        if pr is None:
-            raise ValueError("matrix is singular")
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(n):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-    return [row[n:] for row in m]
+    )
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [[Fraction(x, m[i][i]) for x in m[i][n:]] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +357,12 @@ def dual_description(gens, rank):
     Method: with r = rank of the generator matrix, every extreme ray of the
     dual (mod lineality) annihilates some rank-(r-1) subset of the
     generators; conversely a vector u0 spanning nullspace(subset) modulo the
-    lineality is extreme iff the pairings <g, u0> have a single sign.
+    lineality is extreme iff the pairings <g, u0> have a single sign.  Each
+    nullspace comes from the integer elimination, so no Fraction is formed.
+
+    This is the only dual a Cone computes: `Cone.rays()` reads the
+    extremal rays of a pointed cone off this description of its dual
+    instead of dualizing twice.
     """
     prim = []
     seen = set()
@@ -365,6 +395,14 @@ def dual_description(gens, rank):
     return sorted(E), L
 
 
+def _exact(v):
+    """The vector as a tuple of ints, or of Fractions if it has a non-int."""
+    vec = tuple(v)
+    if all(type(x) is int for x in vec):
+        return vec
+    return tuple(Fraction(x) for x in vec)
+
+
 class Cone:
     """A finitely generated rational convex cone in Q^rank.
 
@@ -383,7 +421,7 @@ class Cone:
         out = []
         seen = set()
         for g in generators:
-            vec = tuple(Fraction(x) for x in g)
+            vec = _exact(g)
             if len(vec) != rank:
                 raise RankMismatch(
                     f"generator of length {len(vec)} in ambient rank {rank}"
@@ -438,7 +476,7 @@ class Cone:
         return nullspace(self.dual_generators(), self.rank)
 
     def contains(self, v):
-        vec = tuple(Fraction(x) for x in v)
+        vec = _exact(v)
         if len(vec) != self.rank:
             raise RankMismatch(
                 f"point of length {len(vec)} in ambient rank {self.rank}"
@@ -462,9 +500,16 @@ class Cone:
                 raise NotStronglyConvex(
                     "extremal rays are only defined for strongly convex cones"
                 )
-            E, L = dual_description(self.dual_generators(), self.rank)
-            assert not L  # pointed cone: double dual has no lineality
-            self._rays = tuple(E)
+            # g spans an extremal ray iff the face g^perp of the dual cone
+            # is a facet, i.e. the dual generators vanishing on g span a
+            # hyperplane; every extremal ray of a pointed cone is spanned
+            # by exactly one (primitive, deduplicated) generator
+            E, L = self.dual_pair()
+            self._rays = tuple(
+                g for g in self.gens
+                if mat_rank(L + [u for u in E if not dot(u, g)])
+                == self.rank - 1
+            )
         return self._rays
 
     def face_ray_sets(self):
@@ -551,19 +596,22 @@ def _normalize_rows(rank, inequalities, equalities):
 def _bounding_box(rank, rows):
     """Integer bounding box of the bounded region {x : rows}, or None if empty.
 
-    Assumes the recession cone of the region is {0}.
+    Requires the recession cone {x : <u, x> >= 0} of the region to be {0},
+    as both callers check first.  The homogenization
+    {(x, t) : <u, x> >= b t, t >= 0} is then pointed (no lineality), and
+    each of its extremal rays has height t > 0: a ray at height 0 would be
+    a nonzero recession direction.  So its extremal rays are exactly the
+    vertices of the region, lifted to height t.
     """
     hrows = [u + (-b,) for u, b in rows]
     hrows.append((0,) * rank + (1,))
-    HE, HL = dual_description(hrows, rank + 1)
-    assert not HL
+    HE, _ = dual_description(hrows, rank + 1)
     if not HE:
         return None
     los = [None] * rank
     his = [None] * rank
     for g in HE:
         t = g[-1]
-        assert t > 0  # bounded region: homogenization has no height-0 rays
         for i in range(rank):
             val = Fraction(g[i], t)
             if los[i] is None or val < los[i]:
@@ -653,8 +701,8 @@ def _int_feasible(n, rows):
     new_rows = []
     for u, b in rows:
         um = tuple(dot(u, col) for col in cols)
-        t = um[-1]  # = <u, c> >= 0 since c lies in the recession cone
-        assert t >= 0
-        if t == 0:
+        # um[-1] = <u, c> >= 0 since c generates the recession cone; the
+        # rows with <u, c> > 0 become slack far enough along c
+        if um[-1] == 0:
             new_rows.append((um[:-1], b))
     return _int_feasible(n - 1, new_rows)

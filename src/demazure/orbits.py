@@ -62,38 +62,26 @@ class HeConnectedPair:
     cone2: tuple
 
 
-def he_connected_pairs(fan, e):
-    """All orbit-gluing pairs for a verified root, two ways, cross-checked."""
-    i = verify_root(fan, e)
+def _pairs_of_root(fan, e, i):
+    """Orbit-gluing pairs of a verified root e with distinguished ray i."""
     rays = fan.rays
-
-    pairs_a = []
-    for key in fan.cones:
-        if i in key:
-            continue
-        if all(dot(rays[j], e) == 0 for j in key):
-            # condition (2) guarantees the extension is a fan cone
-            assert extension_in_fan(fan, key, i)
-            pairs_a.append((key, key | {i}))
-
-    # independent route: sigma_2 ranges over cones containing rho_e with
-    # e <= 0 on all rays; sigma_1 is the facet cut out by e = 0
-    pairs_b = []
-    for key in fan.cones:
-        if i in key and all(dot(rays[j], e) <= 0 for j in key):
-            face = frozenset(j for j in key if dot(rays[j], e) == 0)
-            pairs_b.append((face, key))
-
-    assert sorted(pairs_a) == sorted(pairs_b), "orbit-pair routes disagree"
-
     out = []
-    for c1, c2 in pairs_a:
-        d1 = fan.cones[c1].dim
-        d2 = fan.cones[c2].dim
-        assert d2 == d1 + 1
-        out.append(HeConnectedPair(tuple(sorted(c1)), tuple(sorted(c2))))
+    for key in fan.cones:
+        if i not in key and all(dot(rays[j], e) == 0 for j in key):
+            # condition (2) makes key | {i} a fan cone
+            out.append(HeConnectedPair(tuple(sorted(key)),
+                                       tuple(sorted(key | {i}))))
     out.sort(key=lambda p: (len(p.cone1), p.cone1))
     return out
+
+
+def he_connected_pairs(fan, e):
+    """All orbit-gluing pairs (sigma, cone(sigma, rho_e)) for a root.
+
+    One pair per fan cone sigma on which e vanishes identically; raises
+    NotARoot when e is not a root of the fan.
+    """
+    return _pairs_of_root(fan, e, verify_root(fan, e))
 
 
 @dataclass(frozen=True)
@@ -116,8 +104,13 @@ class Orbit:
 
 @dataclass(frozen=True)
 class GOrbitPartition:
+    """The G-orbits of one root, with the data they are built from: the
+    orbit-gluing pairs and the invariant divisors (ray indices)."""
+
     root: DemazureRoot
     orbits: tuple
+    pairs: tuple
+    invariant_divisors: tuple
 
     @property
     def orbit_count(self):
@@ -152,7 +145,7 @@ def _stabilizer_core(fan, e, key, contains_ga):
 def g_orbit_partition(fan, e):
     """The full G-orbit partition of the torus orbits for a verified root."""
     i = verify_root(fan, e)
-    pairs = he_connected_pairs(fan, e)
+    pairs = _pairs_of_root(fan, e, i)
     paired = set()
     for p in pairs:
         paired.add(frozenset(p.cone1))
@@ -172,11 +165,9 @@ def g_orbit_partition(fan, e):
             Orbit((ref.indices,), fan.rank - ref.dim, True, stab)
         )
     orbits.sort(key=lambda o: (len(o.cones[0]), o.cones[0]))
-
-    # counting identity: #G-orbits = #cones - #{sigma : e|_sigma = 0}
-    assert len(orbits) == len(fan.cones) - len(pairs)
     return GOrbitPartition(DemazureRoot(i, tuple(int(x) for x in e)),
-                           tuple(orbits))
+                           tuple(orbits), tuple(pairs),
+                           tuple(_invariant_divisors(fan, i)))
 
 
 def stabilizer_data(fan, e, cone):
@@ -184,7 +175,6 @@ def stabilizer_data(fan, e, cone):
     key = frozenset(int(i) for i in cone)
     if key not in fan.cones:
         raise ConeNotInFan(f"no cone with rays {sorted(key)}")
-    verify_root(fan, e)
     pairs = he_connected_pairs(fan, e)
     in_pair = any(
         key == frozenset(p.cone1) or key == frozenset(p.cone2) for p in pairs
@@ -192,10 +182,13 @@ def stabilizer_data(fan, e, cone):
     return _stabilizer_core(fan, e, key, contains_ga=not in_pair)
 
 
+def _invariant_divisors(fan, i):
+    return [j for j in range(len(fan.rays)) if j != i]
+
+
 def g_invariant_divisors(fan, e):
     """Ray indices whose divisors are invariant: all but the distinguished."""
-    i = verify_root(fan, e)
-    return [j for j in range(len(fan.rays)) if j != i]
+    return _invariant_divisors(fan, verify_root(fan, e))
 
 
 def admits_g_structure(fan):
@@ -246,8 +239,15 @@ def fan_automorphisms(fan):
     Requires the rays to span the ambient space (otherwise the group is not
     finite and we refuse: UnsupportedFan).  Search is over permutations of
     the rays; the candidate matrix is solved from a fixed independent
-    subset and then verified on all rays and all cones.
+    subset and then verified on all rays and all cones.  The group is
+    computed once per fan; each call returns a fresh list.
     """
+    if fan._automorphisms is None:
+        fan._automorphisms = tuple(_search_automorphisms(fan))
+    return list(fan._automorphisms)
+
+
+def _search_automorphisms(fan):
     rays = fan.rays
     l = len(rays)
     n = fan.rank
@@ -326,11 +326,6 @@ def classify_roots(fan, roots):
             img = root_image(phi, r)
             # the image is always a root of the fan; it may fall outside a
             # truncated input list
-            vals = [dot(v, img.e) for v in fan.rays]
-            assert vals[img.ray_index] == -1
-            assert all(
-                v >= 0 for j, v in enumerate(vals) if j != img.ray_index
-            )
             if img in index:
                 union(index[r], index[img])
 

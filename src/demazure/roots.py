@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NoRays, UnboundedRoots
-from .lattice import Cone, dot, dual_description, lattice_points
+from .errors import NegativeBound, NoRays, UnboundedRoots
+from .lattice import dot, dual_description, lattice_points
 
 
 @dataclass(frozen=True, order=True)
@@ -61,7 +61,7 @@ def roots_of_cone(cone, bound):
         raise NoRays("the cone {0} has no rays and hence no roots")
     bound = int(bound)
     if bound < 0:
-        raise ValueError("bound must be nonnegative")
+        raise NegativeBound(bound)
     n = cone.rank
     box = [(-bound, bound)] * n
     out = []
@@ -83,19 +83,13 @@ def _region_bounded(fan, i):
 
 
 def extension_in_fan(fan, key, ray_index):
-    """Is cone(sigma, rho) a cone of the fan?  sigma given by ray indices."""
-    target = Cone(
-        fan.rank, [fan.rays[j] for j in key] + [fan.rays[ray_index]]
-    )
-    if not target.is_strongly_convex():
-        return False
-    idxs = set()
-    for r in target.rays():
-        j = fan.ray_index(r)
-        if j is None:
-            return False
-        idxs.add(j)
-    return frozenset(idxs) in fan.cones
+    """Is cone(sigma, rho) a cone of the fan?  sigma: a fan cone's ray indices.
+
+    This is a set lookup: if cone(sigma, rho) is a fan cone tau, then sigma
+    (a fan cone inside tau) and the fan ray rho are faces of tau, so the
+    extremal rays of tau are exactly sigma's rays and rho.
+    """
+    return frozenset(key) | {ray_index} in fan.cones
 
 
 def check_condition2(fan, e, ray_index):
@@ -121,11 +115,14 @@ def roots_of_fan(fan, bound=None):
     If every per-ray search region is bounded (e.g. for complete fans) the
     enumeration is exact and any supplied bound is ignored.  Otherwise a
     bound B is required (UnboundedRoots names an offending ray if missing)
-    and the result is truncated to max |e_i| <= B.
+    and the result is truncated to max |e_i| <= B.  A negative bound
+    raises NegativeBound, also where it would be ignored.
     """
     l = len(fan.rays)
     if l == 0:
         raise NoRays("the fan has no rays")
+    if bound is not None and int(bound) < 0:
+        raise NegativeBound(int(bound))
     unbounded = [i for i in range(l) if not _region_bounded(fan, i)]
     if unbounded and bound is None:
         raise UnboundedRoots(unbounded[0])

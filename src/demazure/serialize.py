@@ -27,8 +27,8 @@ from fractions import Fraction
 from .algebra import CurveCarrier
 from .divisors import INF, ColoredDivisor, PolyhedralDivisor
 from .errors import SchemaError
-from .fan import build_fan
-from .lattice import Cone, mat_rank, primitive
+from .fan import FanDraft, build_fan
+from .lattice import Cone, primitive
 
 SCHEMA_VERSION = 1
 
@@ -176,10 +176,9 @@ def fan_diagnostics(rank, ray_list, maximal_cones):
 
     Returns (fan, violations).  Checks run in stages — rays, then single
     cones, then pairwise intersections — and everything wrong at the
-    first failing stage is listed.  When the list is empty the fan is
-    built and returned; this is the same construction the other commands
-    use, so an empty list is equivalent to the builder accepting the
-    input.
+    first failing stage is listed.  The pairwise stage is the one
+    `build_fan` runs (`FanDraft`), so an empty list is equivalent to
+    `build_fan` accepting the input, and the fan returned is the same.
     """
     violations = []
     rays = []
@@ -233,45 +232,18 @@ def fan_diagnostics(rank, ray_list, maximal_cones):
     if violations:
         return None, violations
 
-    for i in range(len(rays)):
-        fs = frozenset({i})
-        if fs not in supplied:
-            supplied.append(fs)
-
-    geom_of = {}
-    faces_of = {}
-    for fs in supplied:
-        geom = Cone(rank, [rays[i] for i in fs])
-        geom_of[fs] = geom
-        local = geom.rays()
-        faces_of[fs] = {
-            frozenset(ray_of[local[j]] for j in f)
-            for f in geom.face_ray_sets()
-        }
-
-    def _id(fs):
-        d = mat_rank([rays[i] for i in fs]) if fs else 0
-        return f"{d}:" + ",".join(map(str, sorted(fs)))
-
-    for a, b in itertools.combinations(supplied, 2):
-        common = a & b
-        inter = Cone(rank, list(geom_of[a].dual_generators())
-                     + list(geom_of[b].dual_generators())).dual()
-        if not inter.equals(Cone(rank, [rays[i] for i in common])):
+    draft = FanDraft(rank, tuple(rays), supplied)
+    for a, b in itertools.combinations(draft.generating, 2):
+        why = draft.intersection_defect(a, b)
+        if why:
             violations.append({
                 "kind": "BadIntersection",
-                "cones": sorted([_id(a), _id(b)]),
-                "message": "their intersection is not spanned by common rays",
-            })
-        elif common not in faces_of[a] or common not in faces_of[b]:
-            violations.append({
-                "kind": "BadIntersection",
-                "cones": sorted([_id(a), _id(b)]),
-                "message": "the common rays do not span a face of both",
+                "cones": sorted([draft.cone_id(a), draft.cone_id(b)]),
+                "message": why,
             })
     if violations:
         return None, violations
-    return build_fan(rank, ray_list, maximal_cones), []
+    return draft.fan(), []
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,16 @@ def test_roots_needs_bound_on_affine_fan(capsys):
 # -- orbits --------------------------------------------------------------------
 
 
+def test_negative_bound_is_a_usage_error(capsys):
+    for argv in (["roots", fixture("a2"), "--bound", "-1"],
+                 ["roots", fixture("p2"), "--bound=-2"],
+                 ["classify", fixture("a2"), "--bound", "-1"]):
+        code, rep, _ = run(capsys, *argv)
+        assert code == 2
+        assert rep["error"]["kind"] == "NegativeBound"
+        assert "nonnegative" in rep["error"]["message"]
+
+
 def test_orbits_report(capsys, tmp_path):
     dot = tmp_path / "orbits.dot"
     code, rep, _ = run(capsys, "orbits", fixture("p2"),

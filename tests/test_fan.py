@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import collections
+import itertools
 import random
+from math import gcd
 
 import pytest
 
@@ -14,6 +17,8 @@ from demazure.errors import (
     RankMismatch,
 )
 from demazure.fan import build_fan, cone_properties, is_complete
+from demazure.lattice import Cone, mat_rank, primitive
+from demazure.serialize import fan_diagnostics
 
 
 def p2():
@@ -217,3 +222,233 @@ def test_nonsimplicial_cone_in_fan():
     # 4 facets, 4 edges
     dims = sorted(fan.cones[k].dim for k in fan.cones)
     assert dims == [0, 1, 1, 1, 1, 2, 2, 2, 2, 3]
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the one-dual pair check against the three-dual check
+# it replaced, on seeded random fans of rank 2..4
+
+
+def random_unimodular(rng, n):
+    """A random GL_n(Z) matrix: a product of elementary moves."""
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice([-1, 1])
+        M[i] = [a + q * b for a, b in zip(M[i], M[j])]
+        if rng.random() < 0.3:
+            M[i], M[j] = M[j], M[i]
+    return M
+
+
+def stellar(rays, cones, cone):
+    """Stellar subdivision of a simplicial fan at one of its cones."""
+    v = tuple(sum(c) for c in zip(*(rays[i] for i in cone)))
+    g = 0
+    for x in v:
+        g = gcd(g, x)
+    rays = rays + [tuple(x // g for x in v)]
+    new = len(rays) - 1
+    out = []
+    for c in cones:
+        if set(cone) <= set(c):
+            out += [[j for j in c if j != i] + [new] for i in cone]
+        else:
+            out.append(c)
+    return rays, out
+
+
+def random_complete_fan_input(rng, rank, shape):
+    """(rays, max_cones) of a complete fan: a simplex, cross-polytope or
+    cube fan, the simplicial ones stellarly subdivided at random cones."""
+    if shape == "simplex":
+        rays = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+        rays.append(tuple([-1] * rank))
+        cones = [[j for j in range(rank + 1) if j != i]
+                 for i in range(rank + 1)]
+    elif shape == "cross":
+        rays = []
+        for i in range(rank):
+            for s in (1, -1):
+                rays.append(tuple(s * int(i == j) for j in range(rank)))
+        cones = [[2 * i + b[i] for i in range(rank)]
+                 for b in itertools.product((0, 1), repeat=rank)]
+    else:
+        rays = list(itertools.product((1, -1), repeat=3))
+        cones = [[k for k, r in enumerate(rays) if r[axis] == s]
+                 for axis in range(3) for s in (1, -1)]
+    if shape != "cube":
+        for _ in range(rng.randint(0, 3 if rank < 4 else 0)):
+            c = rng.choice(cones)
+            rays, cones = stellar(rays, cones,
+                                  rng.sample(c, rng.randint(2, len(c))))
+    return rays, cones
+
+
+def change_basis(rng, rank, rays, cones):
+    """Apply a random GL_n(Z) change and a random relabelling of the rays."""
+    M = random_unimodular(rng, rank)
+    rays = [tuple(sum(a * b for a, b in zip(row, r)) for row in M)
+            for r in rays]
+    order = list(range(len(rays)))
+    rng.shuffle(order)
+    where = {old: new for new, old in enumerate(order)}
+    rays = [rays[i] for i in order]
+    cones = [sorted(where[i] for i in c) for c in cones]
+    return rays, cones
+
+
+def random_complete_fans(rng, count):
+    """Seeded complete fans of rank 2 and 3 with a few rays each."""
+    fans = []
+    while len(fans) < count:
+        rank = rng.choice([2, 2, 3])
+        shape = rng.choice(["simplex", "cross"])
+        rays, cones = random_complete_fan_input(rng, rank, shape)
+        if len(rays) <= 7:
+            fans.append(build_fan(rank, *change_basis(rng, rank, rays, cones)))
+    return fans
+
+
+def random_fan_input(rng):
+    """(rank, rays, max_cones): a valid fan or one of several ways to break
+    one (bad intersections of both kinds, lines, duplicate rays)."""
+    rank = rng.choice([2, 2, 2, 3, 3, 3, 3, 4])
+    shape = rng.choice(["simplex", "cross", "cube", "cube"] if rank == 3
+                       else ["simplex", "cross"])
+    rays, cones = random_complete_fan_input(rng, rank, shape)
+    cones = rng.sample(cones, rng.randint(1, min(len(cones), 12 - 2 * rank)))
+    breaks = rng.choice(["none", "none", "subset", "subset", "new_ray",
+                         "new_cone", "line", "duplicate"])
+    if shape == "cube" and rng.random() < 0.5:
+        # a diagonal of a square cone: spanned by common rays, not a face
+        square = rng.choice(cones)
+        a = square[0]
+        b = next(k for k in square if sum(
+            x != y for x, y in zip(rays[a], rays[k])) == 2)
+        cones.append([a, b])
+    elif breaks == "subset":
+        k = rng.randint(2, min(rank, len(rays)))
+        cones.append(rng.sample(range(len(rays)), k))
+    elif breaks == "new_ray":
+        rays.append(tuple(rng.randint(-2, 2) for _ in range(rank)))
+        if not any(rays[-1]) or rays[-1] in rays[:-1]:
+            rays.pop()
+        else:
+            cones.append([len(rays) - 1])
+    elif breaks == "new_cone":
+        extra = [tuple(rng.randint(-3, 3) for _ in range(rank))
+                 for _ in range(rng.randint(1, rank))]
+        extra = [v for v in extra if any(v) and v not in rays]
+        cones.append([len(rays) + i for i in range(len(extra))]
+                     + rng.sample(range(len(rays)), 1))
+        rays += extra
+    elif breaks == "line":
+        rays.append(tuple(-x for x in rays[0]))
+        cones.append([0, len(rays) - 1])
+    elif breaks == "duplicate":
+        rays.append(tuple(2 * x for x in rng.choice(rays)))
+    return (rank, *change_basis(rng, rank, rays, cones))
+
+
+def three_dual_defect(rank, rays, geom_a, geom_b, faces_a, faces_b, common):
+    """The former pair check: intersection compared as a double dual."""
+    inter = Cone(rank, list(geom_a.dual_generators())
+                 + list(geom_b.dual_generators())).dual()
+    if not inter.equals(Cone(rank, [rays[i] for i in common])):
+        return "their intersection is not spanned by common rays"
+    if common not in faces_a or common not in faces_b:
+        return "the common rays do not span a face of both"
+    return None
+
+
+def oracle_check(rank, ray_list, maximal_cones):
+    """The former fan_diagnostics with its three-dual pair stage.
+
+    Returns (violations, dims, first): the violation list, the dimension
+    of every cone of a valid fan, and the BadIntersection text build_fan
+    gives for the first bad pair in (size, indices) order.
+    """
+    rays, violations, seen = [], [], {}
+    for idx, r in enumerate(ray_list):
+        if not any(r):
+            violations.append(("ZeroVector",))
+            continue
+        p = primitive(r)
+        if p in seen:
+            violations.append(("DuplicateRay",))
+            continue
+        seen[p] = idx
+        rays.append(p)
+    if violations:
+        return violations, None, None
+    ray_of = {r: i for i, r in enumerate(rays)}
+    supplied = []
+    for raw in maximal_cones:
+        geom = Cone(rank, [rays[i] for i in raw])
+        if not geom.is_strongly_convex():
+            violations.append(("NotStronglyConvex",))
+            continue
+        ext = frozenset(ray_of[r] for r in geom.rays())
+        if ext not in supplied:
+            supplied.append(ext)
+    if violations:
+        return violations, None, None
+    supplied += [frozenset({i}) for i in range(len(rays))
+                 if frozenset({i}) not in supplied]
+    geom, faces, dims = {}, {}, {frozenset(): 0}
+    for fs in supplied:
+        geom[fs] = Cone(rank, [rays[i] for i in fs])
+        local = geom[fs].rays()
+        faces[fs] = {frozenset(ray_of[local[j]] for j in f)
+                     for f in geom[fs].face_ray_sets()}
+        for f in faces[fs]:
+            dims[f] = mat_rank([rays[i] for i in f])
+
+    def cid(fs):
+        return f"{dims[fs]}:" + ",".join(map(str, sorted(fs)))
+
+    defect = {}
+    for a, b in itertools.combinations(supplied, 2):
+        why = three_dual_defect(rank, rays, geom[a], geom[b], faces[a],
+                                faces[b], a & b)
+        defect[a, b] = defect[b, a] = why
+        if why:
+            violations.append(("BadIntersection", sorted([cid(a), cid(b)]),
+                               why))
+    if not violations:
+        return violations, dims, None
+    ordered = sorted(supplied, key=lambda fs: (len(fs), sorted(fs)))
+    a, b = next((a, b) for a, b in itertools.combinations(ordered, 2)
+                if defect[a, b])
+    first = str(BadIntersection(cid(a), cid(b), defect[a, b]))
+    return violations, None, first
+
+
+def test_fan_checks_match_three_duals_random():
+    rng = random.Random(5150)
+    kinds = collections.Counter()
+    for _ in range(100):
+        rank, rays, cones = random_fan_input(rng)
+        expected, dims, first = oracle_check(rank, rays, cones)
+        fan, got = fan_diagnostics(rank, rays, cones)
+        if expected and expected[0][0] == "BadIntersection":
+            assert [(v["kind"], v["cones"], v["message"]) for v in got] \
+                == expected
+            kinds.update(v[2] for v in expected)
+            with pytest.raises(BadIntersection) as info:
+                build_fan(rank, rays, cones)
+            assert str(info.value) == first
+        else:
+            assert [v["kind"] for v in got] == [v[0] for v in expected]
+        if expected:
+            assert fan is None
+            continue
+        kinds["valid"] += 1
+        assert {k: ref.dim for k, ref in fan.cones.items()} == dims
+        built = build_fan(rank, rays, cones)
+        assert built.rays == fan.rays
+        assert list(built.cones.items()) == list(fan.cones.items())
+    assert kinds["valid"] >= 40
+    assert kinds["their intersection is not spanned by common rays"] >= 20
+    assert kinds["the common rays do not span a face of both"] >= 5

@@ -453,3 +453,136 @@ def test_zero_rows_handled():
     assert lattice_points(1, [((0,), 0)], box=[(0, 2)]) == [(0,), (1,), (2,)]
     assert lattice_points(1, [((0,), 1)], box=[(0, 2)]) == []
     assert not integer_feasible(2, [((0, 0), 3)])
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the integer kernel against the Fraction routines it
+# replaced
+
+
+def fraction_rref(rows):
+    """Gauss-Jordan over Fraction: (reduced rows, pivot columns)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def fraction_nullspace(rows, n):
+    m, pivots = fraction_rref(rows)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for ri, pc in enumerate(pivots):
+            v[pc] = -m[ri][fc]
+        p = primitive(v)
+        basis.append(vneg(p) if next(x for x in p if x) < 0 else p)
+    return basis
+
+
+def fraction_det(rows):
+    """Determinant as the product of the unreduced Fraction pivots."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    d = Fraction(1)
+    for c in range(len(m)):
+        pr = next((i for i in range(c, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            return 0
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            d = -d
+        d *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return d
+
+
+def double_dual_rays(cone):
+    """Extremal rays as the dual of the dual (the former Cone.rays)."""
+    if not cone.is_strongly_convex():
+        raise NotStronglyConvex("not pointed")
+    E, L = dual_description(cone.dual_generators(), cone.rank)
+    assert not L
+    return tuple(E)
+
+
+def random_matrix(rng, nrows, ncols, rational):
+    """Random rows, some of them combinations of earlier ones."""
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.3:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        elif rational:
+            rows.append([Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                         for _ in range(ncols)])
+        else:
+            rows.append([rng.randint(-4, 4) for _ in range(ncols)])
+    return rows
+
+
+def test_integer_elimination_matches_fraction_rref_random():
+    rng = random.Random(20260117)
+    for trial in range(600):
+        nrows, ncols = rng.randint(0, 5), rng.randint(1, 5)
+        rows = random_matrix(rng, nrows, ncols, rational=trial % 3 == 0)
+        _, pivots = fraction_rref(rows)
+        assert mat_rank(rows) == len(pivots)
+        assert nullspace(rows, ncols) == fraction_nullspace(rows, ncols)
+
+
+def test_det_and_inverse_match_fraction_elimination_random():
+    rng = random.Random(8081)
+    for trial in range(400):
+        n = rng.randint(1, 5)
+        rows = random_matrix(rng, n, n, rational=trial % 3 == 0)
+        d = det(rows)
+        assert d == fraction_det(rows)
+        if trial % 3:
+            assert type(d) is int
+        if d == 0:
+            with pytest.raises(ValueError):
+                mat_inverse(rows)
+        else:
+            inv = mat_inverse(rows)
+            assert all(isinstance(x, Fraction) for r in inv for x in r)
+            assert mat_mul(rows, inv) == [
+                [int(i == j) for j in range(n)] for i in range(n)]
+
+
+def test_rays_match_double_dual_random():
+    # pointed and non-pointed cones of rank 2..4, redundant generators,
+    # lower-dimensional cones and the origin
+    rng = random.Random(31337)
+    pointed = 0
+    for _ in range(500):
+        rank = rng.randint(2, 4)
+        c = random_cone(rng, rank, ngens=rng.randint(0, rank + 3),
+                        lo=-3, hi=3)
+        oracle = Cone(rank, c.gens)  # fresh caches for the oracle
+        try:
+            expected = double_dual_rays(oracle)
+        except NotStronglyConvex:
+            with pytest.raises(NotStronglyConvex):
+                c.rays()
+            continue
+        pointed += 1
+        assert c.rays() == expected
+    assert pointed > 150

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -20,9 +21,9 @@ from demazure.orbits import (
     stabilizer_data,
     verify_root,
 )
-from demazure.roots import roots_of_fan
+from demazure.roots import extension_in_fan, roots_of_fan
 
-from test_fan import a2, f1, p1, p1p1, p2
+from test_fan import a2, f1, p1, p1p1, p2, random_complete_fans
 
 
 def test_verify_root():
@@ -301,3 +302,50 @@ def test_classify_p1p1_single_class():
     fan = p1p1()
     classes = classify_roots(fan, list(roots_of_fan(fan)))
     assert len(classes) == 1
+
+
+def test_orbit_pairs_two_routes_and_counting_random():
+    # the pairs (sigma, sigma + rho_e) over cones with e|sigma = 0 agree with
+    # the pairs (tau cut by e = 0, tau) over cones containing rho_e with
+    # e <= 0 on tau, and #G-orbits = #cones - #pairs
+    rng = random.Random(2718)
+    fans = [p2(), f1(), p1p1(), p1(), a2()] + random_complete_fans(rng, 20)
+    checked = 0
+    for fan in fans:
+        for r in list(roots_of_fan(fan, bound=2))[:8]:
+            e, i = r.e, r.ray_index
+            part = g_orbit_partition(fan, e)
+            pairs = [(frozenset(p.cone1), frozenset(p.cone2))
+                     for p in part.pairs]
+            assert part.pairs == tuple(he_connected_pairs(fan, e))
+            other = [
+                (frozenset(j for j in key if dot(fan.rays[j], e) == 0), key)
+                for key in fan.cones
+                if i in key and all(dot(fan.rays[j], e) <= 0 for j in key)
+            ]
+            assert sorted(pairs, key=repr) == sorted(other, key=repr)
+            for k1, k2 in pairs:
+                assert extension_in_fan(fan, k1, i)
+                assert fan.cones[k2].dim == fan.cones[k1].dim + 1
+            assert part.orbit_count == len(fan.cones) - len(pairs)
+            assert list(part.invariant_divisors) == g_invariant_divisors(
+                fan, e)
+            checked += 1
+    assert checked > 60
+
+
+def test_automorphism_images_are_roots_random():
+    rng = random.Random(1414)
+    for fan in [p2(), f1(), p1p1()] + random_complete_fans(rng, 8):
+        roots = roots_of_fan(fan)
+        autos = fan_automorphisms(fan)
+        assert fan_automorphisms(fan) == autos  # memoized, fresh list
+        assert fan_automorphisms(fan) is not autos
+        for phi in autos:
+            for r in roots:
+                img = root_image(phi, r)
+                vals = [dot(v, img.e) for v in fan.rays]
+                assert vals[img.ray_index] == -1
+                assert all(v >= 0 for j, v in enumerate(vals)
+                           if j != img.ray_index)
+                assert img in roots.roots

@@ -8,20 +8,35 @@ conditions.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
-from demazure.errors import NoRays, UnboundedRoots
+from demazure.errors import (
+    DemazureError,
+    NegativeBound,
+    NoRays,
+    UnboundedRoots,
+)
 from demazure.fan import build_fan
 from demazure.lattice import Cone, dot
 from demazure.roots import (
     DemazureRoot,
     check_condition2,
+    extension_in_fan,
     roots_of_cone,
     roots_of_fan,
 )
 
-from test_fan import a2, f1, p1, p1p1, p2
+from test_fan import (
+    a2,
+    f1,
+    p1,
+    p1p1,
+    p2,
+    random_complete_fans,
+    random_fan_input,
+)
 
 
 def brute_fan_roots(fan, radius):
@@ -189,3 +204,48 @@ def test_no_roots_fan():
     rs = roots_of_fan(fan)
     assert rs.complete_enumeration
     assert len(rs) == 0
+
+
+def test_negative_bound_is_rejected():
+    with pytest.raises(NegativeBound):
+        roots_of_cone(Cone(2, [(1, 0), (0, 1)]), -1)
+    with pytest.raises(NegativeBound):
+        roots_of_fan(a2(), bound=-1)
+    # also where the bound would be ignored
+    with pytest.raises(NegativeBound):
+        roots_of_fan(p2(), bound=-3)
+    assert len(roots_of_fan(a2(), bound=0)) == 0
+
+
+def cone_extension_in_fan(fan, key, ray_index):
+    """The former extension_in_fan: build cone(sigma, rho), read its rays."""
+    target = Cone(
+        fan.rank, [fan.rays[j] for j in key] + [fan.rays[ray_index]]
+    )
+    if not target.is_strongly_convex():
+        return False
+    idxs = set()
+    for r in target.rays():
+        j = fan.ray_index(r)
+        if j is None:
+            return False
+        idxs.add(j)
+    return frozenset(idxs) in fan.cones
+
+
+def test_extension_in_fan_matches_cone_construction_random():
+    rng = random.Random(7)
+    fans = [p2(), f1(), p1p1(), p1(), a2()] + random_complete_fans(rng, 25)
+    while len(fans) < 60:  # incomplete fans from random subsets of cones
+        try:
+            fans.append(build_fan(*random_fan_input(rng)))
+        except DemazureError:
+            pass
+    hits = 0
+    for fan in fans:
+        for key in fan.cones:
+            for i in range(len(fan.rays)):
+                got = extension_in_fan(fan, key, i)
+                assert got == cone_extension_in_fan(fan, key, i)
+                hits += got
+    assert hits > 500
