@@ -5,12 +5,25 @@ an affine toric variety the admissible weights are the lattice points of the
 dual cone; for a complexity-one variety over A^1 or P^1 whose coefficient
 divisor is supported in {0, infinity} they are pairs (m, r), where m is a
 lattice weight and r the exponent of the coordinate t on the base curve.
+Either way they are the lattice points of an intersection of half-spaces.
 
-A homogeneous derivation shifts every weight by a fixed degree and scales the
-coefficient by an integer multiplier.  The constructors enforce that the
-multiplier drops by exactly one under the shift, which makes repeated
-application kill every admissible monomial after finitely many steps and lets
-the one-parameter flow exp(s*D) be computed exactly.
+A homogeneous derivation D shifts every weight by a fixed degree e and
+scales the coefficient by an integer multiplier q(m).  The constructors
+enforce that the multiplier drops by exactly one under the shift, so
+
+    D^k chi^m = q (q - 1) ... (q - k + 1) chi^(m + k e),
+    exp(s D) chi^m = sum_{k=0}^{q} C(q, k) s^k chi^(m + k e),
+
+and a monomial with q >= 0 is killed after exactly q + 1 steps.  The flows
+below use this closed form, one pass per term and no iteration ceiling.
+Every weight m + k e with 1 <= k <= q must be admissible; the first one
+that is not raises WeightEscape.  A term with q < 0 is never killed: it
+raises WeightEscape where its orbit leaves the carrier, and NotNilpotent
+if it never does.
+
+Elements built from outside input (``SemigroupElement(...)``) are frozen
+and checked term by term; the results of derivations, flows and
+arithmetic on elements of one carrier are built without a second check.
 """
 
 from __future__ import annotations
@@ -19,11 +32,7 @@ import math
 from fractions import Fraction
 
 from .errors import NotARoot, NotNilpotent, RankMismatch, WeightEscape
-from .lattice import dot, vadd
-
-# An honest derivation kills a monomial after multiplier+1 steps.  Iteration
-# past this ceiling means the input data was not locally nilpotent at all.
-HARD_CEILING = 10 ** 4
+from .lattice import dot, vadd, vscale
 
 
 def _as_int(x):
@@ -31,6 +40,21 @@ def _as_int(x):
     if f.denominator != 1:
         raise ValueError(f"non-integral component {x!r}")
     return int(f)
+
+
+def _first_exit(rows):
+    """Smallest k >= 1 with a + k*b < 0 for some row (a, b), or None.
+
+    Each row is one inequality a + k*b >= 0 along a ray.  With b < 0 it
+    fails from k = floor(a / -b) + 1 on; with b >= 0 at most at k = 1.
+    """
+    steps = []
+    for a, b in rows:
+        if b < 0:
+            steps.append(max(a // -b + 1, 1))
+        elif a + b < 0:
+            steps.append(1)
+    return min(steps, default=None)
 
 
 class ToricCarrier:
@@ -59,6 +83,10 @@ class ToricCarrier:
 
     def admits(self, key):
         return all(dot(g, key) >= 0 for g in self.cone.gens)
+
+    def first_exit(self, key, step):
+        """Smallest k >= 1 with key + k*step not admissible, or None."""
+        return _first_exit((dot(g, key), dot(g, step)) for g in self.cone.gens)
 
     def add_keys(self, a, b):
         return vadd(a, b)
@@ -139,6 +167,21 @@ class CurveCarrier:
             return False
         return True
 
+    def first_exit(self, key, step):
+        """Smallest k >= 1 with key + k*step not admissible, or None.
+
+        As r is an integer, r >= -floor(h_0(m)) holds exactly when
+        <v, m> + r >= 0 for every vertex v at 0, and r <= floor(h_inf(m))
+        exactly when <w, m> - r >= 0 for every vertex w at infinity.
+        """
+        (m, r), (e, s) = key, step
+        rows = [(dot(g, m), dot(g, e)) for g in self.tail.gens]
+        rows += [(dot(v, m) + r, dot(v, e) + s) for v in self.vertices0]
+        if self.curve == "P1":
+            rows += [(dot(w, m) - r, dot(w, e) - s)
+                     for w in self.vertices_inf]
+        return _first_exit(rows)
+
     def add_keys(self, a, b):
         return (vadd(a[0], b[0]), a[1] + b[1])
 
@@ -167,6 +210,10 @@ class SemigroupElement:
     ``terms`` maps frozen weight keys to nonzero Fraction coefficients.
     Addition of weights keeps the combination inside the carrier (the
     admissible weights form a semigroup), so products never escape.
+
+    The constructor freezes and checks every term; it is the entry point
+    for outside input.  Results computed from checked elements of one
+    carrier come from ``_trusted`` instead.
     """
 
     __slots__ = ("carrier", "terms")
@@ -185,6 +232,15 @@ class SemigroupElement:
         self.carrier = carrier
         self.terms = {k: c for k, c in data.items() if c}
 
+    @classmethod
+    def _trusted(cls, carrier, terms):
+        """Wrap ``terms`` as they are: frozen admissible keys, each with a
+        nonzero Fraction coefficient."""
+        self = object.__new__(cls)
+        self.carrier = carrier
+        self.terms = terms
+        return self
+
     def is_zero(self):
         return not self.terms
 
@@ -194,7 +250,7 @@ class SemigroupElement:
         data = dict(self.terms)
         for k, c in other.terms.items():
             data[k] = data.get(k, Fraction(0)) + sign * c
-        return SemigroupElement(self.carrier, data)
+        return _computed(self.carrier, other.carrier, data)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -203,14 +259,15 @@ class SemigroupElement:
         return self._combine(other, -1)
 
     def __neg__(self):
-        return SemigroupElement(
+        return SemigroupElement._trusted(
             self.carrier, {k: -c for k, c in self.terms.items()}
         )
 
     def __rmul__(self, scalar):
         scalar = Fraction(scalar)
-        return SemigroupElement(
-            self.carrier, {k: scalar * c for k, c in self.terms.items()}
+        return SemigroupElement._trusted(
+            self.carrier,
+            {k: scalar * c for k, c in self.terms.items()} if scalar else {},
         )
 
     def __mul__(self, other):
@@ -221,7 +278,7 @@ class SemigroupElement:
             for k2, c2 in other.terms.items():
                 k = self.carrier.add_keys(k1, k2)
                 data[k] = data.get(k, Fraction(0)) + c1 * c2
-        return SemigroupElement(self.carrier, data)
+        return _computed(self.carrier, other.carrier, data)
 
     def __pow__(self, n):
         if n < 0:
@@ -244,6 +301,20 @@ class SemigroupElement:
         return f"SemigroupElement({dict(sorted(self.terms.items()))!r})"
 
 
+def _computed(carrier, source, data):
+    """``data``, computed from elements of ``source``, as an element of
+    ``carrier``.
+
+    The keys are admissible already when the carriers agree (admissible
+    weights form a semigroup); only then are the checks skipped.
+    """
+    if source is carrier or source == carrier:
+        return SemigroupElement._trusted(
+            carrier, {k: c for k, c in data.items() if c}
+        )
+    return SemigroupElement(carrier, data)
+
+
 def monomial(carrier, key, coeff=1):
     return SemigroupElement(carrier, [(key, coeff)])
 
@@ -256,15 +327,24 @@ class HomogeneousLND:
 
     where n is the primitive normal of the distinguished ray, respectively
     (d*v0, d) is the primitive distinguished ray over the base curve.  The
-    constructors check that the multiplier drops by exactly one under the
+    constructor checks that the multiplier drops by exactly one under the
     weight shift (this is the defining property of a root), so the
-    derivation is locally nilpotent wherever the weights stay admissible.
+    derivation is locally nilpotent wherever the weights stay admissible,
+    and the flows may use their closed form.  ``toric`` and ``horizontal``
+    also normalize and check their input.
     """
 
     __slots__ = ("carrier", "kind", "ray_normal", "e", "v0", "d", "s")
 
     def __init__(self, carrier, kind, ray_normal=None, e=None,
                  v0=None, d=None, s=None):
+        if kind == "toric":
+            if dot(ray_normal, e) != -1:
+                raise NotARoot(
+                    "the degree must pair to -1 with the ray normal"
+                )
+        elif d * (dot(v0, e) + s) != -1:
+            raise NotARoot("need d * (<v0, e> + s) == -1")
         self.carrier = carrier
         self.kind = kind
         self.ray_normal = ray_normal
@@ -279,8 +359,6 @@ class HomogeneousLND:
         ee = tuple(_as_int(x) for x in e)
         if len(n) != carrier.rank or len(ee) != carrier.rank:
             raise RankMismatch("ray normal and degree must match the carrier")
-        if dot(n, ee) != -1:
-            raise NotARoot("the degree must pair to -1 with the ray normal")
         return cls(carrier, "toric", ray_normal=n, e=ee)
 
     @classmethod
@@ -295,8 +373,6 @@ class HomogeneousLND:
             raise ValueError("d must be a positive integer")
         if any((d * x).denominator != 1 for x in v):
             raise ValueError("d must clear the denominators of v0")
-        if d * (dot(v, ee) + s) != -1:
-            raise NotARoot("need d * (<v0, e> + s) == -1")
         return cls(carrier, "horizontal", v0=v, d=d, e=ee, s=s)
 
     def multiplier(self, key):
@@ -310,6 +386,13 @@ class HomogeneousLND:
             return vadd(key, self.e)
         m, r = key
         return (vadd(m, self.e), r + self.s)
+
+    def _shift_by(self, key, k):
+        """The weight ``key`` shifted k times."""
+        if self.kind == "toric":
+            return vadd(key, vscale(k, self.e))
+        m, r = key
+        return (vadd(m, vscale(k, self.e)), r + k * self.s)
 
     def degree(self):
         if self.kind == "toric":
@@ -354,50 +437,91 @@ def derive(lnd, element):
             raise WeightEscape(
                 f"derivative of weight {key!r} leaves the carrier at {new!r}"
             )
-        out[new] = out.get(new, Fraction(0)) + mult * c
-    return SemigroupElement(lnd.carrier, out)
+        # the shift is injective, so no two terms meet at one weight
+        out[new] = mult * c
+    return SemigroupElement._trusted(lnd.carrier, out)
 
 
-def _iteration_cap(lnd, element):
-    cap = 0
-    for key in element.terms:
+def _orbits(lnd, element):
+    """The orbit of every term under the derivation, checked to the end.
+
+    Returns one (coefficient, q, keys) triple per term, where q is the
+    multiplier and keys[k] = key + k*e for k = 0..q.  Each weight with
+    1 <= k <= q is checked; the failing weight with the smallest k (the
+    earlier term on a tie) raises WeightEscape, exactly where stepping the
+    derivation would have.  Otherwise a term with q < 0 raises
+    NotNilpotent: its multiplier never reaches zero.
+    """
+    carrier = lnd.carrier
+    admits = carrier.admits
+    shift = lnd.shift
+    orbits = []
+    escape = None        # (k, weight before, weight after)
+    negative = None
+    for key, c in element.terms.items():
         q = lnd.multiplier(key)
         if q < 0:
-            return HARD_CEILING
-        cap = max(cap, int(q))
-    return min(cap + 3, HARD_CEILING)
+            k = carrier.first_exit(key, lnd.degree())
+            if k is None:
+                if negative is None:
+                    negative = (key, q)
+            elif escape is None or k < escape[0]:
+                escape = (k, lnd._shift_by(key, k - 1), lnd._shift_by(key, k))
+            continue
+        keys = [key]
+        for k in range(1, q + 1):
+            new = shift(key)
+            if not admits(new):
+                if escape is None or k < escape[0]:
+                    escape = (k, key, new)
+                break
+            keys.append(new)
+            key = new
+        orbits.append((c, q, keys))
+    if escape is not None:
+        _, key, new = escape
+        raise WeightEscape(
+            f"derivative of weight {key!r} leaves the carrier at {new!r}"
+        )
+    if negative is not None:
+        key, q = negative
+        raise NotNilpotent(
+            f"weight {key!r} has multiplier {q} < 0, which never reaches 0"
+        )
+    return orbits
 
 
 def nilpotency_index(lnd, element):
-    """Smallest k with the k-th derivative of ``element`` equal to zero."""
-    cap = _iteration_cap(lnd, element)
-    cur = element
-    k = 0
-    while not cur.is_zero():
-        if k >= cap:
-            raise NotNilpotent(f"derivation still alive after {k} steps")
-        cur = derive(lnd, cur)
-        k += 1
-    return k
+    """Smallest k with the k-th derivative of ``element`` equal to zero.
+
+    This is max(q + 1) over the multipliers q of the terms, and 0 for the
+    zero element; there is no bound on q.
+    """
+    return max((q + 1 for _, q, _ in _orbits(lnd, element)), default=0)
 
 
 def exp_action(lnd, element, s):
-    """Image of ``element`` under the flow exp(s * lnd) at time s."""
+    """Image of ``element`` under the flow exp(s * lnd) at time s.
+
+    Each term c chi^m with multiplier q contributes c C(q, k) s^k
+    chi^(m + k e) for k = 0..q; the checks are those of the derivation's
+    steps, even at s = 0.
+    """
     s = Fraction(s)
-    acc = dict(element.terms)
-    term = element
-    cap = _iteration_cap(lnd, element)
-    factor = Fraction(1)
-    k = 0
-    while not term.is_zero():
-        k += 1
-        if k > cap:
-            raise NotNilpotent(f"flow did not terminate after {k - 1} steps")
-        term = derive(lnd, term)
-        factor = factor * s / k
-        for key, c in term.terms.items():
-            acc[key] = acc.get(key, Fraction(0)) + factor * c
-    return SemigroupElement(lnd.carrier, acc)
+    orbits = _orbits(lnd, element)
+    if not s:
+        return _computed(lnd.carrier, element.carrier, element.terms)
+    acc = {}
+    for c, q, keys in orbits:
+        binom = 1
+        coeff = c       # c C(q, k) s^k, with C(q, k) kept apart as an int
+        for k, key in enumerate(keys):
+            if k:
+                binom = binom * (q - k + 1) // k
+                coeff *= s
+            term = binom * coeff
+            acc[key] = acc[key] + term if key in acc else term
+    return _computed(lnd.carrier, element.carrier, acc)
 
 
 class SymbolicElement:
@@ -442,19 +566,17 @@ class SymbolicElement:
 
 
 def exp_symbolic(lnd, element):
-    """The flow exp(s * lnd) applied to ``element`` with s left symbolic."""
-    terms = {k: {0: c} for k, c in element.terms.items()}
-    term = element
-    cap = _iteration_cap(lnd, element)
-    fact = 1
-    k = 0
-    while not term.is_zero():
-        k += 1
-        if k > cap:
-            raise NotNilpotent(f"flow did not terminate after {k - 1} steps")
-        term = derive(lnd, term)
-        fact *= k
-        for key, c in term.terms.items():
-            poly = terms.setdefault(key, {})
-            poly[k] = poly.get(k, Fraction(0)) + c / fact
+    """The flow exp(s * lnd) applied to ``element`` with s left symbolic.
+
+    The coefficient of s^k at m + k e is c C(q, k), one pass per term.
+    Two terms never meet at the same weight and power, since the shift is
+    injective.
+    """
+    terms = {}
+    for c, q, keys in _orbits(lnd, element):
+        binom = 1
+        for k, key in enumerate(keys):
+            if k:
+                binom = binom * (q - k + 1) // k
+            terms.setdefault(key, {})[k] = binom * c
     return SymbolicElement(lnd.carrier, terms)

@@ -404,9 +404,9 @@ def _cmd_lnd(args):
             ) from None
         result["mode"] = "numeric"
         result["time"] = serialize.encode_rational(s)
-        result["exp"] = serialize.element_to_json(exp_action(lnd, element, s))
+        lhs = exp_action(lnd, element, s)
+        result["exp"] = serialize.element_to_json(lhs)
         if factors is not None:
-            lhs = exp_action(lnd, element, s)
             rhs = exp_action(lnd, factors[0], s)
             for f in factors[1:]:
                 rhs = rhs * exp_action(lnd, f, s)
@@ -477,6 +477,17 @@ def _build_parser():
     return parser
 
 
+_PARSER = None
+
+
+def _parser():
+    """The argument parser, built on first use and kept for the process."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    return _PARSER
+
+
 def _fail(args, exc, code):
     rep = serialize.error_report(
         args.command_name, args.digest, type(exc).__name__, str(exc)
@@ -486,7 +497,7 @@ def _fail(args, exc, code):
 
 
 def main(argv=None):
-    parser = _build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "handler", None) is None:
         parser.print_usage(sys.stderr)

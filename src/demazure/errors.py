@@ -81,7 +81,8 @@ class WeightEscape(DemazureError):
 
 
 class NotNilpotent(DemazureError):
-    """Iterated derivation failed to terminate within the cap."""
+    """A term has a negative multiplier, so no power of the derivation
+    kills it."""
 
 
 class WeightOutsideDual(DemazureError):

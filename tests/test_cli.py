@@ -449,3 +449,51 @@ def test_reports_are_byte_identical(capsys):
     assert seen[0] == seen[3]
     assert seen[1] == seen[4]
     assert seen[2] == seen[5]
+
+
+# -- one parser per process ----------------------------------------------------
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    import demazure.cli as cli
+
+    h3 = '{"terms":[{"key":[[3],0],"coeff":1}]}'
+    e1 = '{"terms":[{"key":[1,0],"coeff":1}]}'
+    commands = [
+        ["ah", "eval", fixture("div_relabel"), "--weight", "2"],
+        ["lnd", fixture("div_relabel"), "--root", "1", "--element", h3,
+         "--symbolic"],
+        ["lnd", fixture("a2"), "--root=-1,2", "--element", e1,
+         "--time", "1/2"],
+        ["fan-validate", fixture("bad_intersection")],
+        # fan errors reported through the command family
+        ["roots", fixture("bad_intersection")],
+        ["lnd", fixture("p2"), "--root", "1,0", "--element", e1,
+         "--symbolic"],
+    ]
+    shared = [run(capsys, *argv) for argv in commands]
+    parser = cli._parser()
+    assert cli._parser() is parser
+    for argv, (code, _, out) in zip(commands, shared):
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh_code, _, fresh_out = run(capsys, *argv)
+        assert cli._PARSER is not parser
+        assert (fresh_code, fresh_out) == (code, out)
+    codes = [code for code, _, _ in shared]
+    assert codes == [0, 0, 0, 3, 3, 3]
+    assert shared[4][1]["error"]["kind"] == "BadIntersection"
+
+
+def test_lnd_multiplier_beyond_former_ceiling(capsys):
+    # q = 10001 used to exceed the flow's 10^4-step ceiling (exit 8)
+    code, rep, _ = run(capsys, "lnd", fixture("a2"), "--root=-1,0",
+                       "--element", '{"terms":[{"key":[10001,0]}]}',
+                       "--time", "0")
+    assert code == 0
+    assert rep["result"]["nilpotency_index"] == 10002
+    assert rep["result"]["derivative"]["terms"] == [
+        {"key": [10000, 0], "coeff": [10001, 1]},
+    ]
+    assert rep["result"]["exp"]["terms"] == [
+        {"key": [10001, 0], "coeff": [1, 1]},
+    ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -32,7 +33,7 @@ from demazure.errors import (
     NotStronglyConvex,
     WeightOutsideDual,
 )
-from demazure.lattice import Cone, lattice_points
+from demazure.lattice import Cone, dot, lattice_points
 
 
 def ray1():
@@ -419,3 +420,93 @@ def test_horizontal_lnd_refuses():
     assert isinstance(coherent_check(colored, (1,)), CoherencePair)
     with pytest.raises(NotNormalized):
         horizontal_lnd(colored, (1,))
+
+
+# -- invariants that hold by construction --------------------------------------
+#
+# coherent_check, degree_zero_normalize and horizontal_lnd rely on three
+# facts instead of checking them at run time: the lifted vertex ray pairs
+# to -1 with the lifted degree, and both rewrites keep the degree
+# polyhedron over P^1.  They are checked here over the shipped divisor
+# fixtures and seeded random colorings.
+
+
+def _fixture_colorings():
+    import json
+    from pathlib import Path
+
+    from demazure import serialize
+    from demazure.cli import _default_coloring
+
+    root = Path(__file__).resolve().parent.parent / "fixtures"
+    for path in sorted(root.glob("div_*.json")):
+        obj = json.loads(path.read_text())
+        div = serialize.divisor_from_json(obj)
+        colored = serialize.colored_from_json(obj, div)
+        yield colored if colored is not None else _default_coloring(div)
+
+
+def _random_vertex(rng, rank, integral):
+    den = 1 if integral else rng.choice([1, 2, 3])
+    return tuple(Fraction(rng.randint(-3, 3), den) for _ in range(rank))
+
+
+def _random_coloring(rng):
+    rank = rng.choice([1, 1, 2])
+    if rank == 1:
+        tail = rng.choice([ray1(), Cone(1, [])])
+    else:
+        tail = rng.choice([quadrant(), Cone(2, [(1, 0), (1, 2)]), Cone(2, [])])
+    curve = rng.choice(["A1", "P1"])
+    parts = {0: [_random_vertex(rng, rank, False)
+                 for _ in range(rng.randint(1, 2))]}
+    for z in rng.sample([1, 2, Fraction(1, 2), -1], rng.randint(0, 2)):
+        parts[z] = [_random_vertex(rng, rank, True)
+                    for _ in range(rng.randint(1, 2))]
+    if curve == "P1":
+        parts[INF] = [_random_vertex(rng, rank, False)
+                      for _ in range(rng.randint(1, 2))]
+    div = PolyhedralDivisor(curve, tail, parts)
+    zinf = INF if curve == "P1" else None
+    chosen = {z: rng.choice(div.coefficient(z).vertices)
+              for z in set(div.parts) | {Fraction(0)} if z is not INF}
+    try:
+        return ColoredDivisor(div, 0, chosen, zinf=zinf)
+    except InvalidColoring:
+        return None
+
+
+def test_invariants_behind_the_removed_runtime_checks():
+    rng = random.Random(5381)
+    colorings = list(_fixture_colorings())
+    while len(colorings) < 240:
+        colored = _random_coloring(rng)
+        if colored is not None:
+            colorings.append(colored)
+    checked = {"pairing": 0, "normalize": 0, "horizontal": 0}
+    for colored in colorings:
+        div = colored.divisor
+        try:
+            out = degree_zero_normalize(colored)
+        except (NotProper, NoDegreeZeroLND):
+            out = None
+        if out is not None and div.curve == "P1":
+            assert out.degree().equals(div.degree())
+            checked["normalize"] += 1
+        for e in itertools.product(range(-2, 3), repeat=div.rank):
+            res = coherent_check(colored, e)
+            if isinstance(res, CoherenceViolation):
+                continue
+            assert res.rho_tilde in res.sigma_tilde.rays()
+            assert dot(res.rho_tilde, res.e_tilde) == -1
+            checked["pairing"] += 1
+            try:
+                normalized, _ = horizontal_lnd(colored, e)
+            except NotNormalized:
+                continue
+            if div.curve == "P1":
+                assert normalized.degree().equals(div.degree())
+                checked["horizontal"] += 1
+    assert checked["pairing"] > 300
+    assert checked["normalize"] > 10
+    assert checked["horizontal"] > 100

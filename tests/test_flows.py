@@ -1,0 +1,425 @@
+"""The closed-form flow against the former step loops.
+
+``derive``, ``nilpotency_index``, ``exp_action`` and ``exp_symbolic`` used
+to iterate the derivation one step at a time, with an iteration ceiling of
+10^4 steps.  Those loops are kept below as test oracles.  The closed form
+must agree with them everywhere except in two documented places:
+
+* a term with a negative multiplier whose orbit never leaves the carrier
+  raises ``NotNilpotent`` at once, with its own message (the oracle
+  raises it after the ceiling, naming the step count);
+* an orbit that leaves the carrier after more than the ceiling's number
+  of steps raises ``WeightEscape`` (the oracle gives up first with
+  ``NotNilpotent``), and a multiplier of 10^4 or more no longer fails.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from itertools import product
+from math import comb, lcm
+
+import pytest
+
+from demazure.algebra import (
+    CurveCarrier,
+    HomogeneousLND,
+    SemigroupElement,
+    ToricCarrier,
+    derive,
+    exp_action,
+    exp_symbolic,
+    monomial,
+    nilpotency_index,
+    toric_lnd,
+)
+from demazure.errors import NotARoot, NotNilpotent, WeightEscape
+from demazure.lattice import Cone, dot
+
+# -- the former step loops (oracles only) ------------------------------------
+
+CEILING = 10 ** 4
+
+
+def old_derive(lnd, element):
+    out = {}
+    for key, c in element.terms.items():
+        mult = lnd.multiplier(key)
+        if not mult:
+            continue
+        new = lnd.shift(key)
+        if not lnd.carrier.admits(new):
+            raise WeightEscape(
+                f"derivative of weight {key!r} leaves the carrier at {new!r}"
+            )
+        out[new] = out.get(new, Fraction(0)) + mult * c
+    return SemigroupElement(lnd.carrier, out)
+
+
+def _old_cap(lnd, element, ceiling):
+    cap = 0
+    for key in element.terms:
+        q = lnd.multiplier(key)
+        if q < 0:
+            return ceiling
+        cap = max(cap, int(q))
+    return min(cap + 3, ceiling)
+
+
+def old_nilpotency_index(lnd, element, ceiling=CEILING):
+    cap = _old_cap(lnd, element, ceiling)
+    cur = element
+    k = 0
+    while not cur.is_zero():
+        if k >= cap:
+            raise NotNilpotent(f"derivation still alive after {k} steps")
+        cur = old_derive(lnd, cur)
+        k += 1
+    return k
+
+
+def old_exp_action(lnd, element, s, ceiling=CEILING):
+    s = Fraction(s)
+    acc = dict(element.terms)
+    term = element
+    cap = _old_cap(lnd, element, ceiling)
+    factor = Fraction(1)
+    k = 0
+    while not term.is_zero():
+        k += 1
+        if k > cap:
+            raise NotNilpotent(f"flow did not terminate after {k - 1} steps")
+        term = old_derive(lnd, term)
+        factor = factor * s / k
+        for key, c in term.terms.items():
+            acc[key] = acc.get(key, Fraction(0)) + factor * c
+    return SemigroupElement(lnd.carrier, acc)
+
+
+def old_exp_symbolic(lnd, element, ceiling=CEILING):
+    terms = {k: {0: c} for k, c in element.terms.items()}
+    term = element
+    cap = _old_cap(lnd, element, ceiling)
+    fact = 1
+    k = 0
+    while not term.is_zero():
+        k += 1
+        if k > cap:
+            raise NotNilpotent(f"flow did not terminate after {k - 1} steps")
+        term = old_derive(lnd, term)
+        fact *= k
+        for key, c in term.terms.items():
+            poly = terms.setdefault(key, {})
+            poly[k] = poly.get(k, Fraction(0)) + c / fact
+    return terms
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except (WeightEscape, NotNilpotent) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _escape(fn, *args):
+    with pytest.raises(WeightEscape) as info:
+        fn(*args)
+    return str(info.value)
+
+
+# -- pinned error precedence for non-roots -----------------------------------
+#
+# On the quadrant, n = (2, -1) and e = (-1, -1) pair to -1 but n is no ray
+# normal.  The multiplier of m is q = 2 m1 - m2, and m + k e leaves the
+# quadrant at step k = min(m1, m2) + 1.  Steps 1..q of a term with q >= 0
+# are checked, every step of a term with q < 0 is; the first failing step
+# wins, and on a tie the earlier term does.
+
+
+def quadrant():
+    return ToricCarrier(Cone(2, [(1, 0), (0, 1)]))
+
+
+def skew():
+    c = quadrant()
+    return c, HomogeneousLND.toric(c, (2, -1), (-1, -1))
+
+
+FLOWS = [
+    nilpotency_index,
+    lambda lnd, x: exp_action(lnd, x, Fraction(3, 2)),
+    lambda lnd, x: exp_action(lnd, x, 0),
+    exp_symbolic,
+]
+
+
+def _leaves(key, new):
+    return f"derivative of weight {key!r} leaves the carrier at {new!r}"
+
+
+def _sum(carrier, *keys):
+    return SemigroupElement(carrier, [(k, 1) for k in keys])
+
+
+@pytest.mark.parametrize("flow", FLOWS)
+def test_precedence_smallest_step_first(flow):
+    c, lnd = skew()
+    # (1, 5): q = -3, leaves at step 2; (3, 1): q = 5, leaves at step 2
+    assert _escape(flow, lnd, _sum(c, (1, 5), (3, 1))) \
+        == _leaves((0, 4), (-1, 3))
+    assert _escape(flow, lnd, _sum(c, (3, 1), (1, 5))) \
+        == _leaves((2, 0), (1, -1))
+    # (6, 20): q = -8, leaves at step 7, after (3, 1) at step 2
+    assert _escape(flow, lnd, _sum(c, (6, 20), (3, 1))) \
+        == _leaves((2, 0), (1, -1))
+    # (4, 4): q = 4 dies before it could leave at step 5; (0, 3) leaves at 1
+    assert _escape(flow, lnd, _sum(c, (4, 4), (0, 3))) \
+        == _leaves((0, 3), (-1, 2))
+    # a negative multiplier far from the boundary: (40, 90), q = -10
+    assert _escape(flow, lnd, _sum(c, (40, 90))) \
+        == _leaves((0, 50), (-1, 49))
+
+
+def test_precedence_terms_that_die_in_time():
+    c, lnd = skew()
+    x = SemigroupElement(c, [((4, 4), 1), ((2, 4), 3), ((5, 9), -1)])
+    # q = 4, 0, 1: each is killed before its orbit leaves the quadrant
+    assert nilpotency_index(lnd, x) == 5
+    assert exp_action(lnd, x, 1) == old_exp_action(lnd, x, 1)
+    assert exp_symbolic(lnd, x).terms == old_exp_symbolic(lnd, x)
+
+
+def test_precedence_derive_checks_one_step():
+    c, lnd = skew()
+    # derive only looks one step ahead: (1, 5) leaves at step 2
+    assert derive(lnd, monomial(c, (1, 5))) == monomial(c, (0, 4), -3)
+    assert _escape(derive, lnd, _sum(c, (4, 4), (0, 3), (3, 0))) \
+        == _leaves((0, 3), (-1, 2))
+
+
+@pytest.mark.parametrize("flow", FLOWS)
+def test_precedence_negative_multiplier_inside_the_carrier(flow):
+    # n = (-1, 0), e = (1, 0): q = -m1, and the orbit never leaves
+    c = quadrant()
+    lnd = HomogeneousLND.toric(c, (-1, 0), (1, 0))
+    with pytest.raises(NotNilpotent):
+        flow(lnd, SemigroupElement(c, [((0, 2), 1), ((3, 1), 1)]))
+    # q = 0 alone is killed at once
+    assert nilpotency_index(lnd, monomial(c, (0, 2))) == 1
+
+
+@pytest.mark.parametrize("flow", FLOWS)
+def test_precedence_horizontal(flow):
+    # over A^1 with coefficient conv(0, 1) at t = 0 and a line as tail:
+    # (m, r) is admissible when r >= -min(0, m); the multiplier is r
+    carrier = CurveCarrier("A1", Cone(1, []), [(0,), (1,)])
+    lnd = HomogeneousLND.horizontal(carrier, (0,), 1, (0,), -1)
+    assert _escape(flow, lnd, monomial(carrier, ((-1,), 1))) \
+        == _leaves(((-1,), 1), ((-1,), 0))
+    assert _escape(flow, lnd, SemigroupElement(
+        carrier, [(((2,), 3), 1), (((-2,), 4), 1)])) \
+        == _leaves(((-2,), 2), ((-2,), 1))
+    # over A^1 with the trivial coefficient, (m, r) is admissible when
+    # r >= 0; with v0 = 1, d = 1, e = -1, s = 0 the multiplier is m + r
+    # and the orbit of ((-5,), 1), q = -4, stays in the carrier forever
+    carrier, lnd = line_over_a1()
+    with pytest.raises(NotNilpotent):
+        flow(lnd, monomial(carrier, ((-5,), 1)))
+
+
+def line_over_a1():
+    carrier = CurveCarrier("A1", Cone(1, []), [(0,)])
+    return carrier, HomogeneousLND.horizontal(carrier, (1,), 1, (-1,), 0)
+
+
+def test_elements_of_another_carrier_are_checked_as_before():
+    quad = quadrant()
+    sing = ToricCarrier(Cone(2, [(1, 0), (1, 2)]))
+    # (2, -1) is admissible on the singular cone, not on the quadrant
+    x = SemigroupElement(sing, [((2, -1), 1), ((0, 0), 2)])
+    seen = {"ok": 0, "WeightEscape": 0, "NotNilpotent": 0}
+    for lnd in [HomogeneousLND.toric(quad, (1, 0), (-1, 1)),
+                HomogeneousLND.toric(quad, (-1, 0), (1, 0))]:
+        assert _compare(lnd, x, (Fraction(1, 2), 0), CEILING, seen)
+    assert seen == {"ok": 3, "WeightEscape": 7, "NotNilpotent": 0}
+    y = monomial(quad, (1, 0))
+    assert _escape(lambda: y * x) == "weight (3, -1) is not admissible"
+    assert _escape(lambda: y + x) == "weight (2, -1) is not admissible"
+    assert x * y == SemigroupElement(sing, [((3, -1), 1), ((1, 0), 2)])
+
+
+def test_every_constructor_checks_the_drop_by_one():
+    # the closed form needs q(m + e) = q(m) - 1, so the plain constructor
+    # refuses a degree that breaks it, like ``toric`` and ``horizontal``
+    with pytest.raises(NotARoot):
+        HomogeneousLND(quadrant(), "toric", ray_normal=(1, 0), e=(-2, 0))
+    carrier, _ = line_over_a1()
+    with pytest.raises(NotARoot):
+        HomogeneousLND(carrier, "horizontal", v0=(0,), d=1, e=(0,), s=0)
+
+
+# -- a multiplier beyond the former ceiling ----------------------------------
+
+
+def test_index_beyond_former_ceiling():
+    c = quadrant()
+    lnd = toric_lnd(c.cone, (-1, 0))
+    assert nilpotency_index(lnd, monomial(c, (20000, 0))) == 20001
+    assert nilpotency_index(lnd, monomial(c, (20000, 7), 5)) == 20001
+
+
+def test_symbolic_flow_beyond_former_ceiling():
+    c = quadrant()
+    lnd = toric_lnd(c.cone, (-1, 0))
+    q = 10000
+    sym = exp_symbolic(lnd, monomial(c, (q, 0)))
+    assert len(sym.terms) == q + 1
+    assert sym.terms[(q, 0)] == {0: 1}
+    assert sym.terms[(q - 1, 0)] == {1: q}
+    assert sym.terms[(q - 2, 0)] == {2: comb(q, 2)}
+    assert sym.terms[(0, 0)] == {q: 1}
+
+
+# -- differential test against the step loops --------------------------------
+
+
+def _random_cone(rng, rank):
+    while True:
+        gens = [tuple(rng.randint(-3, 3) for _ in range(rank))
+                for _ in range(rng.randint(rank, rank + 2))]
+        cone = Cone(rank, gens)
+        if cone.is_strongly_convex() and cone.dim() == rank:
+            return cone
+
+
+def _admissible(carrier, keys):
+    return [k for k in keys if carrier.admits(k)]
+
+
+def _toric_case(rng):
+    rank = rng.choice([2, 2, 3])
+    cone = _random_cone(rng, rank)
+    carrier = ToricCarrier(cone)
+    keys = _admissible(carrier, product(range(-4, 5), repeat=rank))
+    if rng.random() < 0.5:
+        roots = []
+        for e in product(range(-3, 4), repeat=rank):
+            pairings = [dot(r, e) for r in cone.rays()]
+            if min(pairings) == -1 and pairings.count(-1) == 1:
+                roots.append(e)
+        if roots:
+            return carrier, toric_lnd(cone, rng.choice(roots)), keys
+    while True:
+        # any normal pairing to -1 with the degree: mostly no root
+        n = tuple(rng.randint(-3, 3) for _ in range(rank))
+        e = tuple(rng.randint(-2, 2) for _ in range(rank))
+        if dot(n, e) == -1:
+            return carrier, HomogeneousLND.toric(carrier, n, e), keys
+
+
+def _rational(rng):
+    return Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+
+
+def _horizontal_case(rng):
+    rank = rng.choice([1, 1, 2])
+    tail = _random_cone(rng, rank) if rng.random() < 0.6 else Cone(rank, [])
+    curve = rng.choice(["A1", "P1"])
+    # extra vertices at 0 next to the distinguished one
+    v0s = [tuple(_rational(rng) for _ in range(rank))
+           for _ in range(rng.randint(1, 3))]
+    vinf = None
+    if curve == "P1":
+        vinf = [tuple(_rational(rng) for _ in range(rank))
+                for _ in range(rng.randint(1, 2))]
+    carrier = CurveCarrier(curve, tail, v0s, vinf)
+    keys = _admissible(carrier, [(m, r)
+                                 for m in product(range(-3, 4), repeat=rank)
+                                 for r in range(-4, 5)])
+    for _ in range(50):
+        if rng.random() < 0.5:
+            v0 = rng.choice(v0s)
+        else:
+            v0 = tuple(_rational(rng) for _ in range(rank))
+        d = lcm(*(x.denominator for x in v0)) * rng.choice([1, 1, 2])
+        e = tuple(rng.randint(-2, 2) for _ in range(rank))
+        num = Fraction(-1, d) - dot(v0, e)
+        if num.denominator == 1:
+            return carrier, HomogeneousLND.horizontal(
+                carrier, v0, d, e, int(num)), keys
+    return None
+
+
+def _element(carrier, keys, rng):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        key = rng.choice(keys)
+        terms[key] = terms.get(key, 0) + Fraction(
+            rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+    return SemigroupElement(carrier, terms)
+
+
+def _compare(lnd, x, times, ceiling, seen, symbolic=True):
+    """Compare every flow function with its step loop on one element."""
+    pairs = [
+        (_outcome(derive, lnd, x), _outcome(old_derive, lnd, x)),
+        (_outcome(nilpotency_index, lnd, x),
+         _outcome(old_nilpotency_index, lnd, x, ceiling)),
+    ]
+    for s in times:
+        pairs.append((_outcome(exp_action, lnd, x, s),
+                       _outcome(old_exp_action, lnd, x, s, ceiling)))
+    if symbolic:
+        pairs.append((_outcome(lambda *a: exp_symbolic(*a).terms, lnd, x),
+                      _outcome(old_exp_symbolic, lnd, x, ceiling)))
+    for new, old in pairs:
+        seen[new[0]] += 1
+        if new[0] == "NotNilpotent":
+            # the documented difference: no step count in the message
+            assert old[0] == "NotNilpotent", (lnd, x, new, old)
+            assert any(lnd.multiplier(k) < 0 for k in x.terms)
+        elif new[0] == "WeightEscape" and old[0] == "NotNilpotent":
+            # the exit lies beyond this oracle's ceiling: retry at 10^4
+            return False
+        else:
+            assert new == old, (lnd, x, new, old)
+    return True
+
+
+def test_closed_form_matches_step_loops():
+    rng = random.Random(20261018)
+    seen = {"ok": 0, "WeightEscape": 0, "NotNilpotent": 0}
+    retried = 0
+    for i in range(200):
+        case = _toric_case(rng) if i % 2 else _horizontal_case(rng)
+        if case is None or not case[2]:
+            continue
+        carrier, lnd, keys = case
+        for _ in range(4):
+            x = _element(carrier, keys, rng)
+            s = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            # a low ceiling keeps the non-nilpotent cases cheap
+            if not _compare(lnd, x, (s, 0), 64, seen):
+                retried += 1
+                assert _compare(lnd, x, (s, 0), CEILING, seen)
+    assert seen["ok"] > 1000
+    assert seen["WeightEscape"] > 200
+    assert seen["NotNilpotent"] > 50
+    assert retried < 5
+
+
+def test_closed_form_matches_step_loops_at_the_full_ceiling():
+    # one non-nilpotent element of each carrier kind against the real
+    # 10^4-step ceiling (at time 0 only: the oracle's coefficients
+    # grow factorially, and at s != 0 it needs half a minute)
+    c = quadrant()
+    lnd = HomogeneousLND.toric(c, (-1, 0), (1, 0))
+    x = SemigroupElement(c, [((0, 2), 1), ((3, 1), 1)])
+    seen = {"ok": 0, "WeightEscape": 0, "NotNilpotent": 0}
+    assert _compare(lnd, x, (0,), CEILING, seen, symbolic=False)
+    carrier, lnd = line_over_a1()
+    x = SemigroupElement(carrier, [(((2,), 0), 1), (((-5,), 1), 2)])
+    assert _compare(lnd, x, (0,), CEILING, seen, symbolic=False)
+    # derive takes one step and succeeds; the index and the flow refuse
+    assert seen == {"ok": 2, "WeightEscape": 0, "NotNilpotent": 4}
