@@ -2,14 +2,21 @@
 
 A *carrier* records which monomial weights occur in a coordinate ring.  For
 an affine toric variety the admissible weights are the lattice points of the
-dual cone; for a complexity-one variety over A^1 or P^1 whose coefficient
-divisor is supported in {0, infinity} they are pairs (m, r), where m is a
-lattice weight and r the exponent of the coordinate t on the base curve.
-Either way they are the lattice points of an intersection of half-spaces.
+dual cone.  A complexity-one variety over A^1 or P^1 whose coefficient
+divisor is supported in {0, infinity} is toric as well: its weights are
+pairs (m, r), where m is a lattice weight and r the exponent of the
+coordinate t on the base curve, and (m, r) is admissible exactly when the
+flat weight m + (r,) lies in the dual of the lifted cone spanned by (g, 0),
+(v, 1) and (w, -1), for g a tail generator, v a vertex at 0 and w a vertex
+at infinity.  So ``CurveCarrier`` is a ``ToricCarrier`` of the lifted cone
+that only keeps the (m, r) key shape.
 
-A homogeneous derivation D shifts every weight by a fixed degree e and
-scales the coefficient by an integer multiplier q(m).  The constructors
-enforce that the multiplier drops by exactly one under the shift, so
+One derivation class serves both.  A homogeneous derivation D shifts every
+weight by a fixed degree e and scales the coefficient by the pairing q(m)
+of the flat weight with a ray normal n; the horizontal derivation
+t^r chi^m -> d (<v0, m> + r) t^(r+s) chi^(m+e) of the curve is the case
+n = (d v0, d) and degree (e, s).  The constructor enforces <n, e> = -1, so
+the multiplier drops by exactly one under the shift and
 
     D^k chi^m = q (q - 1) ... (q - k + 1) chi^(m + k e),
     exp(s D) chi^m = sum_{k=0}^{q} C(q, k) s^k chi^(m + k e),
@@ -28,11 +35,10 @@ arithmetic on elements of one carrier are built without a second check.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import NotARoot, NotNilpotent, RankMismatch, WeightEscape
-from .lattice import dot, vadd, vscale
+from .lattice import Cone, dot
 
 
 def _as_int(x):
@@ -42,26 +48,25 @@ def _as_int(x):
     return int(f)
 
 
-def _first_exit(rows):
-    """Smallest k >= 1 with a + k*b < 0 for some row (a, b), or None.
+def lifted_cone(rank, tail_gens, vertices0, vertices_inf=()):
+    """The cone over the base curve, in rank ``rank + 1``.
 
-    Each row is one inequality a + k*b >= 0 along a ray.  With b < 0 it
-    fails from k = floor(a / -b) + 1 on; with b >= 0 at most at k = 1.
+    It is spanned by (g, 0) for the tail generators g, (v, 1) for the
+    vertices v at 0 and (w, -1) for the vertices w at infinity.
     """
-    steps = []
-    for a, b in rows:
-        if b < 0:
-            steps.append(max(a // -b + 1, 1))
-        elif a + b < 0:
-            steps.append(1)
-    return min(steps, default=None)
+    gens = [tuple(g) + (0,) for g in tail_gens]
+    gens += [tuple(v) + (1,) for v in vertices0]
+    gens += [tuple(w) + (-1,) for w in vertices_inf]
+    return Cone(rank + 1, gens)
 
 
 class ToricCarrier:
     """Monomial weights of the affine toric variety attached to a cone.
 
-    A weight m is admissible exactly when it pairs nonnegatively with every
-    generator of the cone, i.e. when m is a lattice point of the dual cone.
+    A weight is admissible exactly when its flat form pairs nonnegatively
+    with every generator of the cone, i.e. when it is a lattice point of
+    the dual cone.  Here a weight is its own flat form; subclasses keep
+    another key shape and override only the key arithmetic.
     """
 
     __slots__ = ("cone",)
@@ -75,24 +80,43 @@ class ToricCarrier:
 
     def freeze(self, key):
         m = tuple(_as_int(x) for x in key)
-        if len(m) != self.cone.rank:
+        if len(m) != self.rank:
             raise RankMismatch(
-                f"weight of length {len(m)} in ambient rank {self.cone.rank}"
+                f"weight of length {len(m)} in ambient rank {self.rank}"
             )
         return m
 
+    def flat(self, key):
+        """The key as a weight of the cone's lattice."""
+        return key
+
+    def add_keys(self, a, b, k=1):
+        """The weight a + k*b."""
+        return tuple(x + k * y for x, y in zip(a, b))
+
     def admits(self, key):
-        return all(dot(g, key) >= 0 for g in self.cone.gens)
+        m = self.flat(key)
+        return all(dot(g, m) >= 0 for g in self.cone.gens)
 
     def first_exit(self, key, step):
-        """Smallest k >= 1 with key + k*step not admissible, or None."""
-        return _first_exit((dot(g, key), dot(g, step)) for g in self.cone.gens)
+        """Smallest k >= 1 with key + k*step not admissible, or None.
 
-    def add_keys(self, a, b):
-        return vadd(a, b)
+        Each generator g gives one inequality a + k*b >= 0 along the ray,
+        with a = <g, key> and b = <g, step>.  With b < 0 it fails from
+        k = floor(a / -b) + 1 on; with b >= 0 at most at k = 1.
+        """
+        m, e = self.flat(key), self.flat(step)
+        steps = []
+        for g in self.cone.gens:
+            a, b = dot(g, m), dot(g, e)
+            if b < 0:
+                steps.append(max(a // -b + 1, 1))
+            elif a + b < 0:
+                steps.append(1)
+        return min(steps, default=None)
 
     def __eq__(self, other):
-        return (isinstance(other, ToricCarrier)
+        return (type(other) is type(self)
                 and self.cone.rank == other.cone.rank
                 and self.cone.gens == other.cone.gens)
 
@@ -102,18 +126,20 @@ class ToricCarrier:
         return f"ToricCarrier({self.cone!r})"
 
 
-class CurveCarrier:
+class CurveCarrier(ToricCarrier):
     """Monomial weights (m, r) over the base curve A^1 or P^1.
 
     ``tail`` is the common recession cone of the coefficient polyhedra and
     ``vertices0`` / ``vertices_inf`` are the vertices of the coefficients at
-    t = 0 and t = infinity.  Writing h_z(m) for the minimum of <v, m> over
-    the vertices at z, the pair (m, r) is admissible when m lies in the dual
-    of the tail cone and
+    t = 0 and t = infinity.  The pair (m, r) is admissible, i.e. t^r chi^m
+    is a global section, when m lies in the dual of the tail cone and
 
-        r >= -floor(h_0(m))        and, over P^1,        r <= floor(h_inf(m)),
+        r >= -floor(<v, m>) for every vertex v at 0   and, over P^1,
+        r <= floor(<w, m>) for every vertex w at infinity.
 
-    i.e. exactly when t^r chi^m is a global section.
+    As r is an integer these are the inequalities <v, m> + r >= 0 and
+    <w, m> - r >= 0: the carrier is the toric carrier of ``lifted_cone``,
+    read on keys (m, r) whose flat form is m + (r,).
     """
 
     __slots__ = ("curve", "tail", "vertices0", "vertices_inf")
@@ -137,66 +163,25 @@ class CurveCarrier:
             if vertices_inf is not None
             else None
         )
+        super().__init__(lifted_cone(
+            tail.rank, tail.gens, self.vertices0, self.vertices_inf or ()
+        ))
 
     @property
     def rank(self):
         return self.tail.rank
 
-    def h0(self, m):
-        return min(dot(v, m) for v in self.vertices0)
-
-    def hinf(self, m):
-        return min(dot(v, m) for v in self.vertices_inf)
-
     def freeze(self, key):
         m, r = key
-        m = tuple(_as_int(x) for x in m)
-        if len(m) != self.tail.rank:
-            raise RankMismatch(
-                f"weight of length {len(m)} in ambient rank {self.tail.rank}"
-            )
-        return (m, _as_int(r))
+        return (super().freeze(m), _as_int(r))
 
-    def admits(self, key):
+    def flat(self, key):
         m, r = key
-        if any(dot(g, m) < 0 for g in self.tail.gens):
-            return False
-        if r < -math.floor(self.h0(m)):
-            return False
-        if self.curve == "P1" and r > math.floor(self.hinf(m)):
-            return False
-        return True
+        return m + (r,)
 
-    def first_exit(self, key, step):
-        """Smallest k >= 1 with key + k*step not admissible, or None.
-
-        As r is an integer, r >= -floor(h_0(m)) holds exactly when
-        <v, m> + r >= 0 for every vertex v at 0, and r <= floor(h_inf(m))
-        exactly when <w, m> - r >= 0 for every vertex w at infinity.
-        """
-        (m, r), (e, s) = key, step
-        rows = [(dot(g, m), dot(g, e)) for g in self.tail.gens]
-        rows += [(dot(v, m) + r, dot(v, e) + s) for v in self.vertices0]
-        if self.curve == "P1":
-            rows += [(dot(w, m) - r, dot(w, e) - s)
-                     for w in self.vertices_inf]
-        return _first_exit(rows)
-
-    def add_keys(self, a, b):
-        return (vadd(a[0], b[0]), a[1] + b[1])
-
-    def __eq__(self, other):
-        return (isinstance(other, CurveCarrier)
-                and self.curve == other.curve
-                and self.tail.rank == other.tail.rank
-                and self.tail.gens == other.tail.gens
-                and sorted(self.vertices0) == sorted(other.vertices0)
-                and ((self.vertices_inf is None) ==
-                     (other.vertices_inf is None))
-                and (self.vertices_inf is None
-                     or sorted(self.vertices_inf) == sorted(other.vertices_inf)))
-
-    __hash__ = None
+    def add_keys(self, a, b, k=1):
+        (m, r), (e, s) = a, b
+        return (super().add_keys(m, e, k), r + k * s)
 
     def __repr__(self):
         return (f"CurveCarrier({self.curve!r}, tail={self.tail!r}, "
@@ -320,38 +305,31 @@ def monomial(carrier, key, coeff=1):
 
 
 class HomogeneousLND:
-    """A homogeneous derivation acting monomially on a carrier.
+    """A homogeneous derivation acting monomially on a carrier:
 
-    kind "toric":       chi^m        ->  <n, m> chi^(m+e)
-    kind "horizontal":  chi^m t^r    ->  d (<v0, m> + r) chi^(m+e) t^(r+s)
+        chi^m  ->  <n, m> chi^(m+e),
 
-    where n is the primitive normal of the distinguished ray, respectively
-    (d*v0, d) is the primitive distinguished ray over the base curve.  The
-    constructor checks that the multiplier drops by exactly one under the
-    weight shift (this is the defining property of a root), so the
-    derivation is locally nilpotent wherever the weights stay admissible,
-    and the flows may use their closed form.  ``toric`` and ``horizontal``
-    also normalize and check their input.
+    with m read in its flat form (``carrier.flat``) and the shift made by
+    ``carrier.add_keys``.  For a toric carrier n is the primitive normal of
+    the distinguished ray.  Over the base curve the same formula is the
+    horizontal derivation chi^m t^r -> d (<v0, m> + r) chi^(m+e) t^(r+s),
+    with n = (d*v0, d) (the distinguished ray of the lifted cone when d is
+    the least common denominator of v0) and the degree the pair (e, s).
+    The constructor checks <n, e> = -1, so the multiplier drops by exactly
+    one under the weight shift (this is the defining property of a root),
+    the derivation is locally nilpotent wherever the weights stay
+    admissible, and the flows may use their closed form.  ``toric`` and
+    ``horizontal`` also normalize and check their input.
     """
 
-    __slots__ = ("carrier", "kind", "ray_normal", "e", "v0", "d", "s")
+    __slots__ = ("carrier", "ray_normal", "e")
 
-    def __init__(self, carrier, kind, ray_normal=None, e=None,
-                 v0=None, d=None, s=None):
-        if kind == "toric":
-            if dot(ray_normal, e) != -1:
-                raise NotARoot(
-                    "the degree must pair to -1 with the ray normal"
-                )
-        elif d * (dot(v0, e) + s) != -1:
-            raise NotARoot("need d * (<v0, e> + s) == -1")
+    def __init__(self, carrier, ray_normal, e):
+        if dot(ray_normal, carrier.flat(e)) != -1:
+            raise NotARoot("the degree must pair to -1 with the ray normal")
         self.carrier = carrier
-        self.kind = kind
         self.ray_normal = ray_normal
         self.e = e
-        self.v0 = v0
-        self.d = d
-        self.s = s
 
     @classmethod
     def toric(cls, carrier, ray_normal, e):
@@ -359,7 +337,7 @@ class HomogeneousLND:
         ee = tuple(_as_int(x) for x in e)
         if len(n) != carrier.rank or len(ee) != carrier.rank:
             raise RankMismatch("ray normal and degree must match the carrier")
-        return cls(carrier, "toric", ray_normal=n, e=ee)
+        return cls(carrier, n, ee)
 
     @classmethod
     def horizontal(cls, carrier, v0, d, e, s):
@@ -373,37 +351,16 @@ class HomogeneousLND:
             raise ValueError("d must be a positive integer")
         if any((d * x).denominator != 1 for x in v):
             raise ValueError("d must clear the denominators of v0")
-        return cls(carrier, "horizontal", v0=v, d=d, e=ee, s=s)
+        return cls(carrier, tuple(int(d * x) for x in v) + (d,), (ee, s))
 
     def multiplier(self, key):
-        if self.kind == "toric":
-            return dot(self.ray_normal, key)
-        m, r = key
-        return _as_int(self.d * (dot(self.v0, m) + r))
+        return dot(self.ray_normal, self.carrier.flat(key))
 
     def shift(self, key):
-        if self.kind == "toric":
-            return vadd(key, self.e)
-        m, r = key
-        return (vadd(m, self.e), r + self.s)
-
-    def _shift_by(self, key, k):
-        """The weight ``key`` shifted k times."""
-        if self.kind == "toric":
-            return vadd(key, vscale(k, self.e))
-        m, r = key
-        return (vadd(m, vscale(k, self.e)), r + k * self.s)
-
-    def degree(self):
-        if self.kind == "toric":
-            return self.e
-        return (self.e, self.s)
+        return self.carrier.add_keys(key, self.e)
 
     def __repr__(self):
-        if self.kind == "toric":
-            return f"HomogeneousLND(toric, n={self.ray_normal}, e={self.e})"
-        return (f"HomogeneousLND(horizontal, v0={self.v0}, d={self.d}, "
-                f"e={self.e}, s={self.s})")
+        return f"HomogeneousLND(n={self.ray_normal}, e={self.e})"
 
 
 def toric_lnd(cone, e):
@@ -446,38 +403,30 @@ def _orbits(lnd, element):
     """The orbit of every term under the derivation, checked to the end.
 
     Returns one (coefficient, q, keys) triple per term, where q is the
-    multiplier and keys[k] = key + k*e for k = 0..q.  Each weight with
-    1 <= k <= q is checked; the failing weight with the smallest k (the
-    earlier term on a tie) raises WeightEscape, exactly where stepping the
-    derivation would have.  Otherwise a term with q < 0 raises
-    NotNilpotent: its multiplier never reaches zero.
+    multiplier and keys[k] = key + k*e for k = 0..q.  A term whose orbit
+    leaves the carrier at step k (``first_exit``) escapes there when
+    k <= q or q < 0; the escape with the smallest k (the earlier term on a
+    tie) raises WeightEscape, exactly where stepping the derivation would
+    have.  Otherwise a term with q < 0 raises NotNilpotent: its multiplier
+    never reaches zero.
     """
-    carrier = lnd.carrier
-    admits = carrier.admits
-    shift = lnd.shift
+    add_keys = lnd.carrier.add_keys
+    first_exit = lnd.carrier.first_exit
+    e = lnd.e
     orbits = []
     escape = None        # (k, weight before, weight after)
     negative = None
     for key, c in element.terms.items():
         q = lnd.multiplier(key)
-        if q < 0:
-            k = carrier.first_exit(key, lnd.degree())
-            if k is None:
-                if negative is None:
-                    negative = (key, q)
-            elif escape is None or k < escape[0]:
-                escape = (k, lnd._shift_by(key, k - 1), lnd._shift_by(key, k))
-            continue
-        keys = [key]
-        for k in range(1, q + 1):
-            new = shift(key)
-            if not admits(new):
-                if escape is None or k < escape[0]:
-                    escape = (k, key, new)
-                break
-            keys.append(new)
-            key = new
-        orbits.append((c, q, keys))
+        k = first_exit(key, e)
+        if k is not None and (k <= q or q < 0):
+            if escape is None or k < escape[0]:
+                escape = (k, add_keys(key, e, k - 1), add_keys(key, e, k))
+        elif q < 0:
+            if negative is None:
+                negative = (key, q)
+        else:
+            orbits.append((c, q, [add_keys(key, e, j) for j in range(q + 1)]))
     if escape is not None:
         _, key, new = escape
         raise WeightEscape(

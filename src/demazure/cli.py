@@ -25,6 +25,7 @@ from pathlib import Path
 
 from . import serialize
 from .algebra import (
+    CurveCarrier,
     derive,
     exp_action,
     exp_symbolic,
@@ -229,19 +230,23 @@ def _coloring(obj, div):
 
 
 def _lnd_json(lnd):
-    if lnd.kind == "toric":
+    carrier = lnd.carrier
+    if not isinstance(carrier, CurveCarrier):
         return {
             "kind": "toric",
             "ray_normal": list(lnd.ray_normal),
             "e": list(lnd.e),
         }
-    carrier = lnd.carrier
+    # the ray normal of a horizontal derivation is (d*v0, d)
+    d = lnd.ray_normal[-1]
+    e, s = lnd.e
     return {
         "kind": "horizontal",
-        "d": lnd.d,
-        "s": lnd.s,
-        "v0": [serialize.encode_rational(x) for x in lnd.v0],
-        "e": list(lnd.e),
+        "d": d,
+        "s": s,
+        "v0": [serialize.encode_rational(Fraction(x, d))
+               for x in lnd.ray_normal[:-1]],
+        "e": list(e),
         "carrier": {
             "curve": carrier.curve,
             "tail": [list(g) for g in carrier.tail.gens],
@@ -339,11 +344,6 @@ def _cmd_ah(args):
 
 # ---------------------------------------------------------------------------
 # derivations
-
-
-def _zero_key(carrier, algebra):
-    zero = tuple(0 for _ in range(carrier.rank))
-    return zero if algebra == "toric" else (zero, 0)
 
 
 def _cmd_lnd(args):

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import CurveCarrier, HomogeneousLND
+from .algebra import CurveCarrier, HomogeneousLND, lifted_cone
 from .errors import (
     InvalidColoring,
     NoDegreeZeroLND,
@@ -97,9 +97,7 @@ class TailedPolyhedron:
         return keep
 
     def _hull_cone(self, vs):
-        gens = [v + (1,) for v in vs]
-        gens += [g + (0,) for g in self.tail.gens]
-        return Cone(self.rank + 1, gens)
+        return lifted_cone(self.rank, self.tail.gens, vs)
 
     def contains_point(self, p):
         vec = tuple(Fraction(x) for x in p)
@@ -398,13 +396,12 @@ def coherent_check(colored, e):
         for v in div.coefficient(z).vertices:
             if v != vz:
                 delta_gens.append(vsub(v, vz))
-    lifted = [g + (0,) for g in delta_gens]
-    lifted.append(v0 + (Fraction(1),))
+    at_inf = []
     if div.curve == "P1":
         shift = vsub(colored.v_deg, v0)
-        for w in div.coefficient(colored.zinf).vertices:
-            lifted.append(vadd(w, shift) + (Fraction(-1),))
-    sigma_tilde = Cone(div.rank + 1, lifted)
+        at_inf = [vadd(w, shift)
+                  for w in div.coefficient(colored.zinf).vertices]
+    sigma_tilde = lifted_cone(div.rank, delta_gens, [v0], at_inf)
     if not sigma_tilde.is_strongly_convex():
         return CoherenceViolation(
             "i", "the lifted cone is not strongly convex"
@@ -494,18 +491,14 @@ def toric_realization(div):
     if not div.is_proper():
         raise NotProper("the divisor is not proper")
     n = div.rank
-    e_tilde = tuple(0 for _ in range(n)) + (-1,)
-    gens = [g + (0,) for g in div.tail.gens]
-    gens.append(tuple(0 for _ in range(n)) + (1,))
-    if div.curve == "A1":
-        if div.parts:
-            raise NotNormalized("the divisor still has finite support")
-        return Cone(n + 1, gens), e_tilde
+    if div.curve == "A1" and div.parts:
+        raise NotNormalized("the divisor still has finite support")
     if any(z is not INF for z in div.parts):
         raise NotNormalized("support does not lie in {infinity}")
-    for w in div.coefficient(INF).vertices:
-        gens.append(w + (Fraction(-1),))
-    return Cone(n + 1, gens), e_tilde
+    at_inf = div.coefficient(INF).vertices if div.curve == "P1" else ()
+    zero = tuple(0 for _ in range(n))
+    # the carrier's lift, with the trivial vertex 0 at 0
+    return lifted_cone(n, div.tail.gens, [zero], at_inf), zero + (-1,)
 
 
 def horizontal_lnd(colored, e):

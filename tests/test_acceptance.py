@@ -275,7 +275,7 @@ def test_criterion_6():
                 key = sample(rng)
                 q = lnd.multiplier(key)
                 assert q >= 0
-                if lnd.kind == "toric":
+                if type(carrier) is ToricCarrier:
                     assert q == dot(lnd.ray_normal, key)
                 assert nilpotency_index(lnd, monomial(carrier, key)) == q + 1
 
@@ -384,7 +384,7 @@ def test_criterion_8():
         colored = ColoredDivisor(div, 0, {0: (Fraction(1, 2),)})
         normalized, lnd = horizontal_lnd(colored, (1,))
         assert normalized.equals(div)
-        assert lnd.d == 2 and lnd.s == -1
+        assert lnd.ray_normal == (1, 2) and lnd.e == ((1,), -1)
         carrier = lnd.carrier
 
         def sample_key(r):

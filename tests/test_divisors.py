@@ -380,7 +380,7 @@ def test_horizontal_lnd_d2():
     colored = ColoredDivisor(div, 0, {0: (Fraction(1, 2),)})
     normalized, lnd = horizontal_lnd(colored, (1,))
     assert normalized.equals(div)
-    assert lnd.d == 2 and lnd.s == -1 and lnd.e == (1,)
+    assert lnd.ray_normal == (1, 2) and lnd.e == ((1,), -1)
     assert lnd.multiplier(((3,), 1)) == 5
     x = monomial(lnd.carrier, ((1,), 0))
     assert derive(lnd, x) == monomial(lnd.carrier, ((2,), -1))
@@ -399,7 +399,7 @@ def test_horizontal_lnd_with_relabeled_point():
     assert normalized.support() == (Fraction(0), INF)
     assert normalized.coefficient(INF).vertices == ((3,),)
     assert normalized.degree().equals(div.degree())
-    assert lnd.d == 2 and lnd.s == -1
+    assert lnd.ray_normal == (1, 2) and lnd.e == ((1,), -1)
     # the z0 sharpness: chi^3 flows along r = -floor(m/2) without escaping
     x = monomial(lnd.carrier, ((3,), 0))
     assert nilpotency_index(lnd, x) == 4

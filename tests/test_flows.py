@@ -253,10 +253,10 @@ def test_every_constructor_checks_the_drop_by_one():
     # the closed form needs q(m + e) = q(m) - 1, so the plain constructor
     # refuses a degree that breaks it, like ``toric`` and ``horizontal``
     with pytest.raises(NotARoot):
-        HomogeneousLND(quadrant(), "toric", ray_normal=(1, 0), e=(-2, 0))
+        HomogeneousLND(quadrant(), (1, 0), (-2, 0))
     carrier, _ = line_over_a1()
     with pytest.raises(NotARoot):
-        HomogeneousLND(carrier, "horizontal", v0=(0,), d=1, e=(0,), s=0)
+        HomogeneousLND(carrier, (0, 1), ((0,), 0))
 
 
 # -- a multiplier beyond the former ceiling ----------------------------------
@@ -322,7 +322,9 @@ def _rational(rng):
     return Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
 
 
-def _horizontal_case(rng):
+def _horizontal_data(rng):
+    """A random carrier over A^1 or P^1 and a derivation datum
+    (v0, d, e, s) with d (<v0, e> + s) = -1, or None if none was found."""
     rank = rng.choice([1, 1, 2])
     tail = _random_cone(rng, rank) if rng.random() < 0.6 else Cone(rank, [])
     curve = rng.choice(["A1", "P1"])
@@ -334,9 +336,6 @@ def _horizontal_case(rng):
         vinf = [tuple(_rational(rng) for _ in range(rank))
                 for _ in range(rng.randint(1, 2))]
     carrier = CurveCarrier(curve, tail, v0s, vinf)
-    keys = _admissible(carrier, [(m, r)
-                                 for m in product(range(-3, 4), repeat=rank)
-                                 for r in range(-4, 5)])
     for _ in range(50):
         if rng.random() < 0.5:
             v0 = rng.choice(v0s)
@@ -346,9 +345,18 @@ def _horizontal_case(rng):
         e = tuple(rng.randint(-2, 2) for _ in range(rank))
         num = Fraction(-1, d) - dot(v0, e)
         if num.denominator == 1:
-            return carrier, HomogeneousLND.horizontal(
-                carrier, v0, d, e, int(num)), keys
-    return None
+            return carrier, (v0, d, e, int(num))
+    return carrier, None
+
+
+def _horizontal_case(rng):
+    carrier, datum = _horizontal_data(rng)
+    if datum is None:
+        return None
+    box = [(m, r) for m in product(range(-3, 4), repeat=carrier.rank)
+           for r in range(-4, 5)]
+    return (carrier, HomogeneousLND.horizontal(carrier, *datum),
+            _admissible(carrier, box))
 
 
 def _element(carrier, keys, rng):
