@@ -15,6 +15,7 @@ from .errors import (  # noqa: F401
     NoDegreeZeroLND,
     NoRays,
     NotARoot,
+    NotAffine,
     NotCoherent,
     NotNilpotent,
     NotNormalized,
@@ -24,6 +25,7 @@ from .errors import (  # noqa: F401
     SchemaError,
     UnboundedRegion,
     UnboundedRoots,
+    UnknownRay,
     UnsupportedFan,
     WeightEscape,
     WeightOutsideDual,

@@ -232,6 +232,7 @@ class SemigroupElement:
     def _combine(self, other, sign):
         if not isinstance(other, SemigroupElement):
             return NotImplemented
+        _check_key_shapes(self.carrier, other.carrier)
         data = dict(self.terms)
         for k, c in other.terms.items():
             data[k] = data.get(k, Fraction(0)) + sign * c
@@ -258,6 +259,7 @@ class SemigroupElement:
     def __mul__(self, other):
         if not isinstance(other, SemigroupElement):
             return self.__rmul__(other)
+        _check_key_shapes(self.carrier, other.carrier)
         data = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
@@ -284,6 +286,16 @@ class SemigroupElement:
 
     def __repr__(self):
         return f"SemigroupElement({dict(sorted(self.terms.items()))!r})"
+
+
+def _check_key_shapes(a, b):
+    """RankMismatch unless the keys of carriers a and b have one shape: a
+    toric key is a weight m, a curve key a pair (m, r)."""
+    if type(a) is not type(b):
+        raise RankMismatch(
+            f"keys of a {type(a).__name__} and of a {type(b).__name__} "
+            "have different shapes"
+        )
 
 
 def _computed(carrier, source, data):

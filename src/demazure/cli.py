@@ -7,7 +7,8 @@ byte-identical output.  Exit codes are a stable contract:
     0  success
     2  unreadable input, malformed JSON, a schema violation, or a
        negative --bound
-    3  fan validation failure (bad rays, bad cones, bad intersections)
+    3  fan validation failure (bad rays, bad cones, bad intersections),
+       or a fan that is not affine given to lnd
     4  unbounded root enumeration without --bound
     5  the supplied character is not a root
     6  fan with infinite symmetry group (rays do not span)
@@ -45,6 +46,7 @@ from .errors import (
     DemazureError,
     NegativeBound,
     NotARoot,
+    NotAffine,
     NotNilpotent,
     SchemaError,
     UnboundedRoots,
@@ -358,7 +360,7 @@ def _cmd_lnd(args):
         fan = serialize.fan_from_json(obj)
         keys = fan.maximal_keys()
         if len(keys) != 1:
-            raise ValueError(
+            raise NotAffine(
                 "the lnd command needs an affine fan "
                 f"(exactly one maximal cone, found {len(keys)})"
             )

@@ -53,7 +53,8 @@ def _point(z):
     return Fraction(z)
 
 
-def _point_key(z):
+def point_order(z):
+    """Sort key of a curve point: the finite points in order, then INF."""
     return (1, Fraction(0)) if z is INF else (0, Fraction(z))
 
 
@@ -144,7 +145,8 @@ class FreeRankOne:
 
     def __init__(self, shifts):
         self.shifts = tuple(
-            (z, k) for z, k in sorted(shifts, key=lambda p: _point_key(p[0]))
+            (z, k)
+            for z, k in sorted(shifts, key=lambda p: point_order(p[0]))
             if k
         )
 
@@ -195,7 +197,7 @@ class PolyhedralDivisor:
         return self.tail.rank
 
     def support(self):
-        return tuple(sorted(self.parts, key=_point_key))
+        return tuple(sorted(self.parts, key=point_order))
 
     def coefficient(self, z):
         return self.parts.get(_point(z)) or trivial_polyhedron(self.tail)
@@ -258,7 +260,7 @@ class PolyhedralDivisor:
     def __repr__(self):
         inside = ", ".join(
             f"{z!r}: {piece!r}" for z, piece in
-            sorted(self.parts.items(), key=lambda kv: _point_key(kv[0]))
+            sorted(self.parts.items(), key=lambda kv: point_order(kv[0]))
         )
         return f"PolyhedralDivisor({self.curve!r}, {{{inside}}})"
 
@@ -293,7 +295,7 @@ class ColoredDivisor:
         if set(normalized) != cprime:
             raise InvalidColoring(
                 "need exactly one chosen vertex for each of "
-                f"{sorted(cprime, key=_point_key)!r}"
+                f"{sorted(cprime, key=point_order)!r}"
             )
         chosen = {}
         for z, v in normalized.items():
@@ -335,7 +337,7 @@ class ColoredDivisor:
         return out
 
     def c_prime(self):
-        return tuple(sorted(self.vertices, key=_point_key))
+        return tuple(sorted(self.vertices, key=point_order))
 
     def __repr__(self):
         return (f"ColoredDivisor(z0={self.z0!r}, zinf={self.zinf!r}, "

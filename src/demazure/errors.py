@@ -30,15 +30,20 @@ class DuplicateRay(DemazureError):
     """Two listed rays span the same half-line."""
 
 
+class UnknownRay(DemazureError):
+    """A cone references a ray index that is not in the ray list."""
+
+
 class BadIntersection(DemazureError):
     """Two fan cones do not intersect in a common face."""
 
-    def __init__(self, id1, id2, message=""):
+    def __init__(self, id1, id2, reason=""):
         self.id1 = id1
         self.id2 = id2
+        self.reason = reason
         text = f"cones {id1} and {id2} do not intersect in a common face"
-        if message:
-            text += f": {message}"
+        if reason:
+            text += f": {reason}"
         super().__init__(text)
 
 
@@ -74,6 +79,10 @@ class NotARoot(DemazureError):
 
 class UnsupportedFan(DemazureError):
     """The fan violates a precondition (e.g. rays do not span the space)."""
+
+
+class NotAffine(DemazureError):
+    """The operation needs an affine fan: exactly one maximal cone."""
 
 
 class WeightEscape(DemazureError):

@@ -5,6 +5,12 @@ given by ray indices.  Construction closes the maximal cones under faces,
 registers every listed ray as a 1-cone and the origin as the 0-cone, and
 validates that any two cones intersect in a common face.
 
+Validation runs in three stages: the rays (`ray_stage`), the supplied
+cones (`cone_stage`), then the pairs of generating cones
+(`Fan.intersection_defect`).  Each stage reports typed DemazureErrors;
+`build_fan` raises the first one, `serialize.fan_diagnostics` lists all
+of the first failing stage.
+
 Cones are keyed by their extremal-ray index sets; that is sound because a
 strongly convex cone is determined by its extremal rays.  The canonical id
 of a cone is "dim:i1,i2,..." (the origin is "0:").
@@ -21,6 +27,8 @@ from .errors import (
     DuplicateRay,
     NotStronglyConvex,
     RankMismatch,
+    UnknownRay,
+    ZeroVector,
 )
 from .lattice import (
     Cone,
@@ -49,14 +57,40 @@ def _as_key(cone):
 
 
 class Fan:
-    def __init__(self, rank, rays, cones):
+    """The cones of a fan, generated by its supplied maximal cones.
+
+    `supplied` maps the extremal-ray index set of each supplied maximal
+    cone to its geometry.  The generating cones are the supplied ones
+    followed by every ray that is not supplied as a 1-cone; they and
+    their faces are the cones of the fan.  The fan is valid iff every two
+    generating cones meet in a common face (the same then holds for all
+    their faces), which `intersection_defect` checks pair by pair.
+    """
+
+    def __init__(self, rank, rays, supplied):
         self.rank = rank
         self.rays = rays  # tuple of primitive integer tuples
-        self.cones = cones  # dict: frozenset(indices) -> ConeRef, canonical order
         self._ray_index = {r: i for i, r in enumerate(rays)}
-        self._geom = {}
+        self._geom = dict(supplied)
         self._face_sets = {}
         self._automorphisms = None  # memo of orbits.fan_automorphisms
+        self.generating = list(supplied)
+        for i, r in enumerate(rays):
+            if frozenset({i}) not in supplied:
+                self.generating.append(frozenset({i}))
+                self._geom[frozenset({i})] = Cone(rank, [r])
+        dims = {frozenset(): 0}  # every face of a generating cone
+        for g in self.generating:
+            for fs in self.face_sets(g):
+                if fs not in dims:
+                    dims[fs] = mat_rank([rays[i] for i in fs])
+        order = sorted(dims.items(),
+                       key=lambda kv: (kv[1], tuple(sorted(kv[0]))))
+        # dict: frozenset(indices) -> ConeRef, canonical order
+        self.cones = {
+            fs: ConeRef(tuple(sorted(fs)), dim, fs in supplied)
+            for fs, dim in order
+        }
 
     def __repr__(self):
         return f"Fan(rank={self.rank}, rays={len(self.rays)}, cones={len(self.cones)})"
@@ -92,10 +126,10 @@ class Fan:
         if key not in self._face_sets:
             geom = self.cone_geometry(key)
             local = geom.rays()
-            out = set()
-            for fs in geom.face_ray_sets():
-                out.add(frozenset(self._ray_index[local[j]] for j in fs))
-            self._face_sets[key] = out
+            self._face_sets[key] = {
+                frozenset(self._ray_index[local[j]] for j in fs)
+                for fs in geom.face_ray_sets()
+            }
         return self._face_sets[key]
 
     def maximal_keys(self):
@@ -103,46 +137,6 @@ class Fan:
         keys = list(self.cones)
         return [k for k in keys
                 if not any(k < other for other in keys)]
-
-
-class FanDraft:
-    """A fan under construction: its rays and supplied maximal cones are
-    valid, the intersections of its cones are not yet checked.
-
-    `supplied` lists the maximal cones as extremal-ray index sets.  The
-    generating cones are the supplied ones followed by every ray that is
-    not supplied as a 1-cone; they and their faces are the cones of the
-    fan, which is valid iff every two generating cones meet in a common
-    face (the same then holds for all their faces).
-    """
-
-    def __init__(self, rank, rays, supplied):
-        self.rank = rank
-        self.rays = rays
-        self._supplied = set(supplied)
-        self.generating = list(supplied) + [
-            frozenset({i}) for i in range(len(rays))
-            if frozenset({i}) not in self._supplied
-        ]
-        self._ray_of = {r: i for i, r in enumerate(rays)}
-        self._geom = {}
-        self._faces = {}
-        self._dims = {frozenset(): 0}  # every face of a generating cone
-        for g in self.generating:
-            geom = Cone(rank, [rays[i] for i in g])
-            local = geom.rays()
-            fsets = {
-                frozenset(self._ray_of[local[j]] for j in fs)
-                for fs in geom.face_ray_sets()
-            }
-            for fs in fsets:
-                if fs not in self._dims:
-                    self._dims[fs] = mat_rank([rays[i] for i in fs])
-            self._geom[g] = geom
-            self._faces[g] = fsets
-
-    def cone_id(self, key):
-        return f"{self._dims[key]}:" + ",".join(map(str, sorted(key)))
 
     def _spanned_by_common_rays(self, a, b):
         """Is the intersection of generating cones a and b spanned by the
@@ -162,75 +156,103 @@ class FanDraft:
             self._geom[a].dual_generators() + self._geom[b].dual_generators(),
             self.rank,
         )
-        return all(self._ray_of.get(e) in common for e in E)
+        return all(self._ray_index.get(e) in common for e in E)
 
     def intersection_defect(self, a, b):
         """None if generating cones a and b meet in a common face, else the
-        reason they do not."""
-        if not self._spanned_by_common_rays(a, b):
-            return "their intersection is not spanned by common rays"
+        BadIntersection naming them."""
         common = a & b
-        if common not in self._faces[a] or common not in self._faces[b]:
-            return "the common rays do not span a face of both"
-        return None
+        if not self._spanned_by_common_rays(a, b):
+            why = "their intersection is not spanned by common rays"
+        elif (common not in self._face_sets[a]
+              or common not in self._face_sets[b]):
+            why = "the common rays do not span a face of both"
+        else:
+            return None
+        return BadIntersection(self.cone_id(a), self.cone_id(b), why)
 
-    def fan(self):
-        order = sorted(self._dims.items(),
-                       key=lambda kv: (kv[1], tuple(sorted(kv[0]))))
-        cones = {
-            fs: ConeRef(tuple(sorted(fs)), dim, fs in self._supplied)
-            for fs, dim in order
-        }
-        fan = Fan(self.rank, self.rays, cones)
-        fan._geom.update(self._geom)
-        fan._face_sets.update(self._faces)
-        return fan
+
+def ray_stage(rank, ray_list):
+    """The rays as primitive vectors, and the violations among them.
+
+    Every ray is checked: RankMismatch for a wrong length, ZeroVector,
+    and DuplicateRay when two rays are equal after normalization.
+    """
+    rays = []
+    violations = []
+    seen = {}
+    for idx, r in enumerate(ray_list):
+        if len(r) != rank:
+            violations.append(RankMismatch(
+                f"ray {idx} has length {len(r)}, expected {rank}"
+            ))
+            continue
+        if not any(r):
+            violations.append(ZeroVector(f"ray {idx} is the zero vector"))
+            continue
+        p = primitive(r)
+        if p in seen:
+            violations.append(DuplicateRay(
+                f"rays {seen[p]} and {idx} span the same ray {list(p)}"
+            ))
+            continue
+        seen[p] = idx
+        rays.append(p)
+    return tuple(rays), violations
+
+
+def cone_stage(rank, rays, maximal_cones):
+    """The fan of the supplied maximal cones, its pairs not yet checked,
+    and the violations among the cones.
+
+    Every cone is checked: UnknownRay for an index outside the ray list,
+    NotStronglyConvex for a cone that contains a line.  The fan is None
+    when there is a violation.
+    """
+    ray_of = {r: i for i, r in enumerate(rays)}
+    supplied = {}
+    violations = []
+    for raw in maximal_cones:
+        idxs = sorted({int(i) for i in raw})
+        if any(i < 0 or i >= len(rays) for i in idxs):
+            violations.append(UnknownRay(
+                f"cone {idxs} references a ray that is not listed"
+            ))
+            continue
+        geom = Cone(rank, [rays[i] for i in idxs])
+        if not geom.is_strongly_convex():
+            violations.append(NotStronglyConvex(
+                f"maximal cone {idxs} contains a line"
+            ))
+            continue
+        # a listed ray that is not extremal is a 1-cone inside the cone,
+        # so in a valid fan geom is spanned by exactly its extremal rays
+        supplied.setdefault(frozenset(ray_of[r] for r in geom.rays()), geom)
+    if violations:
+        return None, violations
+    return Fan(rank, rays, supplied), []
 
 
 def build_fan(rank, ray_list, maximal_cones):
     """Validated fan from rays and maximal cones (lists of ray indices).
 
-    Rays are normalized to primitive vectors; DuplicateRay if two coincide
-    afterwards.  Each maximal cone must be strongly convex.  Every pair of
-    cones must meet in a common face, else BadIntersection.
+    Rays are normalized to primitive vectors.  The first violation of the
+    ray stage, else of the cone stage, is raised; then the first pair of
+    generating cones in (size, indices) order that does not meet in a
+    common face raises its BadIntersection.
     """
-    rays = []
-    seen = {}
-    for idx, r in enumerate(ray_list):
-        if len(r) != rank:
-            raise RankMismatch(
-                f"ray {idx} has length {len(r)}, expected {rank}"
-            )
-        p = primitive(r)
-        if p in seen:
-            raise DuplicateRay(
-                f"rays {seen[p]} and {idx} span the same ray {p}"
-            )
-        seen[p] = idx
-        rays.append(p)
-    rays = tuple(rays)
-    ray_of = {r: i for i, r in enumerate(rays)}
-
-    supplied = []
-    for raw in maximal_cones:
-        idxs = sorted({int(i) for i in raw})
-        if any(i < 0 or i >= len(rays) for i in idxs):
-            raise ValueError(f"cone {idxs} references a ray that is not listed")
-        geom = Cone(rank, [rays[i] for i in idxs])
-        if not geom.is_strongly_convex():
-            raise NotStronglyConvex(f"maximal cone {idxs} contains a line")
-        ext = frozenset(ray_of[r] for r in geom.rays())
-        if ext not in supplied:
-            supplied.append(ext)
-
-    draft = FanDraft(rank, rays, supplied)
-    generating = sorted(draft.generating,
+    rays, violations = ray_stage(rank, ray_list)
+    if not violations:
+        fan, violations = cone_stage(rank, rays, maximal_cones)
+    if violations:
+        raise violations[0]
+    generating = sorted(fan.generating,
                         key=lambda fs: (len(fs), tuple(sorted(fs))))
     for a, b in itertools.combinations(generating, 2):
-        why = draft.intersection_defect(a, b)
-        if why:
-            raise BadIntersection(draft.cone_id(a), draft.cone_id(b), why)
-    return draft.fan()
+        defect = fan.intersection_defect(a, b)
+        if defect is not None:
+            raise defect
+    return fan
 
 
 def is_complete(fan):

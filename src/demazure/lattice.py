@@ -59,10 +59,6 @@ def vneg(a):
     return tuple(-x for x in a)
 
 
-def vscale(c, a):
-    return tuple(c * x for x in a)
-
-
 def primitive(v):
     """The unique primitive integer vector on the ray Q>=0 * v.
 
@@ -472,9 +468,6 @@ class Cone:
             self._pointed = mat_rank(self.dual_generators()) == self.rank
         return self._pointed
 
-    def lineality_basis(self):
-        return nullspace(self.dual_generators(), self.rank)
-
     def contains(self, v):
         vec = _exact(v)
         if len(vec) != self.rank:
@@ -545,21 +538,9 @@ class Cone:
             for fs in self.face_ray_sets()
         }
 
-    def faces(self):
-        """dict: face index set -> Cone, covering the whole face lattice."""
-        rays = self.rays()
-        return {
-            fs: Cone(self.rank, [rays[i] for i in fs])
-            for fs in self.face_ray_sets()
-        }
-
     def facet_ray_sets(self):
         d = self.dim()
         return [fs for fs, fd in self.face_table().items() if fd == d - 1]
-
-    def canonical(self):
-        """Canonical form of a strongly convex cone: its sorted ray tuple."""
-        return self.rays()
 
 
 # ---------------------------------------------------------------------------

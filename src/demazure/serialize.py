@@ -25,10 +25,10 @@ import json
 from fractions import Fraction
 
 from .algebra import CurveCarrier
-from .divisors import INF, ColoredDivisor, PolyhedralDivisor
-from .errors import SchemaError
-from .fan import FanDraft, build_fan
-from .lattice import Cone, primitive
+from .divisors import INF, ColoredDivisor, PolyhedralDivisor, point_order
+from .errors import BadIntersection, SchemaError
+from .fan import build_fan, cone_stage, ray_stage
+from .lattice import Cone
 
 SCHEMA_VERSION = 1
 
@@ -80,10 +80,6 @@ def decode_point_label(label, where="point"):
         return Fraction(label)
     except (ValueError, ZeroDivisionError):
         raise SchemaError(f"{where}: bad point label {label!r}") from None
-
-
-def point_order(z):
-    return (1, Fraction(0)) if z is INF else (0, Fraction(z))
 
 
 def _int_vector(value, rank, where):
@@ -174,76 +170,30 @@ def fan_from_json(obj):
 def fan_diagnostics(rank, ray_list, maximal_cones):
     """Check fan input, collecting violations instead of stopping early.
 
-    Returns (fan, violations).  Checks run in stages — rays, then single
-    cones, then pairwise intersections — and everything wrong at the
-    first failing stage is listed.  The pairwise stage is the one
-    `build_fan` runs (`FanDraft`), so an empty list is equivalent to
-    `build_fan` accepting the input, and the fan returned is the same.
+    Returns (fan, violations).  The stages are the ones `build_fan` runs —
+    rays, then supplied cones, then pairwise intersections in supplied
+    order — and every violation of the first failing stage is listed, so
+    an empty list is equivalent to `build_fan` accepting the input, and
+    the fan returned is the same.
     """
-    violations = []
-    rays = []
-    seen = {}
-    for idx, r in enumerate(ray_list):
-        r = tuple(r)
-        if len(r) != rank:
-            violations.append({
-                "kind": "RankMismatch",
-                "message": f"ray {idx} has length {len(r)}, expected {rank}",
-            })
-            continue
-        if not any(r):
-            violations.append({
-                "kind": "ZeroVector",
-                "message": f"ray {idx} is the zero vector",
-            })
-            continue
-        p = primitive(r)
-        if p in seen:
-            violations.append({
-                "kind": "DuplicateRay",
-                "message": f"rays {seen[p]} and {idx} span the same ray {list(p)}",
-            })
-            continue
-        seen[p] = idx
-        rays.append(p)
+    rays, violations = ray_stage(rank, ray_list)
+    if not violations:
+        fan, violations = cone_stage(rank, rays, maximal_cones)
+    if not violations:
+        defects = (fan.intersection_defect(a, b)
+                   for a, b in itertools.combinations(fan.generating, 2))
+        violations = [d for d in defects if d is not None]
     if violations:
-        return None, violations
+        return None, [_violation_json(v) for v in violations]
+    return fan, []
 
-    ray_of = {r: i for i, r in enumerate(rays)}
-    supplied = []
-    for raw in maximal_cones:
-        idxs = sorted(set(raw))
-        if any(i < 0 or i >= len(rays) for i in idxs):
-            violations.append({
-                "kind": "UnknownRay",
-                "message": f"cone {idxs} references a ray that is not listed",
-            })
-            continue
-        geom = Cone(rank, [rays[i] for i in idxs])
-        if not geom.is_strongly_convex():
-            violations.append({
-                "kind": "NotStronglyConvex",
-                "message": f"maximal cone {idxs} contains a line",
-            })
-            continue
-        ext = frozenset(ray_of[r] for r in geom.rays())
-        if ext not in supplied:
-            supplied.append(ext)
-    if violations:
-        return None, violations
 
-    draft = FanDraft(rank, tuple(rays), supplied)
-    for a, b in itertools.combinations(draft.generating, 2):
-        why = draft.intersection_defect(a, b)
-        if why:
-            violations.append({
-                "kind": "BadIntersection",
-                "cones": sorted([draft.cone_id(a), draft.cone_id(b)]),
-                "message": why,
-            })
-    if violations:
-        return None, violations
-    return draft.fan(), []
+def _violation_json(exc):
+    if isinstance(exc, BadIntersection):
+        return {"kind": "BadIntersection",
+                "cones": sorted([exc.id1, exc.id2]),
+                "message": exc.reason}
+    return {"kind": type(exc).__name__, "message": str(exc)}
 
 
 # ---------------------------------------------------------------------------

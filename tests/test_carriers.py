@@ -35,6 +35,7 @@ from demazure.divisors import (
     horizontal_lnd,
     toric_realization,
 )
+from demazure.errors import RankMismatch
 from demazure.lattice import Cone, dot
 
 # -- the former floor formulas (oracles only) --------------------------------
@@ -161,13 +162,17 @@ def test_curve_carrier_never_equals_a_toric_carrier():
         assert carrier != toric and toric != carrier
         assert toric == ToricCarrier(carrier.cone)
         # so arithmetic across the two never trusts mixed key shapes:
-        # the other element's keys go through the validator and fail
+        # it fails with the error two carriers of different rank give
         x = monomial(toric, (0,) * toric.rank)
         y = monomial(carrier, ((0,) * carrier.rank, 0))
-        with pytest.raises((TypeError, ValueError)):
+        with pytest.raises(RankMismatch):
             y + x
-        with pytest.raises((TypeError, ValueError)):
+        with pytest.raises(RankMismatch):
+            x - y
+        with pytest.raises(RankMismatch):
             x * y
+        with pytest.raises(RankMismatch):
+            y * x
 
 
 def test_flow_of_an_element_of_an_equal_carrier():

@@ -425,7 +425,7 @@ def test_lnd_failure_modes(capsys):
 
     code, rep, _ = run(capsys, "lnd", fixture("p2"), "--root", "1,0",
                        "--element", '{"terms":[{"key":[0,0]}]}', "--symbolic")
-    assert code == 3  # not an affine fan
+    assert code == 3 and rep["error"]["kind"] == "NotAffine"
 
     code, rep, _ = run(capsys, "lnd", fixture("a2"), "--root=-1,2",
                        "--element", '{"terms":[{"key":[1,0]}]}',

@@ -4,21 +4,27 @@ from __future__ import annotations
 
 import collections
 import itertools
+import json
 import random
 from math import gcd
+from pathlib import Path
 
 import pytest
+from test_reports_golden import INLINE
 
 from demazure.errors import (
     BadIntersection,
     ConeNotInFan,
+    DemazureError,
     DuplicateRay,
     NotStronglyConvex,
     RankMismatch,
 )
 from demazure.fan import build_fan, cone_properties, is_complete
 from demazure.lattice import Cone, mat_rank, primitive
-from demazure.serialize import fan_diagnostics
+from demazure.serialize import fan_diagnostics, fan_fields_from_json
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def p2():
@@ -199,6 +205,14 @@ def test_maximal_flags():
     assert sorted(map(sorted, fan.maximal_keys())) == sorted(
         map(sorted, supplied)
     )
+    # supplied 1-cones are flagged; a listed ray outside every supplied
+    # cone is a cone of the fan, maximal by inclusion, but not flagged
+    fan = build_fan(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [2], [1]])
+    flagged = {k for k, ref in fan.cones.items() if ref.is_maximal}
+    assert flagged == {frozenset({0, 1}), frozenset({2}), frozenset({1})}
+    fan = build_fan(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1]])
+    assert not fan.cones[frozenset({2})].is_maximal
+    assert frozenset({2}) in fan.maximal_keys()
 
 
 def test_incomplete_missing_wall_neighbor():
@@ -452,3 +466,65 @@ def test_fan_checks_match_three_duals_random():
     assert kinds["valid"] >= 40
     assert kinds["their intersection is not spanned by common rays"] >= 20
     assert kinds["the common rays do not span a face of both"] >= 5
+
+
+# ---------------------------------------------------------------------------
+# build_fan and fan_diagnostics run the same checker
+
+
+HAND_MADE = [
+    (2, [(1, 0), (0, 0), (0, 1)], [[0, 2]]),  # zero ray
+    (2, [(0, 0), (1, 0), (2, 0)], [[1]]),  # zero ray before a duplicate
+    (2, [(1, 0), (0, 1), (3, 0)], [[0, 1]]),  # duplicate ray
+    (2, [(1, 0), (0, 1, 0), (2, 0)], [[0]]),  # wrong length, then duplicate
+    (2, [(1, 0), (0, 1)], [[0, 1], [2]]),  # unknown index
+    (2, [(1, 0), (0, 1)], [[-1], [0, 1]]),  # negative index
+    (2, [(1, 0), (-1, 0), (0, 1)], [[1, 2], [0, 1]]),  # a line
+    (2, [(1, 0), (-1, 0), (0, 1)], [[0, 1], [0, 3]]),  # line, then unknown
+    (3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0)], [[0, 1, 2]]),  # a half-plane
+]
+
+
+def _agreement_inputs(rng):
+    inputs = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        obj = json.loads(path.read_text())
+        if "max_cones" in obj:
+            inputs.append(fan_fields_from_json(obj))
+    for text in INLINE.values():
+        inputs.append(fan_fields_from_json(json.loads(text)))
+    inputs += [random_fan_input(rng) for _ in range(120)]
+    return inputs + HAND_MADE
+
+
+def test_build_fan_agrees_with_fan_diagnostics():
+    rng = random.Random(2718)
+    kinds = collections.Counter()
+    for rank, rays, cones in _agreement_inputs(rng):
+        fan, violations = fan_diagnostics(rank, rays, cones)
+        try:
+            built = build_fan(rank, rays, cones)
+        except DemazureError as exc:
+            kind = type(exc).__name__
+            kinds[kind] += 1
+            assert fan is None and violations
+            if isinstance(exc, BadIntersection):
+                # build_fan stops at the first bad pair in (size, indices)
+                # order, fan_diagnostics lists every bad pair
+                assert {v["kind"] for v in violations} == {kind}
+                named = {"kind": kind, "cones": sorted([exc.id1, exc.id2]),
+                         "message": exc.reason}
+                assert named in violations
+                kinds["other first pair"] += named != violations[0]
+            else:
+                assert violations[0] == {"kind": kind, "message": str(exc)}
+            continue
+        kinds["valid"] += 1
+        assert violations == []
+        assert built.rays == fan.rays
+        assert list(built.cones.items()) == list(fan.cones.items())
+    assert set(kinds) == {"valid", "RankMismatch", "ZeroVector",
+                          "DuplicateRay", "UnknownRay", "NotStronglyConvex",
+                          "BadIntersection", "other first pair"}
+    assert kinds["valid"] >= 40 and kinds["BadIntersection"] >= 30
+    assert kinds["other first pair"] >= 5

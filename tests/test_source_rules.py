@@ -21,3 +21,25 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the library: {found}"
+
+
+# cli.main reports a bare ValueError from these modules as an invalid fan
+# (exit 3), so each error they raise must be a typed DemazureError that
+# names what is wrong.
+FAN_FAMILY = {"fan.py", "roots.py", "orbits.py", "serialize.py", "cli.py"}
+
+
+def test_no_bare_value_or_type_errors_in_the_fan_family():
+    assert {p.name for p in SOURCES} >= FAN_FAMILY
+    found = []
+    for path in SOURCES:
+        if path.name not in FAN_FAMILY:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in ("ValueError",
+                                                        "TypeError"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"bare ValueError/TypeError in the fan family: {found}"
