@@ -8,9 +8,12 @@ enters anywhere.
 from .errors import (  # noqa: F401
     BadIntersection,
     ConeNotInFan,
+    CurveMismatch,
     DemazureError,
     DuplicateRay,
     InvalidColoring,
+    InvalidDivisor,
+    InvalidInteger,
     NegativeBound,
     NoDegreeZeroLND,
     NoRays,

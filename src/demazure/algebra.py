@@ -37,14 +37,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NotARoot, NotNilpotent, RankMismatch, WeightEscape
+from .errors import (
+    CurveMismatch,
+    InvalidDivisor,
+    InvalidInteger,
+    NotARoot,
+    NotNilpotent,
+    RankMismatch,
+    WeightEscape,
+)
 from .lattice import Cone, dot
 
 
 def _as_int(x):
     f = Fraction(x)
     if f.denominator != 1:
-        raise ValueError(f"non-integral component {x!r}")
+        raise InvalidInteger(f"non-integral component {x!r}")
     return int(f)
 
 
@@ -146,18 +154,19 @@ class CurveCarrier(ToricCarrier):
 
     def __init__(self, curve, tail, vertices0, vertices_inf=None):
         if curve not in ("A1", "P1"):
-            raise ValueError("curve must be 'A1' or 'P1'")
+            raise CurveMismatch("curve must be 'A1' or 'P1'")
         if curve == "P1" and not vertices_inf:
-            raise ValueError("a carrier over P^1 needs vertices at infinity")
+            raise CurveMismatch(
+                "a carrier over P^1 needs vertices at infinity")
         if curve == "A1" and vertices_inf:
-            raise ValueError("vertices at infinity only occur over P^1")
+            raise CurveMismatch("vertices at infinity only occur over P^1")
         self.curve = curve
         self.tail = tail
         self.vertices0 = tuple(
             tuple(Fraction(x) for x in v) for v in vertices0
         )
         if not self.vertices0:
-            raise ValueError("need at least one vertex at t = 0")
+            raise InvalidDivisor("need at least one vertex at t = 0")
         self.vertices_inf = (
             tuple(tuple(Fraction(x) for x in v) for v in vertices_inf)
             if vertices_inf is not None
@@ -268,13 +277,13 @@ class SemigroupElement:
         return _computed(self.carrier, other.carrier, data)
 
     def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers are not monomials")
-        out = None
-        for _ in range(n):
-            out = self if out is None else out * self
-        if out is None:
-            raise ValueError("the empty product has no canonical weight here")
+        if n < 1:
+            # negative powers are not monomials, and the empty product has
+            # no canonical weight here
+            raise InvalidInteger(f"power {n} of an element; need n >= 1")
+        out = self
+        for _ in range(n - 1):
+            out = out * self
         return out
 
     def __eq__(self, other):
@@ -360,9 +369,9 @@ class HomogeneousLND:
         if len(v) != carrier.rank or len(ee) != carrier.rank:
             raise RankMismatch("vertex and degree must match the carrier")
         if d < 1:
-            raise ValueError("d must be a positive integer")
+            raise InvalidInteger("d must be a positive integer")
         if any((d * x).denominator != 1 for x in v):
-            raise ValueError("d must clear the denominators of v0")
+            raise InvalidInteger("d must clear the denominators of v0")
         return cls(carrier, tuple(int(d * x) for x in v) + (d,), (ee, s))
 
     def multiplier(self, key):

@@ -519,7 +519,7 @@ def main(argv=None):
         return _fail(args, exc, 5)
     except UnsupportedFan as exc:
         return _fail(args, exc, 6)
-    except (DemazureError, ValueError) as exc:
+    except DemazureError as exc:
         return _fail(args, exc, 7 if args.family == "ah" else 3)
     sys.stdout.write(serialize.render(
         serialize.report(args.command_name, args.digest, result)

@@ -18,7 +18,9 @@ from fractions import Fraction
 
 from .algebra import CurveCarrier, HomogeneousLND, lifted_cone
 from .errors import (
+    CurveMismatch,
     InvalidColoring,
+    InvalidDivisor,
     NoDegreeZeroLND,
     NotCoherent,
     NotNormalized,
@@ -76,7 +78,7 @@ class TailedPolyhedron:
                 seen.add(vec)
                 vs.append(vec)
         if not vs:
-            raise ValueError("a polyhedron needs at least one vertex")
+            raise InvalidDivisor("a polyhedron needs at least one vertex")
         self.tail = tail
         self.vertices = tuple(sorted(self._prune(vs)))
 
@@ -171,7 +173,7 @@ class PolyhedralDivisor:
 
     def __init__(self, curve, tail, parts=()):
         if curve not in ("A1", "P1"):
-            raise ValueError("curve must be 'A1' or 'P1'")
+            raise CurveMismatch("curve must be 'A1' or 'P1'")
         if not tail.is_strongly_convex():
             raise NotStronglyConvex("the tail cone must be strongly convex")
         items = parts.items() if hasattr(parts, "items") else parts
@@ -179,13 +181,14 @@ class PolyhedralDivisor:
         for z, piece in items:
             z = _point(z)
             if z is INF and curve == "A1":
-                raise ValueError("A^1 has no point at infinity")
+                raise CurveMismatch("A^1 has no point at infinity")
             if not isinstance(piece, TailedPolyhedron):
                 piece = TailedPolyhedron(tail, piece)
             if not piece.tail.equals(tail):
-                raise ValueError("all coefficients must share the tail cone")
+                raise InvalidDivisor(
+                    "all coefficients must share the tail cone")
             if z in clean:
-                raise ValueError(f"duplicate point {z!r}")
+                raise InvalidDivisor(f"duplicate point {z!r}")
             if not piece.is_trivial():
                 clean[z] = piece
         self.curve = curve
@@ -220,7 +223,7 @@ class PolyhedralDivisor:
     def degree(self):
         """Minkowski sum of all coefficients (P^1 only)."""
         if self.curve != "P1":
-            raise ValueError("the degree polyhedron only exists over P^1")
+            raise CurveMismatch("the degree polyhedron only exists over P^1")
         total = trivial_polyhedron(self.tail)
         for piece in self.parts.values():
             total = total.minkowski(piece)
@@ -281,15 +284,15 @@ class ColoredDivisor:
         z0 = _point(z0)
         if divisor.curve == "P1":
             if zinf is None:
-                raise ValueError("a coloring over P^1 must name zinf")
+                raise InvalidColoring("a coloring over P^1 must name zinf")
             zinf = _point(zinf)
             if z0 == zinf:
-                raise ValueError("z0 and zinf must differ")
+                raise InvalidColoring("z0 and zinf must differ")
         else:
             if zinf is not None:
-                raise ValueError("A^1 has no complementary point")
+                raise InvalidColoring("A^1 has no complementary point")
             if z0 is INF:
-                raise ValueError("z0 must be a point of A^1")
+                raise InvalidColoring("z0 must be a point of A^1")
         cprime = {z0} | {z for z in divisor.parts if z != zinf}
         normalized = {_point(z): v for z, v in vertices.items()}
         if set(normalized) != cprime:

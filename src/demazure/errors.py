@@ -118,5 +118,17 @@ class InvalidColoring(DemazureError):
     """Marked points/vertices violate the colored-divisor constraints."""
 
 
+class CurveMismatch(DemazureError):
+    """The base curve is not A^1 or P^1, or the data does not fit it."""
+
+
+class InvalidDivisor(DemazureError):
+    """No vertex, coefficients with different tails, or a repeated point."""
+
+
+class InvalidInteger(DemazureError):
+    """A value that must be an integer, or a positive one, is not."""
+
+
 class SchemaError(DemazureError):
     """An input document does not match the expected JSON shape."""

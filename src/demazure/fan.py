@@ -33,9 +33,9 @@ from .errors import (
 from .lattice import (
     Cone,
     dual_description,
+    invariant_factors,
     mat_rank,
     primitive,
-    smith_normal_form,
 )
 
 
@@ -284,13 +284,9 @@ def cone_properties(fan, cone):
     ref = fan.ref(cone)
     d = ref.dim
     simplicial = len(ref.indices) == d
-    if d == 0:
-        smooth = True
-    else:
-        _, D, _ = smith_normal_form([list(fan.rays[i]) for i in ref.indices])
-        k = min(len(D), len(D[0]))
-        inv = [D[i][i] for i in range(k) if D[i][i] != 0]
-        smooth = simplicial and all(x == 1 for x in inv)
+    smooth = simplicial and all(
+        x == 1 for x in invariant_factors([fan.rays[i] for i in ref.indices])
+    )
     return {
         "dim": d,
         "orbit_dim": fan.rank - d,

@@ -12,6 +12,12 @@ everything else off it: its extremal rays are the generators whose
 annihilating dual generators span a hyperplane, and its faces are the
 intersections of the ray sets of its facets.
 
+A region {x : <u, x> >= b} of lattice points is analysed by two duals: its
+recession cone {x : <u, x> >= 0}, which is {0} iff the region is bounded,
+and its homogenization {(x, t) : <u, x> >= b t, t >= 0}, whose extremal
+rays are the vertices of a bounded region lifted to height t > 0 and give
+its box.  One generator scans a box.
+
 Conventions:
   * vectors are tuples; matrices are sequences of row tuples/lists;
   * a "dual vector" u represents the halfspace {x : <u, x> >= 0};
@@ -574,39 +580,54 @@ def _normalize_rows(rank, inequalities, equalities):
     return clean, empty
 
 
-def _bounding_box(rank, rows):
-    """Integer bounding box of the bounded region {x : rows}, or None if empty.
+def recession_direction(rank, inequalities=(), equalities=()):
+    """A lineality vector or extremal ray of the recession cone of
+    {x : <u,x> >= b, <v,x> == c}, or None when that cone is {0}: the region
+    is bounded.  One dual, of the cone spanned by the normals."""
+    rows, _ = _normalize_rows(rank, inequalities, equalities)
+    E, L = (dual_description([u for u, _ in rows], rank) if rows
+            else ([], nullspace([], rank)))
+    return L[0] if L else E[0] if E else None
 
-    Requires the recession cone {x : <u, x> >= 0} of the region to be {0},
-    as both callers check first.  The homogenization
-    {(x, t) : <u, x> >= b t, t >= 0} is then pointed (no lineality), and
-    each of its extremal rays has height t > 0: a ray at height 0 would be
-    a nonzero recession direction.  So its extremal rays are exactly the
-    vertices of the region, lifted to height t.
-    """
+
+def _homogenization_dual(rank, rows):
+    """Dual description of {(x, t) : <u, x> >= b t, t >= 0}, the
+    homogenization of {x : rows}."""
     hrows = [u + (-b,) for u, b in rows]
     hrows.append((0,) * rank + (1,))
-    HE, _ = dual_description(hrows, rank + 1)
+    return dual_description(hrows, rank + 1)
+
+
+def _bounding_box(HE):
+    """Integer coordinate ranges of a bounded region from the extremal rays
+    HE of its homogenization (its lifted vertices); None if it is empty."""
     if not HE:
         return None
-    los = [None] * rank
-    his = [None] * rank
-    for g in HE:
-        t = g[-1]
-        for i in range(rank):
-            val = Fraction(g[i], t)
-            if los[i] is None or val < los[i]:
-                los[i] = val
-            if his[i] is None or val > his[i]:
-                his[i] = val
-    return [(math.floor(lo), math.ceil(hi)) for lo, hi in zip(los, his)]
+    vertices = [[Fraction(x, g[-1]) for x in g[:-1]] for g in HE]
+    return [(math.ceil(min(c)), math.floor(max(c))) for c in zip(*vertices)]
+
+
+def region_box(rank, inequalities=(), equalities=()):
+    """Integer bounding box of a region that `recession_direction` finds
+    bounded, or None if it is empty.  One dual, of the homogenization."""
+    rows, empty = _normalize_rows(rank, inequalities, equalities)
+    if empty:
+        return None
+    return _bounding_box(_homogenization_dual(rank, rows)[0])
+
+
+def _scan(box, rows):
+    """The points of the box satisfying every row, in lexicographic order."""
+    for p in itertools.product(*[range(lo, hi + 1) for lo, hi in box]):
+        if all(dot(u, p) >= b for u, b in rows):
+            yield p
 
 
 def lattice_points(rank, inequalities=(), equalities=(), box=None):
     """All integer points satisfying <u,x> >= b / <u,x> == b, lex sorted.
 
     Without an explicit `box`, the region must be bounded (else
-    UnboundedRegion); a bounding box is then derived exactly from the
+    UnboundedRegion); its bounding box is then derived exactly from the
     homogenization of the constraint system.  With `box` (a list of
     (lo, hi) pairs per coordinate), enumeration is restricted to the box.
     """
@@ -614,24 +635,18 @@ def lattice_points(rank, inequalities=(), equalities=(), box=None):
     if empty:
         return []
     if box is None:
-        E, L = dual_description([u for u, _ in rows], rank) if rows else ([], nullspace([], rank))
-        if E or L:
+        if recession_direction(rank, rows) is not None:
             raise UnboundedRegion(
                 "the region is unbounded; pass an explicit box"
             )
-        box = _bounding_box(rank, rows)
+        box = region_box(rank, rows)
         if box is None:
             return []
     else:
         box = [(int(lo), int(hi)) for lo, hi in box]
         if len(box) != rank:
             raise RankMismatch("box length disagrees with rank")
-    pts = []
-    for p in itertools.product(*[range(lo, hi + 1) for lo, hi in box]):
-        if all(dot(u, p) >= b for u, b in rows):
-            pts.append(p)
-    pts.sort()
-    return pts
+    return list(_scan(box, rows))
 
 
 def integer_feasible(rank, inequalities=(), equalities=()):
@@ -641,42 +656,22 @@ def integer_feasible(rank, inequalities=(), equalities=()):
     lattice-free), so unbounded regions are reduced recursively: pick an
     integer direction c in the recession cone, apply a unimodular change of
     coordinates making c the last basis vector, drop the constraints that
-    become slack along c and recurse in one dimension fewer.
+    become slack along c and recurse in one dimension fewer.  A bounded
+    region takes the first point of its box scan.
     """
     rows, empty = _normalize_rows(rank, inequalities, equalities)
     if empty:
         return False
-    return _int_feasible(rank, rows)
-
-
-def _int_feasible(n, rows):
-    clean = []
-    for u, b in rows:
-        if not any(u):
-            if b > 0:
-                return False
-            continue
-        clean.append((u, b))
-    rows = clean
-    if n == 0 or not rows:
+    if rank == 0 or not rows:
         return True
-    # rational feasibility via the homogenization
-    hrows = [u + (-b,) for u, b in rows]
-    hrows.append((0,) * n + (1,))
-    HE, HL = dual_description(hrows, n + 1)
-    if not any(g[-1] for g in HE) and not any(g[-1] for g in HL):
+    # rational feasibility: a generator of the homogenization has t > 0
+    # (its lineality lies in t = 0)
+    HE, _ = _homogenization_dual(rank, rows)
+    if not any(g[-1] for g in HE):
         return False
-    KE, KL = dual_description([u for u, _ in rows], n)
-    if not KE and not KL:
-        # bounded region: scan the box, stop at the first hit
-        box = _bounding_box(n, rows)
-        if box is None:
-            return False
-        for p in itertools.product(*[range(lo, hi + 1) for lo, hi in box]):
-            if all(dot(u, p) >= b for u, b in rows):
-                return True
-        return False
-    c = KL[0] if KL else KE[0]
+    c = recession_direction(rank, rows)
+    if c is None:
+        return next(_scan(_bounding_box(HE), rows), None) is not None
     M = unimodular_with_last_column(c)
     cols = list(zip(*M))
     new_rows = []
@@ -686,4 +681,4 @@ def _int_feasible(n, rows):
         # rows with <u, c> > 0 become slack far enough along c
         if um[-1] == 0:
             new_rows.append((um[:-1], b))
-    return _int_feasible(n - 1, new_rows)
+    return integer_feasible(rank - 1, new_rows)

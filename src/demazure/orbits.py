@@ -24,12 +24,19 @@ from .errors import ConeNotInFan, NotARoot, UnsupportedFan
 from .lattice import (
     det,
     dot,
+    integer_feasible,
     mat_inverse,
     mat_rank,
     mat_vec,
     smith_normal_form,
 )
-from .roots import DemazureRoot, check_condition2, extension_in_fan
+from .roots import (
+    DemazureRoot,
+    check_condition2,
+    cones_inside,
+    extension_in_fan,
+    zero_pattern,
+)
 
 
 def verify_root(fan, e):
@@ -64,13 +71,9 @@ class HeConnectedPair:
 
 def _pairs_of_root(fan, e, i):
     """Orbit-gluing pairs of a verified root e with distinguished ray i."""
-    rays = fan.rays
-    out = []
-    for key in fan.cones:
-        if i not in key and all(dot(rays[j], e) == 0 for j in key):
-            # condition (2) makes key | {i} a fan cone
-            out.append(HeConnectedPair(tuple(sorted(key)),
-                                       tuple(sorted(key | {i}))))
+    # condition (2) makes key | {i} a fan cone
+    out = [HeConnectedPair(tuple(sorted(key)), tuple(sorted(key | {i})))
+           for key in cones_inside(fan, zero_pattern(fan, e, i))]
     out.sort(key=lambda p: (len(p.cone1), p.cone1))
     return out
 
@@ -128,15 +131,10 @@ def _stabilizer_core(fan, e, key, contains_ga):
     idxs = sorted(key)
     if not idxs:
         return StabilizerData(0, 1, contains_ga)
-    A = [list(fan.rays[j]) for j in idxs]
-    _, D, T = smith_normal_form(A)
-    k = min(len(D), len(D[0]))
-    r = sum(1 for t in range(k) if D[t][t] != 0)
-    sat_basis = [tuple(T[t]) for t in range(r)]
-    vals = [dot(b, e) for b in sat_basis]
-    c = 0
-    for v in vals:
-        c = gcd(c, v)
+    _, D, T = smith_normal_form([fan.rays[j] for j in idxs])
+    r = sum(1 for t in range(min(len(D), len(D[0]))) if D[t][t])
+    # the first r rows of T are a saturated basis of the span
+    c = gcd(*(dot(T[t], e) for t in range(r)))
     if c == 0:
         return StabilizerData(r, 1, contains_ga)
     return StabilizerData(r - 1, c, contains_ga)
@@ -146,10 +144,7 @@ def g_orbit_partition(fan, e):
     """The full G-orbit partition of the torus orbits for a verified root."""
     i = verify_root(fan, e)
     pairs = _pairs_of_root(fan, e, i)
-    paired = set()
-    for p in pairs:
-        paired.add(frozenset(p.cone1))
-        paired.add(frozenset(p.cone2))
+    paired = {frozenset(c) for p in pairs for c in (p.cone1, p.cone2)}
 
     orbits = []
     for p in pairs:
@@ -207,19 +202,13 @@ def admits_g_structure(fan):
             Z = frozenset(
                 others[k] for k in range(len(others)) if bits >> k & 1
             )
-            ok = True
-            for key in fan.cones:
-                if key <= Z and not extension_in_fan(fan, key, i):
-                    ok = False
-                    break
-            if not ok:
+            if not all(extension_in_fan(fan, key, i)
+                       for key in cones_inside(fan, Z)):
                 continue
             eqs = [(fan.rays[i], -1)] + [(fan.rays[j], 0) for j in sorted(Z)]
             ineqs = [
                 (fan.rays[j], 1) for j in others if j not in Z
             ]
-            from .lattice import integer_feasible
-
             if integer_feasible(n, ineqs, eqs):
                 return True
     return False

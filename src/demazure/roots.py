@@ -8,6 +8,10 @@ n_1, ..., n_l) is a character e in M with
   (2)  for every cone sigma in Sigma on which e vanishes identically,
        cone(sigma, rho_e) is again a cone of Sigma.
 
+Condition (1) makes e a lattice point of the root region of ray i
+(`_root_system`); condition (2) constrains the fan cones inside the zero
+pattern Z = {j != i : <n_j, e> = 0} of e (`cones_inside`).
+
 For a single strongly convex cone only the sign conditions (1) over the
 cone's own rays apply.  Roots are in bijection with the homogeneous locally
 nilpotent derivations of the homogeneous coordinate/affine algebra, i.e.
@@ -19,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NegativeBound, NoRays, UnboundedRoots
-from .lattice import dot, dual_description, lattice_points
+from .lattice import dot, lattice_points, recession_direction, region_box
 
 
 @dataclass(frozen=True, order=True)
@@ -49,6 +53,13 @@ class RootSet:
         return len(self.roots)
 
 
+def _root_system(rays, i):
+    """Ray i's root region as (inequalities, equalities): <n_j, e> >= 0 for
+    j != i and <n_i, e> = -1."""
+    ineqs = [(r, 0) for j, r in enumerate(rays) if j != i]
+    return ineqs, [(rays[i], -1)]
+
+
 def roots_of_cone(cone, bound):
     """Roots of a strongly convex cone with |e_i| <= bound, grouped by ray.
 
@@ -64,22 +75,8 @@ def roots_of_cone(cone, bound):
         raise NegativeBound(bound)
     n = cone.rank
     box = [(-bound, bound)] * n
-    out = []
-    for i, rho in enumerate(rays):
-        eqs = [(rho, -1)]
-        ineqs = [(rays[j], 0) for j in range(len(rays)) if j != i]
-        for e in lattice_points(n, ineqs, eqs, box=box):
-            out.append(DemazureRoot(i, e))
-    return out
-
-
-def _region_bounded(fan, i):
-    """Is {e : <n_i,e> = -1, <n_j,e> >= 0} bounded?  Checked via its
-    recession cone {e : <n_i,e> = 0, <n_j,e> >= 0}."""
-    rows = [fan.rays[j] for j in range(len(fan.rays)) if j != i]
-    rows += [fan.rays[i], tuple(-x for x in fan.rays[i])]
-    E, L = dual_description(rows, fan.rank)
-    return not E and not L
+    return [DemazureRoot(i, e) for i in range(len(rays))
+            for e in lattice_points(n, *_root_system(rays, i), box=box)]
 
 
 def extension_in_fan(fan, key, ray_index):
@@ -92,18 +89,24 @@ def extension_in_fan(fan, key, ray_index):
     return frozenset(key) | {ray_index} in fan.cones
 
 
+def zero_pattern(fan, e, ray_index):
+    """Z = {j != ray_index : <n_j, e> = 0}: the other rays e vanishes on."""
+    return frozenset(j for j, r in enumerate(fan.rays)
+                     if j != ray_index and not dot(r, e))
+
+
+def cones_inside(fan, zeros):
+    """The fan cones whose rays all lie in `zeros`, in fan.cones order."""
+    return (key for key in fan.cones if key <= zeros)
+
+
 def check_condition2(fan, e, ray_index):
     """Condition (2) for a candidate root: returns (ok, witness).
 
     witness is the ray index set of the first cone sigma with e|_sigma = 0
     for which cone(sigma, rho_e) is not in the fan, or None.
     """
-    rays = fan.rays
-    for key in fan.cones:
-        if ray_index in key:
-            continue  # <rho_e, e> = -1 != 0, so rho_e never lies in such sigma
-        if any(dot(rays[j], e) != 0 for j in key):
-            continue
+    for key in cones_inside(fan, zero_pattern(fan, e, ray_index)):
         if not extension_in_fan(fan, key, ray_index):
             return False, key
     return True, None
@@ -123,22 +126,19 @@ def roots_of_fan(fan, bound=None):
         raise NoRays("the fan has no rays")
     if bound is not None and int(bound) < 0:
         raise NegativeBound(int(bound))
-    unbounded = [i for i in range(l) if not _region_bounded(fan, i)]
+    n = fan.rank
+    systems = [_root_system(fan.rays, i) for i in range(l)]
+    unbounded = [i for i in range(l)
+                 if recession_direction(n, *systems[i]) is not None]
     if unbounded and bound is None:
         raise UnboundedRoots(unbounded[0])
-    complete = not unbounded
-    n = fan.rank
     roots = []
-    for i in range(l):
-        eqs = [(fan.rays[i], -1)]
-        ineqs = [(fan.rays[j], 0) for j in range(l) if j != i]
-        if complete:
-            pts = lattice_points(n, ineqs, eqs)
-        else:
-            box = [(-int(bound), int(bound))] * n
-            pts = lattice_points(n, ineqs, eqs, box=box)
-        for e in pts:
-            ok, _ = check_condition2(fan, e, i)
-            if ok:
+    for i, system in enumerate(systems):
+        box = ([(-int(bound), int(bound))] * n if unbounded
+               else region_box(n, *system))
+        if box is None:
+            continue
+        for e in lattice_points(n, *system, box=box):
+            if check_condition2(fan, e, i)[0]:
                 roots.append(DemazureRoot(i, e))
-    return RootSet(tuple(roots), complete)
+    return RootSet(tuple(roots), not unbounded)

@@ -100,16 +100,6 @@ def _rational_vector(value, rank, where):
 # fans
 
 
-def fan_to_json(fan):
-    return {
-        "rank": fan.rank,
-        "rays": [list(r) for r in fan.rays],
-        "max_cones": sorted(
-            sorted(key) for key in fan.maximal_keys()
-        ),
-    }
-
-
 def cone_to_fan_json(cone):
     """A single cone as a one-cone fan (the affine chart format)."""
     rays = cone.rays()

@@ -20,6 +20,8 @@ from demazure.algebra import (
     toric_lnd,
 )
 from demazure.errors import (
+    CurveMismatch,
+    InvalidInteger,
     NotARoot,
     NotNilpotent,
     RankMismatch,
@@ -69,11 +71,11 @@ def test_curve_carrier_admits():
 
 
 def test_curve_carrier_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(CurveMismatch):
         CurveCarrier("P2", Cone(1, [(1,)]), [(0,)])
-    with pytest.raises(ValueError):
+    with pytest.raises(CurveMismatch):
         CurveCarrier("P1", Cone(1, [(1,)]), [(0,)])
-    with pytest.raises(ValueError):
+    with pytest.raises(CurveMismatch):
         CurveCarrier("A1", Cone(1, [(1,)]), [(0,)], [(1,)])
 
 
@@ -84,7 +86,7 @@ def test_element_construction():
     assert SemigroupElement(c, {(1, 0): 0}).is_zero()
     with pytest.raises(WeightEscape):
         SemigroupElement(c, {(-1, 0): 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInteger):
         SemigroupElement(c, {(Fraction(1, 2), 0): 1})
     with pytest.raises(RankMismatch):
         SemigroupElement(c, {(1, 0, 0): 1})
@@ -202,11 +204,11 @@ def test_horizontal_constructor_validation():
     carrier = a1_carrier()
     with pytest.raises(NotARoot):
         HomogeneousLND.horizontal(carrier, (Fraction(1, 2),), 2, (1,), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInteger):
         HomogeneousLND.horizontal(carrier, (Fraction(1, 2),), 1, (1,), -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInteger):
         HomogeneousLND.horizontal(carrier, (Fraction(1, 2),), 0, (1,), -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInteger):
         HomogeneousLND.horizontal(
             carrier, (Fraction(1, 2),), 2, (1,), Fraction(-1, 2)
         )

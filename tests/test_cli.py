@@ -268,6 +268,18 @@ def test_ah_proper(capsys):
     ]
 
 
+def test_ah_divisor_rejections_are_typed(capsys, tmp_path):
+    at_inf = tmp_path / "a1_at_infinity.json"
+    at_inf.write_text(json.dumps(
+        {"curve": "A1", "rank": 1, "tail": [[1]],
+         "points": [{"z": "inf", "vertices": [[[1, 2]]]}]}
+    ))
+    code, rep, _ = run(capsys, "ah", "proper", at_inf)
+    assert code == 7
+    assert rep["error"]["kind"] == "CurveMismatch"
+    assert rep["error"]["message"] == "A^1 has no point at infinity"
+
+
 def test_ah_normalize(capsys):
     code, rep, _ = run(capsys, "ah", "normalize", fixture("div_shift"))
     assert code == 0

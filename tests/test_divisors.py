@@ -25,6 +25,7 @@ from demazure.divisors import (
     trivial_polyhedron,
 )
 from demazure.errors import (
+    CurveMismatch,
     InvalidColoring,
     NoDegreeZeroLND,
     NotCoherent,
@@ -89,9 +90,9 @@ def test_divisor_drops_trivial_parts():
 
 
 def test_divisor_point_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(CurveMismatch):
         PolyhedralDivisor("A1", ray1(), {INF: [(1,)]})
-    with pytest.raises(ValueError):
+    with pytest.raises(CurveMismatch):
         PolyhedralDivisor("X", ray1(), {})
     with pytest.raises(NotStronglyConvex):
         PolyhedralDivisor("A1", Cone(1, [(1,), (-1,)]), {})
@@ -191,12 +192,12 @@ def test_coloring_zinf_rules():
     div = PolyhedralDivisor("P1", ray1(), {INF: [(1,)]})
     c = ColoredDivisor(div, 0, {0: (0,)}, zinf=INF)
     assert c.c_prime() == (Fraction(0),)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidColoring):
         ColoredDivisor(div, 0, {0: (0,)})  # zinf required over P^1
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidColoring):
         ColoredDivisor(div, INF, {INF: (1,)}, zinf=INF)
     a1 = PolyhedralDivisor("A1", ray1(), {})
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidColoring):
         ColoredDivisor(a1, 0, {0: (0,)}, zinf=2)
 
 

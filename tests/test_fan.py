@@ -236,6 +236,13 @@ def test_nonsimplicial_cone_in_fan():
     # 4 facets, 4 edges
     dims = sorted(fan.cones[k].dim for k in fan.cones)
     assert dims == [0, 1, 1, 1, 1, 2, 2, 2, 2, 3]
+    # the cone over a unit square: its rays span Z^3, so every invariant
+    # factor is 1, and only the ray count keeps it from being smooth
+    square = build_fan(
+        3, [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)], [[0, 1, 2, 3]]
+    )
+    props = cone_properties(square, [0, 1, 2, 3])
+    assert not props["simplicial"] and not props["smooth"]
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from demazure.lattice import (
     mat_rank,
     nullspace,
     primitive,
+    region_box,
     smith_normal_form,
     unimodular_with_last_column,
     vneg,
@@ -353,6 +354,19 @@ def test_lattice_points_equalities():
         equalities=[((1, 1), 2)],
     )
     assert pts == [(0, 2), (1, 1), (2, 0), (3, -1)]
+
+
+def test_region_box_is_the_integer_range_of_the_vertices():
+    # 1/2 <= x <= 5/2
+    assert region_box(1, [((2,), 1), ((-2,), -5)]) == [(1, 2)]
+    # the vertex x = 1/2 alone: an empty range, so nothing to scan
+    assert region_box(1, [((2,), 1), ((-2,), -1)]) == [(1, 0)]
+    assert lattice_points(1, [((2,), 1), ((-2,), -1)]) == []
+    assert not integer_feasible(1, [((2,), 1), ((-2,), -1)])
+    # the triangle x, y >= 0, 2x + 2y <= 3
+    triangle = [((1, 0), 0), ((0, 1), 0), ((-2, -2), -3)]
+    assert region_box(2, triangle) == [(0, 1), (0, 1)]
+    assert region_box(1, [((1,), 1), ((-1,), 0)]) is None  # empty
 
 
 def test_lattice_points_box_agrees_with_brute_force():
