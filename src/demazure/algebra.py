@@ -47,6 +47,7 @@ from .errors import (
     WeightEscape,
 )
 from .lattice import Cone, dot
+from .roots import root_pairings
 
 
 def _as_int(x):
@@ -387,16 +388,17 @@ class HomogeneousLND:
 def toric_lnd(cone, e):
     """The homogeneous derivation attached to a root of a pointed cone."""
     ee = tuple(_as_int(x) for x in e)
-    distinguished = None
-    for r in cone.rays():
-        p = dot(r, ee)
-        if p == -1 and distinguished is None:
-            distinguished = r
-        elif p < 0:
-            raise NotARoot(f"ray {r} pairs to {p}")
-    if distinguished is None:
+    rays = cone.rays()
+    vals, neg = root_pairings(rays, ee)
+    # the first ray pairing to -1 is the distinguished one; the first other
+    # negative pairing is the one reported
+    first = next((j for j in neg if vals[j] == -1), None)
+    bad = [j for j in neg if j != first]
+    if bad:
+        raise NotARoot(f"ray {rays[bad[0]]} pairs to {vals[bad[0]]}")
+    if first is None:
         raise NotARoot("no ray pairs to -1")
-    return HomogeneousLND.toric(ToricCarrier(cone), distinguished, ee)
+    return HomogeneousLND.toric(ToricCarrier(cone), rays[first], ee)
 
 
 def derive(lnd, element):

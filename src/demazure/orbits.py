@@ -24,6 +24,7 @@ from .errors import ConeNotInFan, NotARoot, UnsupportedFan
 from .lattice import (
     det,
     dot,
+    identity_matrix,
     integer_feasible,
     mat_inverse,
     mat_rank,
@@ -35,6 +36,7 @@ from .roots import (
     check_condition2,
     cones_inside,
     extension_in_fan,
+    root_pairings,
     zero_pattern,
 )
 
@@ -44,15 +46,14 @@ def verify_root(fan, e):
     e = tuple(int(x) for x in e)
     if len(e) != fan.rank:
         raise NotARoot(f"character of length {len(e)} in rank {fan.rank}")
-    vals = [dot(r, e) for r in fan.rays]
-    neg = [i for i, v in enumerate(vals) if v < 0]
+    vals, neg = root_pairings(fan.rays, e)
     if len(neg) != 1 or vals[neg[0]] != -1:
         raise NotARoot(
             f"{e} pairs to {vals} with the rays; need exactly one -1 and "
             "no other negative values"
         )
     i = neg[0]
-    ok, witness = check_condition2(fan, e, i)
+    ok, witness = check_condition2(fan, e, i, vals)
     if not ok:
         raise NotARoot(
             f"{e} vanishes on cone {sorted(witness)} but its extension by "
@@ -73,7 +74,8 @@ def _pairs_of_root(fan, e, i):
     """Orbit-gluing pairs of a verified root e with distinguished ray i."""
     # condition (2) makes key | {i} a fan cone
     out = [HeConnectedPair(tuple(sorted(key)), tuple(sorted(key | {i})))
-           for key in cones_inside(fan, zero_pattern(fan, e, i))]
+           for key in cones_inside(
+               fan, zero_pattern(root_pairings(fan.rays, e)[0], i))]
     out.sort(key=lambda p: (len(p.cone1), p.cone1))
     return out
 
@@ -186,6 +188,41 @@ def g_invariant_divisors(fan, e):
     return _invariant_divisors(fan, verify_root(fan, e))
 
 
+def _flats(fan):
+    """The flats of rank < n of the ray matroid, sorted by their bitmask.
+
+    A flat is a ray index set F holding every ray in span(F).  They are
+    found by closure from the empty flat: each flat F of rank < n - 1 is
+    extended by each ray j outside it, and the rays in span(F + j) form the
+    next flat.  Each flat carries a basis W of span(F)^⊥; the basis for
+    F + j is the combinations of W orthogonal to n_j.  The order is that of
+    sum(2^j for j in F).
+    """
+    rays, n = fan.rays, fan.rank
+    flats = {frozenset()}
+    todo = [(frozenset(), identity_matrix(n))]
+    while todo:
+        F, W = todo.pop()
+        covered = set(F)
+        for j in range(len(rays)):
+            if j in covered:
+                continue
+            # n_j is not in span(F), so it pairs with some w in W
+            a = [dot(rays[j], w) for w in W]
+            p = next(t for t, x in enumerate(a) if x)
+            W2 = [[a[p] * x - a[t] * y for x, y in zip(w, W[p])]
+                  for t, w in enumerate(W) if t != p]
+            G = frozenset(k for k, r in enumerate(rays)
+                          if not any(dot(r, w) for w in W2))
+            covered |= G
+            # a flat of rank n is never a zero pattern
+            if W2 and G not in flats:
+                flats.add(G)
+                if len(W2) > 1:
+                    todo.append((G, W2))
+    return sorted(flats, key=lambda F: sum(1 << j for j in F))
+
+
 def admits_g_structure(fan):
     """Does the fan admit any Demazure root at all?  Exact decision.
 
@@ -193,22 +230,23 @@ def admits_g_structure(fan):
     For a fixed distinguished ray i and pattern Z, condition (2) depends
     only on (i, Z), and condition (1) becomes the integer program
     <n_i,e> = -1, <n_j,e> = 0 on Z, <n_j,e> >= 1 elsewhere, decided exactly.
+    Z is the set of rays in e^⊥, so it is a flat of the ray matroid of rank
+    < n without i; on any other pattern the program is infeasible, since a
+    ray in span(Z) outside Z would pair to 0 and to >= 1 (or, for i, to 0
+    and to -1).  So only the flats are tried, for each i in the order of
+    the bitmask sum(2^j for j in Z).
     """
     l = len(fan.rays)
     n = fan.rank
+    flats = _flats(fan)
     for i in range(l):
-        others = [j for j in range(l) if j != i]
-        for bits in range(2 ** len(others)):
-            Z = frozenset(
-                others[k] for k in range(len(others)) if bits >> k & 1
-            )
-            if not all(extension_in_fan(fan, key, i)
-                       for key in cones_inside(fan, Z)):
+        for Z in flats:
+            if i in Z or not all(extension_in_fan(fan, key, i)
+                                 for key in cones_inside(fan, Z)):
                 continue
             eqs = [(fan.rays[i], -1)] + [(fan.rays[j], 0) for j in sorted(Z)]
-            ineqs = [
-                (fan.rays[j], 1) for j in others if j not in Z
-            ]
+            ineqs = [(fan.rays[j], 1) for j in range(l)
+                     if j != i and j not in Z]
             if integer_feasible(n, ineqs, eqs):
                 return True
     return False
@@ -226,10 +264,16 @@ def fan_automorphisms(fan):
     """All lattice automorphisms of N mapping the fan onto itself.
 
     Requires the rays to span the ambient space (otherwise the group is not
-    finite and we refuse: UnsupportedFan).  Search is over permutations of
-    the rays; the candidate matrix is solved from a fixed independent
-    subset and then verified on all rays and all cones.  The group is
-    computed once per fan; each call returns a fresh list.
+    finite and we refuse: UnsupportedFan).  An automorphism is fixed by the
+    images of a base, the first independent n-subset of the rays, so the
+    search backtracks over injective images of the base rays.  A ray can
+    only go to a ray of its colour (the number of fan cones of each
+    dimension containing it), and two base rays that span a 2-cone (or do
+    not) only to two rays that do the same.  The matrix is solved from the
+    base images in integers, and kept if it is unimodular, maps every ray
+    to a ray and maps the cones onto the cones.  The group is sorted by
+    ray permutation and computed once per fan; each call returns a fresh
+    list.
     """
     if fan._automorphisms is None:
         fan._automorphisms = tuple(_search_automorphisms(fan))
@@ -251,40 +295,91 @@ def _search_automorphisms(fan):
         if det([[rays[i][r] for i in idxs] for r in range(n)]) != 0
     )
     A = [[rays[i][r] for i in base] for r in range(n)]  # columns = base rays
-    Ainv = mat_inverse(A)
+    d = det(A)
+    adj = [[int(x * d) for x in row] for row in mat_inverse(A)]
     cone_keys = set(fan.cones)
+    colour = [[0] * (n + 1) for _ in range(l)]
+    for key, ref in fan.cones.items():
+        for j in key:
+            colour[j][ref.dim] += 1
+    choices = [[j for j in range(l) if colour[j] == colour[b]] for b in base]
+
+    def joined(a, b):
+        return frozenset((a, b)) in cone_keys
 
     autos = []
-    for perm in itertools.permutations(range(l)):
-        B = [[rays[perm[i]][r] for i in base] for r in range(n)]
-        phi = [
-            [sum(B[r][k] * Ainv[k][c] for k in range(n)) for c in range(n)]
-            for r in range(n)
-        ]
-        if any(x.denominator != 1 for row in phi for x in row):
-            continue
-        M = [tuple(int(x) for x in row) for row in phi]
-        if abs(det(M)) != 1:
-            continue
-        if any(mat_vec(M, rays[j]) != rays[perm[j]] for j in range(l)):
-            continue
-        if any(
-            frozenset(perm[i] for i in key) not in cone_keys
-            for key in cone_keys
-        ):
-            continue
-        autos.append(FanAutomorphism(tuple(M), tuple(perm)))
+    images = []
+
+    def extend():
+        k = len(images)
+        if k == n:
+            M = _solve(adj, d, [rays[j] for j in images])
+            if M is not None:
+                perm = _ray_permutation(fan, M, cone_keys)
+                if perm is not None:
+                    autos.append(FanAutomorphism(M, perm))
+            return
+        for j in choices[k]:
+            if j not in images and all(
+                    joined(j, images[t]) == joined(base[k], base[t])
+                    for t in range(k)):
+                images.append(j)
+                extend()
+                images.pop()
+
+    extend()
     autos.sort(key=lambda a: a.ray_permutation)
     return autos
 
 
+def _solve(adj, d, columns):
+    """The integer matrix M = B A^-1, where A^-1 = adj / d and B has the
+    given columns, or None if M is not integral or not unimodular."""
+    n = len(adj)
+    M = []
+    for r in range(n):
+        row = []
+        for c in range(n):
+            q, rem = divmod(sum(columns[k][r] * adj[k][c]
+                                for k in range(n)), d)
+            if rem:
+                return None
+            row.append(q)
+        M.append(tuple(row))
+    return tuple(M) if abs(det(M)) == 1 else None
+
+
+def _ray_permutation(fan, M, cone_keys):
+    """The permutation of the rays that M induces if it maps every ray to a
+    ray and the cones onto the cones, else None."""
+    perm = []
+    for r in fan.rays:
+        j = fan.ray_index(mat_vec(M, r))
+        if j is None:
+            return None
+        perm.append(j)
+    if any(frozenset(perm[i] for i in key) not in cone_keys
+           for key in cone_keys):
+        return None
+    return tuple(perm)
+
+
+def _contragredient(automorphism):
+    """(M^-1)^T as integer rows: e -> (M^-1)^T e preserves the pairing of
+    rays with characters, <M n, (M^-1)^T e> = <n, e>."""
+    inv = mat_inverse([list(r) for r in automorphism.matrix])
+    # integral because det = +/-1
+    return [tuple(int(x) for x in col) for col in zip(*inv)]
+
+
+def _root_image(automorphism, inv_t, root):
+    return DemazureRoot(automorphism.ray_permutation[root.ray_index],
+                        mat_vec(inv_t, root.e))
+
+
 def root_image(automorphism, root):
     """Image of a root under the contragredient action e -> (phi^-1)^T e."""
-    M = [list(r) for r in automorphism.matrix]
-    inv = mat_inverse(M)  # integral because det = +/-1
-    invT = list(zip(*inv))
-    e2 = tuple(int(x) for x in mat_vec(invT, root.e))
-    return DemazureRoot(automorphism.ray_permutation[root.ray_index], e2)
+    return _root_image(automorphism, _contragredient(automorphism), root)
 
 
 def classify_roots(fan, roots):
@@ -292,7 +387,8 @@ def classify_roots(fan, roots):
 
     Returns a list of classes (sorted lists of roots); classes are ordered
     by their first member.  Images that leave the supplied root list (which
-    can happen for a truncated enumeration) do not merge anything.
+    can happen for a truncated enumeration) do not merge anything.  The
+    contragredient of each automorphism is computed once.
     """
     autos = fan_automorphisms(fan)
     roots = sorted(roots)
@@ -311,8 +407,9 @@ def classify_roots(fan, roots):
             parent[max(rx, ry)] = min(rx, ry)
 
     for phi in autos:
+        inv_t = _contragredient(phi)
         for r in roots:
-            img = root_image(phi, r)
+            img = _root_image(phi, inv_t, r)
             # the image is always a root of the fan; it may fall outside a
             # truncated input list
             if img in index:

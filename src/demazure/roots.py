@@ -89,10 +89,18 @@ def extension_in_fan(fan, key, ray_index):
     return frozenset(key) | {ray_index} in fan.cones
 
 
-def zero_pattern(fan, e, ray_index):
-    """Z = {j != ray_index : <n_j, e> = 0}: the other rays e vanishes on."""
-    return frozenset(j for j, r in enumerate(fan.rays)
-                     if j != ray_index and not dot(r, e))
+def root_pairings(rays, e):
+    """Condition (1) read off: the pairings <n_j, e> and the indices j
+    where they are negative.  (1) holds iff the negative indices are one
+    i, the distinguished ray, with pairing -1."""
+    vals = [dot(r, e) for r in rays]
+    return vals, [j for j, v in enumerate(vals) if v < 0]
+
+
+def zero_pattern(vals, ray_index):
+    """Z = {j != ray_index : <n_j, e> = 0}, from the pairings `vals`."""
+    return frozenset(j for j, v in enumerate(vals)
+                     if j != ray_index and not v)
 
 
 def cones_inside(fan, zeros):
@@ -100,13 +108,16 @@ def cones_inside(fan, zeros):
     return (key for key in fan.cones if key <= zeros)
 
 
-def check_condition2(fan, e, ray_index):
+def check_condition2(fan, e, ray_index, vals=None):
     """Condition (2) for a candidate root: returns (ok, witness).
 
     witness is the ray index set of the first cone sigma with e|_sigma = 0
-    for which cone(sigma, rho_e) is not in the fan, or None.
+    for which cone(sigma, rho_e) is not in the fan, or None.  `vals` are
+    the pairings of e with the rays, when the caller already has them.
     """
-    for key in cones_inside(fan, zero_pattern(fan, e, ray_index)):
+    if vals is None:
+        vals = root_pairings(fan.rays, e)[0]
+    for key in cones_inside(fan, zero_pattern(vals, ray_index)):
         if not extension_in_fan(fan, key, ray_index):
             return False, key
     return True, None

@@ -56,6 +56,17 @@ def p1():
     return build_fan(1, [(1,), (-1,)], [[0], [1]])
 
 
+def p1_power(n):
+    rays = [tuple(s * int(i == j) for j in range(n))
+            for i in range(n) for s in (1, -1)]
+    return build_fan(n, rays, [[2 * i + s for i, s in enumerate(signs)]
+                               for signs in itertools.product((0, 1),
+                                                              repeat=n)])
+
+
+HEXAGON = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+
+
 def test_p2_cone_census():
     fan = p2()
     assert len(fan.cones) == 7

@@ -1,16 +1,29 @@
-"""Orbit gluing, stabilizers, existence and classification of roots."""
+"""Orbit gluing, stabilizers, existence and classification of roots.
+
+The symmetry search and the existence test are checked against the
+brute-force searches they replaced, kept here as oracles: every ray
+permutation for the automorphisms, every zero pattern for the roots.
+"""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
 import pytest
 
-from demazure.errors import ConeNotInFan, NotARoot, UnsupportedFan
+from demazure import lattice, orbits
+from demazure.errors import (
+    ConeNotInFan,
+    DemazureError,
+    NotARoot,
+    UnsupportedFan,
+)
 from demazure.fan import build_fan
-from demazure.lattice import dot, mat_mul, mat_vec
+from demazure.lattice import det, dot, mat_inverse, mat_mul, mat_rank, mat_vec
 from demazure.orbits import (
+    FanAutomorphism,
     admits_g_structure,
     classify_roots,
     fan_automorphisms,
@@ -21,9 +34,126 @@ from demazure.orbits import (
     stabilizer_data,
     verify_root,
 )
-from demazure.roots import extension_in_fan, roots_of_fan
+from demazure.roots import cones_inside, extension_in_fan, roots_of_fan
 
-from test_fan import a2, f1, p1, p1p1, p2, random_complete_fans
+from test_fan import (
+    HEXAGON,
+    a2,
+    f1,
+    p1,
+    p1_power,
+    p1p1,
+    p2,
+    random_complete_fans,
+    random_fan_input,
+)
+
+
+def oracle_automorphisms(fan):
+    """The former search: every permutation of the rays, with the matrix
+    solved from the first independent n-subset by a Fraction inverse and
+    checked on every ray and every cone.  The solve is memoized on the
+    base images, which changes nothing but the time."""
+    rays = fan.rays
+    l = len(rays)
+    n = fan.rank
+    if mat_rank(rays) < n:
+        raise UnsupportedFan("rays do not span")
+    base = next(
+        idxs
+        for idxs in itertools.combinations(range(l), n)
+        if det([[rays[i][r] for i in idxs] for r in range(n)]) != 0
+    )
+    Ainv = mat_inverse([[rays[i][r] for i in base] for r in range(n)])
+    cone_keys = set(fan.cones)
+
+    @functools.lru_cache(maxsize=None)
+    def solve(images):
+        B = [[rays[j][r] for j in images] for r in range(n)]
+        phi = [
+            [sum(B[r][k] * Ainv[k][c] for k in range(n)) for c in range(n)]
+            for r in range(n)
+        ]
+        if any(x.denominator != 1 for row in phi for x in row):
+            return None
+        M = [tuple(int(x) for x in row) for row in phi]
+        return M if abs(det(M)) == 1 else None
+
+    autos = []
+    for perm in itertools.permutations(range(l)):
+        M = solve(tuple(perm[i] for i in base))
+        if M is None:
+            continue
+        if any(mat_vec(M, rays[j]) != rays[perm[j]] for j in range(l)):
+            continue
+        if any(frozenset(perm[i] for i in key) not in cone_keys
+               for key in cone_keys):
+            continue
+        autos.append(FanAutomorphism(tuple(M), tuple(perm)))
+    autos.sort(key=lambda a: a.ray_permutation)
+    return autos
+
+
+def oracle_admits(fan):
+    """The former decision: for each distinguished ray i, every zero
+    pattern Z of the other rays in bitmask order; condition (2) on (i, Z),
+    then the integer program of condition (1)."""
+    l = len(fan.rays)
+    for i in range(l):
+        others = [j for j in range(l) if j != i]
+        for bits in range(2 ** len(others)):
+            Z = frozenset(others[k] for k in range(len(others))
+                          if bits >> k & 1)
+            if not all(extension_in_fan(fan, key, i)
+                       for key in cones_inside(fan, Z)):
+                continue
+            eqs = [(fan.rays[i], -1)] + [(fan.rays[j], 0) for j in sorted(Z)]
+            ineqs = [(fan.rays[j], 1) for j in others if j not in Z]
+            if lattice.integer_feasible(fan.rank, ineqs, eqs):
+                return True
+    return False
+
+
+def blow_up(cyclic_rays, positions):
+    """Insert v_p + v_{p+1} after each listed position p, in order: the
+    toric blow-up of a fixed point of a smooth complete surface."""
+    rays = list(cyclic_rays)
+    for p in positions:
+        a, b = rays[p], rays[(p + 1) % len(rays)]
+        rays.insert(p + 1, (a[0] + b[0], a[1] + b[1]))
+    return rays
+
+
+def polygon(cyclic_rays):
+    l = len(cyclic_rays)
+    return build_fan(2, cyclic_rays, [[k, (k + 1) % l] for k in range(l)])
+
+
+def p2_times_p1():
+    rays = [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)]
+    return build_fan(3, rays, [[a, b, c] for a, b in ((0, 1), (1, 2), (0, 2))
+                               for c in (3, 4)])
+
+
+def named_fans():
+    return [p2(), f1(), p1_power(3), p2_times_p1(), polygon(HEXAGON),
+            polygon(blow_up([(1, 0), (0, 1), (-1, 1), (0, -1)], [0, 2]))]
+
+
+def oracle_fans(count, seed):
+    """Seeded fans from random_fan_input with at most 7 rays (the l! oracle
+    stays fast), valid or not spanning; the invalid inputs are skipped."""
+    rng = random.Random(seed)
+    fans = []
+    while len(fans) < count:
+        rank, rays, cones = random_fan_input(rng)
+        if len(rays) > 7:
+            continue
+        try:
+            fans.append(build_fan(rank, rays, cones))
+        except DemazureError:
+            pass
+    return fans
 
 
 def test_verify_root():
@@ -349,3 +479,109 @@ def test_automorphism_images_are_roots_random():
                 assert all(v >= 0 for j, v in enumerate(vals)
                            if j != img.ray_index)
                 assert img in roots.roots
+
+
+def test_symmetry_search_matches_the_permutation_oracle():
+    fans = named_fans() + oracle_fans(44, 5417)
+    unsupported = 0
+    for fan in fans:
+        try:
+            expected = oracle_automorphisms(fan)
+        except UnsupportedFan:
+            with pytest.raises(UnsupportedFan):
+                fan_automorphisms(fan)
+            unsupported += 1
+            continue
+        # the same list in the same order
+        assert fan_automorphisms(fan) == expected, fan.rays
+    assert len(fans) - unsupported >= 40
+
+
+def test_admits_matches_the_pattern_oracle():
+    verdicts = set()
+    for fan in named_fans() + oracle_fans(44, 5417):
+        verdict = admits_g_structure(fan)
+        assert verdict == oracle_admits(fan), fan.rays
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.fixture
+def feasibility_calls(monkeypatch):
+    """Records the integer programs that orbits and the oracle decide."""
+    calls = []
+    original = lattice.integer_feasible
+
+    def recorded(rank, inequalities=(), equalities=()):
+        calls.append((rank, tuple(inequalities), tuple(equalities)))
+        return original(rank, inequalities, equalities)
+
+    monkeypatch.setattr(lattice, "integer_feasible", recorded)
+    monkeypatch.setattr(orbits, "integer_feasible", recorded)
+    return calls
+
+
+def test_admits_programs_are_a_subsequence_of_the_oracle(feasibility_calls):
+    # only flats are tried, in the oracle's order, so no fan can cost more
+    # integer programs than before
+    fewer = 0
+    for fan in named_fans() + oracle_fans(20, 8080):
+        feasibility_calls.clear()
+        oracle_admits(fan)
+        old = list(feasibility_calls)
+        feasibility_calls.clear()
+        admits_g_structure(fan)
+        new = list(feasibility_calls)
+        rest = iter(old)
+        assert all(call in rest for call in new), fan.rays
+        fewer += len(new) < len(old)
+    assert fewer > 0
+
+
+def dihedral_automorphisms(fan):
+    """Ray permutations of the lattice automorphisms of a polygon fan whose
+    rays are listed in cyclic order: a fan automorphism maps adjacent rays
+    to adjacent rays, so it is one of the 2l dihedral maps of the cycle,
+    fixed by the images of rays 0 and 1."""
+    rays = fan.rays
+    l = len(rays)
+    inv = mat_inverse([[rays[0][r], rays[1][r]] for r in range(2)])
+    perms = []
+    for shift in range(l):
+        for step in (1, -1):
+            perm = tuple((shift + step * k) % l for k in range(l))
+            B = [[rays[perm[0]][r], rays[perm[1]][r]] for r in range(2)]
+            M = mat_mul(B, inv)
+            if all(mat_vec(M, rays[k]) == rays[perm[k]] for k in range(l)):
+                perms.append(perm)
+    return sorted(perms)
+
+
+R12 = blow_up(HEXAGON, [0, 2, 4, 6, 8, 10])
+
+
+@pytest.mark.parametrize("rays, order", [
+    (blow_up(HEXAGON, [0, 2, 4, 6]), 2),
+    (R12, 12),
+    (blow_up(R12, [0, 3, 6, 9, 12, 15]), 6),
+    (blow_up(R12, [0, 2, 4, 6, 8, 10]), 2),
+], ids=["10-gon", "12-gon", "18-gon", "18-gon-b"])
+def test_hexagon_blow_ups(rays, order):
+    fan = polygon(rays)
+    autos = fan_automorphisms(fan)
+    assert len(autos) == order
+    assert [a.ray_permutation for a in autos] == dihedral_automorphisms(fan)
+    # complete fans: the root enumeration is exact
+    assert not admits_g_structure(fan)
+    assert len(roots_of_fan(fan)) == 0
+
+
+def test_p1_power_four_automorphisms():
+    # coordinate permutations times sign changes: 4! * 2^4
+    autos = fan_automorphisms(p1_power(4))
+    assert len(autos) == 384
+    assert len({a.matrix for a in autos}) == 384
+
+
+def test_p1_power_five_admits():
+    assert admits_g_structure(p1_power(5))

@@ -26,8 +26,14 @@ from demazure.lattice import dot
 from demazure.orbits import admits_g_structure
 from demazure.roots import DemazureRoot, check_condition2, roots_of_fan
 
-from test_fan import change_basis, random_complete_fan_input
+from test_fan import (
+    HEXAGON,
+    change_basis,
+    p1_power,
+    random_complete_fan_input,
+)
 from test_lattice import fraction_nullspace
+from test_orbits import oracle_admits
 
 
 def condition2_loop(fan, e, ray_index):
@@ -231,20 +237,9 @@ def p_n(n):
                                itertools.combinations(range(n + 1), n)])
 
 
-def p1_power(n):
-    rays = [tuple(s * int(i == j) for j in range(n))
-            for i in range(n) for s in (1, -1)]
-    return build_fan(n, rays, [[2 * i + s for i, s in enumerate(signs)]
-                               for signs in itertools.product((0, 1),
-                                                              repeat=n)])
-
-
 def affine(n):
     return build_fan(n, [tuple(int(i == j) for j in range(n))
                          for i in range(n)], [list(range(n))])
-
-
-HEXAGON = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
 
 
 @pytest.mark.parametrize("name, fan, bound, expected", [
@@ -262,21 +257,29 @@ def test_roots_of_fan_dual_counts(duals, name, fan, bound, expected):
     assert len(duals) == expected, name
 
 
+# the counts of the former 2^(l-1) pattern search, which the oracle repeats;
+# the flats it tries are a subsequence of those patterns
+PATTERN_SEARCH_DUALS = {"P^3": 5, "(P^1)^3": 17, "hexagon": 24}
+
+
 @pytest.mark.parametrize("name, fan, expected", [
     ("P^3", lambda: p_n(3), 5),
-    ("(P^1)^3", lambda: p1_power(3), 17),
+    ("(P^1)^3", lambda: p1_power(3), 5),
     ("hexagon", lambda: build_fan(2, HEXAGON,
-                                  [[k, (k + 1) % 6] for k in range(6)]), 24),
+                                  [[k, (k + 1) % 6] for k in range(6)]), 6),
 ])
 def test_admits_g_structure_dual_counts(duals, name, fan, expected):
     fan = fan()
     duals.clear()
     admits_g_structure(fan)
     assert len(duals) == expected, name
+    duals.clear()
+    oracle_admits(fan)
+    assert len(duals) == PATTERN_SEARCH_DUALS[name] >= expected, name
 
 
 def test_mixed_region_fans_dualize_each_region_at_most_twice(duals):
-    admits = 0
+    admits = pattern_search = 0
     for fan in mixed_region_fans():
         l = len(fan.rays)
         complete = all(oracle_bounded(fan.rays, i, fan.rank)
@@ -292,4 +295,8 @@ def test_mixed_region_fans_dualize_each_region_at_most_twice(duals):
         duals.clear()
         admits_g_structure(fan)
         admits += len(duals)
-    assert admits == 779
+        duals.clear()
+        oracle_admits(fan)
+        pattern_search += len(duals)
+    assert admits == 327
+    assert pattern_search == 779

@@ -61,3 +61,21 @@ def test_no_bare_value_or_type_errors():
         found += [f"{path.name}:{n}" for n in sorted(lines)]
     assert not found, f"bare ValueError/TypeError in the library: {found}"
     assert sorted(internal) == sorted((f, g, 1) for f, g in INTERNAL_RAISES)
+
+
+def test_no_permutation_loops():
+    # a search over every ordering of the rays is factorial in their
+    # number; such loops belong in the tests, as oracles
+    assert {p.name for p in SOURCES} >= {"orbits.py"}
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if "permutations" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"itertools.permutations in the library: {found}"
