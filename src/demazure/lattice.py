@@ -5,18 +5,23 @@ appear anywhere.  Linear algebra (rank, nullspace, determinant, inverse)
 runs on one fraction-free integer elimination, `_echelon`; Fractions only
 appear at the boundary, for rational input and the entries of an inverse.
 Cones are finitely generated convex cones in Q^n stored by primitive
-integer generators.  Duality is computed by a subset-enumeration double
-description which is exact and entirely adequate at the small ranks
-(<= 6 or so) this package targets.  A cone computes one dual and reads
-everything else off it: its extremal rays are the generators whose
-annihilating dual generators span a hyperplane, and its faces are the
-intersections of the ray sets of its facets.
+integer generators.  Duality walks the (r-1)-subsets of the generators
+depth first, r their rank, carrying the exterior product of each prefix
+(its integer minors) so that a subset's normal costs a few products and a
+dependent prefix is dropped with all its extensions; a cone with lineality
+is walked in the pivot coordinates of its span and each facet is lifted
+modulo the lineality.  This is exact, needs one elimination for a
+full-dimensional cone, and suits the small ranks (<= 6 or so) this package
+targets.  A cone computes one dual and reads everything else off it: its
+extremal rays are the generators whose annihilating dual generators span a
+hyperplane, and its faces are the intersections of the ray sets of its
+facets.
 
-A region {x : <u, x> >= b} of lattice points is analysed by two duals: its
-recession cone {x : <u, x> >= 0}, which is {0} iff the region is bounded,
-and its homogenization {(x, t) : <u, x> >= b t, t >= 0}, whose extremal
-rays are the vertices of a bounded region lifted to height t > 0 and give
-its box.  One generator scans a box.
+A region {x : <u, x> >= b} of lattice points is analysed by one dual, of
+its homogenization {(x, t) : <u, x> >= b t, t >= 0} (`region_shape`): the
+face t = 0 is its recession cone, which is {0} iff the region is bounded,
+and the extremal rays with t > 0 are its vertices lifted to height t, which
+give its box.  One generator scans a box.
 
 Conventions:
   * vectors are tuples; matrices are sequences of row tuples/lists;
@@ -80,6 +85,8 @@ def primitive(v):
         den = lcm(*(x.denominator for x in fr))
         ints = [int(x * den) for x in fr]
     g = gcd(*ints)
+    if g == 1:
+        return tuple(ints)
     if not g:
         raise ZeroVector("the zero vector spans no ray")
     return tuple(x // g for x in ints)
@@ -160,7 +167,11 @@ def nullspace(rows, n):
     for r in rows:
         if len(r) != n:
             raise RankMismatch(f"row of length {len(r)} in ambient rank {n}")
-    m, pivots, _ = _echelon(rows)
+    return _kernel(*_echelon(rows)[:2], n)
+
+
+def _kernel(m, pivots, n):
+    """The `nullspace` basis read off an echelon form (m, pivots)."""
     pivot_set = set(pivots)
     basis = []
     for fc in range(n):
@@ -343,7 +354,89 @@ def unimodular_with_last_column(c):
 
 
 # ---------------------------------------------------------------------------
-# cone duality (subset-enumeration double description)
+# cone duality (prefix exterior products, lifted modulo the lineality)
+
+
+def _facet_normals(vecs, d):
+    """Primitive facet normals u of cone(vecs), for vecs spanning Q^d,
+    each oriented so that <u, g> >= 0 on every vector.
+
+    The (d-1)-subsets of vecs are walked depth first, carrying the k x k
+    minors of the prefix (its exterior product), keyed by their column
+    sets as bitmasks.  Extending a prefix by v expands every new minor
+    along the row v; a prefix whose minors all vanish is dependent, and so
+    is every extension of it.  At depth d - 1 the signed maximal minors
+    are the normal u with <u, g> = det(prefix; g): u_c is (-1)^(d-1+c)
+    times the minor without column c.  Each hyperplane is tested once, by
+    the signs of its pairings, up to the first conflict.
+    """
+    full = (1 << d) - 1
+    support = [[(j, x) for j, x in enumerate(v) if x] for v in vecs]
+    # the (k+1)-th vector of a (d-1)-subset is vecs[i] with i < last + k
+    last = len(vecs) - d + 2
+    tried = set()
+    found = []
+
+    def test(u):
+        g = gcd(*u)
+        for x in u:
+            if x:
+                break
+        if x < 0:
+            g = -g
+        u = tuple(u) if g == 1 else tuple(x // g for x in u)
+        if u in tried:
+            return  # this hyperplane was spanned by an earlier subset
+        tried.add(u)
+        pos = neg = False
+        for v in vecs:
+            x = sum(map(mul, u, v))
+            if x > 0:
+                pos = True
+            elif x < 0:
+                neg = True
+            else:
+                continue
+            if pos and neg:
+                return
+        found.append(u if pos else vneg(u))
+
+    def walk(start, k, minors):
+        # v adds (-1)^(k + position of j in S + j) v_j minor(S) to the minor
+        # on S + j, for each column j outside S; at the last step that
+        # minor is read as the entry of u at the one column left out
+        leaf = k == d - 2
+        terms = [[] for _ in range(d)]
+        for S, x in minors.items():
+            if not x:
+                continue
+            for j in range(d):
+                bit = 1 << j
+                if S & bit:
+                    continue
+                T = S | bit
+                odd = (S & (bit - 1)).bit_count() + k
+                if leaf:
+                    T = (full ^ T).bit_length() - 1
+                    odd += d - 1 + T
+                terms[j].append((T, -x if odd & 1 else x))
+        for i in range(start, last + k):
+            new = {}
+            for j, y in support[i]:
+                for T, x in terms[j]:
+                    new[T] = new.get(T, 0) + x * y
+            if not any(new.values()):
+                continue  # a dependent prefix, and so is each extension
+            if leaf:
+                test([new.get(c, 0) for c in range(d)])
+            else:
+                walk(i + 1, k + 1, new)
+
+    if d == 1:
+        test([1])
+    else:
+        walk(0, 0, {0: 1})
+    return found
 
 
 def dual_description(gens, rank):
@@ -356,11 +449,17 @@ def dual_description(gens, rank):
 
     The dual cone is generated by extremal + lineality + (-lineality).
 
-    Method: with r = rank of the generator matrix, every extreme ray of the
-    dual (mod lineality) annihilates some rank-(r-1) subset of the
-    generators; conversely a vector u0 spanning nullspace(subset) modulo the
-    lineality is extreme iff the pairings <g, u0> have a single sign.  Each
-    nullspace comes from the integer elimination, so no Fraction is formed.
+    Method: one integer elimination of the generators gives the lineality
+    (the `nullspace` basis) and the pivot columns of their span, of
+    dimension r.  Projecting the generators to the pivot columns is
+    faithful on their span, and there the extreme rays of the dual are the
+    facet normals of a full-dimensional cone, found by the exterior-product
+    walk over the (r-1)-subsets of generators (`_facet_normals`), in
+    integers.  With no lineality the normal is the representative.
+    Otherwise a facet is lifted modulo the lineality to the first vector of
+    `nullspace(its incident generators)` that pairs nonzero with the
+    generators: that basis depends only on the facet's span, so it is the
+    vector every (r-1)-subset spanning the facet would give.
 
     This is the only dual a Cone computes: `Cone.rays()` reads the
     extremal rays of a pointed cone off this description of its dual
@@ -371,29 +470,29 @@ def dual_description(gens, rank):
     for g in gens:
         p = primitive(g)
         if p not in seen:
+            if len(p) != rank:
+                raise RankMismatch(
+                    f"row of length {len(p)} in ambient rank {rank}")
             seen.add(p)
             prim.append(p)
-    L = nullspace(prim, rank)
-    r = rank - len(L)
-    E = set()
-    if r >= 1:
-        for sub in itertools.combinations(prim, r - 1):
-            ns = nullspace(sub, rank)
-            if len(ns) != rank - r + 1:
-                continue  # subset is rank deficient: its normals show up elsewhere
-            picked = None
-            for b in ns:
-                vals = [dot(g, b) for g in prim]
-                if any(vals):
-                    picked = (b, vals)
-                    break
-            if picked is None:
-                continue
-            b, vals = picked
-            if all(v >= 0 for v in vals):
-                E.add(b)
-            elif all(v <= 0 for v in vals):
-                E.add(primitive(vneg(b)))
+    m, pivots, _ = _echelon(prim)
+    L = _kernel(m, pivots, rank)
+    if not pivots:
+        return [], L
+    if not L:
+        return sorted(_facet_normals(prim, rank)), L
+    E = []
+    proj = [tuple(g[c] for c in pivots) for g in prim]
+    for u in _facet_normals(proj, len(pivots)):
+        vals = [dot(u, p) for p in proj]
+        incident = [g for g, x in zip(prim, vals) if not x]
+        outside = prim[next(i for i, x in enumerate(vals) if x)]
+        # b vanishes on the facet, so on span(gens) it is a multiple of u
+        for b in nullspace(incident, rank):
+            x = dot(outside, b)
+            if x:
+                E.append(b if x > 0 else vneg(b))
+                break
     return sorted(E), L
 
 
@@ -580,40 +679,32 @@ def _normalize_rows(rank, inequalities, equalities):
     return clean, empty
 
 
-def recession_direction(rank, inequalities=(), equalities=()):
-    """A lineality vector or extremal ray of the recession cone of
-    {x : <u,x> >= b, <v,x> == c}, or None when that cone is {0}: the region
-    is bounded.  One dual, of the cone spanned by the normals."""
-    rows, _ = _normalize_rows(rank, inequalities, equalities)
-    E, L = (dual_description([u for u, _ in rows], rank) if rows
-            else ([], nullspace([], rank)))
-    return L[0] if L else E[0] if E else None
+def region_shape(rank, inequalities=(), equalities=()):
+    """(direction, box) of the region {x : <u,x> >= b, <v,x> == c}, read off
+    one dual, of its homogenization {(x, t) : <u, x> >= b t, t >= 0}.
 
-
-def _homogenization_dual(rank, rows):
-    """Dual description of {(x, t) : <u, x> >= b t, t >= 0}, the
-    homogenization of {x : rows}."""
+      * direction: a lineality vector or extremal ray of the recession cone
+        {x : <u,x> >= 0, <v,x> == 0}, or None when that cone is {0}: the
+        region is bounded.  The recession cone is the face t = 0 of the
+        homogenization, spanned by its lineality and its extremal rays with
+        t = 0.
+      * box: None when the region is empty, which is when no extremal ray
+        has t > 0.  Otherwise the integer coordinate ranges of those rays
+        read at t = 1; when direction is None they are the region's
+        vertices and this is its bounding box.
+    """
+    rows, empty = _normalize_rows(rank, inequalities, equalities)
     hrows = [u + (-b,) for u, b in rows]
     hrows.append((0,) * rank + (1,))
-    return dual_description(hrows, rank + 1)
-
-
-def _bounding_box(HE):
-    """Integer coordinate ranges of a bounded region from the extremal rays
-    HE of its homogenization (its lifted vertices); None if it is empty."""
-    if not HE:
-        return None
-    vertices = [[Fraction(x, g[-1]) for x in g[:-1]] for g in HE]
-    return [(math.ceil(min(c)), math.floor(max(c))) for c in zip(*vertices)]
-
-
-def region_box(rank, inequalities=(), equalities=()):
-    """Integer bounding box of a region that `recession_direction` finds
-    bounded, or None if it is empty.  One dual, of the homogenization."""
-    rows, empty = _normalize_rows(rank, inequalities, equalities)
-    if empty:
-        return None
-    return _bounding_box(_homogenization_dual(rank, rows)[0])
+    if empty:  # a row 0 >= b > 0 leaves only t = 0
+        hrows.append((0,) * rank + (-1,))
+    HE, HL = dual_description(hrows, rank + 1)
+    direction = next((g[:-1] for g in HL + HE if not g[-1]), None)
+    vertices = [[Fraction(x, g[-1]) for x in g[:-1]] for g in HE if g[-1]]
+    if not vertices:
+        return direction, None
+    return direction, [(math.ceil(min(c)), math.floor(max(c)))
+                       for c in zip(*vertices)]
 
 
 def _scan(box, rows):
@@ -635,11 +726,11 @@ def lattice_points(rank, inequalities=(), equalities=(), box=None):
     if empty:
         return []
     if box is None:
-        if recession_direction(rank, rows) is not None:
+        direction, box = region_shape(rank, rows)
+        if direction is not None:
             raise UnboundedRegion(
                 "the region is unbounded; pass an explicit box"
             )
-        box = region_box(rank, rows)
         if box is None:
             return []
     else:
@@ -664,14 +755,11 @@ def integer_feasible(rank, inequalities=(), equalities=()):
         return False
     if rank == 0 or not rows:
         return True
-    # rational feasibility: a generator of the homogenization has t > 0
-    # (its lineality lies in t = 0)
-    HE, _ = _homogenization_dual(rank, rows)
-    if not any(g[-1] for g in HE):
-        return False
-    c = recession_direction(rank, rows)
+    c, box = region_shape(rank, rows)
+    if box is None:
+        return False  # not even a rational point
     if c is None:
-        return next(_scan(_bounding_box(HE), rows), None) is not None
+        return next(_scan(box, rows), None) is not None
     M = unimodular_with_last_column(c)
     cols = list(zip(*M))
     new_rows = []

@@ -43,6 +43,12 @@ from .roots import (
 
 def verify_root(fan, e):
     """Return the distinguished ray index of e; raise NotARoot otherwise."""
+    return _verified(fan, e)[0]
+
+
+def _verified(fan, e):
+    """(distinguished ray index, pairings with the rays) of a root e; raise
+    NotARoot when e is not one."""
     e = tuple(int(x) for x in e)
     if len(e) != fan.rank:
         raise NotARoot(f"character of length {len(e)} in rank {fan.rank}")
@@ -59,7 +65,7 @@ def verify_root(fan, e):
             f"{e} vanishes on cone {sorted(witness)} but its extension by "
             f"ray {i} is not in the fan"
         )
-    return i
+    return i, vals
 
 
 @dataclass(frozen=True)
@@ -70,12 +76,12 @@ class HeConnectedPair:
     cone2: tuple
 
 
-def _pairs_of_root(fan, e, i):
-    """Orbit-gluing pairs of a verified root e with distinguished ray i."""
+def _pairs_of_root(fan, i, vals):
+    """Orbit-gluing pairs of a verified root with distinguished ray i and
+    pairings `vals` with the rays."""
     # condition (2) makes key | {i} a fan cone
     out = [HeConnectedPair(tuple(sorted(key)), tuple(sorted(key | {i})))
-           for key in cones_inside(
-               fan, zero_pattern(root_pairings(fan.rays, e)[0], i))]
+           for key in cones_inside(fan, zero_pattern(vals, i))]
     out.sort(key=lambda p: (len(p.cone1), p.cone1))
     return out
 
@@ -86,7 +92,7 @@ def he_connected_pairs(fan, e):
     One pair per fan cone sigma on which e vanishes identically; raises
     NotARoot when e is not a root of the fan.
     """
-    return _pairs_of_root(fan, e, verify_root(fan, e))
+    return _pairs_of_root(fan, *_verified(fan, e))
 
 
 @dataclass(frozen=True)
@@ -144,8 +150,8 @@ def _stabilizer_core(fan, e, key, contains_ga):
 
 def g_orbit_partition(fan, e):
     """The full G-orbit partition of the torus orbits for a verified root."""
-    i = verify_root(fan, e)
-    pairs = _pairs_of_root(fan, e, i)
+    i, vals = _verified(fan, e)
+    pairs = _pairs_of_root(fan, i, vals)
     paired = {frozenset(c) for p in pairs for c in (p.cone1, p.cone2)}
 
     orbits = []

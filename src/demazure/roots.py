@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NegativeBound, NoRays, UnboundedRoots
-from .lattice import dot, lattice_points, recession_direction, region_box
+from .lattice import dot, lattice_points, region_shape
 
 
 @dataclass(frozen=True, order=True)
@@ -139,14 +139,14 @@ def roots_of_fan(fan, bound=None):
         raise NegativeBound(int(bound))
     n = fan.rank
     systems = [_root_system(fan.rays, i) for i in range(l)]
-    unbounded = [i for i in range(l)
-                 if recession_direction(n, *systems[i]) is not None]
+    shapes = [region_shape(n, *system) for system in systems]
+    unbounded = [i for i, (c, _) in enumerate(shapes) if c is not None]
     if unbounded and bound is None:
         raise UnboundedRoots(unbounded[0])
     roots = []
-    for i, system in enumerate(systems):
-        box = ([(-int(bound), int(bound))] * n if unbounded
-               else region_box(n, *system))
+    for i, (system, (_, box)) in enumerate(zip(systems, shapes)):
+        if unbounded:
+            box = [(-int(bound), int(bound))] * n
         if box is None:
             continue
         for e in lattice_points(n, *system, box=box):

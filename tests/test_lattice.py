@@ -14,6 +14,7 @@ from math import gcd
 
 import pytest
 
+from demazure import lattice
 from demazure.errors import (
     NotStronglyConvex,
     RankMismatch,
@@ -33,11 +34,13 @@ from demazure.lattice import (
     mat_rank,
     nullspace,
     primitive,
-    region_box,
+    region_shape,
     smith_normal_form,
     unimodular_with_last_column,
     vneg,
 )
+
+from test_fan import random_unimodular
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +361,34 @@ def test_lattice_points_equalities():
 
 def test_region_box_is_the_integer_range_of_the_vertices():
     # 1/2 <= x <= 5/2
-    assert region_box(1, [((2,), 1), ((-2,), -5)]) == [(1, 2)]
+    assert region_shape(1, [((2,), 1), ((-2,), -5)]) == (None, [(1, 2)])
     # the vertex x = 1/2 alone: an empty range, so nothing to scan
-    assert region_box(1, [((2,), 1), ((-2,), -1)]) == [(1, 0)]
+    assert region_shape(1, [((2,), 1), ((-2,), -1)]) == (None, [(1, 0)])
     assert lattice_points(1, [((2,), 1), ((-2,), -1)]) == []
     assert not integer_feasible(1, [((2,), 1), ((-2,), -1)])
     # the triangle x, y >= 0, 2x + 2y <= 3
     triangle = [((1, 0), 0), ((0, 1), 0), ((-2, -2), -3)]
-    assert region_box(2, triangle) == [(0, 1), (0, 1)]
-    assert region_box(1, [((1,), 1), ((-1,), 0)]) is None  # empty
+    assert region_shape(2, triangle) == (None, [(0, 1), (0, 1)])
+    assert region_shape(1, [((1,), 1), ((-1,), 0)]) == (None, None)  # empty
+
+
+def test_region_shape_reads_the_recession_cone_off_the_homogenization():
+    # a lineality direction: the strip 0 <= x <= 1 in the plane
+    direction, box = region_shape(2, [((1, 0), 0), ((-1, 0), -1)])
+    assert direction in {(0, 1), (0, -1)} and box is not None
+    # an extremal ray: the quadrant shifted to (1, 2)
+    direction, box = region_shape(2, [((1, 0), 1), ((0, 1), 2)])
+    assert direction in {(1, 0), (0, 1)} and box == [(1, 1), (2, 2)]
+    # empty but unbounded: x >= 1 and x <= 0 along a free y
+    assert region_shape(2, [((1, 0), 1), ((-1, 0), 0)]) == ((0, 1), None)
+    # empty and bounded, and a contradiction 0 >= 1
+    assert region_shape(1, [((1,), 1), ((-1,), 0)]) == (None, None)
+    assert region_shape(1, [((0,), 1), ((1,), 0)]) == ((1,), None)
+    assert region_shape(1, [((0,), 1), ((1,), 0), ((-1,), 0)]) == (None, None)
+    # no rows: all of Q^n, and the point of Q^0
+    direction, box = region_shape(2, [])
+    assert direction == (1, 0) and box is not None
+    assert region_shape(0, []) == (None, [])
 
 
 def test_lattice_points_box_agrees_with_brute_force():
@@ -600,3 +622,146 @@ def test_rays_match_double_dual_random():
         pointed += 1
         assert c.rays() == expected
     assert pointed > 150
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the exterior-product walk against the subset
+# enumeration it replaced
+
+
+def subset_dual_description(gens, rank):
+    """The former dual_description: one elimination per (r-1)-subset of
+    the generators, r their rank.  A subset of rank r - 1 has the extreme
+    rays of the dual (mod lineality) that it annihilates in its nullspace;
+    the first basis vector pairing nonzero with the generators is kept
+    when its pairings have one sign."""
+    prim = []
+    seen = set()
+    for g in gens:
+        p = primitive(g)
+        if p not in seen:
+            seen.add(p)
+            prim.append(p)
+    L = nullspace(prim, rank)
+    r = rank - len(L)
+    E = set()
+    if r >= 1:
+        for sub in itertools.combinations(prim, r - 1):
+            ns = nullspace(sub, rank)
+            if len(ns) != rank - r + 1:
+                continue  # rank deficient: its normals show up elsewhere
+            picked = None
+            for b in ns:
+                vals = [dot(g, b) for g in prim]
+                if any(vals):
+                    picked = (b, vals)
+                    break
+            if picked is None:
+                continue
+            b, vals = picked
+            if all(v >= 0 for v in vals):
+                E.add(b)
+            elif all(v <= 0 for v in vals):
+                E.add(primitive(vneg(b)))
+    return sorted(E), L
+
+
+# the cone over the cube [-1, 1]^3: six facets of four generators each
+CUBE_CONE = [(a, b, c, 1) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)]
+
+
+def p6_pair_checks(rng):
+    """The input of the fan pair check on P^6: the dual generators of two
+    maximal cones (12 generators spanning Q^6), in a random basis."""
+    rays = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+    rays.append((-1,) * 6)
+    M = random_unimodular(rng, 6)
+    rays = [tuple(dot(row, r) for row in M) for r in rays]
+    for a, b in itertools.combinations(range(7), 2):
+        gens = []
+        for missing in (a, b):
+            cone = Cone(6, [r for k, r in enumerate(rays) if k != missing])
+            gens += cone.dual_generators()
+        yield gens, 6
+
+
+def named_dual_inputs(rng):
+    for rank in range(4):
+        yield [], rank
+    yield [(1, 2), (-1, -2)], 2
+    yield [(0, 0, 1), (0, 0, -1), (1, 1, 0)], 3
+    yield CUBE_CONE, 4
+    yield [(Fraction(a, 2), b, c, d) for a, b, c, d in CUBE_CONE], 4
+    # the cube cone times a line, and the octahedron cone dual to it
+    yield [g + (0,) for g in CUBE_CONE] + [(0,) * 4 + (1,),
+                                           (0,) * 4 + (-1,)], 5
+    yield [tuple(s * int(i == j) for j in range(3)) + (1,)
+           for i in range(3) for s in (1, -1)], 4
+    yield from itertools.islice(p6_pair_checks(rng), 4)
+
+
+def random_dual_input(rng):
+    """Generators of rank 1-6: random, or in a random subspace, with
+    duplicates, negatives, rational multiples and zero vectors mixed in."""
+    rank = rng.randint(1, 6)
+    count = rng.randint(0, min(rank + 3, 9))
+    if rng.random() < 0.3:
+        dim = rng.randint(1, rank)
+        basis = [[rng.randint(-2, 2) for _ in range(rank)]
+                 for _ in range(dim)]
+        gens = [tuple(sum(rng.randint(-2, 2) * b[j] for b in basis)
+                      for j in range(rank)) for _ in range(count)]
+    else:
+        gens = [tuple(rng.randint(-3, 3) for _ in range(rank))
+                for _ in range(count)]
+    gens = [g for g in gens if any(g)]
+    if gens and rng.random() < 0.3:
+        gens.append(vneg(rng.choice(gens)))
+    if gens and rng.random() < 0.3:
+        gens.append(tuple(rng.randint(1, 3) * x for x in rng.choice(gens)))
+    if gens and rng.random() < 0.2:
+        d = rng.randint(2, 5)
+        gens = [tuple(Fraction(x, d) for x in g) for g in gens]
+    if rng.random() < 0.05:
+        gens.insert(rng.randint(0, len(gens)), (0,) * rank)
+    rng.shuffle(gens)
+    return gens, rank
+
+
+def test_dual_description_matches_subset_enumeration():
+    rng = random.Random(88211)
+    cases = list(named_dual_inputs(rng))
+    cases += [random_dual_input(rng) for _ in range(1000)]
+    zero = lineal = 0
+    for gens, rank in cases:
+        try:
+            expected = subset_dual_description(gens, rank)
+        except ZeroVector:
+            with pytest.raises(ZeroVector):
+                dual_description(gens, rank)
+            zero += 1
+            continue
+        assert dual_description(gens, rank) == expected, (gens, rank)
+        lineal += bool(expected[1])
+    assert zero > 20 and lineal > 250
+
+
+def test_dual_description_eliminates_once(monkeypatch):
+    """One integer elimination, the lineality check, on a full-dimensional
+    cone: no subset of generators is eliminated on its own."""
+    calls = []
+    original = lattice._echelon
+
+    def counted(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(lattice, "_echelon", counted)
+    for gens, rank in [(CUBE_CONE, 4),
+                       next(p6_pair_checks(random.Random(5)))]:
+        calls.clear()
+        E, L = dual_description(gens, rank)
+        assert not L and len(calls) == 1
+        calls.clear()
+        assert subset_dual_description(gens, rank) == (E, L)
+        assert len(calls) > 1  # the count sees per-subset eliminations
