@@ -133,6 +133,25 @@ CASES += [
     ["ah", "lnd", "@div_halfpoint", "--root", "1"],
     ["ah", "lnd", "@div_violation_ii", "--root", "0"],
 ]
+# long flows with rational coefficients, a horizontal product, and an error
+# message that needs ASCII escapes
+CASES += [
+    ["lnd", "@a2", "--root=-1,2", "--element",
+     '{"product":[{"terms":[{"key":[31,0],"coeff":[3,7]},'
+     '{"key":[29,2],"coeff":[-5,4]},{"key":[2,5],"coeff":6}]},'
+     '{"terms":[{"key":[28,1],"coeff":[2,9]},{"key":[30,0],"coeff":[-1,6]},'
+     '{"key":[0,3],"coeff":-1}]}]}',
+     "--time=-7/3"],
+    ["lnd", "@div_relabel", "--root", "1", "--element",
+     '{"product":[{"terms":[{"key":[[3],0],"coeff":[1,2]},'
+     '{"key":[[2],1],"coeff":-3}]},'
+     '{"terms":[{"key":[[4],-1],"coeff":[5,3]},{"key":[[1],0],"coeff":2}]}]}',
+     "--time", "3/4"],
+    ["lnd", "@a2", "--root=-1,2", "--element",
+     '{"terms":[{"key":[40,0],"coeff":[5,3]},{"key":[38,1],"coeff":-2}]}',
+     "--symbolic"],
+    ["lnd", "@a2", "--root=-1,2", "--element", E1, "--time", 'é"'],
+]
 
 
 def _case_id(argv):
