@@ -74,6 +74,7 @@ from .orbits import (  # noqa: F401
 )
 from .algebra import (  # noqa: F401
     CurveCarrier,
+    Flow,
     HomogeneousLND,
     SemigroupElement,
     SymbolicElement,

@@ -36,6 +36,7 @@ arithmetic on elements of one carrier are built without a second check.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     CurveMismatch,
@@ -270,12 +271,19 @@ class SemigroupElement:
         if not isinstance(other, SemigroupElement):
             return self.__rmul__(other)
         _check_key_shapes(self.carrier, other.carrier)
-        data = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = self.carrier.add_keys(k1, k2)
-                data[k] = data.get(k, Fraction(0)) + c1 * c2
-        return _computed(self.carrier, other.carrier, data)
+        # each factor as integer numerators over one common denominator:
+        # one int product per pair of terms, one Fraction per weight
+        d1, left = _integer_numerators(self.terms)
+        d2, right = _integer_numerators(other.terms)
+        add_keys = self.carrier.add_keys
+        sums = {}
+        for k1, n1 in left:
+            for k2, n2 in right:
+                k = add_keys(k1, k2)
+                sums[k] = sums.get(k, 0) + n1 * n2
+        d = d1 * d2
+        return _computed(self.carrier, other.carrier,
+                         {k: Fraction(n, d) for k, n in sums.items() if n})
 
     def __pow__(self, n):
         if n < 1:
@@ -296,6 +304,14 @@ class SemigroupElement:
 
     def __repr__(self):
         return f"SemigroupElement({dict(sorted(self.terms.items()))!r})"
+
+
+def _integer_numerators(terms):
+    """(d, [(key, n), ...]) with d the lcm of the denominators of the
+    coefficients and each coefficient equal to n / d, in term order."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return d, [(k, c.numerator * (d // c.denominator))
+               for k, c in terms.items()]
 
 
 def _check_key_shapes(a, b):
@@ -463,37 +479,85 @@ def _orbits(lnd, element):
     return orbits
 
 
+class Flow:
+    """The flow exp(s D) of one element, read off one walk of its orbits.
+
+    The walk (``_orbits``) raises where stepping the derivation would, so
+    each reading carries the checks of every step: the derivative is the
+    sum of q c chi^(m+e) over the terms with q >= 1, the nilpotency index
+    is max(q + 1), and both flows use the closed form.
+    """
+
+    __slots__ = ("lnd", "element", "orbits")
+
+    def __init__(self, lnd, element):
+        self.lnd = lnd
+        self.element = element
+        self.orbits = _orbits(lnd, element)
+
+    def derivative(self):
+        """D applied once, as ``derive`` gives it when the walk passes."""
+        # the shift is injective, so no two terms meet at one weight
+        return SemigroupElement._trusted(
+            self.lnd.carrier,
+            {keys[1]: q * c for c, q, keys in self.orbits if q},
+        )
+
+    def nilpotency_index(self):
+        """max(q + 1) over the multipliers q of the terms, 0 for zero."""
+        return max((q + 1 for _, q, _ in self.orbits), default=0)
+
+    def at(self, s):
+        """The image at the rational time ``s``.
+
+        Each term c chi^m with multiplier q contributes c C(q, k) s^k
+        chi^(m + k e) for k = 0..q.
+        """
+        carrier, source = self.lnd.carrier, self.element.carrier
+        if not s:
+            return _computed(carrier, source, self.element.terms)
+        acc = {}
+        for c, q, keys in self.orbits:
+            binom = 1
+            coeff = c   # c C(q, k) s^k, with C(q, k) kept apart as an int
+            for k, key in enumerate(keys):
+                if k:
+                    binom = binom * (q - k + 1) // k
+                    coeff *= s
+                term = binom * coeff
+                acc[key] = acc[key] + term if key in acc else term
+        return _computed(carrier, source, acc)
+
+    def symbolic(self):
+        """The image with s left symbolic: c C(q, k) at s^k chi^(m + k e).
+
+        Two terms never meet at the same weight and power, since the shift
+        is injective.
+        """
+        terms = {}
+        for c, q, keys in self.orbits:
+            binom = 1
+            for k, key in enumerate(keys):
+                if k:
+                    binom = binom * (q - k + 1) // k
+                terms.setdefault(key, {})[k] = binom * c
+        return SymbolicElement(self.lnd.carrier, terms)
+
+
 def nilpotency_index(lnd, element):
     """Smallest k with the k-th derivative of ``element`` equal to zero.
 
     This is max(q + 1) over the multipliers q of the terms, and 0 for the
     zero element; there is no bound on q.
     """
-    return max((q + 1 for _, q, _ in _orbits(lnd, element)), default=0)
+    return Flow(lnd, element).nilpotency_index()
 
 
 def exp_action(lnd, element, s):
-    """Image of ``element`` under the flow exp(s * lnd) at time s.
-
-    Each term c chi^m with multiplier q contributes c C(q, k) s^k
-    chi^(m + k e) for k = 0..q; the checks are those of the derivation's
-    steps, even at s = 0.
-    """
+    """Image of ``element`` under the flow exp(s * lnd) at time s; the
+    checks are those of the derivation's steps, even at s = 0."""
     s = Fraction(s)
-    orbits = _orbits(lnd, element)
-    if not s:
-        return _computed(lnd.carrier, element.carrier, element.terms)
-    acc = {}
-    for c, q, keys in orbits:
-        binom = 1
-        coeff = c       # c C(q, k) s^k, with C(q, k) kept apart as an int
-        for k, key in enumerate(keys):
-            if k:
-                binom = binom * (q - k + 1) // k
-                coeff *= s
-            term = binom * coeff
-            acc[key] = acc[key] + term if key in acc else term
-    return _computed(lnd.carrier, element.carrier, acc)
+    return Flow(lnd, element).at(s)
 
 
 class SymbolicElement:
@@ -538,17 +602,5 @@ class SymbolicElement:
 
 
 def exp_symbolic(lnd, element):
-    """The flow exp(s * lnd) applied to ``element`` with s left symbolic.
-
-    The coefficient of s^k at m + k e is c C(q, k), one pass per term.
-    Two terms never meet at the same weight and power, since the shift is
-    injective.
-    """
-    terms = {}
-    for c, q, keys in _orbits(lnd, element):
-        binom = 1
-        for k, key in enumerate(keys):
-            if k:
-                binom = binom * (q - k + 1) // k
-            terms.setdefault(key, {})[k] = binom * c
-    return SymbolicElement(lnd.carrier, terms)
+    """The flow exp(s * lnd) applied to ``element`` with s left symbolic."""
+    return Flow(lnd, element).symbolic()

@@ -25,14 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import serialize
-from .algebra import (
-    CurveCarrier,
-    derive,
-    exp_action,
-    exp_symbolic,
-    nilpotency_index,
-    toric_lnd,
-)
+from .algebra import CurveCarrier, Flow, exp_action, toric_lnd
 from .divisors import (
     INF,
     ColoredDivisor,
@@ -385,18 +378,21 @@ def _cmd_lnd(args):
     else:
         element = serialize.element_from_json(lnd.carrier, spec)
 
+    # one walk of the orbits: an escape or a negative multiplier is
+    # reported before the time is read
+    flow = Flow(lnd, element)
     result = {
         "algebra": algebra,
         "root": list(e),
         "element": serialize.element_to_json(element),
-        "derivative": serialize.element_to_json(derive(lnd, element)),
-        "nilpotency_index": nilpotency_index(lnd, element),
+        "derivative": serialize.element_to_json(flow.derivative()),
+        "nilpotency_index": flow.nilpotency_index(),
         "homomorphism": None,
     }
     if args.symbolic:
         result["mode"] = "symbolic"
         result["time"] = None
-        result["exp"] = serialize.symbolic_to_json(exp_symbolic(lnd, element))
+        result["exp"] = serialize.symbolic_to_json(flow.symbolic())
     else:
         try:
             s = Fraction(args.time)
@@ -406,7 +402,7 @@ def _cmd_lnd(args):
             ) from None
         result["mode"] = "numeric"
         result["time"] = serialize.encode_rational(s)
-        lhs = exp_action(lnd, element, s)
+        lhs = flow.at(s)
         result["exp"] = serialize.element_to_json(lhs)
         if factors is not None:
             rhs = exp_action(lnd, factors[0], s)

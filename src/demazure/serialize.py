@@ -23,6 +23,7 @@ import hashlib
 import itertools
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import CurveCarrier
 from .divisors import INF, ColoredDivisor, PolyhedralDivisor, point_order
@@ -39,8 +40,10 @@ SCHEMA_VERSION = 1
 
 def encode_rational(x):
     """A number as a [numerator, denominator] pair, denominator > 0."""
-    f = Fraction(x)
-    return [f.numerator, f.denominator]
+    kind = type(x)
+    if kind is not Fraction and kind is not int:
+        x = Fraction(x)
+    return [x.numerator, x.denominator]
 
 
 def decode_rational(value, where="number"):
@@ -362,7 +365,64 @@ def error_report(command, digest, kind, message):
 
 
 def render(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, written directly.
+
+    With ``indent`` set, CPython's json runs its pure-Python encoder; this
+    writer gives the same bytes (two-space indent, sorted keys, ASCII
+    escapes, a trailing newline) in one recursive pass.
+    """
+    out = []
+    _write(obj, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, nl, emit):
+    """Emit ``obj`` as json.dumps would at the depth whose newline and
+    indentation are ``nl``."""
+    kind = type(obj)
+    if kind is str:
+        emit(_quote(obj))
+    elif kind is int:
+        emit(int.__repr__(obj))
+    elif obj is None:
+        emit("null")
+    elif obj is True:
+        emit("true")
+    elif obj is False:
+        emit("false")
+    elif isinstance(obj, dict):
+        if not obj:
+            emit("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            # json's own conversion of a key that is not a string, TypeError
+            # included: '{"1": 0}' -> '"1"'
+            emit(sep + (_quote(key) if isinstance(key, str)
+                        else json.dumps({key: 0})[1:-4]) + ": ")
+            _write(value, inner, emit)
+            sep = "," + inner
+        emit(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            emit("[]")
+            return
+        inner = nl + "  "
+        if all(type(x) is int for x in obj):
+            emit("[" + inner + ("," + inner).join(map(int.__repr__, obj))
+                 + nl + "]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            emit(sep)
+            _write(value, inner, emit)
+            sep = "," + inner
+        emit(nl + "]")
+    else:
+        # floats, subclasses of str and int, and anything json rejects
+        emit(json.dumps(obj))
 
 
 def dot_graph(fan, pairs):

@@ -9,6 +9,7 @@ import pytest
 
 from demazure.algebra import (
     CurveCarrier,
+    Flow,
     HomogeneousLND,
     SemigroupElement,
     ToricCarrier,
@@ -329,6 +330,17 @@ def test_index_matches_multiplier():
             assert nilpotency_index(lnd, x) == expected
 
 
+def test_flow_derivative_matches_derive():
+    # the lnd command reads the derivative off its one orbit walk; derive
+    # steps once on its own, and the two agree term for term, in order
+    rng = random.Random(2610)
+    for carrier, lnd, sample in _random_fixtures():
+        for _ in range(60):
+            x = _random_element(carrier, sample, rng)
+            assert list(Flow(lnd, x).derivative().terms.items()) == list(
+                derive(lnd, x).terms.items())
+
+
 def test_index_of_zero():
     c = quadrant_carrier()
     lnd = HomogeneousLND.toric(c, (1, 0), (-1, 1))
@@ -376,3 +388,78 @@ def test_fixed_points_match_orbit_flags():
         if k == 0:
             assert all(not o.ga_fixed for o in part.orbits)
             assert part.orbit_count == 2
+
+
+# -- products against the former Fraction double loop ------------------------
+
+
+def fraction_product(x, y):
+    """The former product, as (key, coefficient) pairs in insertion order:
+    one Fraction product and one Fraction sum per pair of terms."""
+    data = {}
+    for k1, c1 in x.terms.items():
+        for k2, c2 in y.terms.items():
+            k = x.carrier.add_keys(k1, k2)
+            data[k] = data.get(k, Fraction(0)) + c1 * c2
+    return [(k, c) for k, c in data.items() if c]
+
+
+def _assert_product(x, y):
+    product = x * y
+    # the order of the terms decides which escape a flow reports first
+    assert list(product.terms.items()) == fraction_product(x, y)
+    assert all(type(c) is Fraction for c in product.terms.values())
+
+
+def _random_coefficient(rng):
+    if rng.random() < 0.4:
+        return Fraction(rng.randint(-9, 9) or 1)
+    den = rng.choice([2, 3, 7, 9, 10, 12, 35, 10 ** 12 + 39])
+    return Fraction(rng.randint(-50, 50) or 1, den)
+
+
+def test_product_matches_fraction_loop():
+    rng = random.Random(1018)
+    for carrier, _, sample in _random_fixtures():
+        for _ in range(80):
+            x, y = (
+                SemigroupElement(carrier, [
+                    (sample(rng), _random_coefficient(rng))
+                    for _ in range(rng.randint(0, 6))])
+                for _ in range(2))
+            _assert_product(x, y)
+            # (x + y)(x - y): the cross terms cancel to zero
+            _assert_product(x + y, x - y)
+            assert (x + y) * (x - y) == x * x - y * y
+
+
+def test_product_of_long_flow_images():
+    rng = random.Random(61)
+    quad = quadrant_carrier()
+    lnd = HomogeneousLND.toric(quad, (1, 0), (-1, 2))
+    a1 = a1_carrier()
+    hor = HomogeneousLND.horizontal(a1, (Fraction(1, 2),), 2, (1,), -1)
+    for carrier, d, keys in [(quad, lnd, [(60, 0), (45, 3), (1, 7)]),
+                             (a1, hor, [((40,), 10), ((2,), 3)])]:
+        for _ in range(4):
+            s = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            x = exp_action(d, SemigroupElement(
+                carrier, [(k, _random_coefficient(rng)) for k in keys]), s)
+            y = exp_action(d, monomial(carrier, keys[0]), -s)
+            assert len(y.terms) in (1, 61)
+            _assert_product(x, y)
+            _assert_product(y, y)
+
+
+def test_product_edge_cases():
+    c = quadrant_carrier()
+    zero = SemigroupElement(c, {})
+    x = SemigroupElement(c, {(1, 0): Fraction(2, 3), (0, 1): 5})
+    _assert_product(zero, x)
+    _assert_product(x, zero)
+    # (a + b)(b - a): the two terms at a + b cancel
+    y = SemigroupElement(c, {(1, 0): 1, (0, 1): 1})
+    z = SemigroupElement(c, {(0, 1): 1, (1, 0): -1})
+    _assert_product(y, z)
+    assert list((y * z).terms.items()) == [((2, 0), -1), ((0, 2), 1)]
+    assert (x * 3).terms == {k: 3 * v for k, v in x.terms.items()}

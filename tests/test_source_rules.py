@@ -79,3 +79,20 @@ def test_no_permutation_loops():
             if "permutations" in names:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"itertools.permutations in the library: {found}"
+
+
+def test_render_is_the_one_report_writer():
+    # serialize.render writes every report; a json.dump(s) with an indent
+    # would be a second writer beside it, running CPython's pure-Python
+    # encoder
+    assert {p.name for p in SOURCES} >= {"serialize.py", "cli.py"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None))
+        in ("dump", "dumps")
+        and any(kw.arg == "indent" for kw in node.keywords)
+    ]
+    assert not found, f"indented json.dump(s) in the library: {found}"
