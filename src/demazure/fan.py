@@ -34,7 +34,6 @@ from .lattice import (
     Cone,
     dual_description,
     invariant_factors,
-    mat_rank,
     primitive,
 )
 
@@ -79,11 +78,9 @@ class Fan:
             if frozenset({i}) not in supplied:
                 self.generating.append(frozenset({i}))
                 self._geom[frozenset({i})] = Cone(rank, [r])
-        dims = {frozenset(): 0}  # every face of a generating cone
+        dims = {frozenset(): 0}  # every face of a generating cone: its dim
         for g in self.generating:
-            for fs in self.face_sets(g):
-                if fs not in dims:
-                    dims[fs] = mat_rank([rays[i] for i in fs])
+            dims.update(self.face_sets(g))
         order = sorted(dims.items(),
                        key=lambda kv: (kv[1], tuple(sorted(kv[0]))))
         # dict: frozenset(indices) -> ConeRef, canonical order
@@ -121,14 +118,15 @@ class Fan:
         return self._geom[key]
 
     def face_sets(self, cone):
-        """Faces of a fan cone as frozensets of fan ray indices."""
+        """Faces of a fan cone as frozensets of fan ray indices, mapped to
+        their dimensions."""
         key = _as_key(cone)
         if key not in self._face_sets:
             geom = self.cone_geometry(key)
-            local = geom.rays()
+            local = [self._ray_index[r] for r in geom.rays()]
             self._face_sets[key] = {
-                frozenset(self._ray_index[local[j]] for j in fs)
-                for fs in geom.face_ray_sets()
+                frozenset(local[j] for j in fs): d
+                for fs, d in geom.face_table().items()
             }
         return self._face_sets[key]
 
@@ -270,11 +268,9 @@ def is_complete(fan):
     top = [k for k in keys if fan.cones[k].dim == n]
     walls = [k for k in keys if fan.cones[k].dim == n - 1]
     for w in walls:
-        count = 0
-        for c in top:
-            if w < c and w in fan.face_sets(c):
-                count += 1
-        if count != 2:
+        # in a valid fan a cone whose rays all lie in c's is
+        # cone(w) ∩ cone(c), so it is a face of c
+        if sum(w < c for c in top) != 2:
             return False
     return True
 

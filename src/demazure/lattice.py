@@ -12,10 +12,9 @@ dependent prefix is dropped with all its extensions; a cone with lineality
 is walked in the pivot coordinates of its span and each facet is lifted
 modulo the lineality.  This is exact, needs one elimination for a
 full-dimensional cone, and suits the small ranks (<= 6 or so) this package
-targets.  A cone computes one dual and reads everything else off it: its
-extremal rays are the generators whose annihilating dual generators span a
-hyperplane, and its faces are the intersections of the ray sets of its
-facets.
+targets.  A cone computes one dual and reads its dimension, pointedness,
+extremal rays and faces off the incidences of its generators with its
+facets, the extremal dual rays (Ziegler, Lectures on Polytopes, 2.2).
 
 A region {x : <u, x> >= b} of lattice points is analysed by one dual, of
 its homogenization {(x, t) : <u, x> >= b t, t >= 0} (`region_shape`): the
@@ -78,18 +77,23 @@ def primitive(v):
     >>> primitive((Fraction(-3, 2), Fraction(9, 4)))
     (-2, 3)
     """
-    if all(type(x) is int for x in v):
-        ints = v
-    else:
-        fr = [Fraction(x) for x in v]
-        den = lcm(*(x.denominator for x in fr))
-        ints = [int(x * den) for x in fr]
+    ints = _integral(v)[0]
     g = gcd(*ints)
     if g == 1:
         return tuple(ints)
     if not g:
         raise ZeroVector("the zero vector spans no ray")
     return tuple(x // g for x in ints)
+
+
+def _integral(v):
+    """(w, d): the rational vector v times d, the lcm of its denominators,
+    so that w is an integer vector on the same ray."""
+    if all(type(x) is int for x in v):
+        return v, 1
+    fr = [Fraction(x) for x in v]
+    d = lcm(*(x.denominator for x in fr))
+    return [int(x * d) for x in fr], d
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +115,9 @@ def _echelon(rows):
     m = []
     num = den = 1
     for row in rows:
-        if all(type(x) is int for x in row):
-            m.append(list(row))
-        else:
-            fr = [Fraction(x) for x in row]
-            d = lcm(*(x.denominator for x in fr))
-            m.append([int(x * d) for x in fr])
-            num *= d
+        ints, d = _integral(row)
+        m.append(list(ints))
+        num *= d
     pivots = []
     if not m:
         return m, pivots, (1, 1)
@@ -152,8 +152,13 @@ def _echelon(rows):
     return m, pivots, (num, den)
 
 
+def pivot_columns(rows):
+    """The first independent columns of rows, chosen greedily."""
+    return _echelon(rows)[1]
+
+
 def mat_rank(rows):
-    return len(_echelon(rows)[1])
+    return len(pivot_columns(rows))
 
 
 def nullspace(rows, n):
@@ -461,9 +466,9 @@ def dual_description(gens, rank):
     generators: that basis depends only on the facet's span, so it is the
     vector every (r-1)-subset spanning the facet would give.
 
-    This is the only dual a Cone computes: `Cone.rays()` reads the
-    extremal rays of a pointed cone off this description of its dual
-    instead of dualizing twice.
+    This is the only dual a Cone computes: the incidences of the
+    generators with the extremal rays give its dimension, pointedness,
+    extremal rays and faces with no further elimination.
     """
     prim = []
     seen = set()
@@ -509,12 +514,12 @@ class Cone:
 
     Generators are normalized to primitive integer vectors, deduplicated and
     sorted; zero generators are dropped, so Cone(n, []) is the origin {0}.
-    Dual description, extremal rays and the face lattice are computed lazily
-    and cached.
+    The dual description is computed lazily, once; all else is read off
+    the incidences of the generators with its facets, and cached.
     """
 
-    __slots__ = ("rank", "gens", "_dual_pair", "_dual", "_rays", "_dim",
-                 "_faces", "_pointed")
+    __slots__ = ("rank", "gens", "_dual_pair", "_dual", "_inc",
+                 "_rays", "_faces")
 
     def __init__(self, rank, generators=()):
         if rank < 0:
@@ -537,10 +542,9 @@ class Cone:
         self.gens = tuple(sorted(out))
         self._dual_pair = None
         self._dual = None
+        self._inc = None
         self._rays = None
-        self._dim = None
         self._faces = None
-        self._pointed = None
 
     def __repr__(self):
         return f"Cone(rank={self.rank}, gens={list(self.gens)})"
@@ -561,17 +565,27 @@ class Cone:
             self._dual = Cone(self.rank, self.dual_generators())
         return self._dual
 
+    def _incidence(self):
+        """dict: generator g -> {k : <E[k], g> = 0}, E the extremal dual
+        rays, which are the facet normals of the cone."""
+        if self._inc is None:
+            E, _ = self.dual_pair()
+            self._inc = {
+                g: frozenset(k for k, u in enumerate(E) if not dot(u, g))
+                for g in self.gens
+            }
+        return self._inc
+
     # -- basic predicates -----------------------------------------------------
 
     def dim(self):
-        if self._dim is None:
-            self._dim = mat_rank(self.gens)
-        return self._dim
+        return self.rank - len(self.dual_pair()[1])
 
     def is_strongly_convex(self):
-        if self._pointed is None:
-            self._pointed = mat_rank(self.dual_generators()) == self.rank
-        return self._pointed
+        # the generators on every facet span the lineality space, the
+        # smallest face (with no facets, the cone is a subspace)
+        every = frozenset(range(len(self.dual_pair()[0])))
+        return every not in self._incidence().values()
 
     def contains(self, v):
         vec = _exact(v)
@@ -598,15 +612,13 @@ class Cone:
                 raise NotStronglyConvex(
                     "extremal rays are only defined for strongly convex cones"
                 )
-            # g spans an extremal ray iff the face g^perp of the dual cone
-            # is a facet, i.e. the dual generators vanishing on g span a
-            # hyperplane; every extremal ray of a pointed cone is spanned
-            # by exactly one (primitive, deduplicated) generator
-            E, L = self.dual_pair()
+            # the smallest face containing g lies on the facets g lies on;
+            # g is extremal iff that face is its ray, i.e. no other
+            # (primitive, deduplicated) generator lies on all those facets
+            inc = self._incidence()
             self._rays = tuple(
-                g for g in self.gens
-                if mat_rank(L + [u for u in E if not dot(u, g)])
-                == self.rank - 1
+                g for g, s in inc.items()
+                if sum(s <= t for t in inc.values()) == 1
             )
         return self._rays
 
@@ -615,33 +627,25 @@ class Cone:
 
         The empty set is the face {0}; the full index set is the cone itself.
         """
-        if self._faces is None:
-            rays = self.rays()
-            E, _ = self.dual_pair()
-            base = [
-                frozenset(i for i, r in enumerate(rays) if dot(r, u) == 0)
-                for u in E
-            ]
-            sets = set(base)
-            sets.add(frozenset(range(len(rays))))
-            changed = True
-            while changed:
-                changed = False
-                for a, b in itertools.combinations(list(sets), 2):
-                    c = a & b
-                    if c not in sets:
-                        sets.add(c)
-                        changed = True
-            self._faces = sets
-        return self._faces
+        return self.face_table().keys()
 
     def face_table(self):
-        """dict: face index set -> dimension of that face."""
-        rays = self.rays()
-        return {
-            fs: mat_rank([rays[i] for i in fs])
-            for fs in self.face_ray_sets()
-        }
+        """dict: face index set -> dimension of that face.  The faces are
+        the intersections of facets, graded by dimension: a face has one
+        more than the largest face strictly inside it, and {0} has 0."""
+        if self._faces is None:
+            rays = self.rays()
+            inc = self._incidence()
+            faces = {frozenset(range(len(rays)))}
+            for k in range(len(self.dual_pair()[0])):
+                facet = frozenset(i for i, r in enumerate(rays) if k in inc[r])
+                faces |= {facet & f for f in faces}
+            table = {}
+            for fs in sorted(faces, key=len):
+                table[fs] = max((d + 1 for f, d in table.items() if f < fs),
+                                default=0)
+            self._faces = table
+        return self._faces
 
     def facet_ray_sets(self):
         d = self.dim()
@@ -653,17 +657,19 @@ class Cone:
 
 
 def _normalize_rows(rank, inequalities, equalities):
-    """Flatten to a single >= row list; detect trivially empty systems.
+    """Flatten to a single >= list of integer rows (each given row times
+    the lcm of its denominators); detect trivially empty systems.
 
     Returns (rows, empty) where rows contains no zero normals.
     """
     rows = []
     for u, b in inequalities:
-        rows.append((tuple(int(x) for x in u), int(b)))
+        *u, b = _integral([*u, b])[0]
+        rows.append((tuple(u), b))
     for u, b in equalities:
-        u = tuple(int(x) for x in u)
-        rows.append((u, int(b)))
-        rows.append((vneg(u), -int(b)))
+        *u, b = _integral([*u, b])[0]
+        rows.append((tuple(u), b))
+        rows.append((vneg(u), -b))
     clean = []
     empty = False
     for u, b in rows:

@@ -16,7 +16,6 @@ to automorphism.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import gcd
 
@@ -27,9 +26,10 @@ from .lattice import (
     identity_matrix,
     integer_feasible,
     mat_inverse,
-    mat_rank,
     mat_vec,
+    pivot_columns,
     smith_normal_form,
+    transpose,
 )
 from .roots import (
     DemazureRoot,
@@ -290,16 +290,13 @@ def _search_automorphisms(fan):
     rays = fan.rays
     l = len(rays)
     n = fan.rank
-    if mat_rank(rays) < n:
+    # the pivots of the rays as columns: the first independent n-subset
+    base = pivot_columns(transpose(rays))
+    if len(base) < n:
         raise UnsupportedFan(
             "rays do not span the ambient space; the automorphism group "
             "is not finite"
         )
-    base = next(
-        idxs
-        for idxs in itertools.combinations(range(l), n)
-        if det([[rays[i][r] for i in idxs] for r in range(n)]) != 0
-    )
     A = [[rays[i][r] for i in base] for r in range(n)]  # columns = base rays
     d = det(A)
     adj = [[int(x * d) for x in row] for row in mat_inverse(A)]

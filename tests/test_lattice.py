@@ -33,9 +33,11 @@ from demazure.lattice import (
     mat_mul,
     mat_rank,
     nullspace,
+    pivot_columns,
     primitive,
     region_shape,
     smith_normal_form,
+    transpose,
     unimodular_with_last_column,
     vneg,
 )
@@ -88,6 +90,29 @@ def test_rank_and_nullspace():
     for v in ns:
         assert dot((1, 2, 3), v) == 0
     assert nullspace([], 2) == [(1, 0), (0, 1)]
+
+
+def test_pivot_columns_are_the_first_independent_columns():
+    # the greedy basis of the column matroid is its lexicographically first
+    # basis: the first n-subset of columns with a nonzero determinant
+    rng = random.Random(4711)
+    spanning = 0
+    for _ in range(300):
+        n, l = rng.randint(1, 4), rng.randint(1, 7)
+        rows = transpose(random_matrix(rng, l, n, rational=False))
+        greedy = []
+        for c in range(l):
+            if mat_rank([[r[i] for i in greedy + [c]] for r in rows]) > len(
+                    greedy):
+                greedy.append(c)
+        assert pivot_columns(rows) == greedy
+        assert mat_rank(rows) == len(greedy)
+        if len(greedy) == n:
+            spanning += 1
+            assert tuple(greedy) == next(
+                idxs for idxs in itertools.combinations(range(l), n)
+                if det([[r[i] for i in idxs] for r in rows]))
+    assert spanning > 100
 
 
 def test_det_and_inverse():
@@ -485,6 +510,16 @@ def test_integer_feasible_agrees_with_scan_on_bounded():
         assert integer_feasible(n, bounded_ineqs) == brute
 
 
+def test_rational_constraints_are_exact():
+    # each row is scaled by the lcm of its denominators, never truncated
+    half = Fraction(1, 2)
+    assert lattice_points(1, [((half,), 0), ((-1,), -3)]) == [
+        (0,), (1,), (2,), (3,)]
+    assert lattice_points(1, [((Fraction(3, 2),), half), ((-1,), -3)]) == [
+        (1,), (2,), (3,)]
+    assert not integer_feasible(1, equalities=[((2,), half)])
+
+
 def test_zero_rows_handled():
     assert lattice_points(1, [((0,), 0)], box=[(0, 2)]) == [(0,), (1,), (2,)]
     assert lattice_points(1, [((0,), 1)], box=[(0, 2)]) == []
@@ -550,8 +585,8 @@ def fraction_det(rows):
 
 
 def double_dual_rays(cone):
-    """Extremal rays as the dual of the dual (the former Cone.rays)."""
-    if not cone.is_strongly_convex():
+    """Extremal rays as the dual of the dual (an earlier Cone.rays)."""
+    if not rank_pointed(cone):
         raise NotStronglyConvex("not pointed")
     E, L = dual_description(cone.dual_generators(), cone.rank)
     assert not L
@@ -622,6 +657,100 @@ def test_rays_match_double_dual_random():
         pointed += 1
         assert c.rays() == expected
     assert pointed > 150
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the combinatorics read off the generator-facet
+# incidences against the rank computations they replaced
+
+
+def rank_pointed(cone):
+    """Pointedness by rank: the dual generators span Q^rank."""
+    return mat_rank(cone.dual_generators()) == cone.rank
+
+
+def rank_rays(cone):
+    """Extremal rays by rank: g is extremal iff the dual generators
+    vanishing on g span a hyperplane."""
+    E, L = cone.dual_pair()
+    return tuple(g for g in cone.gens
+                 if mat_rank(L + [u for u in E if not dot(u, g)])
+                 == cone.rank - 1)
+
+
+def closure_face_table(cone, rays):
+    """The facet ray sets closed under pairwise intersection, each face
+    with the rank of its rays."""
+    E, _ = cone.dual_pair()
+    sets = {frozenset(i for i, r in enumerate(rays) if not dot(r, u))
+            for u in E}
+    sets.add(frozenset(range(len(rays))))
+    changed = True
+    while changed:
+        changed = False
+        for a, b in itertools.combinations(list(sets), 2):
+            if a & b not in sets:
+                sets.add(a & b)
+                changed = True
+    return {fs: mat_rank([rays[i] for i in fs]) for fs in sets}
+
+
+def differential_cones(rng):
+    """The origin in ranks 0-5, then cones of rank 1-5: pointed (the
+    generators flipped to one side of a random functional) or random, some
+    in a random subspace, some with a redundant positive combination or a
+    negated generator added."""
+    for rank in range(6):
+        yield Cone(rank, [])
+    for _ in range(1500):
+        rank = rng.randint(1, 5)
+        dim = rank if rng.random() < 0.7 else rng.randint(1, rank)
+        basis = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(dim)]
+        gens = [[sum(rng.randint(-2, 2) * b[j] for b in basis)
+                 for j in range(rank)]
+                for _ in range(rng.randint(1, rank + 3))]
+        if rng.random() < 0.6:
+            w = [rng.randint(-3, 3) for _ in range(rank)]
+            gens = [vneg(g) if dot(w, g) < 0 else g for g in gens]
+        gens = [tuple(g) for g in gens if any(g)]
+        if len(gens) > 1 and rng.random() < 0.3:
+            a, b = rng.sample(gens, 2)
+            gens.append(tuple(rng.randint(1, 3) * x + rng.randint(1, 3) * y
+                              for x, y in zip(a, b)))
+        if gens and rng.random() < 0.1:
+            gens.append(vneg(rng.choice(gens)))
+        yield Cone(rank, gens)
+
+
+def test_incidence_combinatorics_match_rank_oracles_random():
+    rng = random.Random(60061)
+    seen = {"pointed": 0, "line": 0, "low": 0, "redundant": 0, "origin": 0}
+    for c in differential_cones(rng):
+        oracle = Cone(c.rank, c.gens)  # fresh caches for the oracle
+        dim = mat_rank(c.gens)
+        assert c.dim() == dim
+        seen["low"] += dim < c.rank
+        seen["origin"] += not c.gens
+        if not rank_pointed(oracle):
+            seen["line"] += 1
+            assert not c.is_strongly_convex()
+            for method in (c.rays, c.face_ray_sets, c.face_table):
+                with pytest.raises(NotStronglyConvex):
+                    method()
+            continue
+        seen["pointed"] += 1
+        assert c.is_strongly_convex()
+        rays = rank_rays(oracle)
+        assert c.rays() == rays
+        seen["redundant"] += len(rays) < len(c.gens)
+        table = closure_face_table(oracle, rays)
+        assert c.face_table() == table
+        assert c.face_ray_sets() == set(table)
+        assert sorted(c.facet_ray_sets(), key=sorted) == sorted(
+            (fs for fs, d in table.items() if d == dim - 1), key=sorted)
+    assert seen["pointed"] > 1000 and seen["line"] > 200
+    assert seen["low"] > 400 and seen["redundant"] > 250
+    assert seen["origin"] >= 6
 
 
 # ---------------------------------------------------------------------------
@@ -765,3 +894,25 @@ def test_dual_description_eliminates_once(monkeypatch):
         calls.clear()
         assert subset_dual_description(gens, rank) == (E, L)
         assert len(calls) > 1  # the count sees per-subset eliminations
+
+
+def test_cone_combinatorics_eliminate_once(monkeypatch):
+    """The rays, pointedness, dimension, faces and facets of the cube cone
+    all come from its one dual: a single integer elimination."""
+    calls = []
+    original = lattice._echelon
+
+    def counted(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(lattice, "_echelon", counted)
+    c = Cone(4, CUBE_CONE)
+    assert c.rays() == tuple(sorted(CUBE_CONE))
+    assert c.is_strongly_convex() and c.dim() == 4
+    by_dim = {}
+    for d in c.face_table().values():
+        by_dim[d] = by_dim.get(d, 0) + 1
+    assert by_dim == {0: 1, 1: 8, 2: 12, 3: 6, 4: 1}
+    assert sorted(map(len, c.facet_ray_sets())) == [4] * 6
+    assert len(calls) == 1
