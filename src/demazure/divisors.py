@@ -61,11 +61,19 @@ def point_order(z):
 
 
 class TailedPolyhedron:
-    """conv(vertices) + tail cone, with the vertex list pruned to minimal."""
+    """conv(vertices) + tail cone, with the vertex list pruned to minimal.
 
-    __slots__ = ("tail", "vertices")
+    The tail must be strongly convex.  The polyhedron is read off one
+    cone, its lift spanned by (g, 0) for the tail generators g and (v, 1)
+    for the given points v: that cone is pointed, and v is a vertex iff
+    (v, 1) spans one of its extremal rays.
+    """
+
+    __slots__ = ("tail", "vertices", "_cone")
 
     def __init__(self, tail, vertices):
+        if not tail.is_strongly_convex():
+            raise NotStronglyConvex("the tail cone must be strongly convex")
         vs = []
         seen = set()
         for v in vertices:
@@ -80,31 +88,19 @@ class TailedPolyhedron:
         if not vs:
             raise InvalidDivisor("a polyhedron needs at least one vertex")
         self.tail = tail
-        self.vertices = tuple(sorted(self._prune(vs)))
+        self._cone = lifted_cone(tail.rank, tail.gens, vs)
+        if len(vs) > 1:  # a lone point is a vertex, with no dual to compute
+            rays = set(self._cone.rays())
+            vs = [v for v in vs if primitive(v + (1,)) in rays]
+        self.vertices = tuple(sorted(vs))
 
     @property
     def rank(self):
         return self.tail.rank
 
-    def _prune(self, vs):
-        # v is redundant iff (v, 1) lies in the cone spanned by the
-        # homogenized remaining vertices and the tail directions
-        keep = list(vs)
-        i = 0
-        while i < len(keep):
-            others = keep[:i] + keep[i + 1:]
-            if others and self._hull_cone(others).contains(keep[i] + (1,)):
-                del keep[i]
-            else:
-                i += 1
-        return keep
-
-    def _hull_cone(self, vs):
-        return lifted_cone(self.rank, self.tail.gens, vs)
-
     def contains_point(self, p):
         vec = tuple(Fraction(x) for x in p)
-        return self._hull_cone(list(self.vertices)).contains(vec + (1,))
+        return self._cone.contains(vec + (1,))
 
     def is_trivial(self):
         """True when the polyhedron is the tail cone itself."""
@@ -278,7 +274,7 @@ class ColoredDivisor:
     Minkowski sum of the coefficients involved.
     """
 
-    __slots__ = ("divisor", "z0", "zinf", "vertices")
+    __slots__ = ("divisor", "z0", "zinf", "vertices", "v_deg")
 
     def __init__(self, divisor, z0, vertices, zinf=None):
         z0 = _point(z0)
@@ -327,17 +323,11 @@ class ColoredDivisor:
         self.z0 = z0
         self.zinf = zinf
         self.vertices = chosen
+        self.v_deg = vdeg  # the sum of the chosen vertices
 
     @property
     def v0(self):
         return self.vertices[self.z0]
-
-    @property
-    def v_deg(self):
-        out = tuple(Fraction(0) for _ in range(self.divisor.rank))
-        for v in self.vertices.values():
-            out = vadd(out, v)
-        return out
 
     def c_prime(self):
         return tuple(sorted(self.vertices, key=point_order))

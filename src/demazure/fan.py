@@ -61,9 +61,12 @@ class Fan:
     `supplied` maps the extremal-ray index set of each supplied maximal
     cone to its geometry.  The generating cones are the supplied ones
     followed by every ray that is not supplied as a 1-cone; they and
-    their faces are the cones of the fan.  The fan is valid iff every two
-    generating cones meet in a common face (the same then holds for all
-    their faces), which `intersection_defect` checks pair by pair.
+    their faces are the cones of the fan.  A supplied cone's faces are
+    read off its dual; a ray that is not supplied has the faces {0} and
+    itself, and gets a geometry only when `cone_geometry` asks for one.
+    The fan is valid iff every two generating cones meet in a common face
+    (the same then holds for all their faces), which `intersection_defect`
+    checks pair by pair.
     """
 
     def __init__(self, rank, rays, supplied):
@@ -74,10 +77,12 @@ class Fan:
         self._face_sets = {}
         self._automorphisms = None  # memo of orbits.fan_automorphisms
         self.generating = list(supplied)
-        for i, r in enumerate(rays):
-            if frozenset({i}) not in supplied:
-                self.generating.append(frozenset({i}))
-                self._geom[frozenset({i})] = Cone(rank, [r])
+        for i in range(len(rays)):
+            key = frozenset({i})
+            if key not in supplied:
+                # a ray's faces are {0} and itself: no cone, no dual
+                self.generating.append(key)
+                self._face_sets[key] = {frozenset(): 0, key: 1}
         dims = {frozenset(): 0}  # every face of a generating cone: its dim
         for g in self.generating:
             dims.update(self.face_sets(g))
@@ -147,9 +152,11 @@ class Fan:
         if common == a or common == b:
             return True  # one cone lies in the other
         if len(a) == 1 or len(b) == 1:
-            # a ray outside the other cone's ray set meets it in 0 or itself
+            # a ray outside the other cone's ray set meets it in 0 or
+            # itself; distinct primitive rays never contain each other
             (i,), other = (a, b) if len(a) == 1 else (b, a)
-            return not self._geom[other].contains(self.rays[i])
+            return (len(other) == 1
+                    or not self._geom[other].contains(self.rays[i]))
         E, _ = dual_description(
             self._geom[a].dual_generators() + self._geom[b].dual_generators(),
             self.rank,

@@ -595,13 +595,10 @@ class Cone:
             )
         return all(dot(u, vec) >= 0 for u in self.dual_generators())
 
-    def contains_cone(self, other):
-        return all(self.contains(g) for g in other.gens)
-
     def equals(self, other):
+        # the dual pair depends only on the cone, not on its generators
         return (self.rank == other.rank
-                and self.contains_cone(other)
-                and other.contains_cone(self))
+                and self.dual_pair() == other.dual_pair())
 
     # -- extremal rays and faces ----------------------------------------------
 
@@ -740,7 +737,8 @@ def lattice_points(rank, inequalities=(), equalities=(), box=None):
         if box is None:
             return []
     else:
-        box = [(int(lo), int(hi)) for lo, hi in box]
+        box = [(math.ceil(Fraction(lo)), math.floor(Fraction(hi)))
+               for lo, hi in box]
         if len(box) != rank:
             raise RankMismatch("box length disagrees with rank")
     return list(_scan(box, rows))

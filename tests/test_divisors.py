@@ -9,7 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from demazure.algebra import derive, monomial, nilpotency_index, toric_lnd
+from demazure.algebra import (
+    derive,
+    lifted_cone,
+    monomial,
+    nilpotency_index,
+    toric_lnd,
+)
 from demazure.divisors import (
     INF,
     ColoredDivisor,
@@ -78,6 +84,98 @@ def test_polyhedron_support_min_and_membership():
     assert not p.contains_point((0, 0))
     line = TailedPolyhedron(ray1(), [(1,)])
     assert line.contains_point((3,)) and not line.contains_point((0,))
+
+
+def test_polyhedron_tail_must_be_strongly_convex():
+    # with a line in the tail no vertex is extremal; the pruning loop
+    # this replaced kept whichever point was listed last
+    line = Cone(1, [(1,), (-1,)])
+    for points in ([(0,), (1,)], [(1,), (0,)], [(0,)]):
+        with pytest.raises(NotStronglyConvex):
+            TailedPolyhedron(line, points)
+    up = TailedPolyhedron(ray1(), [(0,)])
+    down = TailedPolyhedron(Cone(1, [(-1,)]), [(0,)])
+    with pytest.raises(NotStronglyConvex):
+        up.minkowski(down)
+
+
+def sequential_prune(tail, points):
+    """The pruning loop TailedPolyhedron used to run: drop a point while
+    (v, 1) lies in the lifted cone of the points still kept, one dual per
+    point tested."""
+    keep = [tuple(Fraction(x) for x in v) for v in points]
+    keep = list(dict.fromkeys(keep))
+    i = 0
+    while i < len(keep):
+        others = keep[:i] + keep[i + 1:]
+        if others and lifted_cone(tail.rank, tail.gens, others).contains(
+                keep[i] + (1,)):
+            del keep[i]
+        else:
+            i += 1
+    return tuple(sorted(keep))
+
+
+def random_pointed_tail(rng, rank):
+    """The origin, or generators on the positive side of a functional w,
+    spanning at most the whole space."""
+    if rng.random() < 0.15:
+        return Cone(rank, [])
+    w = [rng.randint(-2, 2) for _ in range(rank)]
+    if not any(w):
+        w[0] = 1
+    gens = []
+    for _ in range(rng.randint(1, rank + 2)):
+        g = [rng.randint(-3, 3) for _ in range(rank)]
+        if dot(w, g) < 0:
+            g = [-x for x in g]
+        if dot(w, g) > 0:
+            gens.append(tuple(g))
+    return Cone(rank, gens)
+
+
+def random_points(rng, tail, count):
+    """Rational points, with repeats, midpoints and tail translates mixed
+    in so that some of them are not vertices."""
+    pts = []
+    for _ in range(count):
+        den = rng.randint(1, 3)
+        pts.append(tuple(Fraction(rng.randint(-4, 4), den)
+                         for _ in range(tail.rank)))
+    if len(pts) > 1 and rng.random() < 0.4:
+        a, b = rng.sample(pts, 2)
+        pts.append(tuple((x + y) / 2 for x, y in zip(a, b)))
+    if tail.gens and rng.random() < 0.4:
+        g = rng.choice(tail.gens)
+        pts.append(tuple(x + rng.randint(1, 2) * y
+                         for x, y in zip(rng.choice(pts), g)))
+    if rng.random() < 0.2:
+        pts.append(rng.choice(pts))
+    rng.shuffle(pts)
+    return pts
+
+
+def test_polyhedron_vertices_match_sequential_prune_random():
+    rng = random.Random(1729)
+    pruned = lone = inside = outside = 0
+    for _ in range(1500):
+        rank = rng.randint(1, 3)
+        tail = random_pointed_tail(rng, rank)
+        points = random_points(rng, tail, rng.randint(1, 5))
+        p = TailedPolyhedron(tail, points)
+        expected = sequential_prune(tail, points)
+        assert p.vertices == expected, (tail, points)
+        pruned += len(expected) < len(set(points))
+        lone += len(expected) == 1
+        oracle = lifted_cone(rank, tail.gens, expected)
+        probes = random_points(rng, tail, 4) + list(points)
+        for q in probes:
+            want = oracle.contains(tuple(q) + (1,))
+            assert p.contains_point(q) == want, (tail, points, q)
+            inside += want
+            outside += not want
+    assert pruned > 300 and lone > 300
+    assert inside > 1000 and outside > 1000
 
 
 # -- polyhedral divisors ------------------------------------------------------

@@ -154,6 +154,28 @@ def test_lone_rays_fan_is_valid():
     assert not is_complete(fan)
 
 
+def test_rays_get_their_faces_without_a_cone(monkeypatch):
+    # a ray's faces are {0} and itself: building P^3 makes one Cone per
+    # maximal cone and none for a ray, until a ray's geometry is asked for
+    made = []
+    original = Cone.__init__
+
+    def counted(self, rank, generators=()):
+        generators = list(generators)
+        made.append(len(generators))
+        original(self, rank, generators)
+
+    monkeypatch.setattr(Cone, "__init__", counted)
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    fan = build_fan(3, rays, list(itertools.combinations(range(4), 3)))
+    assert made == [3] * 4
+    assert len(fan.cones) == 15 and is_complete(fan)
+    assert fan.face_sets([3]) == {frozenset(): 0, frozenset({3}): 1}
+    assert made == [3] * 4
+    assert fan.cone_geometry([3]).gens == ((-1, -1, -1),)
+    assert made == [3] * 4 + [1]
+
+
 def test_cone_properties_p2():
     fan = p2()
     assert cone_properties(fan, [0, 1]) == {

@@ -753,6 +753,77 @@ def test_incidence_combinatorics_match_rank_oracles_random():
     assert seen["origin"] >= 6
 
 
+def contains_both_ways(a, b):
+    """The former Cone.equals: each cone contains the other's generators."""
+    return (a.rank == b.rank
+            and all(a.contains(g) for g in b.gens)
+            and all(b.contains(g) for g in a.gens))
+
+
+def regenerated(rng, cone):
+    """The same cone from other generators: scaled and shuffled, with
+    positive combinations added and then every generator that lies in
+    the cone of the others dropped, in a random order."""
+    ks = rng.choices((1, 2, 3), k=len(cone.gens))
+    gens = [tuple(k * x for x in g) for k, g in zip(ks, cone.gens)]
+    for _ in range(rng.randint(0, 3)):
+        if gens:
+            picks = rng.sample(gens, min(len(gens), rng.randint(1, 3)))
+            ks = rng.choices((1, 2), k=len(picks))
+            gens.append(tuple(sum(k * g[j] for k, g in zip(ks, picks))
+                              for j in range(cone.rank)))
+    rng.shuffle(gens)
+    i = 0
+    while i < len(gens):
+        others = gens[:i] + gens[i + 1:]
+        if rng.random() < 0.5 and Cone(cone.rank, others).contains(gens[i]):
+            del gens[i]
+        else:
+            i += 1
+    return Cone(cone.rank, gens)
+
+
+def near_miss(rng, cone):
+    """A cone that may or may not equal the given one: a generator
+    dropped, a random vector added, or a generator negated."""
+    gens = list(cone.gens)
+    pick = rng.randrange(3)
+    if pick == 0 and gens:
+        gens.remove(rng.choice(gens))
+    elif pick == 1 or not gens:
+        gens.append(tuple(rng.randint(-2, 2) for _ in range(cone.rank)))
+    else:
+        gens.append(vneg(rng.choice(gens)))
+    return Cone(cone.rank, gens)
+
+
+def test_equals_by_dual_pair_matches_containment_random():
+    rng = random.Random(30103)
+    seen = {"equal": 0, "unequal": 0, "new gens": 0, "line": 0}
+    for c in differential_cones(rng):
+        others = [regenerated(rng, c), near_miss(rng, c), near_miss(rng, c),
+                  random_cone(rng, c.rank) if c.rank else Cone(0, [])]
+        for d in others:
+            want = contains_both_ways(c, d)
+            assert c.equals(d) == want and d.equals(c) == want, (c, d)
+            seen["equal" if want else "unequal"] += 1
+            seen["new gens"] += want and c.gens != d.gens
+            seen["line"] += want and not c.is_strongly_convex()
+        assert not c.equals(Cone(c.rank + 1, [g + (0,) for g in c.gens]))
+    assert seen["equal"] > 2000 and seen["unequal"] > 3000
+    assert seen["new gens"] > 700 and seen["line"] > 500
+
+
+def test_box_bounds_are_rounded_inward():
+    # a rational box is the integer range inside it, never truncated
+    half = Fraction(1, 2)
+    assert lattice_points(1, box=[(half, 1)]) == [(1,)]
+    assert lattice_points(1, box=[(-1, -half)]) == [(-1,)]
+    assert lattice_points(1, box=[("1/2", "3/2")]) == [(1,)]
+    assert lattice_points(2, box=[(-half, half), (Fraction(-3, 2), 0)]) == [
+        (0, -1), (0, 0)]
+
+
 # ---------------------------------------------------------------------------
 # differential tests: the exterior-product walk against the subset
 # enumeration it replaced

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 SOURCES = sorted(
@@ -96,3 +98,27 @@ def test_render_is_the_one_report_writer():
         and any(kw.arg == "indent" for kw in node.keywords)
     ]
     assert not found, f"indented json.dump(s) in the library: {found}"
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer wraps these names by lookup, so a traced run
+    # crashes on one that was renamed or deleted; catch that here instead
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    tree = ast.parse(path.read_text(), str(path))
+    imported = [node.module if isinstance(node, ast.ImportFrom) else a.name
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for a in node.names]
+    assert not [m for m in imported if m and m.startswith("demazure")]
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module_name, qualname, _, _ in tracing.TARGETS:
+        module = importlib.import_module(f"demazure.{module_name}")
+        owner_name, _, attr = qualname.rpartition(".")
+        owner = vars(getattr(module, owner_name) if owner_name else module)
+        if not callable(owner.get(attr)):
+            missing.append(f"{module_name}.{qualname}")
+    assert len(tracing.TARGETS) > 50
+    assert not missing, f"traced names missing from demazure: {missing}"
