@@ -32,9 +32,12 @@ from .errors import (
 )
 from .lattice import (
     Cone,
+    dot,
     dual_description,
     invariant_factors,
     primitive,
+    vneg,
+    vsub,
 )
 
 
@@ -143,10 +146,15 @@ class Fan:
 
     def _spanned_by_common_rays(self, a, b):
         """Is the intersection of generating cones a and b spanned by the
-        rays they share?  One dual computation at most.
+        rays they share?
 
-        The intersection is pointed, so it is spanned by the common rays
-        iff each of its extremal rays is a common ray.
+        First by separation (Cox-Little-Schenck, Toric Varieties, Lemma
+        1.2.13): with u_a the sum of a's facet normals through the common
+        rays and u_b the same for b, try u = u_a - u_b, u_a and -u_b.  If
+        u >= 0 on a, u <= 0 on b, and u vanishes on a or on b at the common
+        rays only, the cones meet in the cone of the common rays.  Else one
+        dual decides: the intersection is pointed, so it is spanned by the
+        common rays iff each of its extremal rays is one.
         """
         common = a & b
         if common == a or common == b:
@@ -157,6 +165,14 @@ class Fan:
             (i,), other = (a, b) if len(a) == 1 else (b, a)
             return (len(other) == 1
                     or not self._geom[other].contains(self.rays[i]))
+        face = [self.rays[i] for i in common]
+        ua = self._geom[a].face_normal(face)
+        ub = self._geom[b].face_normal(face)
+        for u in (vsub(ua, ub), ua, vneg(ub)):
+            on_a = [dot(u, self.rays[i]) for i in a - common]
+            on_b = [dot(u, self.rays[i]) for i in b - common]
+            if min(on_a) >= 0 >= max(on_b) and (min(on_a) or max(on_b)):
+                return True
         E, _ = dual_description(
             self._geom[a].dual_generators() + self._geom[b].dual_generators(),
             self.rank,

@@ -16,11 +16,14 @@ targets.  A cone computes one dual and reads its dimension, pointedness,
 extremal rays and faces off the incidences of its generators with its
 facets, the extremal dual rays (Ziegler, Lectures on Polytopes, 2.2).
 
-A region {x : <u, x> >= b} of lattice points is analysed by one dual, of
-its homogenization {(x, t) : <u, x> >= b t, t >= 0} (`region_shape`): the
-face t = 0 is its recession cone, which is {0} iff the region is bounded,
-and the extremal rays with t > 0 are its vertices lifted to height t, which
-give its box.  One generator scans a box.
+The lattice points of a region {x : <u, x> >= b} are found by
+Fourier-Motzkin project-and-lift (Schrijver, Theory of Linear and Integer
+Programming, 12.2): the coordinates are eliminated from the last one down,
+and each is lifted over the integer range its level leaves it, so the
+points come out in lexicographic order.  The elimination also shows most
+regions empty or bounded; otherwise one dual of the homogenization
+{(x, t) : <u, x> >= b t, t >= 0} decides (`region_shape`): its face t = 0
+is the recession cone, and its rays with t > 0 give the region's box.
 
 Conventions:
   * vectors are tuples; matrices are sequences of row tuples/lists;
@@ -31,7 +34,6 @@ Conventions:
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from math import gcd, lcm
@@ -576,6 +578,16 @@ class Cone:
             }
         return self._inc
 
+    def face_normal(self, vectors):
+        """The sum of the facet normals on which every one of `vectors`
+        (generators of the cone) lies.  It is in the dual, and on a strongly
+        convex cone it vanishes at exactly the generators of the smallest
+        face containing `vectors`."""
+        E = self.dual_pair()[0]
+        inc = self._incidence()
+        on = frozenset(range(len(E))).intersection(*(inc[v] for v in vectors))
+        return tuple(map(sum, zip((0,) * self.rank, *(E[k] for k in on))))
+
     # -- basic predicates -----------------------------------------------------
 
     def dim(self):
@@ -710,38 +722,142 @@ def region_shape(rank, inequalities=(), equalities=()):
                        for c in zip(*vertices)]
 
 
-def _scan(box, rows):
-    """The points of the box satisfying every row, in lexicographic order."""
-    for p in itertools.product(*[range(lo, hi + 1) for lo, hi in box]):
-        if all(dot(u, p) >= b for u, b in rows):
-            yield p
+# The most rows the elimination passes to the next level; past it, the
+# levels below keep their input rows and lift over the region's box.
+ROW_CEILING = 32
+
+
+def _keep(rows, u, b, history):
+    """Add <u, x> >= b to rows (u -> (b, history)), divided by the gcd of u
+    with b rounded up, which keeps its lattice points.  Of two rows on one
+    u the stronger stays, then the one from fewer input rows.  False when
+    the row reads 0 >= b > 0."""
+    g = gcd(*u)
+    if not g:
+        return b <= 0
+    if g > 1:
+        u, b = tuple(x // g for x in u), -(-b // g)
+    old = rows.get(u)
+    if old is None or old[0] < b or (
+            old[0] == b and old[1].bit_count() > history.bit_count()):
+        rows[u] = (b, history)
+    return True
+
+
+def _eliminate(rank, rows):
+    """Fourier-Motzkin elimination of x_{rank-1}, ..., x_0 from integer rows,
+    or None when a derived row reads 0 >= b > 0 (no lattice point).
+
+    levels[k] is a pair (lower, upper) of lists of rows (u, a, b) meaning
+    <u, (x_0..x_{k-1})> + a x_k >= b with a > 0 or a < 0: the input rows
+    whose last nonzero coordinate is k, and the rows derived by cancelling
+    the coordinates above k between rows of opposite signs, which `_keep`
+    rounds so that every lattice point of the region satisfies them.  By
+    Chernikov's rule a row combined from more than j + 1 input rows after j
+    eliminations is implied by the others and dropped.  Past ROW_CEILING
+    rows the elimination stops, and each level below keeps its input rows.
+    """
+    current = {}
+    for i, (u, b) in enumerate(rows):
+        if not _keep(current, u, b, 1 << i):
+            return None
+    inputs = list(current.items())
+    levels = [([], []) for _ in range(rank)]
+    for k in reversed(range(rank)):
+        nxt = {u: bh for u, bh in current.items() if not u[k]}
+        for u, (b, _) in current.items():
+            if u[k]:
+                levels[k][u[k] < 0].append((u[:k], u[k], b))
+        lower, upper = ([(u, b, h) for u, (b, h) in current.items()
+                         if s * u[k] > 0] for s in (1, -1))
+        for u, b, h in lower:
+            for v, c, g in upper:
+                if (h | g).bit_count() <= rank - k + 1:
+                    w = tuple(-v[k] * x + u[k] * y for x, y in zip(u, v))
+                    if not _keep(nxt, w, -v[k] * b + u[k] * c, h | g):
+                        return None
+        if len(nxt) > ROW_CEILING:
+            for u, (b, _) in inputs:
+                j = max(i for i, x in enumerate(u) if x)
+                if j < k:
+                    levels[j][u[j] < 0].append((u[:j], u[j], b))
+            break
+        current = nxt
+    return levels
+
+
+def _lift(levels, box=None):
+    """The lattice points of an eliminated system, in lexicographic order.
+
+    x_k runs over the integers that its level's rows leave it given
+    x_0..x_{k-1}, within box[k] when a box is given, which must bound each
+    level whose rows have one sign.  Every input row is a row of the level
+    of its last nonzero coordinate, so every point lifted is exact.
+    """
+    point = [0] * len(levels)
+
+    def walk(k):
+        (lower, upper), (lo, hi) = levels[k], box[k] if box else (None, None)
+        for u, a, b in lower:
+            x = -((sum(map(mul, u, point)) - b) // a)
+            lo = x if lo is None else max(lo, x)
+        for u, a, b in upper:
+            x = (b - sum(map(mul, u, point))) // a
+            hi = x if hi is None else min(hi, x)
+        for x in range(lo, hi + 1):
+            point[k] = x
+            if k + 1 == len(levels):
+                yield tuple(point)
+            else:
+                yield from walk(k + 1)
+
+    return walk(0) if levels else iter([()])
+
+
+def region_points(rank, inequalities=(), equalities=()):
+    """(points, None), with the lattice points of {x : <u,x> >= b,
+    <v,x> == c} lazily and in lexicographic order, or (None, direction)
+    when the region is unbounded and not empty over Q.
+
+    The elimination decides when it finds a contradiction (no lattice
+    point) or rows of both signs at every level (bounded); otherwise
+    `region_shape` does, and its box bounds the levels left open.
+    """
+    rows, empty = _normalize_rows(rank, inequalities, equalities)
+    levels = None if empty else _eliminate(rank, rows)
+    if levels is None:
+        return iter(()), None
+    if all(lower and upper for lower, upper in levels):
+        return _lift(levels), None
+    direction, box = region_shape(rank, rows)
+    if box is None:
+        return iter(()), None
+    return (None, direction) if direction else (_lift(levels, box), None)
 
 
 def lattice_points(rank, inequalities=(), equalities=(), box=None):
     """All integer points satisfying <u,x> >= b / <u,x> == b, lex sorted.
 
-    Without an explicit `box`, the region must be bounded (else
-    UnboundedRegion); its bounding box is then derived exactly from the
-    homogenization of the constraint system.  With `box` (a list of
-    (lo, hi) pairs per coordinate), enumeration is restricted to the box.
+    Without an explicit `box`, an unbounded region that holds a lattice
+    point holds infinitely many and raises UnboundedRegion.  With `box` (a
+    list of (lo, hi) pairs per coordinate), its bounds join the rows, and
+    enumeration is restricted to the box.
     """
-    rows, empty = _normalize_rows(rank, inequalities, equalities)
-    if empty:
-        return []
-    if box is None:
-        direction, box = region_shape(rank, rows)
-        if direction is not None:
-            raise UnboundedRegion(
-                "the region is unbounded; pass an explicit box"
-            )
-        if box is None:
-            return []
-    else:
-        box = [(math.ceil(Fraction(lo)), math.floor(Fraction(hi)))
-               for lo, hi in box]
+    if box is not None:
         if len(box) != rank:
             raise RankMismatch("box length disagrees with rank")
-    return list(_scan(box, rows))
+        inequalities = list(inequalities)
+        for k, (lo, hi) in enumerate(box):
+            e = tuple(int(j == k) for j in range(rank))
+            inequalities.append((e, math.ceil(Fraction(lo))))
+            inequalities.append((vneg(e), -math.floor(Fraction(hi))))
+    points = region_points(rank, inequalities, equalities)[0]
+    if points is None:
+        if integer_feasible(rank, inequalities, equalities):
+            raise UnboundedRegion(
+                "the region is unbounded; pass an explicit box")
+        return []
+    return list(points)
 
 
 def integer_feasible(rank, inequalities=(), equalities=()):
@@ -752,18 +868,16 @@ def integer_feasible(rank, inequalities=(), equalities=()):
     integer direction c in the recession cone, apply a unimodular change of
     coordinates making c the last basis vector, drop the constraints that
     become slack along c and recurse in one dimension fewer.  A bounded
-    region takes the first point of its box scan.
+    region takes the first point lifted from its elimination.
     """
     rows, empty = _normalize_rows(rank, inequalities, equalities)
     if empty:
         return False
     if rank == 0 or not rows:
         return True
-    c, box = region_shape(rank, rows)
-    if box is None:
-        return False  # not even a rational point
-    if c is None:
-        return next(_scan(box, rows), None) is not None
+    points, c = region_points(rank, rows)
+    if points is not None:
+        return next(points, None) is not None
     M = unimodular_with_last_column(c)
     cols = list(zip(*M))
     new_rows = []

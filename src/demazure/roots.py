@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NegativeBound, NoRays, UnboundedRoots
-from .lattice import dot, lattice_points, region_shape
+from .lattice import dot, integer_feasible, lattice_points, region_points
 
 
 @dataclass(frozen=True, order=True)
@@ -126,11 +126,13 @@ def check_condition2(fan, e, ray_index, vals=None):
 def roots_of_fan(fan, bound=None):
     """All Demazure roots of a fan.
 
-    If every per-ray search region is bounded (e.g. for complete fans) the
-    enumeration is exact and any supplied bound is ignored.  Otherwise a
-    bound B is required (UnboundedRoots names an offending ray if missing)
-    and the result is truncated to max |e_i| <= B.  A negative bound
-    raises NegativeBound, also where it would be ignored.
+    Each root region is eliminated once (`lattice.region_points`), with no
+    dual on a complete fan, whose regions are bounded.  If no region holds
+    infinitely many lattice points, the enumeration is exact and any bound
+    is ignored.  Otherwise a bound B is required (UnboundedRoots names the
+    first such ray if it is missing) and every region is truncated to
+    max |e_i| <= B.  A negative bound raises NegativeBound, also where it
+    would be ignored.
     """
     l = len(fan.rays)
     if l == 0:
@@ -139,17 +141,20 @@ def roots_of_fan(fan, bound=None):
         raise NegativeBound(int(bound))
     n = fan.rank
     systems = [_root_system(fan.rays, i) for i in range(l)]
-    shapes = [region_shape(n, *system) for system in systems]
-    unbounded = [i for i, (c, _) in enumerate(shapes) if c is not None]
-    if unbounded and bound is None:
-        raise UnboundedRoots(unbounded[0])
-    roots = []
-    for i, (system, (_, box)) in enumerate(zip(systems, shapes)):
-        if unbounded:
-            box = [(-int(bound), int(bound))] * n
-        if box is None:
-            continue
-        for e in lattice_points(n, *system, box=box):
-            if check_condition2(fan, e, i)[0]:
-                roots.append(DemazureRoot(i, e))
-    return RootSet(tuple(roots), not unbounded)
+    regions = [region_points(n, *system)[0] for system in systems]
+    unbounded = [i for i, points in enumerate(regions) if points is None]
+    boxed = None
+    if unbounded and bound is not None:
+        box = [(-int(bound), int(bound))] * n
+        boxed = [lattice_points(n, *system, box=box) for system in systems]
+    # an unbounded region with a lattice point holds infinitely many
+    infinite = next((i for i in unbounded if (boxed and boxed[i])
+                     or integer_feasible(n, *systems[i])), None)
+    if infinite is not None:
+        if bound is None:
+            raise UnboundedRoots(infinite)
+        regions = boxed
+    roots = [DemazureRoot(i, e) for i, points in enumerate(regions)
+             if points is not None
+             for e in points if check_condition2(fan, e, i)[0]]
+    return RootSet(tuple(roots), infinite is None)

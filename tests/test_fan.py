@@ -20,8 +20,9 @@ from demazure.errors import (
     NotStronglyConvex,
     RankMismatch,
 )
-from demazure.fan import build_fan, cone_properties, is_complete
-from demazure.lattice import Cone, mat_rank, primitive
+from demazure import fan as fan_module
+from demazure.fan import Fan, build_fan, cone_properties, is_complete
+from demazure.lattice import Cone, dual_description, mat_rank, primitive
 from demazure.serialize import fan_diagnostics, fan_fields_from_json
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -56,12 +57,21 @@ def p1():
     return build_fan(1, [(1,), (-1,)], [[0], [1]])
 
 
-def p1_power(n):
+def p1_power_input(n):
     rays = [tuple(s * int(i == j) for j in range(n))
             for i in range(n) for s in (1, -1)]
-    return build_fan(n, rays, [[2 * i + s for i, s in enumerate(signs)]
-                               for signs in itertools.product((0, 1),
-                                                              repeat=n)])
+    return n, rays, [[2 * i + s for i, s in enumerate(signs)]
+                     for signs in itertools.product((0, 1), repeat=n)]
+
+
+def p1_power(n):
+    return build_fan(*p1_power_input(n))
+
+
+def p_n_input(n):
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays.append((-1,) * n)
+    return n, rays, [list(c) for c in itertools.combinations(range(n + 1), n)]
 
 
 HEXAGON = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
@@ -568,3 +578,97 @@ def test_build_fan_agrees_with_fan_diagnostics():
                           "BadIntersection", "other first pair"}
     assert kinds["valid"] >= 40 and kinds["BadIntersection"] >= 30
     assert kinds["other first pair"] >= 5
+
+
+# ---------------------------------------------------------------------------
+# the separating functional against the pair check by one dual
+
+
+BAD_PAIRS = [
+    (2, [(1, 0), (0, 1), (1, 1)], [[0, 1], [2]]),
+    (2, [(1, 0), (0, 1), (1, 1), (1, -1)], [[0, 1], [2, 3]]),
+    (3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)],
+     [[0, 1, 2, 3], [0, 2]]),
+    (2, [(1, 0), (0, 1), (1, 1)], [[0, 1, 2]]),
+]
+
+
+def dual_only_spanned(fan, a, b):
+    """The former pair check: after the nested and lone-ray cases, one dual
+    of the two cones' dual generators, whose extremal rays must all be
+    common rays."""
+    common = a & b
+    if common == a or common == b:
+        return True
+    if len(a) == 1 or len(b) == 1:
+        (i,), other = (a, b) if len(a) == 1 else (b, a)
+        return (len(other) == 1
+                or not fan._geom[other].contains(fan.rays[i]))
+    E, _ = dual_description(
+        fan._geom[a].dual_generators() + fan._geom[b].dual_generators(),
+        fan.rank,
+    )
+    return all(fan._ray_index.get(e) in common for e in E)
+
+
+def fan_outcome(rank, rays, cones):
+    """What build_fan and fan_diagnostics make of one input."""
+    try:
+        built = list(build_fan(rank, rays, cones).cones.items())
+    except DemazureError as exc:
+        built = (type(exc).__name__, str(exc))
+    fan, violations = fan_diagnostics(rank, rays, cones)
+    return built, violations, fan and list(fan.cones.items())
+
+
+def test_pair_certificate_matches_the_dual_check(monkeypatch):
+    rng = random.Random(2718)
+    inputs = _agreement_inputs(rng) + BAD_PAIRS + [p_n_input(6),
+                                                   p1_power_input(5)]
+    calls = []
+    pairs = bad = 0
+    fallbacks = collections.Counter()
+    original = Fan._spanned_by_common_rays
+
+    def counted(gens, rank):
+        calls.append(rank)
+        return dual_description(gens, rank)
+
+    def spanned(self, a, b):
+        nonlocal pairs
+        before = len(calls)
+        out = original(self, a, b)
+        if a & b not in (a, b) and len(a) > 1 and len(b) > 1:
+            pairs += 1
+            if len(calls) > before:
+                fallbacks[out] += 1
+        return out
+
+    for rank, rays, cones in inputs:
+        with monkeypatch.context() as m:
+            m.setattr(Fan, "_spanned_by_common_rays", dual_only_spanned)
+            expected = fan_outcome(rank, rays, cones)
+        bad += any(v["kind"] == "BadIntersection" for v in expected[1])
+        with monkeypatch.context() as m:
+            m.setattr(fan_module, "dual_description", counted)
+            m.setattr(Fan, "_spanned_by_common_rays", spanned)
+            assert fan_outcome(rank, rays, cones) == expected, (rank, rays)
+    # the dual decides every pair that is not spanned by its common rays,
+    # and the few spanned ones that none of the three functionals separates
+    assert bad == 39 and pairs == 1883
+    assert fallbacks == {False: 27, True: 3}
+
+
+def test_a_certified_pair_calls_no_dual(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fan_module, "dual_description",
+                        lambda *args: calls.append(args))
+    rank, rays, cones = p_n_input(3)
+    fan = build_fan(rank, rays, cones)
+    # two facets of P^3 meet in an edge, and opposite cones of (P^1)^2 at 0
+    assert fan.intersection_defect(frozenset({0, 1, 2}),
+                                   frozenset({1, 2, 3})) is None
+    fan = p1p1()
+    assert fan.intersection_defect(frozenset({0, 2}),
+                                   frozenset({1, 3})) is None
+    assert calls == []

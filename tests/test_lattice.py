@@ -7,7 +7,9 @@ oracle and then checked by hand.
 
 from __future__ import annotations
 
+import collections
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -524,6 +526,159 @@ def test_zero_rows_handled():
     assert lattice_points(1, [((0,), 0)], box=[(0, 2)]) == [(0,), (1,), (2,)]
     assert lattice_points(1, [((0,), 1)], box=[(0, 2)]) == []
     assert not integer_feasible(2, [((0, 0), 3)])
+
+
+# ---------------------------------------------------------------------------
+# project-and-lift against the box scan and the feasibility test it replaced
+
+
+def scan(box, rows):
+    """The points of the box satisfying every row, in lexicographic order."""
+    for p in itertools.product(*[range(lo, hi + 1) for lo, hi in box]):
+        if all(dot(u, p) >= b for u, b in rows):
+            yield p
+
+
+def scan_points(rank, inequalities=(), equalities=(), box=None):
+    """The former lattice_points: the rows scanned over the explicit box,
+    or over the box of a bounded region read off its homogenization.  A
+    region empty over Q gives no points, bounded or not."""
+    rows, empty = lattice._normalize_rows(rank, inequalities, equalities)
+    if empty:
+        return []
+    if box is None:
+        direction, box = region_shape(rank, rows)
+        if box is None:
+            return []
+        if direction is not None:
+            raise UnboundedRegion("unbounded")
+    else:
+        box = [(math.ceil(Fraction(lo)), math.floor(Fraction(hi)))
+               for lo, hi in box]
+    return list(scan(box, rows))
+
+
+def scan_feasible(rank, inequalities=(), equalities=()):
+    """The former integer_feasible: a bounded region scans its box, an
+    unbounded one drops a recession direction and recurses."""
+    rows, empty = lattice._normalize_rows(rank, inequalities, equalities)
+    if empty:
+        return False
+    if rank == 0 or not rows:
+        return True
+    c, box = region_shape(rank, rows)
+    if box is None:
+        return False
+    if c is None:
+        return next(scan(box, rows), None) is not None
+    cols = list(zip(*unimodular_with_last_column(c)))
+    new_rows = []
+    for u, b in rows:
+        um = tuple(dot(u, col) for col in cols)
+        if not um[-1]:
+            new_rows.append((um[:-1], b))
+    return scan_feasible(rank - 1, new_rows)
+
+
+def box_rows(box):
+    n = len(box)
+    rows = []
+    for k, (lo, hi) in enumerate(box):
+        e = tuple(int(j == k) for j in range(n))
+        rows += [(e, lo), (vneg(e), -hi)]
+    return rows
+
+
+def random_system(rng, rank):
+    """Rows, equalities and a kind: plain, empty over Q, or lattice-free (a
+    strip 1 <= k <u, x> <= k - 1 holding rational points only)."""
+    ineqs = [(tuple(rng.randint(-3, 3) for _ in range(rank)),
+              rng.randint(-4, 2)) for _ in range(rng.randint(0, rank + 2))]
+    eqs = []
+    if rank and rng.random() < 0.3:
+        eqs.append((tuple(rng.randint(-2, 2) for _ in range(rank)),
+                    rng.randint(-2, 2)))
+    if ineqs and rng.random() < 0.3:
+        u, b = ineqs[0]
+        d = rng.randint(2, 3)
+        ineqs[0] = (tuple(Fraction(x, d) for x in u), Fraction(b, d))
+    kind = rng.choice(["plain", "plain", "empty", "lattice-free"])
+    u = tuple(rng.randint(-2, 2) for _ in range(rank))
+    if not any(u):
+        kind = "plain"
+    elif kind == "empty":
+        ineqs += [(u, 1), (vneg(u), 0)]
+    elif kind == "lattice-free":
+        k = rng.randint(2, 3)
+        u = primitive(u)
+        ineqs += [(tuple(k * x for x in u), 1),
+                  (tuple(-k * x for x in u), 1 - k)]
+    return ineqs, eqs, kind
+
+
+def test_lattice_points_match_the_box_scan_random():
+    rng = random.Random(1212)
+    kinds = collections.Counter()
+    for _ in range(400):
+        rank = rng.randint(0, 6)
+        ineqs, eqs, kind = random_system(rng, rank)
+        # an explicit box, with rational bounds
+        width = 1 if rank > 4 else 3
+        box = [(Fraction(rng.randint(-2 * width, 0), rng.randint(1, 2)),
+                Fraction(rng.randint(0, 2 * width), rng.randint(1, 2)))
+               for _ in range(rank)]
+        got = lattice_points(rank, ineqs, eqs, box=box)
+        assert got == scan_points(rank, ineqs, eqs, box=box), (ineqs, eqs)
+        bounded = ineqs + box_rows(box)
+        assert integer_feasible(rank, bounded, eqs) == bool(got)
+        kinds[kind, bool(got)] += 1
+        if rank > 3:
+            continue
+        # the region's own box, bounded or not
+        assert integer_feasible(rank, ineqs, eqs) == scan_feasible(
+            rank, ineqs, eqs)
+        assert lattice_points(rank, bounded, eqs) == got
+        try:
+            expected = scan_points(rank, ineqs, eqs)
+        except UnboundedRegion:
+            # infinitely many points, or none, which the scan cannot tell
+            if scan_feasible(rank, ineqs, eqs):
+                kinds["unbounded"] += 1
+                with pytest.raises(UnboundedRegion):
+                    lattice_points(rank, ineqs, eqs)
+                continue
+            kinds["unbounded and lattice-free"] += 1
+            expected = []
+        assert lattice_points(rank, ineqs, eqs) == expected
+    assert kinds[("empty", False)] > 50
+    assert kinds[("lattice-free", False)] > 50
+    assert kinds[("plain", True)] > 100 and kinds["unbounded"] > 30
+    assert kinds["unbounded and lattice-free"] > 5
+
+
+def test_regions_past_the_row_ceiling_match_the_box_scan(monkeypatch):
+    # the root regions of seeded rank-6 cones with 12 generators: past the
+    # ceiling the lower levels lift over the box and check the input rows
+    rng = random.Random(12)
+    box = [(-1, 1)] * 6
+    regions = cut = 0
+    while regions < 30:
+        gens = [(rng.randint(1, 3),) + tuple(rng.randint(-3, 3)
+                                             for _ in range(5))
+                for _ in range(12)]
+        rays = Cone(6, gens).rays()
+        for i, ray in enumerate(rays):
+            ineqs = [(r, 0) for j, r in enumerate(rays) if j != i]
+            rows = lattice._normalize_rows(
+                6, ineqs + box_rows(box), [(ray, -1)])[0]
+            capped = lattice._eliminate(6, rows)
+            with monkeypatch.context() as m:
+                m.setattr(lattice, "ROW_CEILING", 10 ** 9)
+                cut += lattice._eliminate(6, rows) != capped
+            assert lattice_points(6, ineqs, [(ray, -1)], box=box) == list(
+                scan(box, rows))
+            regions += 1
+    assert (regions, cut) == (36, 36)
 
 
 # ---------------------------------------------------------------------------

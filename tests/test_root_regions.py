@@ -19,20 +19,26 @@ from fractions import Fraction
 
 import pytest
 
-from demazure import lattice
+from demazure import lattice, orbits
 from demazure.errors import DemazureError, UnboundedRoots
 from demazure.fan import build_fan
 from demazure.lattice import dot
 from demazure.orbits import admits_g_structure
-from demazure.roots import DemazureRoot, check_condition2, roots_of_fan
+from demazure.roots import (
+    DemazureRoot,
+    _root_system,
+    check_condition2,
+    roots_of_fan,
+)
 
 from test_fan import (
     HEXAGON,
     change_basis,
     p1_power,
+    p_n_input,
     random_complete_fan_input,
 )
-from test_lattice import fraction_nullspace
+from test_lattice import box_rows, fraction_nullspace
 from test_orbits import oracle_admits
 
 
@@ -81,6 +87,13 @@ def oracle_box(rays, i, n):
     if not vertices:
         return None
     return [(math.floor(min(c)), math.ceil(max(c))) for c in zip(*vertices)]
+
+
+def oracle_has_point(rays, i, n, radius=8):
+    """Does ray i's root region hold a lattice point of max norm <= radius?"""
+    return any(dot(rays[i], e) == -1 and all(
+        dot(r, e) >= 0 for j, r in enumerate(rays) if j != i)
+        for e in itertools.product(range(-radius, radius + 1), repeat=n))
 
 
 def oracle_roots(fan, boxes):
@@ -178,7 +191,10 @@ def test_roots_of_fan_matches_the_definition_on_incomplete_fans():
         shapes["mixed" if any(bounded) else "unbounded"] += 1
         with pytest.raises(UnboundedRoots) as info:
             roots_of_fan(fan)
-        assert info.value.ray_index == bounded.index(False)
+        # the first ray whose region is unbounded and holds a lattice point
+        assert info.value.ray_index == next(
+            i for i in range(l)
+            if not bounded[i] and oracle_has_point(fan.rays, i, n))
         for bound in (0, 1, 2):
             got = roots_of_fan(fan, bound=bound)
             assert not got.complete_enumeration
@@ -195,6 +211,40 @@ def test_roots_of_fan_matches_the_definition_on_incomplete_fans():
     assert truncated == 7
 
 
+def test_an_empty_region_is_not_named_unbounded():
+    # <n, e> = -1 with n = (1, 1, 0) and e_1, e_2 >= 0 has no point, not
+    # even over Q, so that ray has no roots; the regions of (1, 0, 0) and
+    # (0, 1, 0) hold infinitely many
+    rays = [(1, 1, 0), (1, 0, 0), (0, 1, 0)]
+    for order in itertools.permutations(range(3)):
+        where = [order.index(k) for k in range(3)]
+        fan = build_fan(3, [rays[k] for k in order],
+                        [[where[0], where[1]], [where[0], where[2]]])
+        with pytest.raises(UnboundedRoots) as info:
+            roots_of_fan(fan)
+        assert info.value.ray_index == min(where[1], where[2]), order
+        assert str(info.value).startswith(
+            f"root region of ray {min(where[1], where[2])} is unbounded")
+        got = roots_of_fan(fan, bound=2)
+        assert not got.complete_enumeration
+        assert list(got.roots) == oracle_roots(fan, [[(-2, 2)] * 3] * 3)
+        assert all(r.ray_index != where[0] for r in got.roots)
+
+
+def test_an_unbounded_region_without_lattice_points_holds_no_roots():
+    # three regions are unbounded along e_2 and free of lattice points; in
+    # ray 2's, e_1 = 1 - 2 e_3, 1/3 <= e_3 <= 2/3 and e_2 >= 2 - 5 e_3
+    fan = build_fan(3, [(2, 0, 1), (-1, 0, 1), (-1, 0, -2), (-2, 1, 1)],
+                    [[0], [1], [2], [3]])
+    bounded = [oracle_bounded(fan.rays, i, 3) for i in range(4)]
+    assert bounded == [False, False, False, True]
+    got = roots_of_fan(fan)
+    assert got.complete_enumeration
+    assert list(got.roots) == oracle_roots(fan, [
+        oracle_box(fan.rays, i, 3) if bounded[i] else None
+        for i in range(4)])
+
+
 def test_check_condition2_matches_the_cone_loop():
     compared = failed = 0
     for fan in mixed_region_fans():
@@ -209,8 +259,8 @@ def test_check_condition2_matches_the_cone_loop():
 
 
 # ---------------------------------------------------------------------------
-# each root region is dualized once, its homogenization, which decides both
-# boundedness and the box
+# a root region is eliminated, and dualized only when the elimination leaves
+# it open: when it is unbounded, or the elimination stopped at its ceiling
 
 
 @pytest.fixture
@@ -231,10 +281,7 @@ def duals(monkeypatch):
 
 
 def p_n(n):
-    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    rays.append((-1,) * n)
-    return build_fan(n, rays, [list(c) for c in
-                               itertools.combinations(range(n + 1), n)])
+    return build_fan(*p_n_input(n))
 
 
 def affine(n):
@@ -242,8 +289,15 @@ def affine(n):
                          for i in range(n)], [list(range(n))])
 
 
-# the last parameter is the count of the former analysis, one recession dual
-# per region and one homogenization dual per bounded region
+# dual counts of roots_of_fan: a complete fan's regions are bounded, and
+# only an unbounded region is dualized, to confirm it
+ROOTS_DUALS = {"P^2": 0, "P^3": 0, "P^4": 0, "(P^1)^3": 0, "F_3": 0,
+               "A^3": 3}
+
+
+# the last parameter is the count of the analysis before last, one recession
+# dual per region and one homogenization dual per bounded region; the
+# former analysis took one homogenization dual per region
 @pytest.mark.parametrize("name, fan, bound, before", [
     ("P^2", lambda: p_n(2), None, 6),
     ("P^3", lambda: p_n(3), None, 8),
@@ -256,51 +310,104 @@ def test_roots_of_fan_dual_counts(duals, name, fan, bound, before):
     fan = fan()
     duals.clear()
     roots_of_fan(fan, bound=bound)
-    assert len(duals) == len(fan.rays) <= before, name
+    assert len(duals) == ROOTS_DUALS[name] <= min(len(fan.rays), before)
 
 
-# dual counts of admits_g_structure, and of the former 2^(l-1) pattern
-# search, which the oracle repeats; the flats it tries are a subsequence of
-# those patterns
-ADMITS_DUALS = {"P^3": 4, "(P^1)^3": 4, "hexagon": 6}
-PATTERN_SEARCH_DUALS = {"P^3": 4, "(P^1)^3": 16, "hexagon": 24}
+# the largest number of rows on one level of a root region's elimination
+@pytest.mark.parametrize("name, fan, bound, rows", [
+    ("P^6", lambda: p_n(6), None, 3),
+    ("(P^1)^5", lambda: p1_power(5), None, 2),
+    ("A^4", lambda: affine(4), 8, 2),
+])
+def test_largest_elimination_levels(name, fan, bound, rows):
+    fan = fan()
+    n = fan.rank
+    box = [] if bound is None else box_rows([(-bound, bound)] * n)
+    largest = 0
+    for i in range(len(fan.rays)):
+        ineqs, eqs = _root_system(fan.rays, i)
+        levels = lattice._eliminate(
+            n, lattice._normalize_rows(n, ineqs + box, eqs)[0])
+        largest = max(largest, *(len(lo) + len(up) for lo, up in levels))
+    assert largest == rows <= lattice.ROW_CEILING, name
+
+
+@pytest.fixture
+def programs(monkeypatch):
+    """Counts the integer programs decided: outermost integer_feasible
+    calls from the library and from the oracles."""
+    calls = []
+    original = lattice.integer_feasible
+    depth = []
+
+    def counted(*args):
+        if not depth:
+            calls.append(args[0])
+        depth.append(1)
+        try:
+            return original(*args)
+        finally:
+            depth.pop()
+
+    for module in (lattice, orbits):
+        monkeypatch.setattr(module, "integer_feasible", counted)
+    return calls
+
+
+# dual counts of admits_g_structure: none, as every program it decides on
+# these fans is bounded; and the programs it decides, against the former
+# 2^(l-1) pattern search, which the oracle repeats: the flats it tries are
+# a subsequence of those patterns
+ADMITS_DUALS = {"P^3": 0, "(P^1)^3": 0, "hexagon": 0}
+ADMITS_PROGRAMS = {"P^3": 4, "(P^1)^3": 4, "hexagon": 6}
+PATTERN_SEARCH_PROGRAMS = {"P^3": 4, "(P^1)^3": 16, "hexagon": 24}
 
 
 # the last parameter is the count while integer_feasible took a recession
-# dual and a homogenization dual per nonempty region
+# dual and a homogenization dual per nonempty region; after that it took
+# one dual per program
 @pytest.mark.parametrize("name, fan, before", [
     ("P^3", lambda: p_n(3), 5),
     ("(P^1)^3", lambda: p1_power(3), 5),
     ("hexagon", lambda: build_fan(2, HEXAGON,
                                   [[k, (k + 1) % 6] for k in range(6)]), 6),
 ])
-def test_admits_g_structure_dual_counts(duals, name, fan, before):
+def test_admits_g_structure_dual_counts(duals, programs, name, fan, before):
     fan = fan()
     duals.clear()
     admits_g_structure(fan)
-    assert len(duals) == ADMITS_DUALS[name] <= before, name
-    duals.clear()
+    assert len(duals) == ADMITS_DUALS[name] < before, name
+    assert len(programs) == ADMITS_PROGRAMS[name], name
+    programs.clear()
     oracle_admits(fan)
-    assert len(duals) == PATTERN_SEARCH_DUALS[name] >= ADMITS_DUALS[name], name
+    assert len(programs) == PATTERN_SEARCH_PROGRAMS[name] \
+        >= ADMITS_PROGRAMS[name], name
 
 
-def test_mixed_region_fans_dualize_each_region_at_most_twice(duals):
-    admits = pattern_search = 0
+def test_mixed_region_fans_dualize_each_region_at_most_twice(
+        duals, programs):
+    regions = dualized = admits = tried = pattern_search = 0
     for fan in mixed_region_fans():
         duals.clear()
         try:
             roots_of_fan(fan)
         except UnboundedRoots:
             pass
-        # one homogenization dual per ray, bounded or not; the former
-        # analysis took twice as many when every region was bounded
-        assert len(duals) == len(fan.rays)
+        regions += len(fan.rays)
+        dualized += len(duals)
         duals.clear()
+        programs.clear()
         admits_g_structure(fan)
         admits += len(duals)
-        duals.clear()
+        tried += len(programs)
+        programs.clear()
         oracle_admits(fan)
-        pattern_search += len(duals)
-    # 327 and 779 while integer_feasible dualized each nonempty region twice
-    assert admits == 257
-    assert pattern_search == 709
+        pattern_search += len(programs)
+    # the former analysis dualized every region once; now only the
+    # unbounded ones are, to confirm, and the integer programs that decide
+    # whether they hold a point dualize their unbounded regions
+    assert dualized == 78 < regions == 226
+    # 257 while integer_feasible dualized every program, 327 while it
+    # dualized each nonempty region twice
+    assert admits == 23
+    assert tried == 234 and pattern_search == 686

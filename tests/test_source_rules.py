@@ -83,6 +83,28 @@ def test_no_permutation_loops():
     assert not found, f"itertools.permutations in the library: {found}"
 
 
+def test_no_box_scans():
+    # scanning a box tests every point of it against the rows, most of them
+    # outside the region; lattice points are lifted coordinate by
+    # coordinate instead, and the scan is a test oracle
+    named = {"lattice.py", "roots.py"}
+    assert {p.name for p in SOURCES} >= named
+    found = []
+    for path in SOURCES:
+        if path.name not in named:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if "product" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"itertools.product in the lattice-point code: {found}"
+
+
 def test_render_is_the_one_report_writer():
     # serialize.render writes every report; a json.dump(s) with an indent
     # would be a second writer beside it, running CPython's pure-Python
