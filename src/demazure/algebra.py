@@ -47,15 +47,8 @@ from .errors import (
     RankMismatch,
     WeightEscape,
 )
-from .lattice import Cone, dot
+from .lattice import Cone, as_int, dot
 from .roots import root_pairings
-
-
-def _as_int(x):
-    f = Fraction(x)
-    if f.denominator != 1:
-        raise InvalidInteger(f"non-integral component {x!r}")
-    return int(f)
 
 
 def lifted_cone(rank, tail_gens, vertices0, vertices_inf=()):
@@ -89,7 +82,7 @@ class ToricCarrier:
         return self.cone.rank
 
     def freeze(self, key):
-        m = tuple(_as_int(x) for x in key)
+        m = tuple(as_int(x) for x in key)
         if len(m) != self.rank:
             raise RankMismatch(
                 f"weight of length {len(m)} in ambient rank {self.rank}"
@@ -184,7 +177,7 @@ class CurveCarrier(ToricCarrier):
 
     def freeze(self, key):
         m, r = key
-        return (super().freeze(m), _as_int(r))
+        return (super().freeze(m), as_int(r))
 
     def flat(self, key):
         m, r = key
@@ -371,8 +364,8 @@ class HomogeneousLND:
 
     @classmethod
     def toric(cls, carrier, ray_normal, e):
-        n = tuple(_as_int(x) for x in ray_normal)
-        ee = tuple(_as_int(x) for x in e)
+        n = tuple(as_int(x) for x in ray_normal)
+        ee = tuple(as_int(x) for x in e)
         if len(n) != carrier.rank or len(ee) != carrier.rank:
             raise RankMismatch("ray normal and degree must match the carrier")
         return cls(carrier, n, ee)
@@ -380,9 +373,9 @@ class HomogeneousLND:
     @classmethod
     def horizontal(cls, carrier, v0, d, e, s):
         v = tuple(Fraction(x) for x in v0)
-        d = _as_int(d)
-        ee = tuple(_as_int(x) for x in e)
-        s = _as_int(s)
+        d = as_int(d)
+        ee = tuple(as_int(x) for x in e)
+        s = as_int(s)
         if len(v) != carrier.rank or len(ee) != carrier.rank:
             raise RankMismatch("vertex and degree must match the carrier")
         if d < 1:
@@ -403,7 +396,7 @@ class HomogeneousLND:
 
 def toric_lnd(cone, e):
     """The homogeneous derivation attached to a root of a pointed cone."""
-    ee = tuple(_as_int(x) for x in e)
+    ee = tuple(as_int(x) for x in e)
     rays = cone.rays()
     vals, neg = root_pairings(rays, ee)
     # the first ray pairing to -1 is the distinguished one; the first other

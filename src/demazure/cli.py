@@ -154,7 +154,10 @@ def _cmd_orbits(args):
         })
     invariant = list(partition.invariant_divisors)
     if args.dot:
-        Path(args.dot).write_text(serialize.dot_graph(fan, pairs))
+        try:
+            Path(args.dot).write_text(serialize.dot_graph(fan, pairs))
+        except OSError as exc:
+            raise SchemaError(f"cannot write {args.dot}: {exc}") from None
     return {
         "root": _root_json(fan, partition.root),
         "orbit_count": partition.orbit_count,

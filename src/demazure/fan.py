@@ -36,6 +36,7 @@ from .lattice import (
     dual_description,
     invariant_factors,
     primitive,
+    smith_normal_form,
     vneg,
     vsub,
 )
@@ -69,7 +70,7 @@ class Fan:
     itself, and gets a geometry only when `cone_geometry` asks for one.
     The fan is valid iff every two generating cones meet in a common face
     (the same then holds for all their faces), which `intersection_defect`
-    checks pair by pair.
+    checks pair by pair.  Faces and saturated bases are memoized per cone.
     """
 
     def __init__(self, rank, rays, supplied):
@@ -78,6 +79,7 @@ class Fan:
         self._ray_index = {r: i for i, r in enumerate(rays)}
         self._geom = dict(supplied)
         self._face_sets = {}
+        self._bases = {}
         self._automorphisms = None  # memo of orbits.fan_automorphisms
         self.generating = list(supplied)
         for i in range(len(rays)):
@@ -137,6 +139,17 @@ class Fan:
                 for fs, d in geom.face_table().items()
             }
         return self._face_sets[key]
+
+    def saturated_basis(self, cone):
+        """A basis of N ∩ span(cone): the rows of T at the nonzero invariant
+        factors of the Smith form S D T of the cone's rays."""
+        key = _as_key(cone)
+        if key not in self._bases:
+            _, D, T = smith_normal_form([self.rays[i] for i in key])
+            # a non-simplicial cone has more rays than the rank
+            self._bases[key] = [T[k] for k, d in enumerate(D[:len(T)])
+                                if d[k]]
+        return self._bases[key]
 
     def maximal_keys(self):
         """Cones not properly contained in another fan cone."""

@@ -40,6 +40,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import (
+    InvalidInteger,
     NotStronglyConvex,
     RankMismatch,
     UnboundedRegion,
@@ -69,6 +70,15 @@ def vsub(a, b):
 
 def vneg(a):
     return tuple(-x for x in a)
+
+
+def as_int(x):
+    """x as an int; InvalidInteger when it is not integral (int() would
+    truncate 1/2 or 0.5 to 0)."""
+    f = Fraction(x)
+    if f.denominator != 1:
+        raise InvalidInteger(f"non-integral component {x!r}")
+    return int(f)
 
 
 def primitive(v):
@@ -339,25 +349,8 @@ def smith_normal_form(A):
 
 
 def invariant_factors(A):
-    _, D, _ = smith_normal_form(A)
-    k = min(len(D), len(D[0]) if D else 0)
-    return [D[i][i] for i in range(k) if D[i][i] != 0]
-
-
-def unimodular_with_last_column(c):
-    """A unimodular integer matrix whose last column is the primitive c."""
-    n = len(c)
-    S, D, T = smith_normal_form([list(c)])
-    if D[0][0] != 1:
-        raise ValueError("unimodular_with_last_column needs a primitive vector")
-    rows = [list(r) for r in T]
-    if S[0][0] == -1:
-        rows[0] = [-x for x in rows[0]]
-    # now row 0 of `rows` equals c and the matrix is unimodular
-    M = transpose(rows)  # first column == c
-    for row in M:
-        row[0], row[n - 1] = row[n - 1], row[0]
-    return [tuple(r) for r in M]
+    _, D, T = smith_normal_form(A)
+    return [d[k] for k, d in enumerate(D[:len(T)]) if d[k]]
 
 
 # ---------------------------------------------------------------------------
@@ -865,10 +858,11 @@ def integer_feasible(rank, inequalities=(), equalities=()):
 
     Rational feasibility is not enough (a rational polyhedron can be
     lattice-free), so unbounded regions are reduced recursively: pick an
-    integer direction c in the recession cone, apply a unimodular change of
-    coordinates making c the last basis vector, drop the constraints that
-    become slack along c and recurse in one dimension fewer.  A bounded
-    region takes the first point lifted from its elimination.
+    integer direction c in the recession cone, drop the constraints that
+    become slack along c and recurse on Z^n / Zc in one dimension fewer.
+    Its coordinates are the pairings with rows 1.. of T in the Smith form
+    c = S D T, since T is unimodular with first row +/-c.  A bounded region
+    takes the first point lifted from its elimination.
     """
     rows, empty = _normalize_rows(rank, inequalities, equalities)
     if empty:
@@ -878,13 +872,10 @@ def integer_feasible(rank, inequalities=(), equalities=()):
     points, c = region_points(rank, rows)
     if points is not None:
         return next(points, None) is not None
-    M = unimodular_with_last_column(c)
-    cols = list(zip(*M))
-    new_rows = []
-    for u, b in rows:
-        um = tuple(dot(u, col) for col in cols)
-        # um[-1] = <u, c> >= 0 since c generates the recession cone; the
-        # rows with <u, c> > 0 become slack far enough along c
-        if um[-1] == 0:
-            new_rows.append((um[:-1], b))
-    return integer_feasible(rank - 1, new_rows)
+    T = smith_normal_form([list(c)])[2]
+    # <u, c> >= 0 since c generates the recession cone; the rows with
+    # <u, c> > 0 become slack far enough along c
+    return integer_feasible(rank - 1, [
+        (tuple(dot(u, t) for t in T[1:]), b) for u, b in rows
+        if dot(u, c) == 0
+    ])

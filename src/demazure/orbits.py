@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import ConeNotInFan, NotARoot, UnsupportedFan
+from .errors import NotARoot, UnsupportedFan
 from .lattice import (
+    as_int,
     det,
     dot,
     identity_matrix,
@@ -28,7 +29,6 @@ from .lattice import (
     mat_inverse,
     mat_vec,
     pivot_columns,
-    smith_normal_form,
     transpose,
 )
 from .roots import (
@@ -47,9 +47,10 @@ def verify_root(fan, e):
 
 
 def _verified(fan, e):
-    """(distinguished ray index, pairings with the rays) of a root e; raise
-    NotARoot when e is not one."""
-    e = tuple(int(x) for x in e)
+    """(distinguished ray index, pairings with the rays, e as ints) of a
+    root e; raise InvalidInteger for a non-integral e and NotARoot when e
+    is not a root."""
+    e = tuple(as_int(x) for x in e)
     if len(e) != fan.rank:
         raise NotARoot(f"character of length {len(e)} in rank {fan.rank}")
     vals, neg = root_pairings(fan.rays, e)
@@ -65,7 +66,7 @@ def _verified(fan, e):
             f"{e} vanishes on cone {sorted(witness)} but its extension by "
             f"ray {i} is not in the fan"
         )
-    return i, vals
+    return i, vals, e
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,8 @@ def he_connected_pairs(fan, e):
     One pair per fan cone sigma on which e vanishes identically; raises
     NotARoot when e is not a root of the fan.
     """
-    return _pairs_of_root(fan, *_verified(fan, e))
+    i, vals, _ = _verified(fan, e)
+    return _pairs_of_root(fan, i, vals)
 
 
 @dataclass(frozen=True)
@@ -134,23 +136,20 @@ def _stabilizer_core(fan, e, key, contains_ga):
     The stabilizer torus of the ambient torus orbit has cocharacter lattice
     N ∩ span(sigma); intersecting with the corank-one torus ker(e) drops the
     dimension by one unless e vanishes on the span, and contributes a cyclic
-    component group of order gcd(<b_i, e>) over a saturated basis b_i.
+    component group of order gcd(<b_i, e>) over a saturated basis b_i.  The
+    basis is the fan's, computed once per cone; the origin has none, and
+    gcd() of nothing is 0.
     """
-    idxs = sorted(key)
-    if not idxs:
-        return StabilizerData(0, 1, contains_ga)
-    _, D, T = smith_normal_form([fan.rays[j] for j in idxs])
-    r = sum(1 for t in range(min(len(D), len(D[0]))) if D[t][t])
-    # the first r rows of T are a saturated basis of the span
-    c = gcd(*(dot(T[t], e) for t in range(r)))
+    basis = fan.saturated_basis(key)
+    c = gcd(*(dot(b, e) for b in basis))
     if c == 0:
-        return StabilizerData(r, 1, contains_ga)
-    return StabilizerData(r - 1, c, contains_ga)
+        return StabilizerData(len(basis), 1, contains_ga)
+    return StabilizerData(len(basis) - 1, c, contains_ga)
 
 
 def g_orbit_partition(fan, e):
     """The full G-orbit partition of the torus orbits for a verified root."""
-    i, vals = _verified(fan, e)
+    i, vals, e = _verified(fan, e)
     pairs = _pairs_of_root(fan, i, vals)
     paired = {frozenset(c) for p in pairs for c in (p.cone1, p.cone2)}
 
@@ -168,17 +167,17 @@ def g_orbit_partition(fan, e):
             Orbit((ref.indices,), fan.rank - ref.dim, True, stab)
         )
     orbits.sort(key=lambda o: (len(o.cones[0]), o.cones[0]))
-    return GOrbitPartition(DemazureRoot(i, tuple(int(x) for x in e)),
+    return GOrbitPartition(DemazureRoot(i, e),
                            tuple(orbits), tuple(pairs),
                            tuple(_invariant_divisors(fan, i)))
 
 
 def stabilizer_data(fan, e, cone):
-    """Stabilizer data of the generic point of one torus-orbit cone."""
-    key = frozenset(int(i) for i in cone)
-    if key not in fan.cones:
-        raise ConeNotInFan(f"no cone with rays {sorted(key)}")
-    pairs = he_connected_pairs(fan, e)
+    """Stabilizer data of the generic point of one torus-orbit cone, given
+    as a ConeRef or as ray indices."""
+    key = frozenset(fan.ref(cone).indices)
+    i, vals, e = _verified(fan, e)
+    pairs = _pairs_of_root(fan, i, vals)
     in_pair = any(
         key == frozenset(p.cone1) or key == frozenset(p.cone2) for p in pairs
     )
@@ -367,22 +366,13 @@ def _ray_permutation(fan, M, cone_keys):
     return tuple(perm)
 
 
-def _contragredient(automorphism):
-    """(M^-1)^T as integer rows: e -> (M^-1)^T e preserves the pairing of
-    rays with characters, <M n, (M^-1)^T e> = <n, e>."""
-    inv = mat_inverse([list(r) for r in automorphism.matrix])
-    # integral because det = +/-1
-    return [tuple(int(x) for x in col) for col in zip(*inv)]
-
-
-def _root_image(automorphism, inv_t, root):
-    return DemazureRoot(automorphism.ray_permutation[root.ray_index],
-                        mat_vec(inv_t, root.e))
-
-
 def root_image(automorphism, root):
-    """Image of a root under the contragredient action e -> (phi^-1)^T e."""
-    return _root_image(automorphism, _contragredient(automorphism), root)
+    """Image of a root under the contragredient action e -> (M^-1)^T e,
+    which preserves the pairing: <M n, (M^-1)^T e> = <n, e>."""
+    inv = mat_inverse([list(r) for r in automorphism.matrix])
+    # integral because det M = +/-1
+    e = tuple(int(x) for x in mat_vec(transpose(inv), root.e))
+    return DemazureRoot(automorphism.ray_permutation[root.ray_index], e)
 
 
 def classify_roots(fan, roots):
@@ -390,8 +380,11 @@ def classify_roots(fan, roots):
 
     Returns a list of classes (sorted lists of roots); classes are ordered
     by their first member.  Images that leave the supplied root list (which
-    can happen for a truncated enumeration) do not merge anything.  The
-    contragredient of each automorphism is computed once.
+    can happen for a truncated enumeration) do not merge anything.  Each
+    automorphism phi = (M, pi) unions every root with its image under
+    phi^-1, which is in the group too: its contragredient is the integer
+    transpose M^T, and it sends the root of ray i to a root of ray
+    pi^-1(i).  So no matrix is inverted.
     """
     autos = fan_automorphisms(fan)
     roots = sorted(roots)
@@ -410,9 +403,10 @@ def classify_roots(fan, roots):
             parent[max(rx, ry)] = min(rx, ry)
 
     for phi in autos:
-        inv_t = _contragredient(phi)
+        m_t = transpose(phi.matrix)
+        inv = {j: i for i, j in enumerate(phi.ray_permutation)}
         for r in roots:
-            img = _root_image(phi, inv_t, r)
+            img = DemazureRoot(inv[r.ray_index], mat_vec(m_t, r.e))
             # the image is always a root of the fan; it may fall outside a
             # truncated input list
             if img in index:

@@ -166,6 +166,16 @@ def test_orbits_report(capsys, tmp_path):
     assert text.count("He") == 2
 
 
+def test_orbits_dot_to_an_unwritable_path(capsys, tmp_path):
+    dot = tmp_path / "missing" / "orbits.dot"
+    code, rep, _ = run(capsys, "orbits", fixture("p2"),
+                       "--root=0,-1", "--dot", dot)
+    assert code == 2 and "result" not in rep
+    assert rep["error"]["kind"] == "SchemaError"
+    assert rep["error"]["message"].startswith(f"cannot write {dot}: ")
+    assert not dot.parent.exists()
+
+
 def test_orbits_stabilizer_payload(capsys):
     code, rep, _ = run(capsys, "orbits", fixture("a2"), "--root=-1,2")
     assert code == 0

@@ -33,6 +33,7 @@ from demazure.divisors import (
 from demazure.errors import (
     CurveMismatch,
     InvalidColoring,
+    InvalidInteger,
     NoDegreeZeroLND,
     NotCoherent,
     NotNormalized,
@@ -349,6 +350,17 @@ def test_coherence_positive_d2():
     assert res.rho_tilde == (1, 2)
     assert res.e_tilde == (1, -1)
     assert sorted(res.sigma_tilde.rays()) == [(1, 0), (1, 2)]
+
+
+@pytest.mark.parametrize("entry", [coherent_check, horizontal_lnd])
+def test_coherence_rejects_a_non_integral_degree(entry):
+    # int() would truncate 3/2 to the coherent degree (1,)
+    div = PolyhedralDivisor("A1", ray1(), {0: [(Fraction(1, 2),)]})
+    colored = ColoredDivisor(div, 0, {0: (Fraction(1, 2),)})
+    for x in (Fraction(3, 2), 1.5):
+        with pytest.raises(InvalidInteger, match="non-integral component"):
+            entry(colored, (x,))
+    assert coherent_check(colored, (1.0,)).e == (1,)
 
 
 def test_coherence_rejects_degree_outside_weight_cone():

@@ -40,7 +40,6 @@ from demazure.lattice import (
     region_shape,
     smith_normal_form,
     transpose,
-    unimodular_with_last_column,
     vneg,
 )
 
@@ -49,6 +48,24 @@ from test_fan import random_unimodular
 
 # ---------------------------------------------------------------------------
 # oracle helpers
+
+
+def unimodular_with_last_column(c):
+    """A unimodular integer matrix whose last column is the primitive c
+    (formerly in the library, where integer_feasible changed coordinates
+    with it)."""
+    n = len(c)
+    S, D, T = smith_normal_form([list(c)])
+    if D[0][0] != 1:
+        raise ValueError("unimodular_with_last_column needs a primitive vector")
+    rows = [list(r) for r in T]
+    if S[0][0] == -1:
+        rows[0] = [-x for x in rows[0]]
+    # now row 0 of `rows` equals c and the matrix is unimodular
+    M = transpose(rows)  # first column == c
+    for row in M:
+        row[0], row[n - 1] = row[n - 1], row[0]
+    return [tuple(r) for r in M]
 
 
 def brute_dual_points(gens, rank, radius=5):
@@ -654,6 +671,71 @@ def test_lattice_points_match_the_box_scan_random():
     assert kinds[("lattice-free", False)] > 50
     assert kinds[("plain", True)] > 100 and kinds["unbounded"] > 30
     assert kinds["unbounded and lattice-free"] > 5
+
+
+def former_integer_feasible(rank, inequalities=(), equalities=()):
+    """The former integer_feasible: an unbounded region changes
+    coordinates by unimodular_with_last_column(c) and recurses."""
+    rows, empty = lattice._normalize_rows(rank, inequalities, equalities)
+    if empty:
+        return False
+    if rank == 0 or not rows:
+        return True
+    points, c = lattice.region_points(rank, rows)
+    if points is not None:
+        return next(points, None) is not None
+    cols = list(zip(*unimodular_with_last_column(c)))
+    new_rows = []
+    for u, b in rows:
+        um = tuple(dot(u, col) for col in cols)
+        if um[-1] == 0:
+            new_rows.append((um[:-1], b))
+    return former_integer_feasible(rank - 1, new_rows)
+
+
+def hidden_lattice_free_triangle(rng):
+    """Rows of a triangle in Q^2 with no lattice point that the elimination
+    alone does not rule out: its lift finds none."""
+    while True:
+        u, v = (tuple(rng.randint(-4, 4) for _ in range(2)) for _ in "uv")
+        a, b = rng.randint(1, 2), rng.randint(1, 2)
+        # -(a u + b v) closes the triangle when u and v are independent
+        w = tuple(-a * x - b * y for x, y in zip(u, v))
+        rows = [(n, rng.randint(-6, 6)) for n in (u, v, w)]
+        norm, empty = lattice._normalize_rows(2, rows, ())
+        levels = None if empty else lattice._eliminate(2, norm)
+        if (levels and all(lower and upper for lower, upper in levels)
+                and next(lattice._lift(levels), None) is None):
+            return rows
+
+
+def test_integer_feasible_matches_the_former_recursion_on_unbounded_systems():
+    # ranks 1-6: a random system or a hidden lattice-free triangle in at
+    # most as many coordinates, padded with zeros and moved by a GL_n(Z)
+    # change, so that most have a lineality space; only the systems the
+    # elimination leaves unbounded reach the recursion, and only they are
+    # kept (the random lattice-free strips never do: rounding rules them
+    # out first)
+    rng = random.Random(4747)
+    kinds = collections.Counter()
+    while sum(kinds.values()) < 300:
+        rank = rng.randint(1, 6)
+        if rank > 2 and rng.random() < 0.3:
+            kind, ineqs, eqs = "triangle", hidden_lattice_free_triangle(rng), []
+        else:
+            ineqs, eqs, kind = random_system(rng, rng.randint(1, rank))
+        U = random_unimodular(rng, rank) if rank > 1 else [[1]]
+        ineqs, eqs = ([(mat_mul([list(u) + [0] * (rank - len(u))], U)[0], b)
+                       for u, b in rows] for rows in (ineqs, eqs))
+        rows, empty = lattice._normalize_rows(rank, ineqs, eqs)
+        if empty or lattice.region_points(rank, rows)[0] is not None:
+            continue  # trivially empty, or decided by the elimination
+        verdict = integer_feasible(rank, ineqs, eqs)
+        assert verdict == former_integer_feasible(rank, ineqs, eqs), (
+            rank, ineqs, eqs)
+        kinds[kind, verdict] += 1
+    assert kinds["triangle", False] > 20
+    assert kinds["plain", True] > 100
 
 
 def test_regions_past_the_row_ceiling_match_the_box_scan(monkeypatch):

@@ -3,6 +3,8 @@
 The symmetry search and the existence test are checked against the
 brute-force searches they replaced, kept here as oracles: every ray
 permutation for the automorphisms, every zero pattern for the roots.
+The stabilizers and the root classes are checked against the code they
+replaced: a Smith form per call, and a Fraction inverse per automorphism.
 """
 
 from __future__ import annotations
@@ -10,20 +12,34 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from demazure import fan as fan_module
 from demazure import lattice, orbits
 from demazure.errors import (
     ConeNotInFan,
     DemazureError,
+    InvalidInteger,
     NotARoot,
     UnsupportedFan,
 )
 from demazure.fan import build_fan
-from demazure.lattice import det, dot, mat_inverse, mat_mul, mat_rank, mat_vec
+from demazure.lattice import (
+    det,
+    dot,
+    mat_inverse,
+    mat_mul,
+    mat_rank,
+    mat_vec,
+    smith_normal_form,
+    transpose,
+)
 from demazure.orbits import (
     FanAutomorphism,
+    StabilizerData,
     admits_g_structure,
     classify_roots,
     fan_automorphisms,
@@ -34,7 +50,12 @@ from demazure.orbits import (
     stabilizer_data,
     verify_root,
 )
-from demazure.roots import cones_inside, extension_in_fan, roots_of_fan
+from demazure.roots import (
+    DemazureRoot,
+    cones_inside,
+    extension_in_fan,
+    roots_of_fan,
+)
 
 from test_fan import (
     HEXAGON,
@@ -44,6 +65,7 @@ from test_fan import (
     p1_power,
     p1p1,
     p2,
+    p_n_input,
     random_complete_fans,
     random_fan_input,
 )
@@ -585,3 +607,183 @@ def test_p1_power_four_automorphisms():
 
 def test_p1_power_five_admits():
     assert admits_g_structure(p1_power(5))
+
+
+# ---------------------------------------------------------------------------
+# stabilizers from the fan's saturated bases, classes through transposes
+
+
+def oracle_stabilizer(fan, e, key, contains_ga):
+    """The former stabilizer: one Smith form of the cone's rays per call."""
+    idxs = sorted(key)
+    if not idxs:
+        return StabilizerData(0, 1, contains_ga)
+    _, D, T = smith_normal_form([fan.rays[j] for j in idxs])
+    r = sum(1 for t in range(min(len(D), len(D[0]))) if D[t][t])
+    c = gcd(*(dot(T[t], e) for t in range(r)))
+    if c == 0:
+        return StabilizerData(r, 1, contains_ga)
+    return StabilizerData(r - 1, c, contains_ga)
+
+
+def oracle_classify(fan, roots):
+    """The former classification: each root is merged with its image under
+    the Fraction contragredient (M^-1)^T of every automorphism."""
+    roots = sorted(roots)
+    cls = {r: {r} for r in roots}
+    for phi in fan_automorphisms(fan):
+        inv_t = transpose(mat_inverse([list(r) for r in phi.matrix]))
+        for r in roots:
+            img = DemazureRoot(phi.ray_permutation[r.ray_index],
+                               mat_vec(inv_t, r.e))
+            if img in cls and cls[img] is not cls[r]:
+                merged = cls[r] | cls[img]
+                for x in merged:
+                    cls[x] = merged
+    return sorted({id(c): sorted(c) for c in cls.values()}.values())
+
+
+def non_smooth_fans():
+    square = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+    return [
+        build_fan(2, [(1, 0), (0, 1), (-2, -3)], [[0, 1], [1, 2], [0, 2]]),
+        build_fan(2, [(1, 0), (1, 3)], [[0, 1]]),
+        build_fan(3, square, [[0, 1, 2, 3]]),
+        build_fan(3, square + [(0, 0, -1)],
+                  [[0, 1, 2, 3]] + [[k, (k + 1) % 4, 4] for k in range(4)]),
+        # four rays spanning three dimensions: a zero invariant factor
+        build_fan(4, [r + (0,) for r in square], [[0, 1, 2, 3]]),
+    ]
+
+
+def stabilizer_fans():
+    rng = random.Random(3131)
+    fans = []
+    while len(fans) < 40:
+        try:
+            fans.append(build_fan(*random_fan_input(rng)))
+        except DemazureError:
+            pass
+    return fans + non_smooth_fans() + named_fans()
+
+
+def test_stabilizers_match_the_per_call_smith_form():
+    checked = set()
+    for fan in stabilizer_fans():
+        for root in list(roots_of_fan(fan, bound=2))[:6]:
+            e = root.e
+            for orbit in g_orbit_partition(fan, e).orbits:
+                key = frozenset(orbit.cones[0])
+                assert orbit.stabilizer == oracle_stabilizer(
+                    fan, e, key, orbit.ga_fixed), (fan.rays, e, key)
+            paired = {frozenset(c) for p in he_connected_pairs(fan, e)
+                      for c in (p.cone1, p.cone2)}
+            for key, ref in fan.cones.items():
+                assert stabilizer_data(fan, e, ref) == oracle_stabilizer(
+                    fan, e, key, key not in paired), (fan.rays, e, key)
+                checked.add(len(key) > ref.dim)
+    assert checked == {False, True}  # non-simplicial cones among them
+
+
+@pytest.fixture
+def smith_calls(monkeypatch):
+    """Records the matrices that get a Smith form."""
+    calls = []
+    original = lattice.smith_normal_form
+
+    def recorded(A):
+        calls.append(A)
+        return original(A)
+
+    monkeypatch.setattr(lattice, "smith_normal_form", recorded)
+    monkeypatch.setattr(fan_module, "smith_normal_form", recorded)
+    return calls
+
+
+def test_one_smith_form_per_fan_cone(smith_calls):
+    fan = build_fan(*p_n_input(3))
+    roots = list(roots_of_fan(fan))
+    smith_calls.clear()
+    for root in roots:
+        g_orbit_partition(fan, root.e)
+    assert len(roots) == 12
+    # every cone is an orbit of every root
+    assert len(smith_calls) == len(fan.cones) == 15
+    for root in roots:
+        g_orbit_partition(fan, root.e)
+        for key in fan.cones:
+            stabilizer_data(fan, root.e, key)
+    assert len(smith_calls) == 15
+
+
+def test_classify_matches_the_contragredient_oracle():
+    rng = random.Random(9191)
+    fans = (named_fans() + non_smooth_fans() + oracle_fans(20, 6262)
+            + [build_fan(*p_n_input(3)), p1_power(3), a2()])
+    truncated = 0
+    for fan in fans:
+        try:
+            fan_automorphisms(fan)
+        except UnsupportedFan:
+            continue
+        roots = list(roots_of_fan(fan, bound=2))
+        subset = rng.sample(roots, len(roots) // 2)
+        for rs in (roots, subset, list(roots_of_fan(fan, bound=1))):
+            assert classify_roots(fan, rs) == oracle_classify(fan, rs), (
+                fan.rays, rs)
+        truncated += oracle_classify(fan, subset) != [
+            [r for r in c if r in subset]
+            for c in oracle_classify(fan, roots)
+            if any(r in subset for r in c)]
+    # some truncated lists split a class: images outside merge nothing
+    assert truncated > 0
+    # two roots are merged iff an automorphism maps one to the other, an
+    # element of order 3 included
+    for fan in [p2(), f1(), build_fan(*p_n_input(3))]:
+        for pair in itertools.combinations(roots_of_fan(fan), 2):
+            assert classify_roots(fan, pair) == oracle_classify(fan, pair)
+
+
+def test_classify_inverts_no_matrix(monkeypatch):
+    fans = [build_fan(*p_n_input(3)), p1_power(3), f1(), a2()]
+    for fan in fans:
+        fan_automorphisms(fan)  # the symmetry search solves with inverses
+
+    def refused(rows):
+        raise AssertionError("classify_roots inverted a matrix")
+
+    monkeypatch.setattr(lattice, "mat_inverse", refused)
+    monkeypatch.setattr(orbits, "mat_inverse", refused)
+    for fan in fans:
+        assert classify_roots(fan, list(roots_of_fan(fan, bound=2)))
+
+
+ENTRY_POINTS = {
+    "verify_root": verify_root,
+    "he_connected_pairs": he_connected_pairs,
+    "g_orbit_partition": g_orbit_partition,
+    "g_invariant_divisors": g_invariant_divisors,
+    "stabilizer_data": lambda fan, e: stabilizer_data(fan, e, [0]),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+def test_non_integral_characters_are_rejected(entry):
+    fan = p2()
+    # int() would truncate 1/2 to the root (0, -1)
+    for x in (Fraction(1, 2), 0.5):
+        with pytest.raises(InvalidInteger, match="non-integral component"):
+            entry(fan, (x, -1))
+    # integral values of any type are the integer character
+    assert entry(fan, (Fraction(0), -1.0)) == entry(fan, (0, -1))
+
+
+def test_stabilizer_data_takes_any_cone_form():
+    fan = p2()
+    e = (0, -1)
+    for key, ref in fan.cones.items():
+        expected = stabilizer_data(fan, e, ref)
+        assert stabilizer_data(fan, e, key) == expected
+        assert stabilizer_data(fan, e, list(ref.indices)) == expected
+    with pytest.raises(ConeNotInFan, match=r"no cone with rays \[0, 1, 2\]"):
+        stabilizer_data(fan, e, frozenset({0, 1, 2}))

@@ -27,11 +27,10 @@ def test_no_assert_statements():
 
 # cli.main maps each DemazureError onto its exit code and lets any other
 # exception through, so each error the library raises on purpose must be a
-# typed DemazureError that names what is wrong.  The two exceptions are
-# internal: lattice raises them on input that its callers never pass.
+# typed DemazureError that names what is wrong.  The exception is
+# internal: lattice raises it on input that its callers never pass.
 INTERNAL_RAISES = {
     ("lattice.py", "mat_inverse"),
-    ("lattice.py", "unimodular_with_last_column"),
 }
 
 
@@ -81,6 +80,26 @@ def test_no_permutation_loops():
             if "permutations" in names:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"itertools.permutations in the library: {found}"
+
+
+def test_orbits_takes_cone_lattices_from_the_fan():
+    # a cone's saturated lattice depends on the cone only, so the fan
+    # computes it once; a Smith form in orbits.py would redo it per root
+    assert {p.name for p in SOURCES} >= {"orbits.py"}
+    path = next(p for p in SOURCES if p.name == "orbits.py")
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        if "smith_normal_form" in names:
+            found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"smith_normal_form in orbits.py: {found}"
 
 
 def test_no_box_scans():
