@@ -53,6 +53,7 @@ INLINE = {
     "not_pointed": _fan(2, [[1, 0], [-1, 0], [0, 1]], [[0, 1], [2]]),
     "duplicate": _fan(2, [[1, 0], [2, 0], [0, 1], [0, 0]], [[0, 2]]),
     "unknown_ray": _fan(2, [[1, 0], [0, 1]], [[0, 5], [1]]),
+    "singular_cone": _fan(2, [[1, 0], [1, 2]], [[0, 1]]),
 }
 
 E1 = '{"terms":[{"key":[1,0],"coeff":1}]}'
@@ -151,6 +152,28 @@ CASES += [
      '{"terms":[{"key":[40,0],"coeff":[5,3]},{"key":[38,1],"coeff":-2}]}',
      "--symbolic"],
     ["lnd", "@a2", "--root=-1,2", "--element", E1, "--time", 'é"'],
+]
+# orbits that meet (m and m + e both present) at a negative time, a long
+# horizontal symbolic flow, a long product on a singular cone, and a flow
+# whose terms cancel to zero at the weight (1, 2)
+CASES += [
+    ["lnd", "@a2", "--root=-1,2", "--element",
+     '{"terms":[{"key":[5,0],"coeff":[2,3]},{"key":[4,2],"coeff":-1},'
+     '{"key":[3,4],"coeff":[1,5]},{"key":[9,1],"coeff":4}]}',
+     "--time=-5/2"],
+    ["lnd", "@div_relabel", "--root", "1", "--element",
+     '{"terms":[{"key":[[50],0],"coeff":[3,7]},'
+     '{"key":[[46],2],"coeff":-2}]}',
+     "--symbolic"],
+    ["lnd", "%singular_cone", "--root=-1,1", "--element",
+     '{"product":[{"terms":[{"key":[31,-15],"coeff":[3,7]},'
+     '{"key":[29,4],"coeff":[-5,4]},{"key":[2,5],"coeff":6}]},'
+     '{"terms":[{"key":[29,-14],"coeff":[2,9]},{"key":[30,1],"coeff":[-1,6]},'
+     '{"key":[0,3],"coeff":-1}]}]}',
+     "--time=-7/3"],
+    ["lnd", "@a2", "--root=-1,2", "--element",
+     '{"terms":[{"key":[2,0],"coeff":1},{"key":[1,2],"coeff":-1}]}',
+     "--time", "1/2"],
 ]
 
 
