@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 from .errors import (
     CurveMismatch,
@@ -94,7 +95,13 @@ class ToricCarrier:
         return key
 
     def add_keys(self, a, b, k=1):
-        """The weight a + k*b."""
+        """The weight a + k*b.
+
+        Products, shifts and orbit walks take k = 1, one addition per
+        coordinate; another k only names where an orbit escapes.
+        """
+        if k == 1:
+            return tuple(map(add, a, b))
         return tuple(x + k * y for x, y in zip(a, b))
 
     def admits(self, key):
@@ -185,6 +192,8 @@ class CurveCarrier(ToricCarrier):
 
     def add_keys(self, a, b, k=1):
         (m, r), (e, s) = a, b
+        if k == 1:
+            return (tuple(map(add, m, e)), r + s)
         return (super().add_keys(m, e, k), r + k * s)
 
     def __repr__(self):
@@ -435,12 +444,13 @@ def _orbits(lnd, element):
     """The orbit of every term under the derivation, checked to the end.
 
     Returns one (coefficient, q, keys) triple per term, where q is the
-    multiplier and keys[k] = key + k*e for k = 0..q.  A term whose orbit
-    leaves the carrier at step k (``first_exit``) escapes there when
-    k <= q or q < 0; the escape with the smallest k (the earlier term on a
-    tie) raises WeightEscape, exactly where stepping the derivation would
-    have.  Otherwise a term with q < 0 raises NotNilpotent: its multiplier
-    never reaches zero.
+    multiplier and keys[k] = key + k*e for k = 0..q, each key the one
+    before plus e.  A term whose orbit leaves the carrier at step k
+    (``first_exit``) escapes there when k <= q or q < 0; the escape with
+    the smallest k (the earlier term on a tie) raises WeightEscape, exactly
+    where stepping the derivation would have, and only its message needs
+    the multiple key + k*e.  Otherwise a term with q < 0 raises
+    NotNilpotent: its multiplier never reaches zero.
     """
     add_keys = lnd.carrier.add_keys
     first_exit = lnd.carrier.first_exit
@@ -458,7 +468,11 @@ def _orbits(lnd, element):
             if negative is None:
                 negative = (key, q)
         else:
-            orbits.append((c, q, [add_keys(key, e, j) for j in range(q + 1)]))
+            keys = [key]
+            for _ in range(q):
+                key = add_keys(key, e)
+                keys.append(key)
+            orbits.append((c, q, keys))
     if escape is not None:
         _, key, new = escape
         raise WeightEscape(
@@ -501,40 +515,57 @@ class Flow:
         return max((q + 1 for _, q, _ in self.orbits), default=0)
 
     def at(self, s):
-        """The image at the rational time ``s``.
+        """The image at the rational time ``s`` = a/b.
 
         Each term c chi^m with multiplier q contributes c C(q, k) s^k
-        chi^(m + k e) for k = 0..q.
+        chi^(m + k e) for k = 0..q.  Over the one denominator L b^Q, with
+        L the lcm of the denominators of the c and Q the largest q, that
+        is the integer num(c) (L / den(c)) C(q, k) a^k b^(Q - k).  The
+        integers are summed per weight, where orbits may meet, and each
+        nonzero sum becomes one Fraction.
         """
         carrier, source = self.lnd.carrier, self.element.carrier
         if not s:
             return _computed(carrier, source, self.element.terms)
+        a, b = s.numerator, s.denominator
+        orbits = self.orbits
+        top = max((q for _, q, _ in orbits), default=0)
+        den = lcm(*(c.denominator for c, _, _ in orbits))
+        # scale[k] = a^k b^(top - k), each from the one before
+        scale = [b ** top]
+        for _ in range(top):
+            scale.append(scale[-1] // b * a)
         acc = {}
-        for c, q, keys in self.orbits:
+        get = acc.get
+        for c, q, keys in orbits:
+            n = c.numerator * (den // c.denominator)
+            key = keys[0]
+            acc[key] = get(key, 0) + n * scale[0]
             binom = 1
-            coeff = c   # c C(q, k) s^k, with C(q, k) kept apart as an int
-            for k, key in enumerate(keys):
-                if k:
-                    binom = binom * (q - k + 1) // k
-                    coeff *= s
-                term = binom * coeff
-                acc[key] = acc[key] + term if key in acc else term
-        return _computed(carrier, source, acc)
+            for k in range(1, q + 1):
+                binom = binom * (q - k + 1) // k
+                key = keys[k]
+                acc[key] = get(key, 0) + n * binom * scale[k]
+        d = den * scale[0]
+        return _computed(carrier, source,
+                         {k: Fraction(n, d) for k, n in acc.items() if n})
 
     def symbolic(self):
         """The image with s left symbolic: c C(q, k) at s^k chi^(m + k e).
 
         Two terms never meet at the same weight and power, since the shift
-        is injective.
+        is injective, so each coefficient is one Fraction of the integer
+        num(c) C(q, k) over den(c), and none is zero.
         """
         terms = {}
         for c, q, keys in self.orbits:
+            num, den = c.numerator, c.denominator
             binom = 1
             for k, key in enumerate(keys):
                 if k:
                     binom = binom * (q - k + 1) // k
-                terms.setdefault(key, {})[k] = binom * c
-        return SymbolicElement(self.lnd.carrier, terms)
+                terms.setdefault(key, {})[k] = Fraction(binom * num, den)
+        return SymbolicElement._trusted(self.lnd.carrier, terms)
 
 
 def nilpotency_index(lnd, element):
@@ -558,6 +589,11 @@ class SymbolicElement:
 
     ``terms`` maps weight keys to {power: coefficient} dictionaries; the
     flow parameter s is kept symbolic.
+
+    The constructor reads every power as a nonnegative integer
+    (InvalidInteger otherwise), adds up the coefficients of powers that
+    name the same integer and drops the zeros; it is the entry point for
+    outside input.  Flow images come from ``_trusted`` instead.
     """
 
     __slots__ = ("carrier", "terms")
@@ -567,13 +603,24 @@ class SymbolicElement:
         for key, poly in terms.items():
             p = {}
             for deg, c in poly.items():
-                c = Fraction(c)
-                if c:
-                    p[int(deg)] = c
+                deg = as_int(deg)
+                if deg < 0:
+                    raise InvalidInteger(f"negative power {deg} of s")
+                p[deg] = p.get(deg, 0) + Fraction(c)
+            p = {deg: c for deg, c in p.items() if c}
             if p:
                 clean[key] = p
         self.carrier = carrier
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, carrier, terms):
+        """Wrap ``terms`` as they are: each key maps to a nonempty dict of
+        nonnegative int powers with nonzero Fraction coefficients."""
+        self = object.__new__(cls)
+        self.carrier = carrier
+        self.terms = terms
+        return self
 
     def evaluate(self, s):
         s = Fraction(s)

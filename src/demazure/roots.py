@@ -23,7 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NegativeBound, NoRays, UnboundedRoots
-from .lattice import dot, integer_feasible, lattice_points, region_points
+from .lattice import (
+    as_int,
+    dot,
+    integer_feasible,
+    lattice_points,
+    region_points,
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -64,13 +70,14 @@ def roots_of_cone(cone, bound):
     """Roots of a strongly convex cone with |e_i| <= bound, grouped by ray.
 
     The root region of a ray is almost always infinite for a single cone,
-    so the box bound is mandatory here.  Output is ordered by distinguished
+    so the box bound is mandatory here: an integer (InvalidInteger
+    otherwise) that is not negative.  Output is ordered by distinguished
     ray index (into cone.rays()), then lexicographically in e.
     """
     rays = cone.rays()
     if not rays:
         raise NoRays("the cone {0} has no rays and hence no roots")
-    bound = int(bound)
+    bound = as_int(bound)
     if bound < 0:
         raise NegativeBound(bound)
     n = cone.rank
@@ -131,21 +138,23 @@ def roots_of_fan(fan, bound=None):
     infinitely many lattice points, the enumeration is exact and any bound
     is ignored.  Otherwise a bound B is required (UnboundedRoots names the
     first such ray if it is missing) and every region is truncated to
-    max |e_i| <= B.  A negative bound raises NegativeBound, also where it
-    would be ignored.
+    max |e_i| <= B.  A bound that is not an integer raises InvalidInteger
+    and a negative one NegativeBound, also where it would be ignored.
     """
     l = len(fan.rays)
     if l == 0:
         raise NoRays("the fan has no rays")
-    if bound is not None and int(bound) < 0:
-        raise NegativeBound(int(bound))
+    if bound is not None:
+        bound = as_int(bound)
+        if bound < 0:
+            raise NegativeBound(bound)
     n = fan.rank
     systems = [_root_system(fan.rays, i) for i in range(l)]
     regions = [region_points(n, *system)[0] for system in systems]
     unbounded = [i for i, points in enumerate(regions) if points is None]
     boxed = None
     if unbounded and bound is not None:
-        box = [(-int(bound), int(bound))] * n
+        box = [(-bound, bound)] * n
         boxed = [lattice_points(n, *system, box=box) for system in systems]
     # an unbounded region with a lattice point holds infinitely many
     infinite = next((i for i in unbounded if (boxed and boxed[i])

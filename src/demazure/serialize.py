@@ -369,60 +369,60 @@ def render(obj):
 
     With ``indent`` set, CPython's json runs its pure-Python encoder; this
     writer gives the same bytes (two-space indent, sorted keys, ASCII
-    escapes, a trailing newline) in one recursive pass.
+    escapes, a trailing newline) in one recursive pass of ``_dumps``.
     """
-    out = []
-    _write(obj, "\n", out.append)
-    out.append("\n")
-    return "".join(out)
+    return _dumps(obj, "\n") + "\n"
 
 
-def _write(obj, nl, emit):
-    """Emit ``obj`` as json.dumps would at the depth whose newline and
-    indentation are ``nl``."""
+def _dumps(obj, nl):
+    """``obj`` as json.dumps writes it at the depth whose newline and
+    indentation are ``nl``.
+
+    Exact str, int, None and bool are written here, as is every dict, list
+    and tuple (subclasses too, which json also sorts and indents); an int
+    inside a container is written in place, without a call.  Any other
+    leaf (floats, subclasses of str and int, and anything json rejects)
+    and any key that is not a str go through ``json.dumps``, so the output
+    and the TypeErrors are json's.  Plain loops, not generators, keep the
+    many short int lists of term keys and coefficients cheap.
+    """
     kind = type(obj)
     if kind is str:
-        emit(_quote(obj))
-    elif kind is int:
-        emit(int.__repr__(obj))
-    elif obj is None:
-        emit("null")
-    elif obj is True:
-        emit("true")
-    elif obj is False:
-        emit("false")
-    elif isinstance(obj, dict):
+        return _quote(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, dict):
         if not obj:
-            emit("{}")
-            return
+            return "{}"
         inner = nl + "  "
-        sep = "{" + inner
+        items = []
         for key, value in sorted(obj.items()):
             # json's own conversion of a key that is not a string, TypeError
             # included: '{"1": 0}' -> '"1"'
-            emit(sep + (_quote(key) if isinstance(key, str)
-                        else json.dumps({key: 0})[1:-4]) + ": ")
-            _write(value, inner, emit)
-            sep = "," + inner
-        emit(nl + "}")
-    elif isinstance(obj, (list, tuple)):
+            items.append(
+                (_quote(key) if isinstance(key, str)
+                 else json.dumps({key: 0})[1:-4])
+                + ": "
+                + (int.__repr__(value) if type(value) is int
+                   else _dumps(value, inner)))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(obj, (list, tuple)):
         if not obj:
-            emit("[]")
-            return
+            return "[]"
         inner = nl + "  "
-        if all(type(x) is int for x in obj):
-            emit("[" + inner + ("," + inner).join(map(int.__repr__, obj))
-                 + nl + "]")
-            return
-        sep = "[" + inner
-        for value in obj:
-            emit(sep)
-            _write(value, inner, emit)
-            sep = "," + inner
-        emit(nl + "]")
-    else:
-        # floats, subclasses of str and int, and anything json rejects
-        emit(json.dumps(obj))
+        items = []
+        for x in obj:
+            items.append(int.__repr__(x) if type(x) is int
+                         else _dumps(x, inner))
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    # floats, subclasses of str and int, and anything json rejects
+    return json.dumps(obj)
 
 
 def dot_graph(fan, pairs):

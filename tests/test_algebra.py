@@ -12,6 +12,7 @@ from demazure.algebra import (
     Flow,
     HomogeneousLND,
     SemigroupElement,
+    SymbolicElement,
     ToricCarrier,
     derive,
     exp_action,
@@ -314,6 +315,34 @@ def test_symbolic_flow_matches_numeric():
             for _ in range(3):
                 s = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                 assert sym.evaluate(s) == exp_action(lnd, x, s)
+
+
+def test_symbolic_element_reads_powers_as_integers():
+    c = quadrant_carrier()
+    # int() used to truncate 0.5 to 0, and the coefficient at 0 then
+    # overwrote the one at 0.5
+    with pytest.raises(InvalidInteger):
+        SymbolicElement(c, {(1, 0): {0.5: 3, 0: 2}})
+    with pytest.raises(InvalidInteger):
+        SymbolicElement(c, {(1, 0): {Fraction(3, 2): 1}})
+    # powers that name one integer add up; zero coefficients are dropped
+    x = SymbolicElement(c, {(1, 0): {2: 1, "2": Fraction(1, 2), 1.0: 3,
+                                     0: 0},
+                            (0, 1): {1: 1, "1": -1}})
+    assert x.terms == {(1, 0): {2: Fraction(3, 2), 1: 3}}
+    assert all(type(d) is int for d in x.terms[(1, 0)])
+    assert all(type(c) is Fraction for c in x.terms[(1, 0)].values())
+    assert x.evaluate(2) == monomial(c, (1, 0), 12)
+
+
+def test_symbolic_element_rejects_negative_powers():
+    c = quadrant_carrier()
+    # a power of -1 used to pass, and evaluate(0) then raised a bare
+    # ZeroDivisionError
+    with pytest.raises(InvalidInteger):
+        SymbolicElement(c, {(1, 0): {-1: 1}})
+    with pytest.raises(InvalidInteger):
+        SymbolicElement(c, {(1, 0): {0: 1, "-2": 0}})
 
 
 def test_index_matches_multiplier():

@@ -1,4 +1,4 @@
-"""The closed-form flow against the former step loops.
+"""The closed-form flow against the former step loops and Fraction flow.
 
 ``derive``, ``nilpotency_index``, ``exp_action`` and ``exp_symbolic`` used
 to iterate the derivation one step at a time, with an iteration ceiling of
@@ -11,6 +11,10 @@ must agree with them everywhere except in two documented places:
 * an orbit that leaves the carrier after more than the ceiling's number
   of steps raises ``WeightEscape`` (the oracle gives up first with
   ``NotNilpotent``), and a multiplier of 10^4 or more no longer fails.
+
+``Flow.at`` used to multiply Fractions for every orbit term; that closed
+form is kept below as the oracle of the integer one, which must give the
+same terms in the same order.
 """
 
 from __future__ import annotations
@@ -24,8 +28,10 @@ import pytest
 
 from demazure.algebra import (
     CurveCarrier,
+    Flow,
     HomogeneousLND,
     SemigroupElement,
+    SymbolicElement,
     ToricCarrier,
     derive,
     exp_action,
@@ -431,3 +437,143 @@ def test_closed_form_matches_step_loops_at_the_full_ceiling():
     assert _compare(lnd, x, (0,), CEILING, seen, symbolic=False)
     # derive takes one step and succeeds; the index and the flow refuse
     assert seen == {"ok": 2, "WeightEscape": 0, "NotNilpotent": 4}
+
+
+# -- the integer flow against the former Fraction closed form ----------------
+
+
+def fraction_flow_at(flow, s):
+    """The former ``Flow.at``: two Fraction products per orbit term, and
+    the result checked by the constructor when the element comes from
+    another carrier."""
+    carrier, source = flow.lnd.carrier, flow.element.carrier
+    if not s:
+        data = flow.element.terms
+    else:
+        data = {}
+        for c, q, keys in flow.orbits:
+            binom = 1
+            coeff = c
+            for k, key in enumerate(keys):
+                if k:
+                    binom = binom * (q - k + 1) // k
+                    coeff *= s
+                term = binom * coeff
+                data[key] = data[key] + term if key in data else term
+    if source is carrier or source == carrier:
+        return SemigroupElement._trusted(
+            carrier, {k: c for k, c in data.items() if c})
+    return SemigroupElement(carrier, data)
+
+
+TIMES = [Fraction(t) for t in
+         (0, 1, -1, 4, -3, "1/2", "-1/2", "7/3", "-7/3", "-5/12")]
+
+
+def _assert_flow(flow, s):
+    """Flow.at against the oracle at time s: the same outcome and, on
+    success, the same terms in the same order, every coefficient a
+    Fraction.  Returns the outcome's name."""
+    new = _outcome(flow.at, s)
+    old = _outcome(fraction_flow_at, flow, s)
+    if new[0] != "ok":
+        assert new == old, (flow.lnd, flow.element, s)
+        return new[0]
+    assert old[0] == "ok", (flow.lnd, flow.element, s, old)
+    got = list(new[1].terms.items())
+    assert got == list(old[1].terms.items()), (flow.lnd, flow.element, s)
+    assert new[1].carrier is flow.lnd.carrier
+    assert all(type(c) is Fraction for _, c in got)
+    return "ok"
+
+
+def _with_overlap(lnd, x, s, rng):
+    """x plus a term at m + e for a term chi^m of x, so that two orbits
+    meet.  With probability 1/2 the new coefficient cancels the flow of x
+    at m + e at time s (as the oracle gives it), and m + e is returned."""
+    if x.is_zero():
+        return x, None
+    new = lnd.shift(rng.choice(list(x.terms)))
+    if new in x.terms or not lnd.carrier.admits(new):
+        return x, None
+    if rng.random() < 0.5:
+        try:
+            coeff = -fraction_flow_at(Flow(lnd, x), s).terms.get(new, 0)
+        except (WeightEscape, NotNilpotent):
+            coeff = 0
+        if coeff:
+            return x + monomial(x.carrier, new, coeff), new
+    return x + monomial(x.carrier, new, _rational(rng) or 1), None
+
+
+def test_integer_flow_matches_the_fraction_flow():
+    rng = random.Random(20261019)
+    seen = {"ok": 0, "WeightEscape": 0, "NotNilpotent": 0}
+    kinds = {"toric": 0, "curve": 0}
+    met = cancelled = 0
+    for i in range(300):
+        case = _toric_case(rng) if i % 2 else _horizontal_case(rng)
+        if case is None or not case[2]:
+            continue
+        carrier, lnd, keys = case
+        for _ in range(3):
+            x = _element(carrier, keys, rng)
+            s = rng.choice(TIMES[1:])
+            x, dropped = _with_overlap(lnd, x, s, rng)
+            try:
+                flow = Flow(lnd, x)
+            except (WeightEscape, NotNilpotent) as exc:
+                seen[type(exc).__name__] += 1
+                continue
+            for t in TIMES + [s]:
+                seen[_assert_flow(flow, t)] += 1
+            kinds[type(carrier).__name__[:5].lower()] += 1
+            met += any(q and keys[1] in x.terms for _, q, keys in flow.orbits)
+            if dropped is not None:
+                assert dropped not in flow.at(s).terms
+                cancelled += 1
+            # the symbolic image equals the one the validating
+            # constructor builds from the former step loop
+            assert flow.symbolic() == SymbolicElement(
+                carrier, old_exp_symbolic(lnd, x))
+    assert seen["ok"] > 4000
+    assert seen["WeightEscape"] > 200 and seen["NotNilpotent"] > 20
+    assert kinds["toric"] > 200 and kinds["curve"] > 150
+    assert met > 150 and cancelled > 80
+
+
+def test_integer_flow_on_long_orbits():
+    rng = random.Random(61)
+    quad = quadrant()
+    lnd = HomogeneousLND.toric(quad, (1, 0), (-1, 2))
+    carrier, hor = line_over_a1()
+    for d, keys in [(lnd, [(60, 0), (59, 2), (45, 3), (1, 7)]),
+                    (hor, [((40,), 10), ((39,), 10), ((2,), 3)])]:
+        for s in TIMES + [Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+                          for _ in range(4)]:
+            x = SemigroupElement(d.carrier, [
+                (k, Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 10 ** 6)))
+                for k in keys])
+            assert _assert_flow(Flow(d, x), s) == "ok"
+    # (60, 0) and (59, 2) = (60, 0) + e cancel at (59, 2) at time 1/60
+    x = SemigroupElement(quad, [((60, 0), 1), ((59, 2), -1)])
+    assert _assert_flow(Flow(lnd, x), Fraction(1, 60)) == "ok"
+    assert (59, 2) not in exp_action(lnd, x, Fraction(1, 60)).terms
+    assert exp_action(lnd, SemigroupElement(quad, {}), 3).terms == {}
+
+
+def test_integer_flow_of_an_element_of_another_carrier():
+    quad = quadrant()
+    sing = ToricCarrier(Cone(2, [(1, 0), (1, 2)]))
+    lnd = HomogeneousLND.toric(quad, (1, 0), (-1, 1))
+    # every weight of the image lies in the quadrant: the constructor
+    # accepts it
+    x = SemigroupElement(sing, [((2, 1), Fraction(1, 3)), ((1, 2), -2)])
+    # the walk checks the steps (1, 0) and (0, 1) of (2, -1), but the
+    # weight itself lies outside the quadrant: the constructor refuses it
+    y = SemigroupElement(sing, [((2, -1), 1), ((0, 0), 2)])
+    for s in TIMES:
+        assert _assert_flow(Flow(lnd, x), s) == "ok"
+        assert _assert_flow(Flow(lnd, y), s) == "WeightEscape"
+    assert _escape(Flow(lnd, y).at, Fraction(1, 2)) \
+        == "weight (2, -1) is not admissible"

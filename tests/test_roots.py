@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from demazure.errors import (
     DemazureError,
+    InvalidInteger,
     NegativeBound,
     NoRays,
     UnboundedRoots,
@@ -215,6 +217,25 @@ def test_negative_bound_is_rejected():
     with pytest.raises(NegativeBound):
         roots_of_fan(p2(), bound=-3)
     assert len(roots_of_fan(a2(), bound=0)) == 0
+
+
+def test_non_integral_bound_is_rejected():
+    # int() used to truncate: -0.5 gave no roots, 2.5 acted as 2
+    a3 = build_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [[0, 1, 2]])
+    for bound in (-0.5, 2.5, Fraction(5, 2), "1/2"):
+        with pytest.raises(InvalidInteger):
+            roots_of_fan(a3, bound=bound)
+        with pytest.raises(InvalidInteger):
+            roots_of_cone(Cone(2, [(1, 0), (0, 1)]), bound)
+    # also where the bound would be ignored
+    with pytest.raises(InvalidInteger):
+        roots_of_fan(p2(), bound=0.5)
+    # an integral value of another type is that integer
+    assert len(roots_of_fan(a3, bound=2)) == 27
+    for bound in (2.0, Fraction(2), "2"):
+        assert roots_of_fan(a3, bound=bound) == roots_of_fan(a3, bound=2)
+        assert roots_of_cone(Cone(2, [(1, 0), (0, 1)]), bound) \
+            == roots_of_cone(Cone(2, [(1, 0), (0, 1)]), 2)
 
 
 def cone_extension_in_fan(fan, key, ray_index):
