@@ -249,7 +249,9 @@ class SemigroupElement:
         data = dict(self.terms)
         for k, c in other.terms.items():
             data[k] = data.get(k, Fraction(0)) + sign * c
-        return _computed(self.carrier, other.carrier, data)
+        # sums can cancel
+        return _computed(self.carrier, other.carrier,
+                         {k: c for k, c in data.items() if c})
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -288,6 +290,7 @@ class SemigroupElement:
                          {k: Fraction(n, d) for k, n in sums.items() if n})
 
     def __pow__(self, n):
+        n = as_int(n)
         if n < 1:
             # negative powers are not monomials, and the empty product has
             # no canonical weight here
@@ -331,12 +334,11 @@ def _computed(carrier, source, data):
     ``carrier``.
 
     The keys are admissible already when the carriers agree (admissible
-    weights form a semigroup); only then are the checks skipped.
+    weights form a semigroup); only then are the checks skipped, and the
+    coefficients must then be nonzero already.
     """
     if source is carrier or source == carrier:
-        return SemigroupElement._trusted(
-            carrier, {k: c for k, c in data.items() if c}
-        )
+        return SemigroupElement._trusted(carrier, data)
     return SemigroupElement(carrier, data)
 
 
@@ -526,7 +528,7 @@ class Flow:
         """
         carrier, source = self.lnd.carrier, self.element.carrier
         if not s:
-            return _computed(carrier, source, self.element.terms)
+            return _computed(carrier, source, dict(self.element.terms))
         a, b = s.numerator, s.denominator
         orbits = self.orbits
         top = max((q for _, q, _ in orbits), default=0)
@@ -565,7 +567,10 @@ class Flow:
                 if k:
                     binom = binom * (q - k + 1) // k
                 terms.setdefault(key, {})[k] = Fraction(binom * num, den)
-        return SymbolicElement._trusted(self.lnd.carrier, terms)
+        carrier, source = self.lnd.carrier, self.element.carrier
+        if source is carrier or source == carrier:  # as in _computed
+            return SymbolicElement._trusted(carrier, terms)
+        return SymbolicElement(carrier, terms)
 
 
 def nilpotency_index(lnd, element):
@@ -590,28 +595,31 @@ class SymbolicElement:
     ``terms`` maps weight keys to {power: coefficient} dictionaries; the
     flow parameter s is kept symbolic.
 
-    The constructor reads every power as a nonnegative integer
-    (InvalidInteger otherwise), adds up the coefficients of powers that
-    name the same integer and drops the zeros; it is the entry point for
-    outside input.  Flow images come from ``_trusted`` instead.
+    The constructor checks every key as ``SemigroupElement`` does, reads
+    every power as a nonnegative integer (InvalidInteger otherwise), adds
+    up the coefficients of keys and powers that name the same integers and
+    drops the zeros; it is the entry point for outside input.  Flow images
+    of elements of the derivation's carrier come from ``_trusted``.
     """
 
     __slots__ = ("carrier", "terms")
 
     def __init__(self, carrier, terms):
-        clean = {}
+        data = {}
         for key, poly in terms.items():
-            p = {}
+            key = carrier.freeze(key)
+            p = data.setdefault(key, {})
             for deg, c in poly.items():
                 deg = as_int(deg)
                 if deg < 0:
                     raise InvalidInteger(f"negative power {deg} of s")
-                p[deg] = p.get(deg, 0) + Fraction(c)
-            p = {deg: c for deg, c in p.items() if c}
-            if p:
-                clean[key] = p
+                c = Fraction(c)
+                if c and not carrier.admits(key):
+                    raise WeightEscape(f"weight {key!r} is not admissible")
+                p[deg] = p.get(deg, 0) + c
         self.carrier = carrier
-        self.terms = clean
+        self.terms = {key: q for key, p in data.items()
+                      if (q := {deg: c for deg, c in p.items() if c})}
 
     @classmethod
     def _trusted(cls, carrier, terms):

@@ -51,6 +51,7 @@ from .orbits import (
     classify_roots,
     fan_automorphisms,
     g_orbit_partition,
+    he_connected_pairs,
 )
 from .roots import roots_of_fan
 
@@ -92,20 +93,18 @@ def _root_json(fan, root):
 
 
 def _fan_properties(fan):
+    """Smoothness and simpliciality are read off the generating cones: the
+    other cones are their faces, and so smooth (simplicial) when they are."""
     by_dim = {}
-    smooth = True
-    simplicial = True
-    for key, ref in fan.cones.items():
-        props = cone_properties(fan, key)
+    for ref in fan.cones.values():
         by_dim[str(ref.dim)] = by_dim.get(str(ref.dim), 0) + 1
-        smooth = smooth and props["smooth"]
-        simplicial = simplicial and props["simplicial"]
+    props = [cone_properties(fan, key) for key in fan.generating]
     return {
         "rank": fan.rank,
         "rays": len(fan.rays),
         "complete": is_complete(fan),
-        "smooth": smooth,
-        "simplicial": simplicial,
+        "smooth": all(p["smooth"] for p in props),
+        "simplicial": all(p["simplicial"] for p in props),
         "total_cones": len(fan.cones),
         "cones_by_dim": by_dim,
     }
@@ -181,12 +180,13 @@ def _cmd_classify(args):
     classes = classify_roots(fan, found.roots)
     classes_json = []
     for cls in classes:
-        partition = g_orbit_partition(fan, cls[0].e)
+        # each gluing pair fuses two torus orbits into one G-orbit
+        pairs = he_connected_pairs(fan, cls[0].e)
         classes_json.append({
             "representative": _root_json(fan, cls[0]),
             "size": len(cls),
             "roots": [_root_json(fan, r) for r in cls],
-            "orbit_count": partition.orbit_count,
+            "orbit_count": len(fan.cones) - len(pairs),
         })
     return {
         "automorphism_order": len(autos),

@@ -275,10 +275,10 @@ def fan_automorphisms(fan):
     only go to a ray of its colour (the number of fan cones of each
     dimension containing it), and two base rays that span a 2-cone (or do
     not) only to two rays that do the same.  The matrix is solved from the
-    base images in integers, and kept if it is unimodular, maps every ray
-    to a ray and maps the cones onto the cones.  The group is sorted by
-    ray permutation and computed once per fan; each call returns a fresh
-    list.
+    base images in integers, and kept if it permutes the rays and maps the
+    cones onto the cones; as the rays span, some power of it is 1, so it is
+    unimodular.  The group is sorted by ray permutation and computed once
+    per fan; each call returns a fresh list.
     """
     if fan._automorphisms is None:
         fan._automorphisms = tuple(_search_automorphisms(fan))
@@ -336,7 +336,7 @@ def _search_automorphisms(fan):
 
 def _solve(adj, d, columns):
     """The integer matrix M = B A^-1, where A^-1 = adj / d and B has the
-    given columns, or None if M is not integral or not unimodular."""
+    given columns, or None if M is not integral."""
     n = len(adj)
     M = []
     for r in range(n):
@@ -348,16 +348,18 @@ def _solve(adj, d, columns):
                 return None
             row.append(q)
         M.append(tuple(row))
-    return tuple(M) if abs(det(M)) == 1 else None
+    return tuple(M)
 
 
 def _ray_permutation(fan, M, cone_keys):
-    """The permutation of the rays that M induces if it maps every ray to a
-    ray and the cones onto the cones, else None."""
+    """The permutation of the rays that M induces if it maps the rays one
+    to one onto rays (a singular M merges two, as the rays span) and the
+    cones onto the cones, else None; it stops at the first ray that fails.
+    """
     perm = []
     for r in fan.rays:
         j = fan.ray_index(mat_vec(M, r))
-        if j is None:
+        if j is None or j in perm:
             return None
         perm.append(j)
     if any(frozenset(perm[i] for i in key) not in cone_keys
@@ -380,41 +382,26 @@ def classify_roots(fan, roots):
 
     Returns a list of classes (sorted lists of roots); classes are ordered
     by their first member.  Images that leave the supplied root list (which
-    can happen for a truncated enumeration) do not merge anything.  Each
-    automorphism phi = (M, pi) unions every root with its image under
-    phi^-1, which is in the group too: its contragredient is the integer
-    transpose M^T, and it sends the root of ray i to a root of ray
-    pi^-1(i).  So no matrix is inverted.
+    can happen for a truncated enumeration) do not merge anything.  A root
+    (i, e) is keyed by i and its pairings p = (<n_j, e>)_j, which fix e as
+    the rays span; phi^-1 for phi = (M, pi) sends (i, p) to
+    (pi^-1(i), p o pi), since <n_j, M^T e> = <M n_j, e>.  So the class of
+    the first root not yet placed is its orbit within the list, read off
+    without a matrix.
     """
     autos = fan_automorphisms(fan)
-    roots = sorted(roots)
-    index = {r: k for k, r in enumerate(roots)}
-    parent = list(range(len(roots)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for phi in autos:
-        m_t = transpose(phi.matrix)
-        inv = {j: i for i, j in enumerate(phi.ray_permutation)}
-        for r in roots:
-            img = DemazureRoot(inv[r.ray_index], mat_vec(m_t, r.e))
-            # the image is always a root of the fan; it may fall outside a
-            # truncated input list
-            if img in index:
-                union(index[r], index[img])
-
-    groups = {}
-    for r, k in index.items():
-        groups.setdefault(find(k), []).append(r)
-    classes = [sorted(g) for g in groups.values()]
-    classes.sort(key=lambda g: g[0])
+    keyed = {(r.ray_index, tuple(dot(n, r.e) for n in fan.rays)): r
+             for r in sorted(roots)}
+    placed = set()
+    classes = []
+    for i, p in keyed:
+        if (i, p) in placed:
+            continue
+        orbit = keyed.keys() & {
+            (phi.ray_permutation.index(i),
+             tuple(p[j] for j in phi.ray_permutation))
+            for phi in autos
+        }
+        placed |= orbit
+        classes.append(sorted(keyed[k] for k in orbit))
     return classes

@@ -492,3 +492,91 @@ def test_product_edge_cases():
     _assert_product(y, z)
     assert list((y * z).terms.items()) == [((2, 0), -1), ((0, 2), 1)]
     assert (x * 3).terms == {k: 3 * v for k, v in x.terms.items()}
+
+
+# -- keys of symbolic elements, integral exponents, no zero coefficients -----
+
+
+def test_symbolic_element_checks_its_keys():
+    c = quadrant_carrier()
+    # each key used to be kept as given; only evaluate raised
+    with pytest.raises(WeightEscape, match=r"weight \(-1, 0\) is not"):
+        SymbolicElement(c, {(-1, 0): {0: 1}})
+    with pytest.raises(RankMismatch):
+        SymbolicElement(c, {(1, 0, 0): {1: 2}})
+    with pytest.raises(InvalidInteger):
+        SymbolicElement(c, {(0.5, 1): {0: 3}})
+    # keys are frozen to ints, keys naming one weight add up, and a key
+    # with only zero coefficients is neither checked nor kept
+    x = SymbolicElement(c, {("1", 0): {1: 2}, (Fraction(2), 0.0): {0: 1},
+                            (1, 0): {1: 1}, (-1, 0): {0: 0}})
+    assert x.terms == {(1, 0): {1: 3}, (2, 0): {0: 1}}
+    assert all(type(v) is int for key in x.terms for v in key)
+
+
+def test_symbolic_flow_of_another_carrier_is_checked():
+    lnd = toric_lnd(Cone(2, [(1, 0), (0, 1)]), (-1, 2))
+    x = monomial(ToricCarrier(Cone(2, [(1, 0)])), (1, -1))
+    # the image used to keep the weight (1, -1), which exp_action refuses
+    for flow in (exp_symbolic, lambda lnd, x: exp_action(lnd, x, 0),
+                 lambda lnd, x: exp_action(lnd, x, Fraction(1, 3))):
+        with pytest.raises(WeightEscape,
+                           match=r"weight \(1, -1\) is not admissible"):
+            flow(lnd, x)
+    # an element of an equal carrier is trusted and gives the same image
+    y = monomial(ToricCarrier(Cone(2, [(1, 0), (0, 1)])), (1, 3))
+    assert exp_symbolic(lnd, y).terms == {(1, 3): {0: 1}, (0, 5): {1: 1}}
+
+
+def test_powers_read_their_exponent_as_an_integer():
+    c = quadrant_carrier()
+    x = monomial(c, (1, 0)) + monomial(c, (0, 1), 2)
+    for n in (2.0, Fraction(2), "2"):
+        assert x ** n == x * x
+    for n in (2.5, Fraction(3, 2)):
+        with pytest.raises(InvalidInteger, match="non-integral"):
+            x ** n
+    with pytest.raises(InvalidInteger, match="need n >= 1"):
+        x ** 0.0
+
+
+def _no_zero(x):
+    """Whether every coefficient (every polynomial coefficient) is nonzero."""
+    if isinstance(x, SymbolicElement):
+        return all(p and all(p.values()) for p in x.terms.values())
+    return all(x.terms.values())
+
+
+def test_no_result_holds_a_zero_coefficient():
+    c = quadrant_carrier()
+    a, b = monomial(c, (1, 0)), monomial(c, (0, 1))
+    lnd = toric_lnd(c.cone, (-1, 1))  # (m1, m2) -> m1 (m1 - 1, m2 + 1)
+    half = Fraction(1, 2)
+    # the orbit of (1, 0) meets the term at (0, 1) with the opposite sum
+    meet = a - half * b
+    results = {
+        "x - x": meet - meet,
+        "x + (-x)": meet + (-meet),
+        "0 x": 0 * meet,
+        "x 0": meet * Fraction(0),
+        "cross terms": (a + b) * (a - b),
+        "product": meet * (a + b),
+        "derive": derive(lnd, b + a),
+        "at": exp_action(lnd, meet, half),
+        "at 0": exp_action(lnd, meet, 0),
+        "flow": Flow(lnd, meet + b * b).at(Fraction(-1, 3)),
+        "symbolic": exp_symbolic(lnd, meet),
+        "sum": meet + half * b,
+    }
+    for name, x in results.items():
+        assert _no_zero(x), (name, x)
+    assert results["x - x"].terms == results["0 x"].terms == {}
+    assert results["cross terms"].terms == {(2, 0): 1, (0, 2): -1}
+    assert results["derive"].terms == {(0, 1): 1}
+    assert results["at"].terms == {(1, 0): 1}
+    assert results["sum"].terms == {(1, 0): 1}
+    # through a carrier that is only equal, not the same object
+    other = ToricCarrier(Cone(2, [(1, 0), (0, 1)]))
+    far = SemigroupElement(other, {(1, 0): 1, (0, 1): -half})
+    assert exp_action(lnd, far, half).terms == {(1, 0): 1}
+    assert (far - meet).terms == {}

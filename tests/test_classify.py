@@ -1,0 +1,353 @@
+"""Root classes, the symmetry search and fan properties read off the fan.
+
+The automorphism search keeps a solved matrix when it permutes the rays
+one to one, root classes are orbits of (ray index, pairings) under the ray
+permutations, a class's G-orbit count is the number of cones less the
+number of gluing pairs, and smoothness is read off the generating cones.
+The code they replaced is kept here as oracles: the determinant check in
+the solve, the union-find over integer transposes, the full G-orbit
+partition per class and the properties of every cone.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+
+import pytest
+
+from demazure import algebra, cli, divisors, lattice, orbits, serialize
+from demazure import fan as fan_module
+from demazure import roots as roots_module
+from demazure.cli import main
+from demazure.errors import DemazureError, RankMismatch
+from demazure.fan import build_fan, cone_properties, is_complete
+from demazure.lattice import det, mat_vec, transpose
+from demazure.orbits import (
+    classify_roots,
+    fan_automorphisms,
+    g_orbit_partition,
+)
+from demazure.roots import DemazureRoot, roots_of_fan
+
+from test_fan import FIXTURES, p1_power, p_n_input, random_fan_input
+from test_orbits import named_fans, non_smooth_fans
+from test_reports_golden import INLINE
+
+# -- the former code (oracles only) ------------------------------------------
+
+
+def det_checked_solve(adj, d, columns):
+    """The former solve: the integer matrix, kept only if unimodular."""
+    n = len(adj)
+    M = []
+    for r in range(n):
+        row = []
+        for c in range(n):
+            q, rem = divmod(sum(columns[k][r] * adj[k][c]
+                                for k in range(n)), d)
+            if rem:
+                return None
+            row.append(q)
+        M.append(tuple(row))
+    return tuple(M) if abs(det(M)) == 1 else None
+
+
+def loop_ray_permutation(fan, M, cone_keys):
+    """The former permutation check: every ray to some ray, no injectivity
+    test (the determinant had settled it)."""
+    perm = []
+    for r in fan.rays:
+        j = fan.ray_index(mat_vec(M, r))
+        if j is None:
+            return None
+        perm.append(j)
+    if any(frozenset(perm[i] for i in key) not in cone_keys
+           for key in cone_keys):
+        return None
+    return tuple(perm)
+
+
+def oracle_automorphisms(fan, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(orbits, "_solve", det_checked_solve)
+        m.setattr(orbits, "_ray_permutation", loop_ray_permutation)
+        return orbits._search_automorphisms(fan)
+
+
+def union_find_classify(fan, roots):
+    """The former classification: a union-find over the images of every
+    root under the integer transpose of every automorphism."""
+    autos = fan_automorphisms(fan)
+    roots = sorted(roots)
+    index = {r: k for k, r in enumerate(roots)}
+    parent = list(range(len(roots)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+
+    for phi in autos:
+        m_t = transpose(phi.matrix)
+        inv = {j: i for i, j in enumerate(phi.ray_permutation)}
+        for r in roots:
+            img = DemazureRoot(inv[r.ray_index], mat_vec(m_t, r.e))
+            if img in index:
+                union(index[r], index[img])
+
+    groups = {}
+    for r, k in index.items():
+        groups.setdefault(find(k), []).append(r)
+    classes = [sorted(g) for g in groups.values()]
+    classes.sort(key=lambda g: g[0])
+    return classes
+
+
+def per_cone_properties(fan):
+    """The former fan-validate properties: every cone's properties."""
+    by_dim = {}
+    smooth = True
+    simplicial = True
+    for key, ref in fan.cones.items():
+        props = cone_properties(fan, key)
+        by_dim[str(ref.dim)] = by_dim.get(str(ref.dim), 0) + 1
+        smooth = smooth and props["smooth"]
+        simplicial = simplicial and props["simplicial"]
+    return {
+        "rank": fan.rank,
+        "rays": len(fan.rays),
+        "complete": is_complete(fan),
+        "smooth": smooth,
+        "simplicial": simplicial,
+        "total_cones": len(fan.cones),
+        "cones_by_dim": by_dim,
+    }
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except DemazureError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+# -- the fans ----------------------------------------------------------------
+
+
+def fixture_fans():
+    fans = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        obj = json.loads(path.read_text())
+        if "max_cones" in obj:
+            try:
+                fans.append(serialize.fan_from_json(obj))
+            except DemazureError:
+                pass
+    return fans
+
+
+def inline_fan(name):
+    return serialize.fan_from_json(json.loads(INLINE[name]))
+
+
+def random_fans(count, seed):
+    """Seeded valid fans from random_fan_input, spanning or not."""
+    rng = random.Random(seed)
+    fans = []
+    while len(fans) < count:
+        try:
+            fans.append(build_fan(*random_fan_input(rng)))
+        except DemazureError:
+            pass
+    return fans
+
+
+def all_fans():
+    return (fixture_fans()
+            + [build_fan(*p_n_input(n)) for n in range(2, 6)]
+            + [p1_power(n) for n in range(2, 5)]
+            + [inline_fan(name) for name in ("weighted", "square_cone",
+                                             "hexagon", "singular_cone",
+                                             "lone_rays")]
+            + named_fans() + non_smooth_fans() + random_fans(30, 4242)
+            # rays that do not span
+            + [build_fan(2, [(1, 0)], [[0]]),
+               build_fan(3, [(1, 0, 0), (0, 1, 0)], [[0, 1]])])
+
+
+def root_lists(fan, rng):
+    """Full, truncated, shuffled and duplicated lists, and lists with
+    DemazureRoots that are not roots."""
+    full = list(roots_of_fan(fan, bound=2))
+    lists = [full, list(roots_of_fan(fan, bound=1)), [],
+             rng.sample(full, len(full) // 2)]
+    shuffled = full + full[: len(full) // 3]
+    rng.shuffle(shuffled)
+    lists.append(shuffled)
+    l = len(fan.rays)
+    fakes = [DemazureRoot((r.ray_index + 1) % l, r.e) for r in full[:4]]
+    fakes += [DemazureRoot(rng.randrange(l),
+                           tuple(rng.randint(-2, 2) for _ in range(fan.rank)))
+              for _ in range(6)]
+    lists.append(full[::2] + fakes + fakes[:2])
+    return lists
+
+
+# -- the symmetry search and the classes -------------------------------------
+
+
+def test_search_and_classes_match_the_former_code(monkeypatch):
+    rng = random.Random(7070)
+    spanning = unsupported = 0
+    for fan in all_fans():
+        expected = _outcome(oracle_automorphisms, fan, monkeypatch)
+        assert _outcome(fan_automorphisms, fan) == expected, fan.rays
+        if expected[0] != "ok":
+            assert expected[0] == "UnsupportedFan"
+            unsupported += 1
+            # the fan's error comes before any error of the roots
+            bad = [DemazureRoot(0, (1,) * (fan.rank + 1))]
+            assert _outcome(classify_roots, fan, bad) == expected
+            continue
+        spanning += 1
+        for rs in root_lists(fan, rng):
+            assert classify_roots(fan, rs) == union_find_classify(fan, rs), (
+                fan.rays, rs)
+        bad = [DemazureRoot(0, (1,) * (fan.rank + 1))]
+        with pytest.raises(RankMismatch):
+            union_find_classify(fan, bad)
+        with pytest.raises(RankMismatch):
+            classify_roots(fan, bad)
+    assert spanning >= 40 and unsupported >= 3
+
+
+def test_singular_matrices_are_refused_by_the_permutation():
+    # each M below is integral and singular and sends two rays to one, and
+    # the image of every cone is a cone: only the determinant refused it
+    for fan, M in [
+            (inline_fan("singular_cone"), ((1, 0), (0, 0))),
+            (inline_fan("lone_rays"), ((1, 1), (0, 0)))]:
+        keys = set(fan.cones)
+        # solved from itself over the identity base
+        one, columns = ((1, 0), (0, 1)), transpose(M)
+        assert orbits._solve(one, 1, columns) == M
+        assert det_checked_solve(one, 1, columns) is None
+        assert loop_ray_permutation(fan, M, keys) == (0, 0)
+        assert orbits._ray_permutation(fan, M, keys) is None
+
+
+def test_the_search_stops_at_the_first_ray_that_fails(monkeypatch):
+    fan = build_fan(*p_n_input(3))
+    looked = []
+    original = fan.ray_index
+
+    def recorded(vector):
+        looked.append(tuple(vector))
+        return original(vector)
+
+    monkeypatch.setattr(fan, "ray_index", recorded)
+    # the first ray goes to no ray
+    assert orbits._ray_permutation(
+        fan, ((2, 0, 0), (0, 1, 0), (0, 0, 1)), set(fan.cones)) is None
+    assert looked == [(2, 0, 0)]
+    # the second ray goes where the first went
+    looked.clear()
+    assert orbits._ray_permutation(
+        fan, ((1, 1, 0), (0, 0, 0), (0, 0, 1)), set(fan.cones)) is None
+    assert looked == [(1, 0, 0), (1, 0, 0)]
+
+
+# -- orbit counts and fan properties through the CLI -------------------------
+
+
+def fan_json(fan):
+    return json.dumps({"rank": fan.rank, "rays": [list(r) for r in fan.rays],
+                       "max_cones": [sorted(g) for g in fan.generating]})
+
+
+def _report(capsys, tmp_path, *argv):
+    path = tmp_path / "fan.json"
+    code = main([argv[0], str(path), *argv[1:]])
+    report = json.loads(capsys.readouterr().out)
+    return code, report["error"] if code else report["result"]
+
+
+def test_class_orbit_counts_match_every_partition(capsys, tmp_path):
+    checked = 0
+    fans = (fixture_fans() + [build_fan(*p_n_input(3)), p1_power(3)]
+            + [inline_fan(n) for n in ("weighted", "square_cone", "hexagon")]
+            + non_smooth_fans() + random_fans(12, 5151))
+    for fan in fans:
+        (tmp_path / "fan.json").write_text(fan_json(fan))
+        code, report = _report(capsys, tmp_path, "classify", "--bound", "2")
+        if code:
+            assert report["kind"] == "UnsupportedFan"
+            continue
+        for cls in report["classes"]:
+            for r in cls["roots"]:
+                partition = g_orbit_partition(fan, r["e"])
+                assert cls["orbit_count"] == partition.orbit_count
+                checked += 1
+    assert checked > 100
+
+
+def test_fan_properties_match_every_cone(capsys, tmp_path):
+    fans = all_fans()
+    seen = set()
+    for fan in fans:
+        props = cli._fan_properties(fan)
+        assert props == per_cone_properties(fan), fan.rays
+        seen.add((props["smooth"], props["simplicial"]))
+    assert seen == {(True, True), (False, True), (False, False)}
+    (tmp_path / "fan.json").write_text(INLINE["square_cone"])
+    code, report = _report(capsys, tmp_path, "fan-validate")
+    assert code == 0
+    assert report["properties"] == per_cone_properties(
+        inline_fan("square_cone"))
+
+
+# -- the work one job does ---------------------------------------------------
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls of a lattice function, wherever it is bound."""
+    calls = []
+    original = getattr(lattice, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (lattice, fan_module, orbits, roots_module, serialize,
+                   cli, algebra, divisors):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_classify_job_on_p3_solves_once(capsys, tmp_path, monkeypatch):
+    (tmp_path / "fan.json").write_text(INLINE["p3"])
+    dets = count_calls(monkeypatch, "det")
+    smiths = count_calls(monkeypatch, "smith_normal_form")
+    code, report = _report(capsys, tmp_path, "classify")
+    assert code == 0 and report["class_count"] == 1
+    # the base matrix of the symmetry search, and no Smith form
+    assert len(dets) == 1
+    assert smiths == []
+
+
+def test_one_fan_validate_job_reads_the_generating_cones(
+        capsys, tmp_path, monkeypatch):
+    (tmp_path / "fan.json").write_text(INLINE["p3"])
+    factors = count_calls(monkeypatch, "invariant_factors")
+    code, report = _report(capsys, tmp_path, "fan-validate")
+    assert code == 0 and report["properties"]["smooth"]
+    # four maximal cones and four rays, where every cone used to count
+    assert len(factors) <= 8 < report["properties"]["total_cones"]

@@ -102,6 +102,32 @@ def test_orbits_takes_cone_lattices_from_the_fan():
     assert not found, f"smith_normal_form in orbits.py: {found}"
 
 
+def _names_in(func):
+    """The names and attribute names that a function's body mentions."""
+    return ({n.id for n in ast.walk(func) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(func) if isinstance(n, ast.Attribute)})
+
+
+def test_classify_and_solve_use_no_matrix_algebra():
+    # classes are orbits of (ray index, pairings) under the ray
+    # permutations, and a matrix that permutes the spanning rays is
+    # unimodular, so neither needs a transpose, an inverse or a determinant
+    assert {p.name for p in SOURCES} >= {"orbits.py"}
+    path = next(p for p in SOURCES if p.name == "orbits.py")
+    funcs = {node.name: node
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.FunctionDef)}
+    classify = funcs["classify_roots"]
+    found = sorted(_names_in(classify)
+                   & {"transpose", "mat_vec", "mat_inverse", "det"})
+    assert not found, f"classify_roots uses {found}"
+    # the union-find was a pair of nested functions
+    nested = [n.name for n in ast.walk(classify)
+              if isinstance(n, ast.FunctionDef) and n is not classify]
+    assert not nested, f"functions inside classify_roots: {nested}"
+    assert "det" not in _names_in(funcs["_solve"]), "_solve computes det"
+
+
 def test_no_box_scans():
     # scanning a box tests every point of it against the rows, most of them
     # outside the region; lattice points are lifted coordinate by
