@@ -32,6 +32,7 @@ from .errors import (
 )
 from .lattice import (
     Cone,
+    as_int,
     dot,
     dual_description,
     invariant_factors,
@@ -56,7 +57,7 @@ def _as_key(cone):
         return frozenset(cone.indices)
     if isinstance(cone, frozenset):
         return cone
-    return frozenset(int(i) for i in cone)
+    return frozenset(as_int(i) for i in cone)
 
 
 class Fan:
@@ -247,7 +248,7 @@ def cone_stage(rank, rays, maximal_cones):
     supplied = {}
     violations = []
     for raw in maximal_cones:
-        idxs = sorted({int(i) for i in raw})
+        idxs = sorted({as_int(i) for i in raw})
         if any(i < 0 or i >= len(rays) for i in idxs):
             violations.append(UnknownRay(
                 f"cone {idxs} references a ray that is not listed"

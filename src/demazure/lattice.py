@@ -18,11 +18,12 @@ facets, the extremal dual rays (Ziegler, Lectures on Polytopes, 2.2).
 
 The lattice points of a region {x : <u, x> >= b} are found by
 Fourier-Motzkin project-and-lift (Schrijver, Theory of Linear and Integer
-Programming, 12.2): the coordinates are eliminated from the last one down,
-and each is lifted over the integer range its level leaves it, so the
-points come out in lexicographic order.  The elimination also shows most
-regions empty or bounded; otherwise one dual of the homogenization
-{(x, t) : <u, x> >= b t, t >= 0} decides (`region_shape`): its face t = 0
+Programming, 12.2): the coordinates are eliminated from the last one down
+and lifted, in lexicographic order, over the integer ranges their levels
+leave them, within a box if one is given.  Run down to x_0, the
+elimination shows the region free of lattice points, bounded or unbounded.
+Only if it stops at ROW_CEILING rows does one dual of the homogenization
+{(x, t) : <u, x> >= b t, t >= 0} decide (`region_shape`): its face t = 0
 is the recession cone, and its rays with t > 0 give the region's box.
 
 Conventions:
@@ -74,11 +75,11 @@ def vneg(a):
 
 def as_int(x):
     """x as an int; InvalidInteger when it is not integral (int() would
-    truncate 1/2 or 0.5 to 0)."""
-    f = Fraction(x)
-    if f.denominator != 1:
+    truncate 1/2 or 0.5 to 0) or not a number."""
+    (w,), d = _integral((x,))
+    if d != 1:
         raise InvalidInteger(f"non-integral component {x!r}")
-    return int(f)
+    return w
 
 
 def primitive(v):
@@ -100,10 +101,14 @@ def primitive(v):
 
 def _integral(v):
     """(w, d): the rational vector v times d, the lcm of its denominators,
-    so that w is an integer vector on the same ray."""
+    so that w is an integer vector on the same ray.  InvalidInteger when
+    an entry is not a number."""
     if all(type(x) is int for x in v):
         return v, 1
-    fr = [Fraction(x) for x in v]
+    try:
+        fr = [Fraction(x) for x in v]
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInteger(f"non-numeric entry in {v!r}") from None
     d = lcm(*(x.denominator for x in fr))
     return [int(x * d) for x in fr], d
 
@@ -659,32 +664,18 @@ class Cone:
 
 
 def _normalize_rows(rank, inequalities, equalities):
-    """Flatten to a single >= list of integer rows (each given row times
-    the lcm of its denominators); detect trivially empty systems.
-
-    Returns (rows, empty) where rows contains no zero normals.
-    """
-    rows = []
-    for u, b in inequalities:
-        *u, b = _integral([*u, b])[0]
-        rows.append((tuple(u), b))
+    """Flatten to a single >= list of integer rows, each given row times
+    the lcm of its denominators.  A zero row that always holds is dropped;
+    one that never holds, 0 >= b > 0, is kept for the callers to refute."""
+    rows = [_integral([*u, b])[0] for u, b in inequalities]
     for u, b in equalities:
-        *u, b = _integral([*u, b])[0]
-        rows.append((tuple(u), b))
-        rows.append((vneg(u), -b))
-    clean = []
-    empty = False
-    for u, b in rows:
-        if len(u) != rank:
+        w = _integral([*u, b])[0]
+        rows += [w, vneg(w)]
+    for w in rows:
+        if len(w) != rank + 1:
             raise RankMismatch(
-                f"constraint of length {len(u)} in ambient rank {rank}"
-            )
-        if not any(u):
-            if b > 0:
-                empty = True
-            continue
-        clean.append((u, b))
-    return clean, empty
+                f"constraint of length {len(w) - 1} in ambient rank {rank}")
+    return [(tuple(w[:-1]), w[-1]) for w in rows if any(w[:-1]) or w[-1] > 0]
 
 
 def region_shape(rank, inequalities=(), equalities=()):
@@ -701,11 +692,8 @@ def region_shape(rank, inequalities=(), equalities=()):
         read at t = 1; when direction is None they are the region's
         vertices and this is its bounding box.
     """
-    rows, empty = _normalize_rows(rank, inequalities, equalities)
-    hrows = [u + (-b,) for u, b in rows]
-    hrows.append((0,) * rank + (1,))
-    if empty:  # a row 0 >= b > 0 leaves only t = 0
-        hrows.append((0,) * rank + (-1,))
+    rows = _normalize_rows(rank, inequalities, equalities)
+    hrows = [u + (-b,) for u, b in rows] + [(0,) * rank + (1,)]
     HE, HL = dual_description(hrows, rank + 1)
     direction = next((g[:-1] for g in HL + HE if not g[-1]), None)
     vertices = [[Fraction(x, g[-1]) for x in g[:-1]] for g in HE if g[-1]]
@@ -738,8 +726,8 @@ def _keep(rows, u, b, history):
 
 
 def _eliminate(rank, rows):
-    """Fourier-Motzkin elimination of x_{rank-1}, ..., x_0 from integer rows,
-    or None when a derived row reads 0 >= b > 0 (no lattice point).
+    """Fourier-Motzkin elimination of x_{rank-1}, ..., x_0 from integer rows:
+    (levels, cut), levels None when a row reads 0 >= b > 0 (no lattice point).
 
     levels[k] is a pair (lower, upper) of lists of rows (u, a, b) meaning
     <u, (x_0..x_{k-1})> + a x_k >= b with a > 0 or a < 0: the input rows
@@ -748,35 +736,36 @@ def _eliminate(rank, rows):
     rounds so that every lattice point of the region satisfies them.  By
     Chernikov's rule a row combined from more than j + 1 input rows after j
     eliminations is implied by the others and dropped.  Past ROW_CEILING
-    rows the elimination stops, and each level below keeps its input rows.
+    rows the elimination stops with cut True, and each level below keeps
+    its input rows.  Otherwise every point of the levels below k lifts to
+    x_k, so a level with rows of one sign or none is unbounded.
     """
     current = {}
     for i, (u, b) in enumerate(rows):
         if not _keep(current, u, b, 1 << i):
-            return None
+            return None, False
     inputs = list(current.items())
     levels = [([], []) for _ in range(rank)]
     for k in reversed(range(rank)):
         nxt = {u: bh for u, bh in current.items() if not u[k]}
-        for u, (b, _) in current.items():
-            if u[k]:
-                levels[k][u[k] < 0].append((u[:k], u[k], b))
         lower, upper = ([(u, b, h) for u, (b, h) in current.items()
                          if s * u[k] > 0] for s in (1, -1))
+        levels[k] = tuple([(u[:k], u[k], b) for u, b, _ in side]
+                          for side in (lower, upper))
         for u, b, h in lower:
             for v, c, g in upper:
                 if (h | g).bit_count() <= rank - k + 1:
                     w = tuple(-v[k] * x + u[k] * y for x, y in zip(u, v))
                     if not _keep(nxt, w, -v[k] * b + u[k] * c, h | g):
-                        return None
+                        return None, False
         if len(nxt) > ROW_CEILING:
             for u, (b, _) in inputs:
                 j = max(i for i, x in enumerate(u) if x)
                 if j < k:
                     levels[j][u[j] < 0].append((u[:j], u[j], b))
-            break
+            return levels, True
         current = nxt
-    return levels
+    return levels, False
 
 
 def _lift(levels, box=None):
@@ -807,44 +796,43 @@ def _lift(levels, box=None):
     return walk(0) if levels else iter([()])
 
 
-def region_points(rank, inequalities=(), equalities=()):
-    """(points, None), with the lattice points of {x : <u,x> >= b,
-    <v,x> == c} lazily and in lexicographic order, or (None, direction)
-    when the region is unbounded and not empty over Q.
+def region_points(rank, inequalities=(), equalities=(), box=None):
+    """The lattice points of {x : <u,x> >= b, <v,x> == c}, lazily and in
+    lexicographic order and within `box` (integer (lo, hi) pairs) if one
+    is given; else None when the region is unbounded and not empty over Q.
 
-    The elimination decides when it finds a contradiction (no lattice
-    point) or rows of both signs at every level (bounded); otherwise
-    `region_shape` does, and its box bounds the levels left open.
+    The elimination decides, unless it stopped at ROW_CEILING with a level
+    left open: then `region_shape` does, and its box bounds the lift.
     """
-    rows, empty = _normalize_rows(rank, inequalities, equalities)
-    levels = None if empty else _eliminate(rank, rows)
+    rows = _normalize_rows(rank, inequalities, equalities)
+    levels, cut = _eliminate(rank, rows)
     if levels is None:
-        return iter(()), None
-    if all(lower and upper for lower, upper in levels):
-        return _lift(levels), None
-    direction, box = region_shape(rank, rows)
-    if box is None:
-        return iter(()), None
-    return (None, direction) if direction else (_lift(levels, box), None)
+        return iter(())
+    if box is None and not all(lower and upper for lower, upper in levels):
+        if not cut:
+            return None
+        direction, box = region_shape(rank, rows)
+        if box is None:
+            return iter(())
+        if direction is not None:
+            return None
+    return _lift(levels, box)
 
 
 def lattice_points(rank, inequalities=(), equalities=(), box=None):
     """All integer points satisfying <u,x> >= b / <u,x> == b, lex sorted.
 
     Without an explicit `box`, an unbounded region that holds a lattice
-    point holds infinitely many and raises UnboundedRegion.  With `box` (a
-    list of (lo, hi) pairs per coordinate), its bounds join the rows, and
-    enumeration is restricted to the box.
+    point holds infinitely many and raises UnboundedRegion.  A `box` (a
+    list of rational (lo, hi) pairs per coordinate) is rounded inward and
+    bounds the lift: the elimination sees the system's own rows only.
     """
     if box is not None:
         if len(box) != rank:
             raise RankMismatch("box length disagrees with rank")
-        inequalities = list(inequalities)
-        for k, (lo, hi) in enumerate(box):
-            e = tuple(int(j == k) for j in range(rank))
-            inequalities.append((e, math.ceil(Fraction(lo))))
-            inequalities.append((vneg(e), -math.floor(Fraction(hi))))
-    points = region_points(rank, inequalities, equalities)[0]
+        box = [(math.ceil(Fraction(lo)), math.floor(Fraction(hi)))
+               for lo, hi in box]
+    points = region_points(rank, inequalities, equalities, box)
     if points is None:
         if integer_feasible(rank, inequalities, equalities):
             raise UnboundedRegion(
@@ -864,14 +852,15 @@ def integer_feasible(rank, inequalities=(), equalities=()):
     c = S D T, since T is unimodular with first row +/-c.  A bounded region
     takes the first point lifted from its elimination.
     """
-    rows, empty = _normalize_rows(rank, inequalities, equalities)
-    if empty:
-        return False
-    if rank == 0 or not rows:
+    rows = _normalize_rows(rank, inequalities, equalities)
+    if not rows:
         return True
-    points, c = region_points(rank, rows)
+    points = region_points(rank, rows)
     if points is not None:
         return next(points, None) is not None
+    c, box = region_shape(rank, rows)
+    if box is None:
+        return False
     T = smith_normal_form([list(c)])[2]
     # <u, c> >= 0 since c generates the recession cone; the rows with
     # <u, c> > 0 become slack far enough along c

@@ -368,13 +368,21 @@ def _ray_permutation(fan, M, cone_keys):
     return tuple(perm)
 
 
+def _ray_of(root, rays):
+    """The root's ray index; NotARoot unless it indexes one of the rays."""
+    if root.ray_index not in range(len(rays)):
+        raise NotARoot(f"{root} names none of the {len(rays)} rays")
+    return root.ray_index
+
+
 def root_image(automorphism, root):
     """Image of a root under the contragredient action e -> (M^-1)^T e,
     which preserves the pairing: <M n, (M^-1)^T e> = <n, e>."""
+    i = _ray_of(root, automorphism.ray_permutation)
     inv = mat_inverse([list(r) for r in automorphism.matrix])
     # integral because det M = +/-1
     e = tuple(int(x) for x in mat_vec(transpose(inv), root.e))
-    return DemazureRoot(automorphism.ray_permutation[root.ray_index], e)
+    return DemazureRoot(automorphism.ray_permutation[i], e)
 
 
 def classify_roots(fan, roots):
@@ -390,7 +398,7 @@ def classify_roots(fan, roots):
     without a matrix.
     """
     autos = fan_automorphisms(fan)
-    keyed = {(r.ray_index, tuple(dot(n, r.e) for n in fan.rays)): r
+    keyed = {(_ray_of(r, fan.rays), tuple(dot(n, r.e) for n in fan.rays)): r
              for r in sorted(roots)}
     placed = set()
     classes = []

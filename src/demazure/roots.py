@@ -134,7 +134,7 @@ def roots_of_fan(fan, bound=None):
     """All Demazure roots of a fan.
 
     Each root region is eliminated once (`lattice.region_points`), with no
-    dual on a complete fan, whose regions are bounded.  If no region holds
+    dual unless it passes ROW_CEILING rows.  If no region holds
     infinitely many lattice points, the enumeration is exact and any bound
     is ignored.  Otherwise a bound B is required (UnboundedRoots names the
     first such ray if it is missing) and every region is truncated to
@@ -150,7 +150,7 @@ def roots_of_fan(fan, bound=None):
             raise NegativeBound(bound)
     n = fan.rank
     systems = [_root_system(fan.rays, i) for i in range(l)]
-    regions = [region_points(n, *system)[0] for system in systems]
+    regions = [region_points(n, *system) for system in systems]
     unbounded = [i for i, points in enumerate(regions) if points is None]
     boxed = None
     if unbounded and bound is not None:

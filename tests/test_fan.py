@@ -6,6 +6,7 @@ import collections
 import itertools
 import json
 import random
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from demazure.errors import (
     ConeNotInFan,
     DemazureError,
     DuplicateRay,
+    InvalidInteger,
     NotStronglyConvex,
     RankMismatch,
 )
@@ -672,3 +674,19 @@ def test_a_certified_pair_calls_no_dual(monkeypatch):
     assert fan.intersection_defect(frozenset({0, 2}),
                                    frozenset({1, 3})) is None
     assert calls == []
+
+
+def test_non_numeric_and_non_integral_input_is_rejected():
+    # a ray entry that is no number, and a cone index that int() would
+    # truncate to a valid one: [0, 1.5] used to build the cone [0, 1]
+    with pytest.raises(InvalidInteger, match="non-numeric entry"):
+        build_fan(2, [(1, "a"), (0, 1)], [[0, 1]])
+    with pytest.raises(InvalidInteger, match="non-integral component 1.5"):
+        build_fan(2, [(1, 0), (0, 1)], [[0, 1.5]])
+    fan = p2()
+    with pytest.raises(InvalidInteger, match="non-integral component 0.5"):
+        fan.ref([0.5])
+    # integral values of any type are the integer index
+    assert fan.ref([1.0, Fraction(2)]) == fan.ref([1, 2])
+    assert build_fan(2, [(1, 0), (0, 1)], [[0, 1.0]]).cones == \
+        build_fan(2, [(1, 0), (0, 1)], [[0, 1]]).cones

@@ -18,6 +18,7 @@ import pytest
 
 from demazure import lattice
 from demazure.errors import (
+    InvalidInteger,
     NotStronglyConvex,
     RankMismatch,
     UnboundedRegion,
@@ -25,6 +26,7 @@ from demazure.errors import (
 )
 from demazure.lattice import (
     Cone,
+    as_int,
     det,
     dot,
     dual_description,
@@ -99,6 +101,18 @@ def test_primitive_examples():
 def test_primitive_zero_raises():
     with pytest.raises(ZeroVector):
         primitive((0, 0, 0))
+
+
+def test_values_that_are_not_numbers_raise_invalid_integer():
+    # Fraction() raised a bare TypeError or ValueError for these
+    for x in (None, "a", [1], float("nan"), float("inf")):
+        with pytest.raises(InvalidInteger, match="non-numeric entry"):
+            as_int(x)
+        with pytest.raises(InvalidInteger, match="non-numeric entry"):
+            primitive((1, x))
+    assert as_int("-3") == as_int(Fraction(-3)) == as_int(-3.0) == -3
+    with pytest.raises(InvalidInteger, match="non-integral component"):
+        as_int("1/2")
 
 
 def test_rank_and_nullspace():
@@ -560,9 +574,7 @@ def scan_points(rank, inequalities=(), equalities=(), box=None):
     """The former lattice_points: the rows scanned over the explicit box,
     or over the box of a bounded region read off its homogenization.  A
     region empty over Q gives no points, bounded or not."""
-    rows, empty = lattice._normalize_rows(rank, inequalities, equalities)
-    if empty:
-        return []
+    rows = lattice._normalize_rows(rank, inequalities, equalities)
     if box is None:
         direction, box = region_shape(rank, rows)
         if box is None:
@@ -578,10 +590,8 @@ def scan_points(rank, inequalities=(), equalities=(), box=None):
 def scan_feasible(rank, inequalities=(), equalities=()):
     """The former integer_feasible: a bounded region scans its box, an
     unbounded one drops a recession direction and recurses."""
-    rows, empty = lattice._normalize_rows(rank, inequalities, equalities)
-    if empty:
-        return False
-    if rank == 0 or not rows:
+    rows = lattice._normalize_rows(rank, inequalities, equalities)
+    if not rows:
         return True
     c, box = region_shape(rank, rows)
     if box is None:
@@ -676,14 +686,15 @@ def test_lattice_points_match_the_box_scan_random():
 def former_integer_feasible(rank, inequalities=(), equalities=()):
     """The former integer_feasible: an unbounded region changes
     coordinates by unimodular_with_last_column(c) and recurses."""
-    rows, empty = lattice._normalize_rows(rank, inequalities, equalities)
-    if empty:
-        return False
-    if rank == 0 or not rows:
+    rows = lattice._normalize_rows(rank, inequalities, equalities)
+    if not rows:
         return True
-    points, c = lattice.region_points(rank, rows)
+    points = lattice.region_points(rank, rows)
     if points is not None:
         return next(points, None) is not None
+    c, box = region_shape(rank, rows)
+    if box is None:
+        return False
     cols = list(zip(*unimodular_with_last_column(c)))
     new_rows = []
     for u, b in rows:
@@ -702,8 +713,7 @@ def hidden_lattice_free_triangle(rng):
         # -(a u + b v) closes the triangle when u and v are independent
         w = tuple(-a * x - b * y for x, y in zip(u, v))
         rows = [(n, rng.randint(-6, 6)) for n in (u, v, w)]
-        norm, empty = lattice._normalize_rows(2, rows, ())
-        levels = None if empty else lattice._eliminate(2, norm)
+        levels = lattice._eliminate(2, lattice._normalize_rows(2, rows, ()))[0]
         if (levels and all(lower and upper for lower, upper in levels)
                 and next(lattice._lift(levels), None) is None):
             return rows
@@ -727,8 +737,7 @@ def test_integer_feasible_matches_the_former_recursion_on_unbounded_systems():
         U = random_unimodular(rng, rank) if rank > 1 else [[1]]
         ineqs, eqs = ([(mat_mul([list(u) + [0] * (rank - len(u))], U)[0], b)
                        for u, b in rows] for rows in (ineqs, eqs))
-        rows, empty = lattice._normalize_rows(rank, ineqs, eqs)
-        if empty or lattice.region_points(rank, rows)[0] is not None:
+        if lattice.region_points(rank, ineqs, eqs) is not None:
             continue  # trivially empty, or decided by the elimination
         verdict = integer_feasible(rank, ineqs, eqs)
         assert verdict == former_integer_feasible(rank, ineqs, eqs), (
@@ -740,9 +749,16 @@ def test_integer_feasible_matches_the_former_recursion_on_unbounded_systems():
 
 def test_regions_past_the_row_ceiling_match_the_box_scan(monkeypatch):
     # the root regions of seeded rank-6 cones with 12 generators: past the
-    # ceiling the lower levels lift over the box and check the input rows
+    # ceiling the lower levels lift over the box and check the input rows;
+    # without a box, only a region cut at the ceiling is dualized, to tell
+    # that it is unbounded, and one eliminated down to x_0 is not
     rng = random.Random(12)
     box = [(-1, 1)] * 6
+    duals = []
+    original = lattice.dual_description
+    monkeypatch.setattr(lattice, "dual_description",
+                        lambda gens, rank: duals.append(rank)
+                        or original(gens, rank))
     regions = cut = 0
     while regions < 30:
         gens = [(rng.randint(1, 3),) + tuple(rng.randint(-3, 3)
@@ -751,16 +767,41 @@ def test_regions_past_the_row_ceiling_match_the_box_scan(monkeypatch):
         rays = Cone(6, gens).rays()
         for i, ray in enumerate(rays):
             ineqs = [(r, 0) for j, r in enumerate(rays) if j != i]
-            rows = lattice._normalize_rows(
-                6, ineqs + box_rows(box), [(ray, -1)])[0]
-            capped = lattice._eliminate(6, rows)
+            rows = lattice._normalize_rows(6, ineqs, [(ray, -1)])
+            levels, capped = lattice._eliminate(6, rows)
             with monkeypatch.context() as m:
                 m.setattr(lattice, "ROW_CEILING", 10 ** 9)
-                cut += lattice._eliminate(6, rows) != capped
+                full, never = lattice._eliminate(6, rows)
+            assert not never and (full != levels) == capped
+            cut += capped
+            duals.clear()
             assert lattice_points(6, ineqs, [(ray, -1)], box=box) == list(
                 scan(box, rows))
+            assert not duals
+            assert lattice.region_points(6, ineqs, [(ray, -1)]) is None
+            assert len(duals) == capped
             regions += 1
-    assert (regions, cut) == (36, 36)
+    assert (regions, cut) == (36, 34)
+
+
+def test_an_explicit_box_bounds_the_lift_only(monkeypatch):
+    # lattice_points hands its box, rounded inward, to the lift: the
+    # elimination sees the system's own rows and no box rows
+    seen = []
+    original = lattice._eliminate
+    monkeypatch.setattr(lattice, "_eliminate",
+                        lambda rank, rows: seen.append(rows)
+                        or original(rank, rows))
+    rng = random.Random(77)
+    for _ in range(60):
+        rank = rng.randint(1, 4)
+        ineqs, eqs, _ = random_system(rng, rank)
+        box = [(Fraction(rng.randint(-4, 0), 2), Fraction(rng.randint(0, 4), 2))
+               for _ in range(rank)]
+        seen.clear()
+        got = lattice_points(rank, ineqs, eqs, box=box)
+        assert seen == [lattice._normalize_rows(rank, ineqs, eqs)]
+        assert got == scan_points(rank, ineqs, eqs, box=box)
 
 
 # ---------------------------------------------------------------------------

@@ -787,3 +787,26 @@ def test_stabilizer_data_takes_any_cone_form():
         assert stabilizer_data(fan, e, list(ref.indices)) == expected
     with pytest.raises(ConeNotInFan, match=r"no cone with rays \[0, 1, 2\]"):
         stabilizer_data(fan, e, frozenset({0, 1, 2}))
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+def test_non_numeric_characters_are_rejected(entry):
+    for x in ("a", None, float("nan")):
+        with pytest.raises(InvalidInteger, match="non-numeric entry"):
+            entry(p2(), (x, 1))
+
+
+def test_non_integral_cone_indices_are_rejected():
+    # int() would truncate the index 0.5 to ray 0
+    with pytest.raises(InvalidInteger, match="non-integral component 0.5"):
+        stabilizer_data(p2(), (0, -1), [0.5])
+
+
+def test_foreign_ray_indices_are_not_roots():
+    fan = p2()
+    phi = fan_automorphisms(fan)[1]
+    for i in (3, 5, -1, 0.5):
+        with pytest.raises(NotARoot, match=f"ray_index={i}, .* 3 rays"):
+            classify_roots(fan, [DemazureRoot(i, (-1, 0))])
+        with pytest.raises(NotARoot, match=f"ray_index={i}, .* 3 rays"):
+            root_image(phi, DemazureRoot(i, (0, -1)))

@@ -38,7 +38,7 @@ from test_fan import (
     p_n_input,
     random_complete_fan_input,
 )
-from test_lattice import box_rows, fraction_nullspace
+from test_lattice import fraction_nullspace
 from test_orbits import oracle_admits
 
 
@@ -87,6 +87,17 @@ def oracle_box(rays, i, n):
     if not vertices:
         return None
     return [(math.floor(min(c)), math.ceil(max(c))) for c in zip(*vertices)]
+
+
+def oracle_region(rays, i, n):
+    """The lattice points of a bounded region, scanned in its oracle_box."""
+    box = oracle_box(rays, i, n)
+    if box is None:
+        return []
+    return [e for e in itertools.product(*[range(lo, hi + 1)
+                                           for lo, hi in box])
+            if dot(rays[i], e) == -1
+            and all(dot(r, e) >= 0 for j, r in enumerate(rays) if j != i)]
 
 
 def oracle_has_point(rays, i, n, radius=8):
@@ -289,10 +300,10 @@ def affine(n):
                          for i in range(n)], [list(range(n))])
 
 
-# dual counts of roots_of_fan: a complete fan's regions are bounded, and
-# only an unbounded region is dualized, to confirm it
+# dual counts of roots_of_fan: none, as each region's elimination runs
+# down to x_0 and so tells bounded (a complete fan) from unbounded (A^3)
 ROOTS_DUALS = {"P^2": 0, "P^3": 0, "P^4": 0, "(P^1)^3": 0, "F_3": 0,
-               "A^3": 3}
+               "A^3": 0}
 
 
 # the last parameter is the count of the analysis before last, one recession
@@ -313,23 +324,66 @@ def test_roots_of_fan_dual_counts(duals, name, fan, bound, before):
     assert len(duals) == ROOTS_DUALS[name] <= min(len(fan.rays), before)
 
 
-# the largest number of rows on one level of a root region's elimination
+# the largest number of rows on one level of the eliminations that
+# roots_of_fan runs, which see each region's own rows: a bound's box
+# bounds only the lift
 @pytest.mark.parametrize("name, fan, bound, rows", [
     ("P^6", lambda: p_n(6), None, 3),
     ("(P^1)^5", lambda: p1_power(5), None, 2),
     ("A^4", lambda: affine(4), 8, 2),
 ])
-def test_largest_elimination_levels(name, fan, bound, rows):
+def test_largest_elimination_levels(monkeypatch, name, fan, bound, rows):
     fan = fan()
-    n = fan.rank
-    box = [] if bound is None else box_rows([(-bound, bound)] * n)
-    largest = 0
-    for i in range(len(fan.rays)):
-        ineqs, eqs = _root_system(fan.rays, i)
-        levels = lattice._eliminate(
-            n, lattice._normalize_rows(n, ineqs + box, eqs)[0])
-        largest = max(largest, *(len(lo) + len(up) for lo, up in levels))
+    eliminated = []
+    original = lattice._eliminate
+
+    def recorded(rank, rows):
+        eliminated.append(original(rank, rows))
+        return eliminated[-1]
+
+    monkeypatch.setattr(lattice, "_eliminate", recorded)
+    roots_of_fan(fan, bound=bound)
+    assert len(eliminated) == len(fan.rays) * (1 + (bound is not None))
+    assert not any(cut for _, cut in eliminated)
+    largest = max(len(lo) + len(up)
+                  for levels, _ in eliminated for lo, up in levels)
     assert largest == rows <= lattice.ROW_CEILING, name
+
+
+# with the ceiling at 0 every elimination stops after its last coordinate;
+# the regions whose lower levels keep rows of one sign are dualized, and
+# only they: (cut, dualized) per fan
+CUT_AT_ZERO = {"P^3": (4, 4), "(P^1)^3": (6, 0), "F_3": (4, 3),
+               "hexagon": (6, 0)}
+
+
+@pytest.mark.parametrize("name, fan", [
+    ("P^3", lambda: p_n(3)),
+    ("(P^1)^3", lambda: p1_power(3)),
+    ("F_3", lambda: build_fan(*hirzebruch(3))),
+    ("hexagon", lambda: build_fan(2, HEXAGON,
+                                  [[k, (k + 1) % 6] for k in range(6)])),
+])
+def test_regions_cut_at_the_ceiling_take_one_dual(duals, monkeypatch, name,
+                                                  fan):
+    fan = fan()
+    n, l = fan.rank, len(fan.rays)
+    expected = roots_of_fan(fan)
+    monkeypatch.setattr(lattice, "ROW_CEILING", 0)
+    cut = dualized = 0
+    for i in range(l):
+        ineqs, eqs = _root_system(fan.rays, i)
+        levels, capped = lattice._eliminate(
+            n, lattice._normalize_rows(n, ineqs, eqs))
+        cut += capped
+        duals.clear()
+        points = lattice.region_points(n, ineqs, eqs)
+        dualized += len(duals)
+        assert len(duals) == (
+            not all(lower and upper for lower, upper in levels)), (name, i)
+        assert list(points) == oracle_region(fan.rays, i, n), (name, i)
+    assert (cut, dualized) == CUT_AT_ZERO[name]
+    assert roots_of_fan(fan) == expected
 
 
 @pytest.fixture
@@ -403,10 +457,10 @@ def test_mixed_region_fans_dualize_each_region_at_most_twice(
         programs.clear()
         oracle_admits(fan)
         pattern_search += len(programs)
-    # the former analysis dualized every region once; now only the
-    # unbounded ones are, to confirm, and the integer programs that decide
-    # whether they hold a point dualize their unbounded regions
-    assert dualized == 78 < regions == 226
+    # the former analysis dualized every region once, and then each
+    # unbounded one to confirm it (78); now only the integer programs that
+    # decide whether an unbounded region holds a point dualize it
+    assert dualized == 26 < regions == 226
     # 257 while integer_feasible dualized every program, 327 while it
     # dualized each nonempty region twice
     assert admits == 23

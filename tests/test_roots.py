@@ -230,6 +230,12 @@ def test_non_integral_bound_is_rejected():
     # also where the bound would be ignored
     with pytest.raises(InvalidInteger):
         roots_of_fan(p2(), bound=0.5)
+    # and a bound that is no number
+    for bound in ("x", None, [2]):
+        with pytest.raises(InvalidInteger, match="non-numeric entry"):
+            roots_of_cone(Cone(2, [(1, 0), (0, 1)]), bound)
+    with pytest.raises(InvalidInteger, match="non-numeric entry"):
+        roots_of_fan(p2(), bound="x")
     # an integral value of another type is that integer
     assert len(roots_of_fan(a3, bound=2)) == 27
     for bound in (2.0, Fraction(2), "2"):

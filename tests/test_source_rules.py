@@ -150,6 +150,20 @@ def test_no_box_scans():
     assert not found, f"itertools.product in the lattice-point code: {found}"
 
 
+def test_fan_reads_integers_with_as_int():
+    # int() truncates: the cone index 1.5 was read as ray 1; as_int raises
+    # InvalidInteger for a value that is not an integer
+    assert {p.name for p in SOURCES} >= {"fan.py"}
+    path = next(p for p in SOURCES if p.name == "fan.py")
+    found = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "int"
+    ]
+    assert not found, f"int() calls in fan.py: {found}"
+
+
 def test_render_is_the_one_report_writer():
     # serialize.render writes every report; a json.dump(s) with an indent
     # would be a second writer beside it, running CPython's pure-Python
