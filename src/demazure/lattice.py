@@ -8,23 +8,25 @@ Cones are finitely generated convex cones in Q^n stored by primitive
 integer generators.  Duality walks the (r-1)-subsets of the generators
 depth first, r their rank, carrying the exterior product of each prefix
 (its integer minors) so that a subset's normal costs a few products and a
-dependent prefix is dropped with all its extensions; a cone with lineality
-is walked in the pivot coordinates of its span and each facet is lifted
-modulo the lineality.  This is exact, needs one elimination for a
-full-dimensional cone, and suits the small ranks (<= 6 or so) this package
-targets.  A cone computes one dual and reads its dimension, pointedness,
-extremal rays and faces off the incidences of its generators with its
-facets, the extremal dual rays (Ziegler, Lectures on Polytopes, 2.2).
+dependent prefix is dropped with all its extensions; a cone that does not
+span Q^n is walked in the pivot coordinates of its span, and its facet
+normals are extended by 0 off them.  This is exact, needs one elimination
+for any cone, and suits the small ranks (<= 6 or so) this package targets.
+A cone computes one dual and reads its dimension, pointedness, extremal
+rays and faces off the incidences of its generators with its facets, the
+extremal dual rays (Ziegler, Lectures on Polytopes, 2.2).
 
 The lattice points of a region {x : <u, x> >= b} are found by
 Fourier-Motzkin project-and-lift (Schrijver, Theory of Linear and Integer
 Programming, 12.2): the coordinates are eliminated from the last one down
 and lifted, in lexicographic order, over the integer ranges their levels
-leave them, within a box if one is given.  Run down to x_0, the
-elimination shows the region free of lattice points, bounded or unbounded.
-Only if it stops at ROW_CEILING rows does one dual of the homogenization
-{(x, t) : <u, x> >= b t, t >= 0} decide (`region_shape`): its face t = 0
-is the recession cone, and its rays with t > 0 give the region's box.
+leave them, within a box if one is given.  A `Region` is eliminated once;
+its points, its shape and its integer feasibility read that elimination.
+Run down to x_0, it shows the region free of lattice points, bounded or
+unbounded.  Only if it stops at ROW_CEILING rows does one dual of the
+homogenization {(x, t) : <u, x> >= b t, t >= 0} decide (`Region.shape`):
+its face t = 0 is the recession cone, and its rays with t > 0 give the
+region's box.
 
 Conventions:
   * vectors are tuples; matrices are sequences of row tuples/lists;
@@ -271,7 +273,7 @@ def smith_normal_form(A):
     """
     k = len(A)
     n = len(A[0]) if k else 0
-    D = [[int(x) for x in row] for row in A]
+    D = [[as_int(x) for x in row] for row in A]
     if any(len(r) != n for r in D):
         raise RankMismatch("ragged matrix")
     S = identity_matrix(k)
@@ -455,16 +457,21 @@ def dual_description(gens, rank):
     The dual cone is generated by extremal + lineality + (-lineality).
 
     Method: one integer elimination of the generators gives the lineality
-    (the `nullspace` basis) and the pivot columns of their span, of
-    dimension r.  Projecting the generators to the pivot columns is
-    faithful on their span, and there the extreme rays of the dual are the
-    facet normals of a full-dimensional cone, found by the exterior-product
-    walk over the (r-1)-subsets of generators (`_facet_normals`), in
-    integers.  With no lineality the normal is the representative.
-    Otherwise a facet is lifted modulo the lineality to the first vector of
-    `nullspace(its incident generators)` that pairs nonzero with the
-    generators: that basis depends only on the facet's span, so it is the
-    vector every (r-1)-subset spanning the facet would give.
+    (the `nullspace` basis) and the pivot columns P of their span V, of
+    dimension r.  Projecting the generators to P is faithful on V, and
+    there the extreme rays of the dual are the facet normals of a
+    full-dimensional cone, found by the exterior-product walk over the
+    (r-1)-subsets of generators (`_facet_normals`), in integers.  Each
+    normal is read back by zero-extension: its entries on P, 0 elsewhere.
+
+    It equals the first vector of `nullspace(the facet's generators)` that
+    pairs nonzero with the generators, so oriented.  The facet spans a
+    hyperplane H of V whose pivots are P less one p*, as the rank of the
+    first c columns drops from V to H once, at p*, and stays dropped.  The
+    vector of a free column before p* lives there, where H and V project
+    alike, so it vanishes on V.  The vector of p* is supported on P and
+    vanishes on H, as the zero-extension does; on P these form a line, as
+    H projects faithfully, and both vectors are primitive.
 
     This is the only dual a Cone computes: the incidences of the
     generators with the extremal rays give its dimension, pointedness,
@@ -486,27 +493,10 @@ def dual_description(gens, rank):
         return [], L
     if not L:
         return sorted(_facet_normals(prim, rank)), L
-    E = []
     proj = [tuple(g[c] for c in pivots) for g in prim]
-    for u in _facet_normals(proj, len(pivots)):
-        vals = [dot(u, p) for p in proj]
-        incident = [g for g, x in zip(prim, vals) if not x]
-        outside = prim[next(i for i, x in enumerate(vals) if x)]
-        # b vanishes on the facet, so on span(gens) it is a multiple of u
-        for b in nullspace(incident, rank):
-            x = dot(outside, b)
-            if x:
-                E.append(b if x > 0 else vneg(b))
-                break
-    return sorted(E), L
-
-
-def _exact(v):
-    """The vector as a tuple of ints, or of Fractions if it has a non-int."""
-    vec = tuple(v)
-    if all(type(x) is int for x in vec):
-        return vec
-    return tuple(Fraction(x) for x in vec)
+    at = {c: k for k, c in enumerate(pivots)}
+    return sorted(tuple(u[at[c]] if c in at else 0 for c in range(rank))
+                  for u in _facet_normals(proj, len(pivots))), L
 
 
 class Cone:
@@ -527,7 +517,7 @@ class Cone:
         out = []
         seen = set()
         for g in generators:
-            vec = _exact(g)
+            vec = _integral(tuple(g))[0]
             if len(vec) != rank:
                 raise RankMismatch(
                     f"generator of length {len(vec)} in ambient rank {rank}"
@@ -598,7 +588,8 @@ class Cone:
         return every not in self._incidence().values()
 
     def contains(self, v):
-        vec = _exact(v)
+        # a positive multiple of v, which pairs with the same signs
+        vec = _integral(tuple(v))[0]
         if len(vec) != self.rank:
             raise RankMismatch(
                 f"point of length {len(vec)} in ambient rank {self.rank}"
@@ -661,46 +652,6 @@ class Cone:
 
 # ---------------------------------------------------------------------------
 # lattice points of rational polyhedra
-
-
-def _normalize_rows(rank, inequalities, equalities):
-    """Flatten to a single >= list of integer rows, each given row times
-    the lcm of its denominators.  A zero row that always holds is dropped;
-    one that never holds, 0 >= b > 0, is kept for the callers to refute."""
-    rows = [_integral([*u, b])[0] for u, b in inequalities]
-    for u, b in equalities:
-        w = _integral([*u, b])[0]
-        rows += [w, vneg(w)]
-    for w in rows:
-        if len(w) != rank + 1:
-            raise RankMismatch(
-                f"constraint of length {len(w) - 1} in ambient rank {rank}")
-    return [(tuple(w[:-1]), w[-1]) for w in rows if any(w[:-1]) or w[-1] > 0]
-
-
-def region_shape(rank, inequalities=(), equalities=()):
-    """(direction, box) of the region {x : <u,x> >= b, <v,x> == c}, read off
-    one dual, of its homogenization {(x, t) : <u, x> >= b t, t >= 0}.
-
-      * direction: a lineality vector or extremal ray of the recession cone
-        {x : <u,x> >= 0, <v,x> == 0}, or None when that cone is {0}: the
-        region is bounded.  The recession cone is the face t = 0 of the
-        homogenization, spanned by its lineality and its extremal rays with
-        t = 0.
-      * box: None when the region is empty, which is when no extremal ray
-        has t > 0.  Otherwise the integer coordinate ranges of those rays
-        read at t = 1; when direction is None they are the region's
-        vertices and this is its bounding box.
-    """
-    rows = _normalize_rows(rank, inequalities, equalities)
-    hrows = [u + (-b,) for u, b in rows] + [(0,) * rank + (1,)]
-    HE, HL = dual_description(hrows, rank + 1)
-    direction = next((g[:-1] for g in HL + HE if not g[-1]), None)
-    vertices = [[Fraction(x, g[-1]) for x in g[:-1]] for g in HE if g[-1]]
-    if not vertices:
-        return direction, None
-    return direction, [(math.ceil(min(c)), math.floor(max(c)))
-                       for c in zip(*vertices)]
 
 
 # The most rows the elimination passes to the next level; past it, the
@@ -796,27 +747,98 @@ def _lift(levels, box=None):
     return walk(0) if levels else iter([()])
 
 
-def region_points(rank, inequalities=(), equalities=(), box=None):
-    """The lattice points of {x : <u,x> >= b, <v,x> == c}, lazily and in
-    lexicographic order and within `box` (integer (lo, hi) pairs) if one
-    is given; else None when the region is unbounded and not empty over Q.
+class Region:
+    """The region {x : <u,x> >= b, <v,x> == c} in Q^rank, eliminated once.
+    Its rows are one >= list, each given row times the lcm of its
+    denominators; a zero row that always holds is dropped, and one that
+    never holds, 0 >= b > 0, is kept for the elimination to refute."""
 
-    The elimination decides, unless it stopped at ROW_CEILING with a level
-    left open: then `region_shape` does, and its box bounds the lift.
-    """
-    rows = _normalize_rows(rank, inequalities, equalities)
-    levels, cut = _eliminate(rank, rows)
-    if levels is None:
-        return iter(())
-    if box is None and not all(lower and upper for lower, upper in levels):
-        if not cut:
-            return None
-        direction, box = region_shape(rank, rows)
-        if box is None:
+    def __init__(self, rank, inequalities=(), equalities=()):
+        rows = [_integral([*u, b])[0] for u, b in inequalities]
+        for u, b in equalities:
+            w = _integral([*u, b])[0]
+            rows += [w, vneg(w)]
+        for w in rows:
+            if len(w) != rank + 1:
+                raise RankMismatch(f"constraint of length {len(w) - 1} "
+                                   f"in ambient rank {rank}")
+        self.rank = rank
+        self.rows = [(tuple(w[:-1]), w[-1]) for w in rows
+                     if any(w[:-1]) or w[-1] > 0]
+        self.levels, self.cut = _eliminate(rank, self.rows)
+        self._shape = None
+
+    def points(self, box=None):
+        """The lattice points, lazily and in lexicographic order and within
+        `box` (integer (lo, hi) pairs) if one is given; else None when the
+        region is unbounded and not empty over Q.  The elimination decides,
+        unless it stopped at ROW_CEILING with a level left open: then
+        `shape` does, and its box bounds the lift.
+        """
+        if self.levels is None:
             return iter(())
-        if direction is not None:
-            return None
-    return _lift(levels, box)
+        if box is None and not all(lower and upper
+                                   for lower, upper in self.levels):
+            if not self.cut:
+                return None
+            direction, box = self.shape()
+            if box is None:
+                return iter(())
+            if direction is not None:
+                return None
+        return _lift(self.levels, box)
+
+    def shape(self):
+        """(direction, box), read off one dual, of the homogenization
+        {(x, t) : <u, x> >= b t, t >= 0}; taken once, when first asked.
+
+          * direction: a lineality vector or extremal ray of the recession
+            cone {x : <u,x> >= 0, <v,x> == 0}, or None when that cone is
+            {0}: the region is bounded.  The recession cone is the face
+            t = 0 of the homogenization, spanned by its lineality and its
+            extremal rays with t = 0.
+          * box: None when the region is empty, which is when no extremal
+            ray has t > 0.  Otherwise the integer coordinate ranges of
+            those rays read at t = 1; when direction is None they are the
+            region's vertices and this is its bounding box.
+        """
+        if self._shape is None:
+            hrows = [u + (-b,) for u, b in self.rows]
+            HE, HL = dual_description(hrows + [(0,) * self.rank + (1,)],
+                                      self.rank + 1)
+            direction = next((g[:-1] for g in HL + HE if not g[-1]), None)
+            vertices = [[Fraction(x, g[-1]) for x in g[:-1]]
+                        for g in HE if g[-1]]
+            box = [(math.ceil(min(c)), math.floor(max(c)))
+                   for c in zip(*vertices)] if vertices else None
+            self._shape = direction, box
+        return self._shape
+
+    def feasible(self):
+        """Exact test: does the region contain a lattice point?
+
+        Rational feasibility is not enough (a rational polyhedron can be
+        lattice-free), so an unbounded region is reduced recursively: pick
+        an integer direction c in the recession cone, drop the rows that
+        become slack along c and recurse on Z^n / Zc in one dimension
+        fewer.  Its coordinates are the pairings with rows 1.. of T in the
+        Smith form c = S D T, since T is unimodular with first row +/-c.  A
+        bounded region takes the first point lifted from its elimination.
+        """
+        if not self.rows:
+            return True
+        points = self.points()
+        if points is not None:
+            return next(points, None) is not None
+        # points() is None only on a region unbounded and not empty over Q
+        c = self.shape()[0]
+        T = smith_normal_form([list(c)])[2]
+        # <u, c> >= 0 since c generates the recession cone; the rows with
+        # <u, c> > 0 become slack far enough along c
+        return Region(self.rank - 1, [
+            (tuple(dot(u, t) for t in T[1:]), b) for u, b in self.rows
+            if dot(u, c) == 0
+        ]).feasible()
 
 
 def lattice_points(rank, inequalities=(), equalities=(), box=None):
@@ -830,11 +852,12 @@ def lattice_points(rank, inequalities=(), equalities=(), box=None):
     if box is not None:
         if len(box) != rank:
             raise RankMismatch("box length disagrees with rank")
-        box = [(math.ceil(Fraction(lo)), math.floor(Fraction(hi)))
-               for lo, hi in box]
-    points = region_points(rank, inequalities, equalities, box)
+        # each pair times the lcm d of its denominators, rounded inward
+        box = [(-(-lo // d), hi // d) for (lo, hi), d in map(_integral, box)]
+    region = Region(rank, inequalities, equalities)
+    points = region.points(box)
     if points is None:
-        if integer_feasible(rank, inequalities, equalities):
+        if region.feasible():
             raise UnboundedRegion(
                 "the region is unbounded; pass an explicit box")
         return []
@@ -842,29 +865,5 @@ def lattice_points(rank, inequalities=(), equalities=(), box=None):
 
 
 def integer_feasible(rank, inequalities=(), equalities=()):
-    """Exact test: does {x : <u,x> >= b, <v,x> == c} contain a lattice point?
-
-    Rational feasibility is not enough (a rational polyhedron can be
-    lattice-free), so unbounded regions are reduced recursively: pick an
-    integer direction c in the recession cone, drop the constraints that
-    become slack along c and recurse on Z^n / Zc in one dimension fewer.
-    Its coordinates are the pairings with rows 1.. of T in the Smith form
-    c = S D T, since T is unimodular with first row +/-c.  A bounded region
-    takes the first point lifted from its elimination.
-    """
-    rows = _normalize_rows(rank, inequalities, equalities)
-    if not rows:
-        return True
-    points = region_points(rank, rows)
-    if points is not None:
-        return next(points, None) is not None
-    c, box = region_shape(rank, rows)
-    if box is None:
-        return False
-    T = smith_normal_form([list(c)])[2]
-    # <u, c> >= 0 since c generates the recession cone; the rows with
-    # <u, c> > 0 become slack far enough along c
-    return integer_feasible(rank - 1, [
-        (tuple(dot(u, t) for t in T[1:]), b) for u, b in rows
-        if dot(u, c) == 0
-    ])
+    """Does {x : <u,x> >= b, <v,x> == c} hold a lattice point?  (Region)"""
+    return Region(rank, inequalities, equalities).feasible()

@@ -298,7 +298,7 @@ def _search_automorphisms(fan):
         )
     A = [[rays[i][r] for i in base] for r in range(n)]  # columns = base rays
     d = det(A)
-    adj = [[int(x * d) for x in row] for row in mat_inverse(A)]
+    adj = [[as_int(x * d) for x in row] for row in mat_inverse(A)]
     cone_keys = set(fan.cones)
     colour = [[0] * (n + 1) for _ in range(l)]
     for key, ref in fan.cones.items():
@@ -380,8 +380,9 @@ def root_image(automorphism, root):
     which preserves the pairing: <M n, (M^-1)^T e> = <n, e>."""
     i = _ray_of(root, automorphism.ray_permutation)
     inv = mat_inverse([list(r) for r in automorphism.matrix])
-    # integral because det M = +/-1
-    e = tuple(int(x) for x in mat_vec(transpose(inv), root.e))
+    # integral for an integral e, because det M = +/-1
+    e = tuple(as_int(x) for x in root.e)
+    e = tuple(as_int(x) for x in mat_vec(transpose(inv), e))
     return DemazureRoot(automorphism.ray_permutation[i], e)
 
 

@@ -23,13 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NegativeBound, NoRays, UnboundedRoots
-from .lattice import (
-    as_int,
-    dot,
-    integer_feasible,
-    lattice_points,
-    region_points,
-)
+from .lattice import Region, as_int, dot, lattice_points
 
 
 @dataclass(frozen=True, order=True)
@@ -133,11 +127,11 @@ def check_condition2(fan, e, ray_index, vals=None):
 def roots_of_fan(fan, bound=None):
     """All Demazure roots of a fan.
 
-    Each root region is eliminated once (`lattice.region_points`), with no
-    dual unless it passes ROW_CEILING rows.  If no region holds
-    infinitely many lattice points, the enumeration is exact and any bound
-    is ignored.  Otherwise a bound B is required (UnboundedRoots names the
-    first such ray if it is missing) and every region is truncated to
+    Each root region is eliminated once (`lattice.Region`), with no dual
+    unless it passes ROW_CEILING rows.  If no region holds infinitely many
+    lattice points, the enumeration is exact and any bound is ignored.
+    Otherwise a bound B is required (UnboundedRoots names the first such
+    ray if it is missing) and each region's elimination is lifted within
     max |e_i| <= B.  A bound that is not an integer raises InvalidInteger
     and a negative one NegativeBound, also where it would be ignored.
     """
@@ -149,21 +143,21 @@ def roots_of_fan(fan, bound=None):
         if bound < 0:
             raise NegativeBound(bound)
     n = fan.rank
-    systems = [_root_system(fan.rays, i) for i in range(l)]
-    regions = [region_points(n, *system) for system in systems]
-    unbounded = [i for i, points in enumerate(regions) if points is None]
+    regions = [Region(n, *_root_system(fan.rays, i)) for i in range(l)]
+    points = [region.points() for region in regions]
+    unbounded = [i for i, p in enumerate(points) if p is None]
     boxed = None
     if unbounded and bound is not None:
         box = [(-bound, bound)] * n
-        boxed = [lattice_points(n, *system, box=box) for system in systems]
+        boxed = [list(region.points(box)) for region in regions]
     # an unbounded region with a lattice point holds infinitely many
     infinite = next((i for i in unbounded if (boxed and boxed[i])
-                     or integer_feasible(n, *systems[i])), None)
+                     or regions[i].feasible()), None)
     if infinite is not None:
         if bound is None:
             raise UnboundedRoots(infinite)
-        regions = boxed
-    roots = [DemazureRoot(i, e) for i, points in enumerate(regions)
-             if points is not None
-             for e in points if check_condition2(fan, e, i)[0]]
+        points = boxed
+    roots = [DemazureRoot(i, e) for i, found in enumerate(points)
+             if found is not None
+             for e in found if check_condition2(fan, e, i)[0]]
     return RootSet(tuple(roots), infinite is None)

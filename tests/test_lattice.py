@@ -13,6 +13,7 @@ import math
 import random
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
 
@@ -26,6 +27,7 @@ from demazure.errors import (
 )
 from demazure.lattice import (
     Cone,
+    Region,
     as_int,
     det,
     dot,
@@ -39,7 +41,6 @@ from demazure.lattice import (
     nullspace,
     pivot_columns,
     primitive,
-    region_shape,
     smith_normal_form,
     transpose,
     vneg,
@@ -113,6 +114,28 @@ def test_values_that_are_not_numbers_raise_invalid_integer():
     assert as_int("-3") == as_int(Fraction(-3)) == as_int(-3.0) == -3
     with pytest.raises(InvalidInteger, match="non-integral component"):
         as_int("1/2")
+
+
+def test_box_bounds_and_generators_that_are_not_numbers_raise():
+    # Fraction() raised a bare ValueError or TypeError for these
+    for x in ("a", None):
+        with pytest.raises(InvalidInteger, match="non-numeric entry"):
+            lattice_points(1, [((1,), 0)], box=[(x, 1)])
+        with pytest.raises(InvalidInteger, match="non-numeric entry"):
+            lattice_points(1, [((1,), 0)], box=[(0, x)])
+        with pytest.raises(InvalidInteger, match="non-numeric entry"):
+            Cone(2, [(x, 1)])
+        with pytest.raises(InvalidInteger, match="non-numeric entry"):
+            Cone(2, [(1, 0)]).contains((x, 1))
+
+
+def test_smith_normal_form_reads_its_entries_with_as_int():
+    # int() truncated 3/2 to 1, giving D = [[1, 0]]
+    with pytest.raises(InvalidInteger, match="non-integral component"):
+        smith_normal_form([[Fraction(3, 2), 2]])
+    with pytest.raises(InvalidInteger, match="non-numeric entry"):
+        smith_normal_form([["a", 2]])
+    assert smith_normal_form([[Fraction(4, 2), 2.0]])[1] == [[2, 0]]
 
 
 def test_rank_and_nullspace():
@@ -419,34 +442,35 @@ def test_lattice_points_equalities():
 
 def test_region_box_is_the_integer_range_of_the_vertices():
     # 1/2 <= x <= 5/2
-    assert region_shape(1, [((2,), 1), ((-2,), -5)]) == (None, [(1, 2)])
+    assert Region(1, [((2,), 1), ((-2,), -5)]).shape() == (None, [(1, 2)])
     # the vertex x = 1/2 alone: an empty range, so nothing to scan
-    assert region_shape(1, [((2,), 1), ((-2,), -1)]) == (None, [(1, 0)])
+    assert Region(1, [((2,), 1), ((-2,), -1)]).shape() == (None, [(1, 0)])
     assert lattice_points(1, [((2,), 1), ((-2,), -1)]) == []
     assert not integer_feasible(1, [((2,), 1), ((-2,), -1)])
     # the triangle x, y >= 0, 2x + 2y <= 3
     triangle = [((1, 0), 0), ((0, 1), 0), ((-2, -2), -3)]
-    assert region_shape(2, triangle) == (None, [(0, 1), (0, 1)])
-    assert region_shape(1, [((1,), 1), ((-1,), 0)]) == (None, None)  # empty
+    assert Region(2, triangle).shape() == (None, [(0, 1), (0, 1)])
+    assert Region(1, [((1,), 1), ((-1,), 0)]).shape() == (None, None)  # empty
 
 
 def test_region_shape_reads_the_recession_cone_off_the_homogenization():
     # a lineality direction: the strip 0 <= x <= 1 in the plane
-    direction, box = region_shape(2, [((1, 0), 0), ((-1, 0), -1)])
+    direction, box = Region(2, [((1, 0), 0), ((-1, 0), -1)]).shape()
     assert direction in {(0, 1), (0, -1)} and box is not None
     # an extremal ray: the quadrant shifted to (1, 2)
-    direction, box = region_shape(2, [((1, 0), 1), ((0, 1), 2)])
+    direction, box = Region(2, [((1, 0), 1), ((0, 1), 2)]).shape()
     assert direction in {(1, 0), (0, 1)} and box == [(1, 1), (2, 2)]
     # empty but unbounded: x >= 1 and x <= 0 along a free y
-    assert region_shape(2, [((1, 0), 1), ((-1, 0), 0)]) == ((0, 1), None)
+    assert Region(2, [((1, 0), 1), ((-1, 0), 0)]).shape() == ((0, 1), None)
     # empty and bounded, and a contradiction 0 >= 1
-    assert region_shape(1, [((1,), 1), ((-1,), 0)]) == (None, None)
-    assert region_shape(1, [((0,), 1), ((1,), 0)]) == ((1,), None)
-    assert region_shape(1, [((0,), 1), ((1,), 0), ((-1,), 0)]) == (None, None)
+    assert Region(1, [((1,), 1), ((-1,), 0)]).shape() == (None, None)
+    assert Region(1, [((0,), 1), ((1,), 0)]).shape() == ((1,), None)
+    assert Region(1, [((0,), 1), ((1,), 0), ((-1,), 0)]).shape() == (
+        None, None)
     # no rows: all of Q^n, and the point of Q^0
-    direction, box = region_shape(2, [])
+    direction, box = Region(2, []).shape()
     assert direction == (1, 0) and box is not None
-    assert region_shape(0, []) == (None, [])
+    assert Region(0, []).shape() == (None, [])
 
 
 def test_lattice_points_box_agrees_with_brute_force():
@@ -574,9 +598,10 @@ def scan_points(rank, inequalities=(), equalities=(), box=None):
     """The former lattice_points: the rows scanned over the explicit box,
     or over the box of a bounded region read off its homogenization.  A
     region empty over Q gives no points, bounded or not."""
-    rows = lattice._normalize_rows(rank, inequalities, equalities)
+    region = Region(rank, inequalities, equalities)
+    rows = region.rows
     if box is None:
-        direction, box = region_shape(rank, rows)
+        direction, box = region.shape()
         if box is None:
             return []
         if direction is not None:
@@ -590,10 +615,11 @@ def scan_points(rank, inequalities=(), equalities=(), box=None):
 def scan_feasible(rank, inequalities=(), equalities=()):
     """The former integer_feasible: a bounded region scans its box, an
     unbounded one drops a recession direction and recurses."""
-    rows = lattice._normalize_rows(rank, inequalities, equalities)
+    region = Region(rank, inequalities, equalities)
+    rows = region.rows
     if not rows:
         return True
-    c, box = region_shape(rank, rows)
+    c, box = region.shape()
     if box is None:
         return False
     if c is None:
@@ -686,13 +712,14 @@ def test_lattice_points_match_the_box_scan_random():
 def former_integer_feasible(rank, inequalities=(), equalities=()):
     """The former integer_feasible: an unbounded region changes
     coordinates by unimodular_with_last_column(c) and recurses."""
-    rows = lattice._normalize_rows(rank, inequalities, equalities)
+    region = Region(rank, inequalities, equalities)
+    rows = region.rows
     if not rows:
         return True
-    points = lattice.region_points(rank, rows)
+    points = region.points()
     if points is not None:
         return next(points, None) is not None
-    c, box = region_shape(rank, rows)
+    c, box = region.shape()
     if box is None:
         return False
     cols = list(zip(*unimodular_with_last_column(c)))
@@ -713,7 +740,7 @@ def hidden_lattice_free_triangle(rng):
         # -(a u + b v) closes the triangle when u and v are independent
         w = tuple(-a * x - b * y for x, y in zip(u, v))
         rows = [(n, rng.randint(-6, 6)) for n in (u, v, w)]
-        levels = lattice._eliminate(2, lattice._normalize_rows(2, rows, ()))[0]
+        levels = Region(2, rows).levels
         if (levels and all(lower and upper for lower, upper in levels)
                 and next(lattice._lift(levels), None) is None):
             return rows
@@ -737,7 +764,7 @@ def test_integer_feasible_matches_the_former_recursion_on_unbounded_systems():
         U = random_unimodular(rng, rank) if rank > 1 else [[1]]
         ineqs, eqs = ([(mat_mul([list(u) + [0] * (rank - len(u))], U)[0], b)
                        for u, b in rows] for rows in (ineqs, eqs))
-        if lattice.region_points(rank, ineqs, eqs) is not None:
+        if lattice.Region(rank, ineqs, eqs).points() is not None:
             continue  # trivially empty, or decided by the elimination
         verdict = integer_feasible(rank, ineqs, eqs)
         assert verdict == former_integer_feasible(rank, ineqs, eqs), (
@@ -767,7 +794,7 @@ def test_regions_past_the_row_ceiling_match_the_box_scan(monkeypatch):
         rays = Cone(6, gens).rays()
         for i, ray in enumerate(rays):
             ineqs = [(r, 0) for j, r in enumerate(rays) if j != i]
-            rows = lattice._normalize_rows(6, ineqs, [(ray, -1)])
+            rows = Region(6, ineqs, [(ray, -1)]).rows
             levels, capped = lattice._eliminate(6, rows)
             with monkeypatch.context() as m:
                 m.setattr(lattice, "ROW_CEILING", 10 ** 9)
@@ -778,10 +805,43 @@ def test_regions_past_the_row_ceiling_match_the_box_scan(monkeypatch):
             assert lattice_points(6, ineqs, [(ray, -1)], box=box) == list(
                 scan(box, rows))
             assert not duals
-            assert lattice.region_points(6, ineqs, [(ray, -1)]) is None
+            assert lattice.Region(6, ineqs, [(ray, -1)]).points() is None
             assert len(duals) == capped
             regions += 1
     assert (regions, cut) == (36, 34)
+
+
+def test_a_region_cut_at_the_ceiling_is_eliminated_once(monkeypatch):
+    # lattice_points without a box on the root regions of the first cone
+    # above: each is cut at the ceiling, unbounded and holds lattice points.
+    # Its one elimination and one dual decide that it is unbounded and
+    # give the recession direction; then each region of the feasibility
+    # recursion, of ranks 5 down to 1, is eliminated once and, while
+    # unbounded, dualized once.  The former code took (7, 7) on ray 0,
+    # (84, 80) over the 12 rays, eliminating and dualizing the rank-6
+    # region again inside integer_feasible.
+    rng = random.Random(12)
+    gens = [(rng.randint(1, 3),) + tuple(rng.randint(-3, 3)
+                                         for _ in range(5))
+            for _ in range(12)]
+    rays = Cone(6, gens).rays()
+    counts = collections.Counter()
+    for name in ("_eliminate", "dual_description"):
+        original = getattr(lattice, name)
+        monkeypatch.setattr(lattice, name, lambda *args, name=name,
+                            original=original: counts.update([name])
+                            or original(*args))
+    per_ray = []
+    for i, ray in enumerate(rays):
+        ineqs = [(r, 0) for j, r in enumerate(rays) if j != i]
+        before = counts.copy()
+        with pytest.raises(UnboundedRegion):
+            lattice_points(6, ineqs, [(ray, -1)])
+        per_ray.append((counts["_eliminate"] - before["_eliminate"],
+                        counts["dual_description"]
+                        - before["dual_description"]))
+    assert len(rays) == 12 and per_ray[0] == (6, 5)
+    assert (counts["_eliminate"], counts["dual_description"]) == (72, 60)
 
 
 def test_an_explicit_box_bounds_the_lift_only(monkeypatch):
@@ -798,9 +858,10 @@ def test_an_explicit_box_bounds_the_lift_only(monkeypatch):
         ineqs, eqs, _ = random_system(rng, rank)
         box = [(Fraction(rng.randint(-4, 0), 2), Fraction(rng.randint(0, 4), 2))
                for _ in range(rank)]
+        rows = Region(rank, ineqs, eqs).rows
         seen.clear()
         got = lattice_points(rank, ineqs, eqs, box=box)
-        assert seen == [lattice._normalize_rows(rank, ineqs, eqs)]
+        assert seen == [rows]
         assert got == scan_points(rank, ineqs, eqs, box=box)
 
 
@@ -1225,8 +1286,9 @@ def test_dual_description_matches_subset_enumeration():
 
 
 def test_dual_description_eliminates_once(monkeypatch):
-    """One integer elimination, the lineality check, on a full-dimensional
-    cone: no subset of generators is eliminated on its own."""
+    """One integer elimination, the lineality check, on a cone full-
+    dimensional or not: no subset of generators is eliminated on its own,
+    and no facet is lifted by a nullspace."""
     calls = []
     original = lattice._echelon
 
@@ -1235,14 +1297,86 @@ def test_dual_description_eliminates_once(monkeypatch):
         return original(rows)
 
     monkeypatch.setattr(lattice, "_echelon", counted)
+    cube_times_line = [g + (0,) for g in CUBE_CONE]
     for gens, rank in [(CUBE_CONE, 4),
-                       next(p6_pair_checks(random.Random(5)))]:
+                       next(p6_pair_checks(random.Random(5))),
+                       (cube_times_line, 5)]:
         calls.clear()
         E, L = dual_description(gens, rank)
-        assert not L and len(calls) == 1
+        assert len(L) == (rank == 5) and len(calls) == 1
         calls.clear()
         assert subset_dual_description(gens, rank) == (E, L)
         assert len(calls) > 1  # the count sees per-subset eliminations
+        calls.clear()
+        assert nullspace_lift_dual_description(gens, rank) == (E, L)
+        assert len(calls) == 1 + (len(E) if L else 0)
+
+
+# ---------------------------------------------------------------------------
+# differential test: the zero-extension of each facet normal against the
+# nullspace lift it replaced
+
+
+def nullspace_lift_dual_description(gens, rank):
+    """The former dual_description: each facet normal found in the pivot
+    coordinates of the span is lifted to the first vector of
+    `nullspace(its incident generators)` that pairs nonzero with the
+    generators, oriented by them."""
+    prim = []
+    for g in gens:
+        p = primitive(g)
+        if p not in prim:
+            prim.append(p)
+    m, pivots, _ = lattice._echelon(prim)
+    L = lattice._kernel(m, pivots, rank)
+    if not pivots:
+        return [], L
+    if not L:
+        return sorted(lattice._facet_normals(prim, rank)), L
+    E = []
+    proj = [tuple(g[c] for c in pivots) for g in prim]
+    for u in lattice._facet_normals(proj, len(pivots)):
+        vals = [dot(u, p) for p in proj]
+        incident = [g for g, x in zip(prim, vals) if not x]
+        outside = prim[next(i for i, x in enumerate(vals) if x)]
+        for b in nullspace(incident, rank):
+            x = dot(outside, b)
+            if x:
+                E.append(b if x > 0 else vneg(b))
+                break
+    return sorted(E), L
+
+
+def lower_dimensional_cone(rng):
+    """Generators of rank 2-6 spanning a random proper subspace, some with a
+    line of their own, in a random basis: a cone whose dual has lineality."""
+    rank = rng.randint(2, 6)
+    dim = rng.randint(1, rank - 1)
+    basis = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(dim)]
+    gens = []
+    for _ in range(rng.randint(dim, dim + 4)):
+        coefficients = [rng.randint(-2, 2) for _ in basis]
+        gens.append(tuple(sum(map(mul, coefficients, column))
+                          for column in zip(*basis)))
+    gens = [g for g in gens if any(g)]
+    if gens and rng.random() < 0.2:
+        gens.append(vneg(rng.choice(gens)))
+    U = random_unimodular(rng, rank)
+    return [tuple(dot(row, g) for row in U) for g in gens], rank
+
+
+def test_zero_extension_matches_the_nullspace_lift_random():
+    rng = random.Random(1717)
+    facets = collections.Counter()
+    for _ in range(1200):
+        gens, rank = lower_dimensional_cone(rng)
+        expected = nullspace_lift_dual_description(gens, rank)
+        assert dual_description(gens, rank) == expected, (gens, rank)
+        assert expected[1]
+        facets[rank] += bool(expected[0])
+    # every cone has lineality in its dual, and most have facets to lift
+    assert all(facets[rank] > 50 for rank in range(2, 7)), facets
+    assert sum(facets.values()) > 600
 
 
 def test_cone_combinatorics_eliminate_once(monkeypatch):

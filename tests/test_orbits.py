@@ -810,3 +810,18 @@ def test_foreign_ray_indices_are_not_roots():
             classify_roots(fan, [DemazureRoot(i, (-1, 0))])
         with pytest.raises(NotARoot, match=f"ray_index={i}, .* 3 rays"):
             root_image(phi, DemazureRoot(i, (0, -1)))
+
+
+def test_root_image_reads_its_character_with_as_int():
+    # int() truncated the image of (1/2, 0) to (0, 0), and the entry "a"
+    # raised a bare TypeError
+    phi = fan_automorphisms(p2())[1]
+    with pytest.raises(InvalidInteger, match="non-integral component"):
+        root_image(phi, DemazureRoot(0, (Fraction(1, 2), 0)))
+    for x in ("a", None, float("nan")):
+        with pytest.raises(InvalidInteger, match="non-numeric entry"):
+            root_image(phi, DemazureRoot(0, (x, 0)))
+    # integral values of any type have the image of the integer character
+    image = root_image(phi, DemazureRoot(0, (Fraction(-1), 0.0)))
+    assert image == root_image(phi, DemazureRoot(0, (-1, 0)))
+    assert all(type(x) is int for x in image.e)

@@ -326,7 +326,8 @@ def test_roots_of_fan_dual_counts(duals, name, fan, bound, before):
 
 # the largest number of rows on one level of the eliminations that
 # roots_of_fan runs, which see each region's own rows: a bound's box
-# bounds only the lift
+# bounds only the lift, of the one elimination per ray (two per ray while
+# the boxed points came from a second elimination)
 @pytest.mark.parametrize("name, fan, bound, rows", [
     ("P^6", lambda: p_n(6), None, 3),
     ("(P^1)^5", lambda: p1_power(5), None, 2),
@@ -343,7 +344,7 @@ def test_largest_elimination_levels(monkeypatch, name, fan, bound, rows):
 
     monkeypatch.setattr(lattice, "_eliminate", recorded)
     roots_of_fan(fan, bound=bound)
-    assert len(eliminated) == len(fan.rays) * (1 + (bound is not None))
+    assert len(eliminated) == len(fan.rays)
     assert not any(cut for _, cut in eliminated)
     largest = max(len(lo) + len(up)
                   for levels, _ in eliminated for lo, up in levels)
@@ -373,11 +374,11 @@ def test_regions_cut_at_the_ceiling_take_one_dual(duals, monkeypatch, name,
     cut = dualized = 0
     for i in range(l):
         ineqs, eqs = _root_system(fan.rays, i)
-        levels, capped = lattice._eliminate(
-            n, lattice._normalize_rows(n, ineqs, eqs))
+        region = lattice.Region(n, ineqs, eqs)
+        levels, capped = region.levels, region.cut
         cut += capped
         duals.clear()
-        points = lattice.region_points(n, ineqs, eqs)
+        points = region.points()
         dualized += len(duals)
         assert len(duals) == (
             not all(lower and upper for lower, upper in levels)), (name, i)

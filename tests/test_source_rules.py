@@ -7,6 +7,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SOURCES = sorted(
     (Path(__file__).resolve().parents[1] / "src" / "demazure").glob("*.py")
 )
@@ -150,18 +152,20 @@ def test_no_box_scans():
     assert not found, f"itertools.product in the lattice-point code: {found}"
 
 
-def test_fan_reads_integers_with_as_int():
-    # int() truncates: the cone index 1.5 was read as ray 1; as_int raises
+@pytest.mark.parametrize("name", ["fan.py", "orbits.py"])
+def test_fan_reads_integers_with_as_int(name):
+    # int() truncates: the cone index 1.5 was read as ray 1, and the
+    # character (1/2, 0) had the image (0, 0); as_int raises
     # InvalidInteger for a value that is not an integer
-    assert {p.name for p in SOURCES} >= {"fan.py"}
-    path = next(p for p in SOURCES if p.name == "fan.py")
+    assert {p.name for p in SOURCES} >= {name}
+    path = next(p for p in SOURCES if p.name == name)
     found = [
         f"{path.name}:{node.lineno}"
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", None) == "int"
     ]
-    assert not found, f"int() calls in fan.py: {found}"
+    assert not found, f"int() calls in {name}: {found}"
 
 
 def test_render_is_the_one_report_writer():
