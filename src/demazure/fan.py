@@ -5,11 +5,14 @@ given by ray indices.  Construction closes the maximal cones under faces,
 registers every listed ray as a 1-cone and the origin as the 0-cone, and
 validates that any two cones intersect in a common face.
 
-Validation runs in three stages: the rays (`ray_stage`), the supplied
-cones (`cone_stage`), then the pairs of generating cones
-(`Fan.intersection_defect`).  Each stage reports typed DemazureErrors;
-`build_fan` raises the first one, `serialize.fan_diagnostics` lists all
-of the first failing stage.
+Validation runs in stages: the rays (`ray_stage`), the supplied cones
+(`cone_stage`), the wall certificate (`Fan.certified_complete`), and the
+pairs of generating cones (`Fan.intersection_defect`) only when the
+certificate does not hold.  The certificate settles a complete simplicial
+fan from the walls of its cones and one covering point; it only ever
+says "valid", so every error comes from the other stages.  Each stage
+reports typed DemazureErrors; `build_fan` raises the first one,
+`serialize.fan_diagnostics` lists all of the first failing stage.
 
 Cones are keyed by their extremal-ray index sets; that is sound because a
 strongly convex cone is determined by its extremal rays.  The canonical id
@@ -64,14 +67,16 @@ class Fan:
     """The cones of a fan, generated by its supplied maximal cones.
 
     `supplied` maps the extremal-ray index set of each supplied maximal
-    cone to its geometry.  The generating cones are the supplied ones
-    followed by every ray that is not supplied as a 1-cone; they and
-    their faces are the cones of the fan.  A supplied cone's faces are
-    read off its dual; a ray that is not supplied has the faces {0} and
+    cone to its geometry; `self.supplied` lists those sets.  The
+    generating cones are the supplied ones followed by every ray that is
+    not supplied as a 1-cone; they and their faces are the cones of the
+    fan.  A supplied cone's faces are read off its dual; a ray that is not supplied has the faces {0} and
     itself, and gets a geometry only when `cone_geometry` asks for one.
     The fan is valid iff every two generating cones meet in a common face
-    (the same then holds for all their faces), which `intersection_defect`
-    checks pair by pair.  Faces and saturated bases are memoized per cone.
+    (the same then holds for all their faces).  `certified_complete`
+    proves that at once for a complete simplicial fan, from the table of
+    walls (`walls`); otherwise `intersection_defect` checks pair by pair.
+    Faces and saturated bases are memoized per cone, the walls per fan.
     """
 
     def __init__(self, rank, rays, supplied):
@@ -81,7 +86,9 @@ class Fan:
         self._geom = dict(supplied)
         self._face_sets = {}
         self._bases = {}
+        self._walls = None
         self._automorphisms = None  # memo of orbits.fan_automorphisms
+        self.supplied = list(supplied)
         self.generating = list(supplied)
         for i in range(len(rays)):
             key = frozenset({i})
@@ -146,6 +153,7 @@ class Fan:
         factors of the Smith form S D T of the cone's rays."""
         key = _as_key(cone)
         if key not in self._bases:
+            self.ref(key)  # raises ConeNotInFan when absent
             _, D, T = smith_normal_form([self.rays[i] for i in key])
             # a non-simplicial cone has more rays than the rank
             self._bases[key] = [T[k] for k, d in enumerate(D[:len(T)])
@@ -157,6 +165,88 @@ class Fan:
         keys = list(self.cones)
         return [k for k in keys
                 if not any(k < other for other in keys)]
+
+    def walls(self):
+        """dict: each facet of an n-dimensional generating cone, as a ray
+        index set -> [(cone, facet normal)] over the cones it bounds.
+
+        A facet is the set of a cone's rays on one of its facet normals,
+        read off the cone's own dual.  In a valid fan the n-dimensional
+        cones are the n-dimensional generating ones.
+        """
+        if self._walls is None:
+            table = {}
+            for key in self.generating:
+                if self.cones[key].dim != self.rank:
+                    continue
+                geom = self.cone_geometry(key)
+                local = [self._ray_index[r] for r in geom.rays()]
+                for u, facet in geom.facets():
+                    wall = frozenset(local[j] for j in facet)
+                    table.setdefault(wall, []).append((key, u))
+            self._walls = table
+        return self._walls
+
+    def certified_complete(self):
+        """Whether the generating cones are certified to form a complete
+        simplicial fan, so that every two meet in a common face.
+
+        The certificate: every supplied cone is simplicial and
+        n-dimensional; every listed ray is a ray of one of them; every
+        wall (`walls`) lies in exactly two cones; the ray of the second
+        off the wall pairs negatively with the first one's normal, so the
+        two lie on opposite sides; and p, the sum of the rays of the first
+        cone, lies in no other cone.  That is n lookups and dot products
+        per cone, with no new dual.  False says only that the certificate
+        does not apply, and the pair loop then decides: at most n
+        supplied cones (too few to be complete, and an affine fan pays
+        one len), a cone that is not simplicial or not n-dimensional (a
+        ray supplied as a 1-cone in rank >= 2), an unused ray, an
+        unmatched or same-side wall, or a covered p.
+
+        Why it suffices: the pseudo-manifold and covering
+        characterization of triangulations (De Loera-Rambau-Santos,
+        Triangulations, 2010, 4.5), on the sphere.  Call x generic if it
+        lies on no cone's boundary, and let deg(x) count the cones that
+        contain it.  R^n minus the faces of dimension at most n - 2 and
+        the meets of two distinct wall hyperplanes is connected, so a path
+        joins any two generic points there, crossing boundaries only at
+        relative interior points x of walls, all in one hyperplane H.  A
+        cone with x on its boundary has one facet through x, and that
+        wall's other cone lies across H: as many cones are left as
+        entered, and deg is constant.  p is interior to the first cone
+        and in no other, so deg = 1: the interiors are disjoint, and the
+        closed cones cover R^n.  They also meet in common faces, in every
+        codimension.  Let y lie in cones C and D, G being the face of C
+        with y in its relative interior.  Modulo span(G), the cones
+        through G are simplicial, and each of their walls through G lies
+        in two of them on opposite sides, so the same argument gives
+        them a degree >= 1 there: they cover a neighbourhood of y.  D
+        has generic points arbitrarily near y, each in a cone through G,
+        and deg = 1 makes that cone D.  So G is a face of D, y lies in
+        the cone of the common rays, and C ∩ D is that cone, a face of
+        both.
+        """
+        n = self.rank
+        if len(self.supplied) <= n:
+            return False
+        if any(len(key) != n or self.cones[key].dim != n
+               for key in self.supplied):
+            return False
+        if len(frozenset().union(*self.supplied)) != len(self.rays):
+            return False
+        for wall, cones in self.walls().items():
+            if len(cones) != 2:
+                return False
+            (_, u), (other, _) = cones
+            (far,) = other - wall
+            if dot(u, self.rays[far]) >= 0:
+                return False
+        first, *others = self.supplied
+        p = [sum(x) for x in zip(*(self.rays[i] for i in first))]
+        return not any(
+            all(dot(u, p) >= 0 for u in self._geom[key].dual_pair()[0])
+            for key in others)
 
     def _spanned_by_common_rays(self, a, b):
         """Is the intersection of generating cones a and b spanned by the
@@ -268,19 +358,32 @@ def cone_stage(rank, rays, maximal_cones):
     return Fan(rank, rays, supplied), []
 
 
+def read_rank(rank):
+    """The ambient rank as an int: InvalidInteger when it is not an
+    integer, RankMismatch when it is negative."""
+    n = as_int(rank)
+    if n < 0:
+        raise RankMismatch(f"negative rank {n}")
+    return n
+
+
 def build_fan(rank, ray_list, maximal_cones):
     """Validated fan from rays and maximal cones (lists of ray indices).
 
     Rays are normalized to primitive vectors.  The first violation of the
-    ray stage, else of the cone stage, is raised; then the first pair of
-    generating cones in (size, indices) order that does not meet in a
-    common face raises its BadIntersection.
+    ray stage, else of the cone stage, is raised.  Unless the wall
+    certificate holds, the first pair of generating cones in (size,
+    indices) order that does not meet in a common face raises its
+    BadIntersection.
     """
+    rank = read_rank(rank)
     rays, violations = ray_stage(rank, ray_list)
     if not violations:
         fan, violations = cone_stage(rank, rays, maximal_cones)
     if violations:
         raise violations[0]
+    if fan.certified_complete():
+        return fan
     generating = sorted(fan.generating,
                         key=lambda fs: (len(fs), tuple(sorted(fs))))
     for a, b in itertools.combinations(generating, 2):
@@ -293,23 +396,18 @@ def build_fan(rank, ray_list, maximal_cones):
 def is_complete(fan):
     """Whether the fan's support is the whole space.
 
-    Criterion (valid for fans as built here): every containment-maximal cone
-    has full dimension and every (n-1)-dimensional cone is a facet of exactly
-    two n-dimensional cones.
+    Criterion (for valid fans): some cone has dimension n, and every
+    (n-1)-dimensional cone is a facet of exactly two n-dimensional cones,
+    counted in one pass over the wall table.  Those n-cones then cover
+    R^n, by the degree argument of `Fan.certified_complete` (two cones
+    of a valid fan on one wall lie on opposite sides), so every other
+    cone lies in one of them and the maximal cones all have dimension n.
     """
     n = fan.rank
-    keys = list(fan.cones)
-    maximal = fan.maximal_keys()
-    if not maximal or not all(fan.cones[k].dim == n for k in maximal):
-        return False
-    top = [k for k in keys if fan.cones[k].dim == n]
-    walls = [k for k in keys if fan.cones[k].dim == n - 1]
-    for w in walls:
-        # in a valid fan a cone whose rays all lie in c's is
-        # cone(w) ∩ cone(c), so it is a face of c
-        if sum(w < c for c in top) != 2:
-            return False
-    return True
+    dims = [ref.dim for ref in fan.cones.values()]
+    walls = fan.walls()
+    return (n in dims and dims.count(n - 1) == len(walls)
+            and all(len(cones) == 2 for cones in walls.values()))
 
 
 def cone_properties(fan, cone):

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
@@ -627,21 +628,34 @@ class Cone:
         """
         return self.face_table().keys()
 
+    def facets(self):
+        """[(u, F)] for each facet normal u, the extremal rays of the dual:
+        F is the set of indices into self.rays() of the rays on u."""
+        rays = self.rays()
+        inc = self._incidence()
+        return [(u, frozenset(i for i, r in enumerate(rays) if k in inc[r]))
+                for k, u in enumerate(self.dual_pair()[0])]
+
     def face_table(self):
-        """dict: face index set -> dimension of that face.  The faces are
+        """dict: face index set -> dimension of that face.  A simplicial
+        cone, with as many rays as its dimension, has every set of its
+        rays as a face, of dimension its size.  Otherwise the faces are
         the intersections of facets, graded by dimension: a face has one
         more than the largest face strictly inside it, and {0} has 0."""
         if self._faces is None:
-            rays = self.rays()
-            inc = self._incidence()
-            faces = {frozenset(range(len(rays)))}
-            for k in range(len(self.dual_pair()[0])):
-                facet = frozenset(i for i, r in enumerate(rays) if k in inc[r])
-                faces |= {facet & f for f in faces}
-            table = {}
-            for fs in sorted(faces, key=len):
-                table[fs] = max((d + 1 for f, d in table.items() if f < fs),
-                                default=0)
+            rays = range(len(self.rays()))
+            if len(rays) == self.dim():
+                table = {frozenset(fs): k for k in range(len(rays) + 1)
+                         for fs in combinations(rays, k)}
+            else:
+                faces = {frozenset(rays)}
+                for _, facet in self.facets():
+                    faces |= {facet & f for f in faces}
+                table = {}
+                for fs in sorted(faces, key=len):
+                    table[fs] = max(
+                        (d + 1 for f, d in table.items() if f < fs),
+                        default=0)
             self._faces = table
         return self._faces
 

@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .algebra import CurveCarrier
 from .divisors import INF, ColoredDivisor, PolyhedralDivisor, point_order
 from .errors import BadIntersection, SchemaError
-from .fan import build_fan, cone_stage, ray_stage
+from .fan import build_fan, cone_stage, ray_stage, read_rank
 from .lattice import Cone
 
 SCHEMA_VERSION = 1
@@ -164,15 +164,17 @@ def fan_diagnostics(rank, ray_list, maximal_cones):
     """Check fan input, collecting violations instead of stopping early.
 
     Returns (fan, violations).  The stages are the ones `build_fan` runs —
-    rays, then supplied cones, then pairwise intersections in supplied
-    order — and every violation of the first failing stage is listed, so
-    an empty list is equivalent to `build_fan` accepting the input, and
-    the fan returned is the same.
+    rays, then supplied cones, then the wall certificate, and pairwise
+    intersections in supplied order only when it does not hold — and
+    every violation of the first failing stage is listed, so an empty
+    list is equivalent to `build_fan` accepting the input, and the fan
+    returned is the same.
     """
+    rank = read_rank(rank)
     rays, violations = ray_stage(rank, ray_list)
     if not violations:
         fan, violations = cone_stage(rank, rays, maximal_cones)
-    if not violations:
+    if not violations and not fan.certified_complete():
         defects = (fan.intersection_defect(a, b)
                    for a, b in itertools.combinations(fan.generating, 2))
         violations = [d for d in defects if d is not None]

@@ -7,7 +7,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import cos, gcd, pi, sin
 from pathlib import Path
 
 import pytest
@@ -23,8 +23,17 @@ from demazure.errors import (
     RankMismatch,
 )
 from demazure import fan as fan_module
-from demazure.fan import Fan, build_fan, cone_properties, is_complete
-from demazure.lattice import Cone, dual_description, mat_rank, primitive
+from demazure import serialize
+from demazure.cli import main
+from demazure.fan import (
+    Fan,
+    build_fan,
+    cone_properties,
+    cone_stage,
+    is_complete,
+    ray_stage,
+)
+from demazure.lattice import Cone, dot, dual_description, mat_rank, primitive
 from demazure.serialize import fan_diagnostics, fan_fields_from_json
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -646,6 +655,9 @@ def test_pair_certificate_matches_the_dual_check(monkeypatch):
                 fallbacks[out] += 1
         return out
 
+    # every pair reaches the pair check: with the wall certificate on,
+    # the complete simplicial fans skip it and 625 pairs are left
+    monkeypatch.setattr(Fan, "certified_complete", lambda self: False)
     for rank, rays, cones in inputs:
         with monkeypatch.context() as m:
             m.setattr(Fan, "_spanned_by_common_rays", dual_only_spanned)
@@ -690,3 +702,230 @@ def test_non_numeric_and_non_integral_input_is_rejected():
     assert fan.ref([1.0, Fraction(2)]) == fan.ref([1, 2])
     assert build_fan(2, [(1, 0), (0, 1)], [[0, 1.0]]).cones == \
         build_fan(2, [(1, 0), (0, 1)], [[0, 1]]).cones
+
+
+def test_rank_is_read_as_a_nonnegative_integer():
+    # a negative rank gave Fan(rank=-1, ...), and the rank "2" was compared
+    # with integer lengths: "ray 0 has length 2, expected 2"
+    for check in (build_fan, fan_diagnostics):
+        with pytest.raises(RankMismatch, match="negative rank -1"):
+            check(-1, [], [])
+        with pytest.raises(InvalidInteger, match="non-integral"):
+            check(Fraction(3, 2), [(1, 0)], [[0]])
+    fan = build_fan("2", [(1, 0)], [[0]])
+    assert fan.rank == 2 and type(fan.rank) is int
+    assert list(fan.cones.items()) == list(
+        build_fan(2, [(1, 0)], [[0]]).cones.items())
+    fan, violations = fan_diagnostics("2", [(1, 0)], [[0]])
+    assert violations == [] and fan.rank == 2
+
+
+def test_saturated_basis_only_of_a_fan_cone():
+    # an index outside the rays raised a bare IndexError, and a ray set
+    # that is no cone of the fan got a basis
+    with pytest.raises(ConeNotInFan):
+        p2().saturated_basis([7])
+    fan = build_fan(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1]])
+    with pytest.raises(ConeNotInFan):
+        fan.saturated_basis([1, 2])
+    assert fan.saturated_basis([0, 1]) == p2().saturated_basis([0, 1])
+
+
+# ---------------------------------------------------------------------------
+# the wall certificate against the pair loop it lets a complete simplicial
+# fan skip
+
+
+def former_build_fan(rank, ray_list, maximal_cones):
+    """build_fan before the wall certificate: every pair of generating
+    cones is checked."""
+    rays, violations = ray_stage(rank, ray_list)
+    if not violations:
+        fan, violations = cone_stage(rank, rays, maximal_cones)
+    if violations:
+        raise violations[0]
+    generating = sorted(fan.generating,
+                        key=lambda fs: (len(fs), tuple(sorted(fs))))
+    for a, b in itertools.combinations(generating, 2):
+        defect = fan.intersection_defect(a, b)
+        if defect is not None:
+            raise defect
+    return fan
+
+
+def former_fan_diagnostics(rank, ray_list, maximal_cones):
+    """fan_diagnostics before the wall certificate."""
+    rays, violations = ray_stage(rank, ray_list)
+    if not violations:
+        fan, violations = cone_stage(rank, rays, maximal_cones)
+    if not violations:
+        defects = (fan.intersection_defect(a, b)
+                   for a, b in itertools.combinations(fan.generating, 2))
+        violations = [d for d in defects if d is not None]
+    if violations:
+        return None, [serialize._violation_json(v) for v in violations]
+    return fan, []
+
+
+def former_is_complete(fan):
+    """is_complete before the wall table: the maximal cones by inclusion,
+    and each wall against every n-cone."""
+    n = fan.rank
+    keys = list(fan.cones)
+    maximal = fan.maximal_keys()
+    if not maximal or not all(fan.cones[k].dim == n for k in maximal):
+        return False
+    top = [k for k in keys if fan.cones[k].dim == n]
+    walls = [k for k in keys if fan.cones[k].dim == n - 1]
+    return all(sum(w < c for c in top) == 2 for w in walls)
+
+
+def hull_fan_input(rng, rank):
+    """(rays, max_cones) of the face fan of a random lattice polytope with
+    the origin inside: one cone over each facet, simplicial or not."""
+    while True:
+        points = {tuple(rng.randint(-3, 3) for _ in range(rank))
+                  for _ in range(rank + rng.randint(2, 4))}
+        points.discard((0,) * rank)
+        normals, lineality = dual_description([p + (1,) for p in points],
+                                              rank + 1)
+        if lineality or any(u[-1] <= 0 for u in normals):
+            continue  # the points span too little or miss the origin
+        rays, cones = [], []
+        for u in normals:
+            facet = Cone(rank, [p for p in points
+                                if dot(u[:-1], p) + u[-1] == 0])
+            for r in facet.rays():
+                if r not in rays:
+                    rays.append(r)
+            cones.append(sorted(rays.index(r) for r in facet.rays()))
+        return rays, cones
+
+
+def corruptions(rng, rank, rays, cones):
+    """Broken copies of a complete fan: a changed ray, an added cone over
+    random rays, a dropped cone, and a ray inside a cone left unused."""
+    changed = list(rays)
+    i = rng.randrange(len(rays))
+    changed[i] = tuple(x + rng.randint(-1, 1) for x in rays[i])
+    yield rank, changed, cones
+    extra = sorted(rng.sample(range(len(rays)), rank))
+    yield rank, rays, cones + [extra]
+    dropped = list(cones)
+    dropped.pop(rng.randrange(len(cones)))
+    yield rank, rays, dropped
+    inside = [sum(c) for c in zip(*(rays[i] for i in rng.choice(cones)))]
+    yield rank, rays + [tuple(inside)], cones
+
+
+def double_wound(k):
+    """A k-gon's rays, each cone spanning two steps: every ray lies in two
+    cones, on opposite sides, and the cones wind twice round the origin."""
+    rays = [(round(20 * cos(2 * pi * j / k)), round(20 * sin(2 * pi * j / k)))
+            for j in range(k)]
+    return 2, rays, [sorted([j, (j + 2) % k]) for j in range(k)]
+
+
+def folded():
+    """A rank-3 fan of ten cones, each wall in two of them, but the walls
+    through B = (-1, 3, 0) and C = (1, 1, 0) with both their cones on one
+    side: the cycle A, B, C, D, E turns back twice.  The sum of the rays
+    of the first cone lies in no other."""
+    cycle = [(1, 0), (-1, 3), (1, 1), (-1, 1), (0, -1)]
+    rays = [r + (0,) for r in cycle] + [(0, 0, 1), (0, 0, -1)]
+    cones = [sorted([j, (j + 1) % 5, apex])
+             for apex in (5, 6) for j in (3, 4, 0, 1, 2)]
+    return 3, rays, cones
+
+
+def certificate_inputs(rng):
+    """Seeded hull fans of rank 2-4 and their corruptions, double-wound
+    polygons, the folded fan, and every fan input of the fixtures and the
+    agreement test."""
+    inputs = []
+    for _ in range(50):
+        rank = rng.choice([2, 3, 3, 4])
+        rays, cones = hull_fan_input(rng, rank)
+        inputs.append((rank, rays, cones))
+        inputs += corruptions(rng, rank, rays, cones)
+    inputs += [double_wound(k) for k in (5, 7, 9, 11)]
+    inputs.append(folded())
+    return inputs + _agreement_inputs(rng)
+
+
+def outcome(build, diagnose, completeness, rank, rays, cones):
+    """The fan or error of `build`, with its completeness, and the
+    violations and fan of `diagnose`, for one input."""
+    try:
+        fan = build(rank, rays, cones)
+        built = list(fan.cones.items()), completeness(fan)
+    except DemazureError as exc:
+        built = type(exc).__name__, str(exc)
+    fan, violations = diagnose(rank, rays, cones)
+    return built, violations, fan and list(fan.cones.items())
+
+
+def test_wall_certificate_matches_the_pair_loop():
+    rng = random.Random(1501)
+    seen = collections.Counter()
+    for rank, rays, cones in certificate_inputs(rng):
+        former = outcome(former_build_fan, former_fan_diagnostics,
+                         former_is_complete, rank, rays, cones)
+        assert outcome(build_fan, fan_diagnostics, is_complete,
+                       rank, rays, cones) == former, (rank, rays, cones)
+        if former[1]:
+            seen["invalid"] += 1
+            continue
+        fan = build_fan(rank, rays, cones)
+        simplicial = all(fan.cones[k].dim == len(k) == rank
+                         for k in fan.supplied)
+        # a valid fan is certified exactly when complete and simplicial
+        assert fan.certified_complete() == (simplicial and former[0][1])
+        seen["certified" if fan.certified_complete() else
+             "complete, not simplicial" if former[0][1] else
+             "incomplete"] += 1
+    assert seen == {"invalid": 179, "certified": 124,
+                    "complete, not simplicial": 7, "incomplete": 94}
+
+
+@pytest.mark.parametrize("case", [double_wound(k) for k in (5, 7, 9, 11)]
+                         + [folded()],
+                         ids=["5-gon", "7-gon", "9-gon", "11-gon", "folded"])
+def test_walls_in_pairs_alone_certify_nothing(case):
+    # every wall lies in two cones: the polygons are caught by the covering
+    # point, the folded fan by the side of its walls
+    rank, rays, cones = case
+    fan, _ = cone_stage(rank, ray_stage(rank, rays)[0], cones)
+    assert all(len(c) == 2 for c in fan.walls().values())
+    assert not fan.certified_complete()
+    with pytest.raises(BadIntersection):
+        build_fan(rank, rays, cones)
+
+
+def test_a_complete_simplicial_fan_checks_no_pair(monkeypatch, capsys):
+    calls = []
+    original = Fan.intersection_defect
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return original(self, a, b)
+
+    monkeypatch.setattr(Fan, "intersection_defect", counted)
+    rng = random.Random(404)
+    hexagon = [[j, (j + 1) % 6] for j in range(6)]
+    inputs = [p_n_input(3), p1_power_input(3), (2, HEXAGON, hexagon)]
+    inputs += [(rank, *random_complete_fan_input(rng, rank, "simplex"))
+               for rank in (2, 3, 4)]
+    for rank, rays, cones in inputs:
+        build_fan(rank, rays, cones)
+        assert fan_diagnostics(rank, rays, cones)[1] == []
+    assert main(["fan-validate", str(FIXTURES / "p2.json")]) == 0
+    assert calls == []
+    # an affine fan and a bad intersection take the pair loop: A^3's cone
+    # and its three rays make six pairs
+    build_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [[0, 1, 2]])
+    assert len(calls) == 6
+    assert main(["fan-validate",
+                 str(FIXTURES / "bad_intersection.json")]) == 3
+    assert len(calls) == 6 + 10
+    capsys.readouterr()

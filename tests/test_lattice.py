@@ -1034,6 +1034,14 @@ def closure_face_table(cone, rays):
     return {fs: mat_rank([rays[i] for i in fs]) for fs in sets}
 
 
+def combination(rng, basis, rank):
+    """A random integer combination of the basis rows: one coefficient per
+    row, so that it lies in their span."""
+    coefficients = [rng.randint(-2, 2) for _ in basis]
+    return [sum(c * b[j] for c, b in zip(coefficients, basis))
+            for j in range(rank)]
+
+
 def differential_cones(rng):
     """The origin in ranks 0-5, then cones of rank 1-5: pointed (the
     generators flipped to one side of a random functional) or random, some
@@ -1045,8 +1053,7 @@ def differential_cones(rng):
         rank = rng.randint(1, 5)
         dim = rank if rng.random() < 0.7 else rng.randint(1, rank)
         basis = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(dim)]
-        gens = [[sum(rng.randint(-2, 2) * b[j] for b in basis)
-                 for j in range(rank)]
+        gens = [combination(rng, basis, rank)
                 for _ in range(rng.randint(1, rank + 3))]
         if rng.random() < 0.6:
             w = [rng.randint(-3, 3) for _ in range(rank)]
@@ -1059,6 +1066,18 @@ def differential_cones(rng):
         if gens and rng.random() < 0.1:
             gens.append(vneg(rng.choice(gens)))
         yield Cone(rank, gens)
+
+
+def test_subspace_generators_lie_in_their_subspace():
+    # a fresh coefficient for every coordinate made the generators of a
+    # "subspace" span Q^n once there were enough of them: at the same
+    # seeds 575 cones and 461 dual inputs did not span
+    cones = list(differential_cones(random.Random(5)))
+    assert len(cones) == 1506
+    assert sum(mat_rank(c.gens) < c.rank for c in cones) == 678
+    rng = random.Random(5)
+    inputs = [random_dual_input(rng) for _ in range(1000)]
+    assert sum(mat_rank(gens) < rank for gens, rank in inputs) == 518
 
 
 def test_incidence_combinatorics_match_rank_oracles_random():
@@ -1248,8 +1267,7 @@ def random_dual_input(rng):
         dim = rng.randint(1, rank)
         basis = [[rng.randint(-2, 2) for _ in range(rank)]
                  for _ in range(dim)]
-        gens = [tuple(sum(rng.randint(-2, 2) * b[j] for b in basis)
-                      for j in range(rank)) for _ in range(count)]
+        gens = [tuple(combination(rng, basis, rank)) for _ in range(count)]
     else:
         gens = [tuple(rng.randint(-3, 3) for _ in range(rank))
                 for _ in range(count)]

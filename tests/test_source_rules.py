@@ -207,3 +207,20 @@ def test_traced_names_resolve():
             missing.append(f"{module_name}.{qualname}")
     assert len(tracing.TARGETS) > 50
     assert not missing, f"traced names missing from demazure: {missing}"
+
+
+def test_fan_checks_share_one_wall_certificate():
+    # build_fan and fan_diagnostics skip the pair loop on one certificate,
+    # Fan.certified_complete; a second copy of its wall logic in
+    # serialize.py could certify an input that build_fan rejects
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in SOURCES}
+    assert set(trees) >= {"fan.py", "serialize.py"}
+    for name, func in (("fan.py", "build_fan"),
+                       ("serialize.py", "fan_diagnostics")):
+        node = next(n for n in ast.walk(trees[name])
+                    if isinstance(n, ast.FunctionDef) and n.name == func)
+        assert "certified_complete" in _names_in(node), \
+            f"{func} does not call Fan.certified_complete"
+    found = sorted(_names_in(trees["serialize.py"])
+                   & {"walls", "facets", "supplied", "dual_pair", "dot"})
+    assert not found, f"wall logic in serialize.py: {found}"
