@@ -62,7 +62,9 @@ from .orbits import (  # noqa: F401
     HeConnectedPair,
     Orbit,
     StabilizerData,
+    SymmetryChain,
     admits_g_structure,
+    automorphism_order,
     classify_roots,
     fan_automorphisms,
     g_invariant_divisors,
@@ -70,6 +72,7 @@ from .orbits import (  # noqa: F401
     he_connected_pairs,
     root_image,
     stabilizer_data,
+    symmetry_chain,
     verify_root,
 )
 from .algebra import (  # noqa: F401

@@ -48,8 +48,8 @@ from .errors import (
 )
 from .fan import cone_properties, is_complete
 from .orbits import (
+    automorphism_order,
     classify_roots,
-    fan_automorphisms,
     g_orbit_partition,
     he_connected_pairs,
 )
@@ -175,7 +175,8 @@ def _cmd_orbits(args):
 
 def _cmd_classify(args):
     fan = serialize.fan_from_json(_load_json(args))
-    autos = fan_automorphisms(fan)
+    # the symmetry search comes first, so UnsupportedFan does too
+    order = automorphism_order(fan)
     found = roots_of_fan(fan, bound=args.bound)
     classes = classify_roots(fan, found.roots)
     classes_json = []
@@ -189,7 +190,7 @@ def _cmd_classify(args):
             "orbit_count": len(fan.cones) - len(pairs),
         })
     return {
-        "automorphism_order": len(autos),
+        "automorphism_order": order,
         "bound": args.bound,
         "complete_enumeration": found.complete_enumeration,
         "class_count": len(classes),

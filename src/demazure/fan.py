@@ -30,6 +30,7 @@ from .errors import (
     DuplicateRay,
     NotStronglyConvex,
     RankMismatch,
+    SchemaError,
     UnknownRay,
     ZeroVector,
 )
@@ -40,6 +41,7 @@ from .lattice import (
     dual_description,
     invariant_factors,
     primitive,
+    read_rank,
     smith_normal_form,
     vneg,
     vsub,
@@ -87,6 +89,7 @@ class Fan:
         self._face_sets = {}
         self._bases = {}
         self._walls = None
+        self._symmetry = None  # memo of orbits.symmetry_chain
         self._automorphisms = None  # memo of orbits.fan_automorphisms
         self.supplied = list(supplied)
         self.generating = list(supplied)
@@ -297,16 +300,32 @@ class Fan:
         return BadIntersection(self.cone_id(a), self.cone_id(b), why)
 
 
+def _sequence(obj, what, violations):
+    """obj as a list, or None after recording a SchemaError that names it
+    when it is not a sequence."""
+    try:
+        return list(obj)
+    except TypeError:
+        violations.append(SchemaError(f"{what}: expected a sequence, got "
+                                      f"{obj!r}"))
+        return None
+
+
 def ray_stage(rank, ray_list):
     """The rays as primitive vectors, and the violations among them.
 
-    Every ray is checked: RankMismatch for a wrong length, ZeroVector,
-    and DuplicateRay when two rays are equal after normalization.
+    Every ray is checked: SchemaError for a ray that is not a sequence
+    (or rays that are not a sequence), RankMismatch for a wrong length,
+    ZeroVector, and DuplicateRay when two rays are equal after
+    normalization.
     """
     rays = []
     violations = []
     seen = {}
-    for idx, r in enumerate(ray_list):
+    for idx, r in enumerate(_sequence(ray_list, "rays", violations) or ()):
+        r = _sequence(r, f"ray {idx}", violations)
+        if r is None:
+            continue
         if len(r) != rank:
             violations.append(RankMismatch(
                 f"ray {idx} has length {len(r)}, expected {rank}"
@@ -330,14 +349,19 @@ def cone_stage(rank, rays, maximal_cones):
     """The fan of the supplied maximal cones, its pairs not yet checked,
     and the violations among the cones.
 
-    Every cone is checked: UnknownRay for an index outside the ray list,
-    NotStronglyConvex for a cone that contains a line.  The fan is None
-    when there is a violation.
+    Every cone is checked: SchemaError for a cone that is not a sequence
+    (or cones that are not a sequence), UnknownRay for an index outside
+    the ray list, NotStronglyConvex for a cone that contains a line.  The
+    fan is None when there is a violation.
     """
     ray_of = {r: i for i, r in enumerate(rays)}
     supplied = {}
     violations = []
-    for raw in maximal_cones:
+    cones = _sequence(maximal_cones, "max cones", violations) or ()
+    for k, raw in enumerate(cones):
+        raw = _sequence(raw, f"max cone {k}", violations)
+        if raw is None:
+            continue
         idxs = sorted({as_int(i) for i in raw})
         if any(i < 0 or i >= len(rays) for i in idxs):
             violations.append(UnknownRay(
@@ -356,15 +380,6 @@ def cone_stage(rank, rays, maximal_cones):
     if violations:
         return None, violations
     return Fan(rank, rays, supplied), []
-
-
-def read_rank(rank):
-    """The ambient rank as an int: InvalidInteger when it is not an
-    integer, RankMismatch when it is negative."""
-    n = as_int(rank)
-    if n < 0:
-        raise RankMismatch(f"negative rank {n}")
-    return n
 
 
 def build_fan(rank, ray_list, maximal_cones):

@@ -85,6 +85,15 @@ def as_int(x):
     return w
 
 
+def read_rank(rank):
+    """The ambient rank as an int: InvalidInteger when it is not an
+    integer, RankMismatch when it is negative."""
+    n = as_int(rank)
+    if n < 0:
+        raise RankMismatch(f"negative rank {n}")
+    return n
+
+
 def primitive(v):
     """The unique primitive integer vector on the ray Q>=0 * v.
 
@@ -476,7 +485,9 @@ def dual_description(gens, rank):
 
     This is the only dual a Cone computes: the incidences of the
     generators with the extremal rays give its dimension, pointedness,
-    extremal rays and faces with no further elimination.
+    extremal rays and faces with no further elimination.  A Cone's
+    generators are already primitive and distinct, so it calls
+    `_dual_of_primitive` directly.
     """
     prim = []
     seen = set()
@@ -488,6 +499,12 @@ def dual_description(gens, rank):
                     f"row of length {len(p)} in ambient rank {rank}")
             seen.add(p)
             prim.append(p)
+    return _dual_of_primitive(prim, rank)
+
+
+def _dual_of_primitive(prim, rank):
+    """`dual_description` of distinct primitive integer vectors of length
+    rank."""
     m, pivots, _ = _echelon(prim)
     L = _kernel(m, pivots, rank)
     if not pivots:
@@ -513,22 +530,18 @@ class Cone:
                  "_rays", "_faces")
 
     def __init__(self, rank, generators=()):
-        if rank < 0:
-            raise RankMismatch("negative rank")
-        out = []
-        seen = set()
+        rank = read_rank(rank)
+        out = set()
         for g in generators:
+            # one read and one gcd: the primitive vector on g's ray
             vec = _integral(tuple(g))[0]
             if len(vec) != rank:
                 raise RankMismatch(
                     f"generator of length {len(vec)} in ambient rank {rank}"
                 )
-            if not any(vec):
-                continue
-            p = primitive(vec)
-            if p not in seen:
-                seen.add(p)
-                out.append(p)
+            d = gcd(*vec)
+            if d:
+                out.add(tuple(vec) if d == 1 else tuple(x // d for x in vec))
         self.rank = rank
         self.gens = tuple(sorted(out))
         self._dual_pair = None
@@ -544,7 +557,7 @@ class Cone:
 
     def dual_pair(self):
         if self._dual_pair is None:
-            self._dual_pair = dual_description(self.gens, self.rank)
+            self._dual_pair = _dual_of_primitive(self.gens, self.rank)
         return self._dual_pair
 
     def dual_generators(self):

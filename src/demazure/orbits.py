@@ -10,14 +10,14 @@ one pair for every cone sigma_1 on which e vanishes identically; every
 other torus orbit stays a single G-orbit and its points are fixed by the
 additive part.  This module computes the pairs, the resulting partition,
 stabilizer data of generic points, invariant divisors, the existence test
-for such a structure, fan automorphisms and the classification of roots up
-to automorphism.
+for such a structure, fan automorphisms (by a stabilizer chain) and the
+classification of roots up to automorphism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .errors import NotARoot, UnsupportedFan
 from .lattice import (
@@ -27,6 +27,7 @@ from .lattice import (
     identity_matrix,
     integer_feasible,
     mat_inverse,
+    mat_mul,
     mat_vec,
     pivot_columns,
     transpose,
@@ -265,27 +266,112 @@ class FanAutomorphism:
     ray_permutation: tuple
 
 
-def fan_automorphisms(fan):
-    """All lattice automorphisms of N mapping the fan onto itself.
+@dataclass(frozen=True)
+class SymmetryChain:
+    """The fan's automorphism group G by a stabilizer chain on a base.
+
+    `transversals[k]` maps each ray j of the orbit Delta_k of b_k under
+    G_k, the automorphisms fixing b_0 ... b_{k-1}, to one of them sending
+    b_k to j.  The `generators` are the automorphisms the search found;
+    they generate G, and |G| = prod |Delta_k| (`order`).
+    """
+
+    base: tuple
+    transversals: tuple
+    generators: tuple
+
+    @property
+    def order(self):
+        return prod(len(t) for t in self.transversals)
+
+
+def symmetry_chain(fan):
+    """The stabilizer chain of the fan's lattice automorphisms.
 
     Requires the rays to span the ambient space (otherwise the group is not
     finite and we refuse: UnsupportedFan).  An automorphism is fixed by the
-    images of a base, the first independent n-subset of the rays, so the
-    search backtracks over injective images of the base rays.  A ray can
-    only go to a ray of its colour (the number of fan cones of each
-    dimension containing it), and two base rays that span a 2-cone (or do
-    not) only to two rays that do the same.  The matrix is solved from the
-    base images in integers, and kept if it permutes the rays and maps the
-    cones onto the cones; as the rays span, some power of it is 1, so it is
-    unimodular.  The group is sorted by ray permutation and computed once
-    per fan; each call returns a fresh list.
+    images of a base, the first independent n-subset b_0 ... b_{n-1} of the
+    rays.  A ray can only go to a ray of its colour (the number of fan
+    cones of each dimension containing it), and two base rays that span a
+    2-cone (or do not) only to two rays that do the same.  The matrix is
+    solved from the base images in integers, and kept if it permutes the
+    rays and maps the supplied cones to fan cones: every fan cone is a
+    face of a generating cone, a linear map sends faces to faces, and a
+    ray always goes to a 1-cone, so then it maps the fan onto itself.  As
+    the rays span, some power of it is 1, so it is unimodular.
+
+    The levels run from b_{n-1} up to b_0 (Sims 1970).  At level k the
+    orbit of b_k is closed under the generators found so far, which all
+    fix b_0 ... b_{k-1}; for each candidate image j that the closure does
+    not reach, the search looks for the first automorphism fixing b_0 ...
+    b_{k-1} and sending b_k to j, stops at the first success, and adds it
+    to the generators.  Every candidate outside the closure is searched
+    exhaustively, so the final closure is the whole orbit Delta_k of b_k
+    under G_k.  By induction from G_n = 1 (the base images fix an
+    automorphism) the generators at levels >= k generate G_k, as any g in
+    G_k agrees on b_k with some h in their group and h^-1 g lies in
+    G_{k+1}; so they generate G and |G_k| = |Delta_k| |G_{k+1}|.  Each
+    orbit point off the base ray costs at most one generator and one
+    product, so the search builds under 2 sum |Delta_k| automorphisms and
+    the failed leaves, not prod |Delta_k|.  Computed once per fan.
+    """
+    if fan._symmetry is None:
+        fan._symmetry = _search_chain(fan)
+    return fan._symmetry
+
+
+def automorphism_order(fan):
+    """The number of lattice automorphisms of N mapping the fan onto
+    itself, read off the stabilizer chain."""
+    return symmetry_chain(fan).order
+
+
+def fan_automorphisms(fan):
+    """All lattice automorphisms of N mapping the fan onto itself.
+
+    Each element of G_k is u h for one u of the transversal at level k and
+    one h of G_{k+1}, so the group is expanded from the stabilizer chain
+    (`symmetry_chain`) with one product per element of each G_k.  It is
+    sorted by ray permutation and computed once per fan; each call returns
+    a fresh list.  Raises UnsupportedFan when the rays do not span.
     """
     if fan._automorphisms is None:
-        fan._automorphisms = tuple(_search_automorphisms(fan))
+        group = [_identity(fan)]
+        for transversal in reversed(symmetry_chain(fan).transversals):
+            group = [_compose(u, h) for u in transversal.values()
+                     for h in group]
+        group.sort(key=lambda a: a.ray_permutation)
+        fan._automorphisms = tuple(group)
     return list(fan._automorphisms)
 
 
-def _search_automorphisms(fan):
+def _identity(fan):
+    return FanAutomorphism(tuple(map(tuple, identity_matrix(fan.rank))),
+                           tuple(range(len(fan.rays))))
+
+
+def _compose(a, b):
+    """The automorphism a after b."""
+    return FanAutomorphism(
+        tuple(map(tuple, mat_mul(a.matrix, b.matrix))),
+        tuple(a.ray_permutation[j] for j in b.ray_permutation))
+
+
+def _close(orbit, generators):
+    """Close an orbit, a dict ray -> automorphism sending the level's base
+    ray there, under the generators: a new ray s(i) gets s after orbit[i].
+    """
+    todo = list(orbit)
+    while todo:
+        i = todo.pop()
+        for s in generators:
+            j = s.ray_permutation[i]
+            if j not in orbit:
+                orbit[j] = _compose(s, orbit[i])
+                todo.append(j)
+
+
+def _search_chain(fan):
     rays = fan.rays
     l = len(rays)
     n = fan.rank
@@ -309,29 +395,44 @@ def _search_automorphisms(fan):
     def joined(a, b):
         return frozenset((a, b)) in cone_keys
 
-    autos = []
-    images = []
-
-    def extend():
+    def candidates(images):
+        """The rays that pass the filters as the image of the next base
+        ray, given the images of the ones before it."""
         k = len(images)
-        if k == n:
-            M = _solve(adj, d, [rays[j] for j in images])
-            if M is not None:
-                perm = _ray_permutation(fan, M, cone_keys)
-                if perm is not None:
-                    autos.append(FanAutomorphism(M, perm))
-            return
-        for j in choices[k]:
-            if j not in images and all(
-                    joined(j, images[t]) == joined(base[k], base[t])
-                    for t in range(k)):
-                images.append(j)
-                extend()
-                images.pop()
+        return [j for j in choices[k] if j not in images and all(
+            joined(j, images[t]) == joined(base[k], base[t])
+            for t in range(k))]
 
-    extend()
-    autos.sort(key=lambda a: a.ray_permutation)
-    return autos
+    def first(images):
+        """The first automorphism sending each base ray b_t to images[t]
+        for t < len(images), or None."""
+        if len(images) == n:
+            M = _solve(adj, d, [rays[j] for j in images])
+            perm = None if M is None else _ray_permutation(fan, M, cone_keys)
+            return None if perm is None else FanAutomorphism(M, perm)
+        for j in candidates(images):
+            found = first(images + [j])
+            if found is not None:
+                return found
+        return None
+
+    identity = _identity(fan)
+    generators = []
+    transversals = []
+    for k in reversed(range(n)):
+        orbit = {base[k]: identity}
+        _close(orbit, generators)
+        for j in candidates(base[:k]):
+            if j in orbit:
+                continue
+            found = first(base[:k] + [j])
+            if found is not None:
+                generators.append(found)
+                _close(orbit, generators)
+        transversals.append(orbit)
+    transversals.reverse()
+    return SymmetryChain(tuple(base), tuple(transversals),
+                         tuple(generators))
 
 
 def _solve(adj, d, columns):
@@ -353,8 +454,9 @@ def _solve(adj, d, columns):
 
 def _ray_permutation(fan, M, cone_keys):
     """The permutation of the rays that M induces if it maps the rays one
-    to one onto rays (a singular M merges two, as the rays span) and the
-    cones onto the cones, else None; it stops at the first ray that fails.
+    to one onto rays (a singular M merges two, as the rays span) and each
+    supplied cone onto one of the cone_keys, else None; it stops at the
+    first ray that fails.
     """
     perm = []
     for r in fan.rays:
@@ -363,7 +465,7 @@ def _ray_permutation(fan, M, cone_keys):
             return None
         perm.append(j)
     if any(frozenset(perm[i] for i in key) not in cone_keys
-           for key in cone_keys):
+           for key in fan.supplied):
         return None
     return tuple(perm)
 
@@ -395,22 +497,37 @@ def classify_roots(fan, roots):
     (i, e) is keyed by i and its pairings p = (<n_j, e>)_j, which fix e as
     the rays span; phi^-1 for phi = (M, pi) sends (i, p) to
     (pi^-1(i), p o pi), since <n_j, M^T e> = <M n_j, e>.  So the class of
-    the first root not yet placed is its orbit within the list, read off
-    without a matrix.
+    the first root not yet placed is its G-orbit within the list, read off
+    without a matrix.  The generators of the stabilizer chain generate the
+    finite group G, so the orbit is the closure of the key under them; it
+    runs over all keys, listed or not, so that a truncated list splits no
+    class that G keeps whole within it.  The characters are read with
+    `as_int`.
     """
-    autos = fan_automorphisms(fan)
-    keyed = {(_ray_of(r, fan.rays), tuple(dot(n, r.e) for n in fan.rays)): r
-             for r in sorted(roots)}
+    generators = symmetry_chain(fan).generators
+    pairs = []
+    for r in roots:
+        i = _ray_of(r, fan.rays)
+        e = tuple(as_int(x) for x in r.e)
+        pairs.append(((i, tuple(dot(n, e) for n in fan.rays)), r))
+    pairs.sort(key=lambda kr: kr[1])
+    keyed = dict(pairs)
     placed = set()
     classes = []
-    for i, p in keyed:
-        if (i, p) in placed:
+    for key in keyed:
+        if key in placed:
             continue
-        orbit = keyed.keys() & {
-            (phi.ray_permutation.index(i),
-             tuple(p[j] for j in phi.ray_permutation))
-            for phi in autos
-        }
+        orbit = {key}
+        todo = [key]
+        while todo:
+            i, p = todo.pop()
+            for phi in generators:
+                pi = phi.ray_permutation
+                image = (pi.index(i), tuple(p[j] for j in pi))
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        orbit &= keyed.keys()
         placed |= orbit
         classes.append(sorted(keyed[k] for k in orbit))
     return classes

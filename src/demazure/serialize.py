@@ -28,8 +28,8 @@ from json.encoder import encode_basestring_ascii as _quote
 from .algebra import CurveCarrier
 from .divisors import INF, ColoredDivisor, PolyhedralDivisor, point_order
 from .errors import BadIntersection, SchemaError
-from .fan import build_fan, cone_stage, ray_stage, read_rank
-from .lattice import Cone
+from .fan import build_fan, cone_stage, ray_stage
+from .lattice import Cone, read_rank
 
 SCHEMA_VERSION = 1
 

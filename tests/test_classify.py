@@ -1,12 +1,15 @@
 """Root classes, the symmetry search and fan properties read off the fan.
 
-The automorphism search keeps a solved matrix when it permutes the rays
-one to one, root classes are orbits of (ray index, pairings) under the ray
-permutations, a class's G-orbit count is the number of cones less the
-number of gluing pairs, and smoothness is read off the generating cones.
-The code they replaced is kept here as oracles: the determinant check in
-the solve, the union-find over integer transposes, the full G-orbit
-partition per class and the properties of every cone.
+The symmetry search builds a stabilizer chain, one transversal per base
+ray, and keeps a solved matrix when it permutes the rays one to one and
+maps the supplied cones to fan cones; root classes are orbits of (ray
+index, pairings) under the chain's generators, a class's G-orbit count is
+the number of cones less the number of gluing pairs, and smoothness is
+read off the generating cones.  The code they replaced is kept here as
+oracles: the backtrack that built the whole group, with the determinant
+check in the solve and every cone checked at each leaf, the orbits under
+every automorphism and the union-find over integer transposes, the full
+G-orbit partition per class and the properties of every cone.
 """
 
 from __future__ import annotations
@@ -20,17 +23,27 @@ from demazure import algebra, cli, divisors, lattice, orbits, serialize
 from demazure import fan as fan_module
 from demazure import roots as roots_module
 from demazure.cli import main
-from demazure.errors import DemazureError, RankMismatch
+from demazure.errors import DemazureError, RankMismatch, UnsupportedFan
 from demazure.fan import build_fan, cone_properties, is_complete
-from demazure.lattice import det, mat_vec, transpose
+from demazure.lattice import (
+    as_int,
+    det,
+    dot,
+    mat_inverse,
+    mat_vec,
+    pivot_columns,
+    transpose,
+)
 from demazure.orbits import (
+    FanAutomorphism,
+    automorphism_order,
     classify_roots,
     fan_automorphisms,
     g_orbit_partition,
 )
 from demazure.roots import DemazureRoot, roots_of_fan
 
-from test_fan import FIXTURES, p1_power, p_n_input, random_fan_input
+from test_fan import FIXTURES, f1, p1_power, p_n_input, random_fan_input
 from test_orbits import named_fans, non_smooth_fans
 from test_reports_golden import INLINE
 
@@ -68,17 +81,82 @@ def loop_ray_permutation(fan, M, cone_keys):
     return tuple(perm)
 
 
-def oracle_automorphisms(fan, monkeypatch):
-    with monkeypatch.context() as m:
-        m.setattr(orbits, "_solve", det_checked_solve)
-        m.setattr(orbits, "_ray_permutation", loop_ray_permutation)
-        return orbits._search_automorphisms(fan)
+def oracle_automorphisms(fan):
+    """The former search: a backtrack over every injective image of the
+    base under the colour and 2-cone filters, building the whole group,
+    with the determinant check in the solve and every cone checked at
+    each leaf."""
+    rays = fan.rays
+    l = len(rays)
+    n = fan.rank
+    base = pivot_columns(transpose(rays))
+    if len(base) < n:
+        raise UnsupportedFan(
+            "rays do not span the ambient space; the automorphism group "
+            "is not finite"
+        )
+    A = [[rays[i][r] for i in base] for r in range(n)]
+    d = det(A)
+    adj = [[as_int(x * d) for x in row] for row in mat_inverse(A)]
+    cone_keys = set(fan.cones)
+    colour = [[0] * (n + 1) for _ in range(l)]
+    for key, ref in fan.cones.items():
+        for j in key:
+            colour[j][ref.dim] += 1
+    choices = [[j for j in range(l) if colour[j] == colour[b]] for b in base]
+
+    def joined(a, b):
+        return frozenset((a, b)) in cone_keys
+
+    autos = []
+    images = []
+
+    def extend():
+        k = len(images)
+        if k == n:
+            M = det_checked_solve(adj, d, [rays[j] for j in images])
+            if M is not None:
+                perm = loop_ray_permutation(fan, M, cone_keys)
+                if perm is not None:
+                    autos.append(FanAutomorphism(M, perm))
+            return
+        for j in choices[k]:
+            if j not in images and all(
+                    joined(j, images[t]) == joined(base[k], base[t])
+                    for t in range(k)):
+                images.append(j)
+                extend()
+                images.pop()
+
+    extend()
+    autos.sort(key=lambda a: a.ray_permutation)
+    return autos
 
 
-def union_find_classify(fan, roots):
-    """The former classification: a union-find over the images of every
-    root under the integer transpose of every automorphism."""
-    autos = fan_automorphisms(fan)
+def group_classify(fan, roots, autos):
+    """The former classify_roots: the class of the first root not yet
+    placed is the set of images of its (ray index, pairings) key under
+    every automorphism in the list, within the list."""
+    keyed = {(r.ray_index, tuple(dot(n, r.e) for n in fan.rays)): r
+             for r in sorted(roots)}
+    placed = set()
+    classes = []
+    for i, p in keyed:
+        if (i, p) in placed:
+            continue
+        orbit = keyed.keys() & {
+            (phi.ray_permutation.index(i),
+             tuple(p[j] for j in phi.ray_permutation))
+            for phi in autos
+        }
+        placed |= orbit
+        classes.append(sorted(keyed[k] for k in orbit))
+    return classes
+
+
+def union_find_classify(fan, roots, autos):
+    """The classification before that: a union-find over the images of
+    every root under the integer transpose of every automorphism."""
     roots = sorted(roots)
     index = {r: k for k, r in enumerate(roots)}
     parent = list(range(len(roots)))
@@ -203,29 +281,136 @@ def root_lists(fan, rng):
 # -- the symmetry search and the classes -------------------------------------
 
 
-def test_search_and_classes_match_the_former_code(monkeypatch):
+def test_search_and_classes_match_the_former_code():
     rng = random.Random(7070)
     spanning = unsupported = 0
     for fan in all_fans():
-        expected = _outcome(oracle_automorphisms, fan, monkeypatch)
+        expected = _outcome(oracle_automorphisms, fan)
         assert _outcome(fan_automorphisms, fan) == expected, fan.rays
         if expected[0] != "ok":
             assert expected[0] == "UnsupportedFan"
+            assert _outcome(automorphism_order, fan) == expected
             unsupported += 1
             # the fan's error comes before any error of the roots
             bad = [DemazureRoot(0, (1,) * (fan.rank + 1))]
             assert _outcome(classify_roots, fan, bad) == expected
             continue
         spanning += 1
+        autos = expected[1]
+        assert automorphism_order(fan) == len(autos)
         for rs in root_lists(fan, rng):
-            assert classify_roots(fan, rs) == union_find_classify(fan, rs), (
-                fan.rays, rs)
+            assert classify_roots(fan, rs) == union_find_classify(
+                fan, rs, autos), (fan.rays, rs)
         bad = [DemazureRoot(0, (1,) * (fan.rank + 1))]
         with pytest.raises(RankMismatch):
-            union_find_classify(fan, bad)
+            union_find_classify(fan, bad, autos)
         with pytest.raises(RankMismatch):
             classify_roots(fan, bad)
     assert spanning >= 40 and unsupported >= 3
+
+
+def test_large_groups_match_the_former_search():
+    rng = random.Random(8080)
+    for fan, order in [(build_fan(*p_n_input(6)), 5040),
+                       (p1_power(5), 3840)]:
+        autos = oracle_automorphisms(fan)
+        assert len(autos) == order
+        assert automorphism_order(fan) == order
+        # the order is read off the chain, with no group built
+        assert fan._automorphisms is None
+        assert fan_automorphisms(fan) == autos
+        for rs in root_lists(fan, rng):
+            assert classify_roots(fan, rs) == group_classify(fan, rs, autos)
+
+
+# fans on which a matrix maps the rays one to one onto rays, and all
+# supplied cones but one to fan cones (from random_fan_input)
+ONE_CONE_REFUSES = [
+    (2, [(2, 3), (1, 1), (1, 2), (-1, -2), (-1, -1), (-2, -3)],
+     [[4, 5], [2, 4], [1, 3], [0, 1], [0, 2]]),
+    (3, [(1, -1, -1), (0, 1, 0), (2, -1, -1), (-1, 1, 0), (1, -1, 0),
+         (3, -1, -2), (0, -1, 0), (-2, 1, 1), (-1, 1, 1)],
+     [[2, 4, 8], [6, 7, 8]]),
+    # the base rays are lone rays, and the one cone has no base ray
+    (3, [(1, -1, 0), (-1, 1, 0), (0, -1, -1), (0, 1, 1), (-1, 1, 1),
+         (0, 1, 0), (1, -1, -1)], [[1, 5, 6]]),
+]
+
+
+def test_the_leaf_checks_every_supplied_cone():
+    orders = []
+    for rank, rays, cones in ONE_CONE_REFUSES:
+        for shift in range(len(cones)):
+            fan = build_fan(rank, rays, cones[shift:] + cones[:shift])
+            expected = oracle_automorphisms(fan)
+            assert fan_automorphisms(fan) == expected
+            assert automorphism_order(fan) == len(expected)
+        orders.append(len(expected))
+    assert orders == [2, 1, 2]
+
+
+# -- the work one search does ------------------------------------------------
+
+
+def counted_search(monkeypatch, fan):
+    """The stabilizer chain of a fresh fan, with the leaves it solved and
+    the products it formed."""
+    leaves = []
+    products = []
+    solve, compose = orbits._solve, orbits._compose
+
+    def counted_solve(*args):
+        leaves.append(solve(*args))
+        return leaves[-1]
+
+    def counted_compose(*args):
+        products.append(args)
+        return compose(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(orbits, "_solve", counted_solve)
+        m.setattr(orbits, "_compose", counted_compose)
+        chain = orbits.symmetry_chain(fan)
+    return chain, leaves, products
+
+
+def test_the_search_builds_one_transversal_per_level(monkeypatch):
+    # P^3: S_4 on the rays, orbits 4, 3 and 2 of the base rays 0, 1, 2;
+    # (P^1)^3: the signed permutations of the axes, orbits 6, 4 and 2
+    for fan, orbit_sizes, leaves_solved in [
+            (build_fan(*p_n_input(3)), [4, 3, 2], 3),
+            (p1_power(3), [6, 4, 2], 5)]:
+        chain, leaves, products = counted_search(monkeypatch, fan)
+        assert [len(t) for t in chain.transversals] == orbit_sizes
+        assert chain.order == len(oracle_automorphisms(fan))
+        # every leaf found a generator, and each orbit point but the base
+        # ray took one product: sum |Delta_k| - n automorphisms, against
+        # the 24 and 48 that the former search built
+        assert len(leaves) == leaves_solved == len(chain.generators)
+        assert None not in leaves
+        assert len(products) == sum(orbit_sizes) - fan.rank
+        for k, transversal in enumerate(chain.transversals):
+            for j, phi in transversal.items():
+                assert phi.ray_permutation[chain.base[k]] == j
+                assert all(phi.ray_permutation[b] == b
+                           for b in chain.base[:k])
+        # memoized: a second call searches nothing
+        again, leaves, products = counted_search(monkeypatch, fan)
+        assert again is chain and leaves == products == []
+
+
+def test_a_candidate_outside_the_orbit_is_searched_exhaustively(
+        monkeypatch):
+    # all four rays of F_1 have the same colour, so the filters pass each
+    # of them as the image of ray 0, but its orbit is {0, 3}: the search
+    # for rays 1 and 2 fails at every leaf below them
+    fan = f1()
+    chain, leaves, _ = counted_search(monkeypatch, fan)
+    assert sorted(chain.transversals[0]) == [0, 3]
+    assert [len(t) for t in chain.transversals] == [2, 1]
+    # one leaf found the generator, and the five others failed
+    assert len(chain.generators) == 1 and len(leaves) == 6
+    assert fan_automorphisms(fan) == oracle_automorphisms(fan)
 
 
 def test_singular_matrices_are_refused_by_the_permutation():

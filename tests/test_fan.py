@@ -21,9 +21,10 @@ from demazure.errors import (
     InvalidInteger,
     NotStronglyConvex,
     RankMismatch,
+    SchemaError,
 )
 from demazure import fan as fan_module
-from demazure import serialize
+from demazure import lattice, serialize
 from demazure.cli import main
 from demazure.fan import (
     Fan,
@@ -718,6 +719,42 @@ def test_rank_is_read_as_a_nonnegative_integer():
         build_fan(2, [(1, 0)], [[0]]).cones.items())
     fan, violations = fan_diagnostics("2", [(1, 0)], [[0]])
     assert violations == [] and fan.rank == 2
+
+
+def test_rays_and_cones_that_are_not_sequences_are_named():
+    # len(5) and iter(None) raised bare TypeErrors
+    for args, message in [
+            ((2, [5], [[0]]), "ray 0: expected a sequence, got 5"),
+            ((2, [(1, 0), (0, 1)], [[0, 1], 5]),
+             "max cone 1: expected a sequence, got 5"),
+            ((2, None, []), "rays: expected a sequence, got None"),
+            ((2, [(1, 0)], None), "max cones: expected a sequence, got None")]:
+        with pytest.raises(SchemaError) as info:
+            build_fan(*args)
+        assert str(info.value) == message
+        assert fan_diagnostics(*args) == (
+            None, [{"kind": "SchemaError", "message": message}])
+    # the stage goes on past such a ray, as past any other violation
+    _, violations = fan_diagnostics(2, [5, (1, 0, 0), (1, 0)], [[0]])
+    assert [v["kind"] for v in violations] == ["SchemaError", "RankMismatch"]
+
+
+def test_each_supplied_cone_is_normalized_once(monkeypatch):
+    # the ray stage makes the rays primitive; each supplied cone and its
+    # dual read them as they are (54 calls on (P^1)^3 before: the cones'
+    # generators were made primitive again, and again in their duals)
+    calls = []
+    original = lattice.primitive
+
+    def counted(v):
+        calls.append(v)
+        return original(v)
+
+    for module in (lattice, fan_module):
+        monkeypatch.setattr(module, "primitive", counted)
+    fan = build_fan(*p1_power_input(3))
+    assert [tuple(v) for v in calls] == p1_power_input(3)[1]
+    assert len(calls) == len(fan.rays) == 6
 
 
 def test_saturated_basis_only_of_a_fan_cone():

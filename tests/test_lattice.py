@@ -1417,3 +1417,25 @@ def test_cone_combinatorics_eliminate_once(monkeypatch):
     assert by_dim == {0: 1, 1: 8, 2: 12, 3: 6, 4: 1}
     assert sorted(map(len, c.facet_ray_sets())) == [4] * 6
     assert len(calls) == 1
+
+
+def test_cone_reads_its_rank_as_a_nonnegative_integer():
+    # Cone("2", ...) compared a string with 0, a bare TypeError, and the
+    # rank 2.5 was reported as "generator of length 2 in ambient rank 2.5"
+    assert Cone("2", [(1, 0)]).rank == 2
+    assert Cone("2", [(1, 0)]).gens == Cone(2, [(1, 0)]).gens
+    with pytest.raises(InvalidInteger, match="non-integral component 2.5"):
+        Cone(2.5, [(1, 0)])
+    with pytest.raises(RankMismatch, match="negative rank -1"):
+        Cone(-1)
+
+
+def test_cone_generators_are_read_once_to_their_primitive_vectors():
+    gens = [(2, 4), (Fraction(1, 2), 1), (0, 0), (-3, 0), ("-1", 0.0),
+            (Fraction(0), 7)]
+    cone = Cone(2, gens)
+    assert cone.gens == ((-1, 0), (0, 1), (1, 2))
+    assert all(type(x) is int for g in cone.gens for x in g)
+    # the cone's own dual is the public one of its nonzero generators
+    assert cone.dual_pair() == dual_description(
+        [g for g in gens if any(g)], 2)

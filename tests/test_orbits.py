@@ -825,3 +825,20 @@ def test_root_image_reads_its_character_with_as_int():
     image = root_image(phi, DemazureRoot(0, (Fraction(-1), 0.0)))
     assert image == root_image(phi, DemazureRoot(0, (-1, 0)))
     assert all(type(x) is int for x in image.e)
+
+
+def test_classify_roots_reads_characters_with_as_int():
+    # the entry "a" raised a bare TypeError, and the character (-1/2, 1/3)
+    # was classified
+    fan = p2()
+    for e in [("a", 0), (Fraction(-1, 2), Fraction(1, 3)), (None, 0)]:
+        with pytest.raises(InvalidInteger):
+            classify_roots(fan, [DemazureRoot(0, e)])
+        with pytest.raises(InvalidInteger):
+            classify_roots(fan, [DemazureRoot(0, (-1, 0)), DemazureRoot(0, e)])
+    # integral values of any type are the integer character
+    root = DemazureRoot(0, (Fraction(-1), 0.0))
+    assert classify_roots(fan, [root]) == [[root]]
+    assert classify_roots(fan, [root, DemazureRoot(1, (0, -1))]) == \
+        classify_roots(fan, [DemazureRoot(0, (-1, 0)),
+                             DemazureRoot(1, (0, -1))])

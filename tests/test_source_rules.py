@@ -130,6 +130,20 @@ def test_classify_and_solve_use_no_matrix_algebra():
     assert "det" not in _names_in(funcs["_solve"]), "_solve computes det"
 
 
+def test_classify_never_expands_the_group():
+    # a classify job needs |G| and the orbits of a generating set, both
+    # read off the stabilizer chain; fan_automorphisms builds all of G,
+    # 46,080 automorphisms on (P^1)^6
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in SOURCES}
+    assert set(trees) >= {"cli.py", "orbits.py"}
+    for name, func in (("cli.py", "_cmd_classify"),
+                       ("orbits.py", "classify_roots")):
+        node = next(n for n in ast.walk(trees[name])
+                    if isinstance(n, ast.FunctionDef) and n.name == func)
+        assert "fan_automorphisms" not in _names_in(node), \
+            f"{func} expands the automorphism group"
+
+
 def test_no_box_scans():
     # scanning a box tests every point of it against the rows, most of them
     # outside the region; lattice points are lifted coordinate by
