@@ -8,11 +8,12 @@ validates that any two cones intersect in a common face.
 Validation runs in stages: the rays (`ray_stage`), the supplied cones
 (`cone_stage`), the wall certificate (`Fan.certified_complete`), and the
 pairs of generating cones (`Fan.intersection_defect`) only when the
-certificate does not hold.  The certificate settles a complete simplicial
-fan from the walls of its cones and one covering point; it only ever
-says "valid", so every error comes from the other stages.  Each stage
-reports typed DemazureErrors; `build_fan` raises the first one,
-`serialize.fan_diagnostics` lists all of the first failing stage.
+certificate does not hold.  A complete simplicial fan is certified by
+the walls of its cones and one covering point; the certificate only ever
+says "valid", so every error comes from the other stages.  Any other fan
+is checked pair by pair: by containment, by a lone ray, or by one dual.
+Each stage reports typed DemazureErrors; `build_fan` raises the first
+one, `serialize.fan_diagnostics` lists all of the first failing stage.
 
 Cones are keyed by their extremal-ray index sets; that is sound because a
 strongly convex cone is determined by its extremal rays.  The canonical id
@@ -37,14 +38,13 @@ from .errors import (
 from .lattice import (
     Cone,
     as_int,
+    as_tuple,
     dot,
     dual_description,
     invariant_factors,
     primitive,
     read_rank,
     smith_normal_form,
-    vneg,
-    vsub,
 )
 
 
@@ -62,7 +62,7 @@ def _as_key(cone):
         return frozenset(cone.indices)
     if isinstance(cone, frozenset):
         return cone
-    return frozenset(as_int(i) for i in cone)
+    return frozenset(as_int(i) for i in as_tuple(cone, "cone"))
 
 
 class Fan:
@@ -72,12 +72,14 @@ class Fan:
     cone to its geometry; `self.supplied` lists those sets.  The
     generating cones are the supplied ones followed by every ray that is
     not supplied as a 1-cone; they and their faces are the cones of the
-    fan.  A supplied cone's faces are read off its dual; a ray that is not supplied has the faces {0} and
-    itself, and gets a geometry only when `cone_geometry` asks for one.
+    fan.  A supplied cone's faces are read off its dual; a ray that is
+    not supplied has the faces {0} and itself, and gets a geometry only
+    when `cone_geometry` asks for one.
     The fan is valid iff every two generating cones meet in a common face
     (the same then holds for all their faces).  `certified_complete`
     proves that at once for a complete simplicial fan, from the table of
-    walls (`walls`); otherwise `intersection_defect` checks pair by pair.
+    walls (`walls`); any other fan is checked pair by pair by
+    `intersection_defect`: by containment, by a lone ray, or by one dual.
     Faces and saturated bases are memoized per cone, the walls per fan.
     """
 
@@ -251,46 +253,30 @@ class Fan:
             all(dot(u, p) >= 0 for u in self._geom[key].dual_pair()[0])
             for key in others)
 
-    def _spanned_by_common_rays(self, a, b):
-        """Is the intersection of generating cones a and b spanned by the
-        rays they share?
+    def intersection_defect(self, a, b):
+        """None if generating cones a and b meet in a common face, else the
+        BadIntersection naming them.
 
-        First by separation (Cox-Little-Schenck, Toric Varieties, Lemma
-        1.2.13): with u_a the sum of a's facet normals through the common
-        rays and u_b the same for b, try u = u_a - u_b, u_a and -u_b.  If
-        u >= 0 on a, u <= 0 on b, and u vanishes on a or on b at the common
-        rays only, the cones meet in the cone of the common rays.  Else one
-        dual decides: the intersection is pointed, so it is spanned by the
-        common rays iff each of its extremal rays is one.
+        Nested cones meet in the smaller one.  A lone ray meets a cone it
+        is not a ray of in 0 or in itself; distinct primitive rays never
+        contain each other.  Any other pair takes one dual, of the two
+        cones' dual generators: the intersection is pointed, so it is
+        spanned by the common rays iff each of its extremal rays is one.
+        Then the common rays must span a face of both.
         """
         common = a & b
         if common == a or common == b:
-            return True  # one cone lies in the other
-        if len(a) == 1 or len(b) == 1:
-            # a ray outside the other cone's ray set meets it in 0 or
-            # itself; distinct primitive rays never contain each other
+            spanned = True
+        elif len(a) == 1 or len(b) == 1:
             (i,), other = (a, b) if len(a) == 1 else (b, a)
-            return (len(other) == 1
-                    or not self._geom[other].contains(self.rays[i]))
-        face = [self.rays[i] for i in common]
-        ua = self._geom[a].face_normal(face)
-        ub = self._geom[b].face_normal(face)
-        for u in (vsub(ua, ub), ua, vneg(ub)):
-            on_a = [dot(u, self.rays[i]) for i in a - common]
-            on_b = [dot(u, self.rays[i]) for i in b - common]
-            if min(on_a) >= 0 >= max(on_b) and (min(on_a) or max(on_b)):
-                return True
-        E, _ = dual_description(
-            self._geom[a].dual_generators() + self._geom[b].dual_generators(),
-            self.rank,
-        )
-        return all(self._ray_index.get(e) in common for e in E)
-
-    def intersection_defect(self, a, b):
-        """None if generating cones a and b meet in a common face, else the
-        BadIntersection naming them."""
-        common = a & b
-        if not self._spanned_by_common_rays(a, b):
+            spanned = (len(other) == 1
+                       or not self._geom[other].contains(self.rays[i]))
+        else:
+            E, _ = dual_description(self._geom[a].dual_generators()
+                                    + self._geom[b].dual_generators(),
+                                    self.rank)
+            spanned = all(self._ray_index.get(e) in common for e in E)
+        if not spanned:
             why = "their intersection is not spanned by common rays"
         elif (common not in self._face_sets[a]
               or common not in self._face_sets[b]):
@@ -301,13 +287,12 @@ class Fan:
 
 
 def _sequence(obj, what, violations):
-    """obj as a list, or None after recording a SchemaError that names it
-    when it is not a sequence."""
+    """obj as a tuple, or None after recording the SchemaError of
+    `as_tuple` when it is not a sequence."""
     try:
-        return list(obj)
-    except TypeError:
-        violations.append(SchemaError(f"{what}: expected a sequence, got "
-                                      f"{obj!r}"))
+        return as_tuple(obj, what)
+    except SchemaError as exc:
+        violations.append(exc)
         return None
 
 

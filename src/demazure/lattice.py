@@ -47,6 +47,7 @@ from .errors import (
     InvalidInteger,
     NotStronglyConvex,
     RankMismatch,
+    SchemaError,
     UnboundedRegion,
     ZeroVector,
 )
@@ -83,6 +84,16 @@ def as_int(x):
     if d != 1:
         raise InvalidInteger(f"non-integral component {x!r}")
     return w
+
+
+def as_tuple(obj, what):
+    """obj as a tuple; SchemaError naming `what` and obj when it is not a
+    sequence."""
+    try:
+        return tuple(obj)
+    except TypeError:
+        raise SchemaError(
+            f"{what}: expected a sequence, got {obj!r}") from None
 
 
 def read_rank(rank):
@@ -532,9 +543,9 @@ class Cone:
     def __init__(self, rank, generators=()):
         rank = read_rank(rank)
         out = set()
-        for g in generators:
+        for g in as_tuple(generators, "generators"):
             # one read and one gcd: the primitive vector on g's ray
-            vec = _integral(tuple(g))[0]
+            vec = _integral(as_tuple(g, "generator"))[0]
             if len(vec) != rank:
                 raise RankMismatch(
                     f"generator of length {len(vec)} in ambient rank {rank}"
@@ -580,16 +591,6 @@ class Cone:
             }
         return self._inc
 
-    def face_normal(self, vectors):
-        """The sum of the facet normals on which every one of `vectors`
-        (generators of the cone) lies.  It is in the dual, and on a strongly
-        convex cone it vanishes at exactly the generators of the smallest
-        face containing `vectors`."""
-        E = self.dual_pair()[0]
-        inc = self._incidence()
-        on = frozenset(range(len(E))).intersection(*(inc[v] for v in vectors))
-        return tuple(map(sum, zip((0,) * self.rank, *(E[k] for k in on))))
-
     # -- basic predicates -----------------------------------------------------
 
     def dim(self):
@@ -603,7 +604,7 @@ class Cone:
 
     def contains(self, v):
         # a positive multiple of v, which pairs with the same signs
-        vec = _integral(tuple(v))[0]
+        vec = _integral(as_tuple(v, "point"))[0]
         if len(vec) != self.rank:
             raise RankMismatch(
                 f"point of length {len(vec)} in ambient rank {self.rank}"
@@ -774,6 +775,16 @@ def _lift(levels, box=None):
     return walk(0) if levels else iter([()])
 
 
+def _row(constraint):
+    """[*u, b] times the lcm of its denominators, of a constraint (u, b)."""
+    try:
+        u, b = constraint
+        return _integral([*u, b])[0]
+    except (TypeError, ValueError):
+        raise SchemaError(f"constraint: expected a (normal, bound) pair, "
+                          f"got {constraint!r}") from None
+
+
 class Region:
     """The region {x : <u,x> >= b, <v,x> == c} in Q^rank, eliminated once.
     Its rows are one >= list, each given row times the lcm of its
@@ -781,9 +792,9 @@ class Region:
     never holds, 0 >= b > 0, is kept for the elimination to refute."""
 
     def __init__(self, rank, inequalities=(), equalities=()):
-        rows = [_integral([*u, b])[0] for u, b in inequalities]
-        for u, b in equalities:
-            w = _integral([*u, b])[0]
+        rows = [_row(c) for c in as_tuple(inequalities, "inequalities")]
+        for c in as_tuple(equalities, "equalities"):
+            w = _row(c)
             rows += [w, vneg(w)]
         for w in rows:
             if len(w) != rank + 1:

@@ -22,6 +22,7 @@ from math import gcd, prod
 from .errors import NotARoot, UnsupportedFan
 from .lattice import (
     as_int,
+    as_tuple,
     det,
     dot,
     identity_matrix,
@@ -49,9 +50,9 @@ def verify_root(fan, e):
 
 def _verified(fan, e):
     """(distinguished ray index, pairings with the rays, e as ints) of a
-    root e; raise InvalidInteger for a non-integral e and NotARoot when e
-    is not a root."""
-    e = tuple(as_int(x) for x in e)
+    root e; raise SchemaError when e is not a sequence, InvalidInteger for
+    a non-integral e and NotARoot when e is not a root."""
+    e = tuple(as_int(x) for x in as_tuple(e, "character"))
     if len(e) != fan.rank:
         raise NotARoot(f"character of length {len(e)} in rank {fan.rank}")
     vals, neg = root_pairings(fan.rays, e)
@@ -471,7 +472,9 @@ def _ray_permutation(fan, M, cone_keys):
 
 
 def _ray_of(root, rays):
-    """The root's ray index; NotARoot unless it indexes one of the rays."""
+    """The ray index of a DemazureRoot of these rays, else NotARoot."""
+    if not isinstance(root, DemazureRoot):
+        raise NotARoot(f"{root!r} is not a DemazureRoot")
     if root.ray_index not in range(len(rays)):
         raise NotARoot(f"{root} names none of the {len(rays)} rays")
     return root.ray_index
@@ -483,7 +486,7 @@ def root_image(automorphism, root):
     i = _ray_of(root, automorphism.ray_permutation)
     inv = mat_inverse([list(r) for r in automorphism.matrix])
     # integral for an integral e, because det M = +/-1
-    e = tuple(as_int(x) for x in root.e)
+    e = tuple(as_int(x) for x in as_tuple(root.e, "character"))
     e = tuple(as_int(x) for x in mat_vec(transpose(inv), e))
     return DemazureRoot(automorphism.ray_permutation[i], e)
 
@@ -508,7 +511,7 @@ def classify_roots(fan, roots):
     pairs = []
     for r in roots:
         i = _ray_of(r, fan.rays)
-        e = tuple(as_int(x) for x in r.e)
+        e = tuple(as_int(x) for x in as_tuple(r.e, "character"))
         pairs.append(((i, tuple(dot(n, e) for n in fan.rays)), r))
     pairs.sort(key=lambda kr: kr[1])
     keyed = dict(pairs)

@@ -7,7 +7,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from math import cos, gcd, pi, sin
+from math import comb, cos, gcd, pi, sin
 from pathlib import Path
 
 import pytest
@@ -501,11 +501,20 @@ def oracle_check(rank, ray_list, maximal_cones):
     return violations, None, first
 
 
+BAD_PAIRS = [
+    (2, [(1, 0), (0, 1), (1, 1)], [[0, 1], [2]]),  # a ray inside a cone
+    (2, [(1, 0), (0, 1), (1, 1), (1, -1)], [[0, 1], [2, 3]]),  # crossing
+    (3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)],
+     [[0, 1, 2, 3], [0, 2]]),  # a diagonal of a square cone
+    (2, [(1, 0), (0, 1), (1, 1)], [[0, 1, 2]]),  # a listed interior ray
+]
+
+
 def test_fan_checks_match_three_duals_random():
     rng = random.Random(5150)
     kinds = collections.Counter()
-    for _ in range(100):
-        rank, rays, cones = random_fan_input(rng)
+    inputs = [random_fan_input(rng) for _ in range(100)] + BAD_PAIRS
+    for rank, rays, cones in inputs:
         expected, dims, first = oracle_check(rank, rays, cones)
         fan, got = fan_diagnostics(rank, rays, cones)
         if expected and expected[0][0] == "BadIntersection":
@@ -592,101 +601,25 @@ def test_build_fan_agrees_with_fan_diagnostics():
     assert kinds["other first pair"] >= 5
 
 
-# ---------------------------------------------------------------------------
-# the separating functional against the pair check by one dual
-
-
-BAD_PAIRS = [
-    (2, [(1, 0), (0, 1), (1, 1)], [[0, 1], [2]]),
-    (2, [(1, 0), (0, 1), (1, 1), (1, -1)], [[0, 1], [2, 3]]),
-    (3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)],
-     [[0, 1, 2, 3], [0, 2]]),
-    (2, [(1, 0), (0, 1), (1, 1)], [[0, 1, 2]]),
-]
-
-
-def dual_only_spanned(fan, a, b):
-    """The former pair check: after the nested and lone-ray cases, one dual
-    of the two cones' dual generators, whose extremal rays must all be
-    common rays."""
-    common = a & b
-    if common == a or common == b:
-        return True
-    if len(a) == 1 or len(b) == 1:
-        (i,), other = (a, b) if len(a) == 1 else (b, a)
-        return (len(other) == 1
-                or not fan._geom[other].contains(fan.rays[i]))
-    E, _ = dual_description(
-        fan._geom[a].dual_generators() + fan._geom[b].dual_generators(),
-        fan.rank,
-    )
-    return all(fan._ray_index.get(e) in common for e in E)
-
-
-def fan_outcome(rank, rays, cones):
-    """What build_fan and fan_diagnostics make of one input."""
-    try:
-        built = list(build_fan(rank, rays, cones).cones.items())
-    except DemazureError as exc:
-        built = (type(exc).__name__, str(exc))
-    fan, violations = fan_diagnostics(rank, rays, cones)
-    return built, violations, fan and list(fan.cones.items())
-
-
-def test_pair_certificate_matches_the_dual_check(monkeypatch):
-    rng = random.Random(2718)
-    inputs = _agreement_inputs(rng) + BAD_PAIRS + [p_n_input(6),
-                                                   p1_power_input(5)]
+def test_an_incomplete_fan_takes_one_dual_per_pair(monkeypatch):
+    # less one maximal cone, the walls of its neighbours lie in one cone
+    # each, so the certificate does not hold; no two of the other cones are
+    # nested and no ray is left alone, so each pair takes one dual
     calls = []
-    pairs = bad = 0
-    fallbacks = collections.Counter()
-    original = Fan._spanned_by_common_rays
+    original = fan_module.dual_description
 
     def counted(gens, rank):
         calls.append(rank)
-        return dual_description(gens, rank)
+        return original(gens, rank)
 
-    def spanned(self, a, b):
-        nonlocal pairs
-        before = len(calls)
-        out = original(self, a, b)
-        if a & b not in (a, b) and len(a) > 1 and len(b) > 1:
-            pairs += 1
-            if len(calls) > before:
-                fallbacks[out] += 1
-        return out
-
-    # every pair reaches the pair check: with the wall certificate on,
-    # the complete simplicial fans skip it and 625 pairs are left
-    monkeypatch.setattr(Fan, "certified_complete", lambda self: False)
-    for rank, rays, cones in inputs:
-        with monkeypatch.context() as m:
-            m.setattr(Fan, "_spanned_by_common_rays", dual_only_spanned)
-            expected = fan_outcome(rank, rays, cones)
-        bad += any(v["kind"] == "BadIntersection" for v in expected[1])
-        with monkeypatch.context() as m:
-            m.setattr(fan_module, "dual_description", counted)
-            m.setattr(Fan, "_spanned_by_common_rays", spanned)
-            assert fan_outcome(rank, rays, cones) == expected, (rank, rays)
-    # the dual decides every pair that is not spanned by its common rays,
-    # and the few spanned ones that none of the three functionals separates
-    assert bad == 39 and pairs == 1883
-    assert fallbacks == {False: 27, True: 3}
-
-
-def test_a_certified_pair_calls_no_dual(monkeypatch):
-    calls = []
-    monkeypatch.setattr(fan_module, "dual_description",
-                        lambda *args: calls.append(args))
-    rank, rays, cones = p_n_input(3)
-    fan = build_fan(rank, rays, cones)
-    # two facets of P^3 meet in an edge, and opposite cones of (P^1)^2 at 0
-    assert fan.intersection_defect(frozenset({0, 1, 2}),
-                                   frozenset({1, 2, 3})) is None
-    fan = p1p1()
-    assert fan.intersection_defect(frozenset({0, 2}),
-                                   frozenset({1, 3})) is None
-    assert calls == []
+    monkeypatch.setattr(fan_module, "dual_description", counted)
+    for (rank, rays, cones), duals in [(p1_power_input(3), 21),
+                                       (p1_power_input(4), 105),
+                                       (p_n_input(4), 6)]:
+        calls.clear()
+        fan = build_fan(rank, rays, cones[1:])
+        assert not is_complete(fan)
+        assert len(calls) == comb(len(cones) - 1, 2) == duals
 
 
 def test_non_numeric_and_non_integral_input_is_rejected():
@@ -737,6 +670,16 @@ def test_rays_and_cones_that_are_not_sequences_are_named():
     # the stage goes on past such a ray, as past any other violation
     _, violations = fan_diagnostics(2, [5, (1, 0, 0), (1, 0)], [[0]])
     assert [v["kind"] for v in violations] == ["SchemaError", "RankMismatch"]
+
+
+def test_a_fan_cone_that_is_no_sequence_is_named():
+    # iterating over 5 or None raised a bare TypeError
+    fan = p2()
+    for ask in (fan.ref, fan.cone_id, fan.saturated_basis, fan.face_sets):
+        for cone in (5, None):
+            with pytest.raises(SchemaError) as info:
+                ask(cone)
+            assert str(info.value) == f"cone: expected a sequence, got {cone}"
 
 
 def test_each_supplied_cone_is_normalized_once(monkeypatch):

@@ -22,6 +22,7 @@ from demazure.errors import (
     InvalidInteger,
     NotStronglyConvex,
     RankMismatch,
+    SchemaError,
     UnboundedRegion,
     ZeroVector,
 )
@@ -127,6 +128,32 @@ def test_box_bounds_and_generators_that_are_not_numbers_raise():
             Cone(2, [(x, 1)])
         with pytest.raises(InvalidInteger, match="non-numeric entry"):
             Cone(2, [(1, 0)]).contains((x, 1))
+
+
+def test_a_constraint_that_is_no_pair_is_named():
+    # unpacking the row ((1, 0),) into (u, b) raised a bare ValueError
+    message = r"constraint: expected a \(normal, bound\) pair, got "
+    for rows in ([((1, 0),)], [5], [(5, 0)], [((1, 0), 0, 1)]):
+        with pytest.raises(SchemaError, match=message):
+            lattice_points(2, rows)
+        with pytest.raises(SchemaError, match=message):
+            integer_feasible(2, rows)
+        with pytest.raises(SchemaError, match=message):
+            integer_feasible(2, equalities=rows)
+    with pytest.raises(SchemaError, match="inequalities: expected a sequence"):
+        lattice_points(2, None)
+
+
+def test_cone_generators_that_are_not_sequences_are_named():
+    # tuple(5) and iter(None) raised bare TypeErrors
+    with pytest.raises(SchemaError) as info:
+        Cone(2, [5])
+    assert str(info.value) == "generator: expected a sequence, got 5"
+    with pytest.raises(SchemaError) as info:
+        Cone(2, None)
+    assert str(info.value) == "generators: expected a sequence, got None"
+    with pytest.raises(SchemaError, match="point: expected a sequence"):
+        Cone(2, [(1, 0)]).contains(5)
 
 
 def test_smith_normal_form_reads_its_entries_with_as_int():

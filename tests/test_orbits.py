@@ -24,6 +24,7 @@ from demazure.errors import (
     DemazureError,
     InvalidInteger,
     NotARoot,
+    SchemaError,
     UnsupportedFan,
 )
 from demazure.fan import build_fan
@@ -810,6 +811,32 @@ def test_foreign_ray_indices_are_not_roots():
             classify_roots(fan, [DemazureRoot(i, (-1, 0))])
         with pytest.raises(NotARoot, match=f"ray_index={i}, .* 3 rays"):
             root_image(phi, DemazureRoot(i, (0, -1)))
+
+
+def test_a_character_that_is_no_sequence_is_named():
+    # iterating over None or 5 raised a bare TypeError
+    fan = p2()
+    for check in (verify_root, g_orbit_partition, he_connected_pairs,
+                  g_invariant_divisors):
+        for e in (None, 5):
+            with pytest.raises(SchemaError) as info:
+                check(fan, e)
+            assert str(info.value) == \
+                f"character: expected a sequence, got {e}"
+
+
+def test_only_a_demazure_root_is_classified():
+    # a (ray index, character) tuple raised AttributeError: 'tuple' object
+    # has no attribute 'ray_index'
+    fan = p2()
+    phi = fan_automorphisms(fan)[1]
+    with pytest.raises(NotARoot,
+                       match=r"\(0, \(1, 0\)\) is not a DemazureRoot"):
+        classify_roots(fan, [(0, (1, 0))])
+    with pytest.raises(NotARoot, match="is not a DemazureRoot"):
+        root_image(phi, (0, (0, -1)))
+    with pytest.raises(SchemaError, match="character: expected a sequence"):
+        classify_roots(fan, [DemazureRoot(0, None)])
 
 
 def test_root_image_reads_its_character_with_as_int():

@@ -238,3 +238,24 @@ def test_fan_checks_share_one_wall_certificate():
     found = sorted(_names_in(trees["serialize.py"])
                    & {"walls", "facets", "supplied", "dual_pair", "dot"})
     assert not found, f"wall logic in serialize.py: {found}"
+
+
+def test_a_fan_pair_is_checked_one_way():
+    # intersection_defect decides a pair by containment, by a lone ray or
+    # by one dual; a second certificate from the cones' facet normals
+    # beside them (Cone.face_normal served the former one) would be a
+    # second routine for the same fact
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in SOURCES}
+    assert set(trees) >= {"fan.py", "lattice.py"}
+
+    def methods(tree, cls):
+        node = next(n for n in ast.walk(tree)
+                    if isinstance(n, ast.ClassDef) and n.name == cls)
+        return {n.name: n for n in node.body
+                if isinstance(n, ast.FunctionDef)}
+
+    check = methods(trees["fan.py"], "Fan")["intersection_defect"]
+    found = sorted(_names_in(check) & {"face_normal", "facets", "dual_pair"})
+    assert not found, f"Fan.intersection_defect uses {found}"
+    assert "face_normal" not in methods(trees["lattice.py"], "Cone"), \
+        "lattice.Cone defines face_normal"
