@@ -46,9 +46,10 @@ from .errors import (
     NotARoot,
     NotNilpotent,
     RankMismatch,
+    SchemaError,
     WeightEscape,
 )
-from .lattice import Cone, as_int, dot
+from .lattice import Cone, as_fraction, as_int, as_tuple, dot
 from .roots import root_pairings
 
 
@@ -375,17 +376,17 @@ class HomogeneousLND:
 
     @classmethod
     def toric(cls, carrier, ray_normal, e):
-        n = tuple(as_int(x) for x in ray_normal)
-        ee = tuple(as_int(x) for x in e)
+        n = tuple(as_int(x) for x in as_tuple(ray_normal, "ray normal"))
+        ee = tuple(as_int(x) for x in as_tuple(e, "degree"))
         if len(n) != carrier.rank or len(ee) != carrier.rank:
             raise RankMismatch("ray normal and degree must match the carrier")
         return cls(carrier, n, ee)
 
     @classmethod
     def horizontal(cls, carrier, v0, d, e, s):
-        v = tuple(Fraction(x) for x in v0)
+        v = tuple(as_fraction(x) for x in as_tuple(v0, "vertex"))
         d = as_int(d)
-        ee = tuple(as_int(x) for x in e)
+        ee = tuple(as_int(x) for x in as_tuple(e, "degree"))
         s = as_int(s)
         if len(v) != carrier.rank or len(ee) != carrier.rank:
             raise RankMismatch("vertex and degree must match the carrier")
@@ -407,7 +408,7 @@ class HomogeneousLND:
 
 def toric_lnd(cone, e):
     """The homogeneous derivation attached to a root of a pointed cone."""
-    ee = tuple(as_int(x) for x in e)
+    ee = tuple(as_int(x) for x in as_tuple(e, "degree"))
     rays = cone.rays()
     vals, neg = root_pairings(rays, ee)
     # the first ray pairing to -1 is the distinguished one; the first other
@@ -428,7 +429,7 @@ def derive(lnd, element):
     admissible weights, which is how unsound input data surfaces.
     """
     out = {}
-    for key, c in element.terms.items():
+    for key, c in _as_element(element).terms.items():
         mult = lnd.multiplier(key)
         if not mult:
             continue
@@ -440,6 +441,14 @@ def derive(lnd, element):
         # the shift is injective, so no two terms meet at one weight
         out[new] = mult * c
     return SemigroupElement._trusted(lnd.carrier, out)
+
+
+def _as_element(element):
+    """element; SchemaError naming it when it is not a SemigroupElement."""
+    if not isinstance(element, SemigroupElement):
+        raise SchemaError(
+            f"element: expected a SemigroupElement, got {element!r}")
+    return element
 
 
 def _orbits(lnd, element):
@@ -501,7 +510,7 @@ class Flow:
 
     def __init__(self, lnd, element):
         self.lnd = lnd
-        self.element = element
+        self.element = _as_element(element)
         self.orbits = _orbits(lnd, element)
 
     def derivative(self):
@@ -585,7 +594,7 @@ def nilpotency_index(lnd, element):
 def exp_action(lnd, element, s):
     """Image of ``element`` under the flow exp(s * lnd) at time s; the
     checks are those of the derivation's steps, even at s = 0."""
-    s = Fraction(s)
+    s = as_fraction(s)
     return Flow(lnd, element).at(s)
 
 

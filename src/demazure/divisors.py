@@ -29,7 +29,7 @@ from .errors import (
     RankMismatch,
     WeightOutsideDual,
 )
-from .lattice import Cone, as_int, dot, primitive, vadd, vsub
+from .lattice import Cone, as_int, as_tuple, dot, primitive, vadd, vsub
 
 
 class _Infinity:
@@ -372,7 +372,7 @@ def coherent_check(colored, e):
             pairing of the total chosen vertex.
     """
     div = colored.divisor
-    e = tuple(as_int(x) for x in e)
+    e = tuple(as_int(x) for x in as_tuple(e, "degree"))
     if len(e) != div.rank:
         raise RankMismatch(
             f"degree of length {len(e)} in ambient rank {div.rank}"

@@ -86,6 +86,12 @@ def as_int(x):
     return w
 
 
+def as_fraction(x):
+    """x as a Fraction; InvalidInteger when it is not a number."""
+    (w,), d = _integral((x,))
+    return Fraction(w, d)
+
+
 def as_tuple(obj, what):
     """obj as a tuple; SchemaError naming `what` and obj when it is not a
     sequence."""
@@ -852,31 +858,48 @@ class Region:
             self._shape = direction, box
         return self._shape
 
-    def feasible(self):
-        """Exact test: does the region contain a lattice point?
+    def feasible(self, test=lambda point: True):
+        """Exact test: does the region hold a lattice point that passes
+        `test`?  By default every point passes.  The test must pass every
+        point whose tight rows (<u, x> = b) lie among those of a point that
+        it passes.
 
-        Rational feasibility is not enough (a rational polyhedron can be
-        lattice-free), so an unbounded region is reduced recursively: pick
-        an integer direction c in the recession cone, drop the rows that
-        become slack along c and recurse on Z^n / Zc in one dimension
-        fewer.  Its coordinates are the pairings with rows 1.. of T in the
-        Smith form c = S D T, since T is unimodular with first row +/-c.  A
-        bounded region takes the first point lifted from its elimination.
+        A bounded region tests its lifted points until one passes; one
+        without rows is Z^n, where no row is tight, so it tests 0.  An
+        unbounded region can be lattice-free, so it is reduced: pick an
+        integer direction c in its recession cone, drop the rows with
+        <u, c> > 0 and recurse on Z^n / Zc, whose coordinates are the
+        pairings with rows 1.. of T in the Smith form c = S D T (T is
+        unimodular and T[0] is parallel to c).  A point z of the reduced
+        region lifts to x = sum z_k T[k] + m c, m the least integer that
+        makes every dropped row strict.  A kept row (<u, c> = 0) reads the
+        same on z and on all of x + Zc, so x lies in the region and its
+        tight rows are the kept rows tight at z, the fewest in its fibre.
+        Each lattice point p of the region lies in the fibre of a point z
+        of the reduced region, so if p passes, the lift of z passes; and
+        z -> test(lift(z)) meets the precondition in the reduced region.
         """
         if not self.rows:
-            return True
+            return test((0,) * self.rank)
         points = self.points()
         if points is not None:
-            return next(points, None) is not None
+            return any(map(test, points))
         # points() is None only on a region unbounded and not empty over Q
         c = self.shape()[0]
         T = smith_normal_form([list(c)])[2]
-        # <u, c> >= 0 since c generates the recession cone; the rows with
-        # <u, c> > 0 become slack far enough along c
+        # <u, c> >= 0 since c generates the recession cone
+        rows = [(u, dot(u, c), b) for u, b in self.rows]
+        dropped = [row for row in rows if row[1]]
+
+        def lift(z):
+            x = [dot(col, (0, *z)) for col in zip(*T)]
+            m = max(((b - dot(u, x)) // a + 1 for u, a, b in dropped),
+                    default=0)
+            return tuple(y + m * s for y, s in zip(x, c))
+
         return Region(self.rank - 1, [
-            (tuple(dot(u, t) for t in T[1:]), b) for u, b in self.rows
-            if dot(u, c) == 0
-        ]).feasible()
+            (tuple(dot(u, t) for t in T[1:]), b) for u, a, b in rows if not a
+        ]).feasible(lambda z: test(lift(z)))
 
 
 def lattice_points(rank, inequalities=(), equalities=(), box=None):

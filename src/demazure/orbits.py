@@ -9,9 +9,10 @@ group G in a completely combinatorial way: orbits merge in pairs
 one pair for every cone sigma_1 on which e vanishes identically; every
 other torus orbit stays a single G-orbit and its points are fixed by the
 additive part.  This module computes the pairs, the resulting partition,
-stabilizer data of generic points, invariant divisors, the existence test
-for such a structure, fan automorphisms (by a stabilizer chain) and the
-classification of roots up to automorphism.
+stabilizer data of generic points, invariant divisors, fan automorphisms
+(by a stabilizer chain) and the classification of roots up to
+automorphism.  Whether such a structure exists at all is read off the root
+regions: one asks each for a lattice point that passes condition (2).
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from math import gcd, prod
 
 from .errors import NotARoot, UnsupportedFan
 from .lattice import (
+    Region,
     as_int,
     as_tuple,
     det,
     dot,
     identity_matrix,
-    integer_feasible,
     mat_inverse,
     mat_mul,
     mat_vec,
@@ -35,9 +36,9 @@ from .lattice import (
 )
 from .roots import (
     DemazureRoot,
+    _root_system,
     check_condition2,
     cones_inside,
-    extension_in_fan,
     root_pairings,
     zero_pattern,
 )
@@ -195,67 +196,22 @@ def g_invariant_divisors(fan, e):
     return _invariant_divisors(fan, verify_root(fan, e))
 
 
-def _flats(fan):
-    """The flats of rank < n of the ray matroid, sorted by their bitmask.
-
-    A flat is a ray index set F holding every ray in span(F).  They are
-    found by closure from the empty flat: each flat F of rank < n - 1 is
-    extended by each ray j outside it, and the rays in span(F + j) form the
-    next flat.  Each flat carries a basis W of span(F)^⊥; the basis for
-    F + j is the combinations of W orthogonal to n_j.  The order is that of
-    sum(2^j for j in F).
-    """
-    rays, n = fan.rays, fan.rank
-    flats = {frozenset()}
-    todo = [(frozenset(), identity_matrix(n))]
-    while todo:
-        F, W = todo.pop()
-        covered = set(F)
-        for j in range(len(rays)):
-            if j in covered:
-                continue
-            # n_j is not in span(F), so it pairs with some w in W
-            a = [dot(rays[j], w) for w in W]
-            p = next(t for t, x in enumerate(a) if x)
-            W2 = [[a[p] * x - a[t] * y for x, y in zip(w, W[p])]
-                  for t, w in enumerate(W) if t != p]
-            G = frozenset(k for k, r in enumerate(rays)
-                          if not any(dot(r, w) for w in W2))
-            covered |= G
-            # a flat of rank n is never a zero pattern
-            if W2 and G not in flats:
-                flats.add(G)
-                if len(W2) > 1:
-                    todo.append((G, W2))
-    return sorted(flats, key=lambda F: sum(1 << j for j in F))
-
-
 def admits_g_structure(fan):
     """Does the fan admit any Demazure root at all?  Exact decision.
 
-    The root conditions are split by the zero pattern Z = {j : <n_j,e> = 0}.
-    For a fixed distinguished ray i and pattern Z, condition (2) depends
-    only on (i, Z), and condition (1) becomes the integer program
-    <n_i,e> = -1, <n_j,e> = 0 on Z, <n_j,e> >= 1 elsewhere, decided exactly.
-    Z is the set of rays in e^⊥, so it is a flat of the ray matroid of rank
-    < n without i; on any other pattern the program is infeasible, since a
-    ray in span(Z) outside Z would pair to 0 and to >= 1 (or, for i, to 0
-    and to -1).  So only the flats are tried, for each i in the order of
-    the bitmask sum(2^j for j in Z).
+    A root with distinguished ray i is a lattice point e of ray i's root
+    region (condition (1)) that passes condition (2), so each region is
+    asked for such a point (`Region.feasible`).  The test meets that
+    method's precondition: the tight rows of e are the equality
+    <n_i, e> = -1 and the zero pattern Z(e) = {j != i : <n_j, e> = 0}, and
+    condition (2) asks that cone(sigma, rho_i) be a fan cone for each fan
+    cone sigma inside Z(e).  If Z(e') lies in Z(e), the cones inside Z(e')
+    are among those inside Z(e), so e' passes whenever e does.
     """
-    l = len(fan.rays)
-    n = fan.rank
-    flats = _flats(fan)
-    for i in range(l):
-        for Z in flats:
-            if i in Z or not all(extension_in_fan(fan, key, i)
-                                 for key in cones_inside(fan, Z)):
-                continue
-            eqs = [(fan.rays[i], -1)] + [(fan.rays[j], 0) for j in sorted(Z)]
-            ineqs = [(fan.rays[j], 1) for j in range(l)
-                     if j != i and j not in Z]
-            if integer_feasible(n, ineqs, eqs):
-                return True
+    for i in range(len(fan.rays)):
+        region = Region(fan.rank, *_root_system(fan.rays, i))
+        if region.feasible(lambda e: check_condition2(fan, e, i)[0]):
+            return True
     return False
 
 
@@ -509,7 +465,7 @@ def classify_roots(fan, roots):
     """
     generators = symmetry_chain(fan).generators
     pairs = []
-    for r in roots:
+    for r in as_tuple(roots, "roots"):
         i = _ray_of(r, fan.rays)
         e = tuple(as_int(x) for x in as_tuple(r.e, "character"))
         pairs.append(((i, tuple(dot(n, e) for n in fan.rays)), r))

@@ -27,6 +27,7 @@ from demazure.errors import (
     NotARoot,
     NotNilpotent,
     RankMismatch,
+    SchemaError,
     WeightEscape,
 )
 from demazure.lattice import Cone
@@ -580,3 +581,62 @@ def test_no_result_holds_a_zero_coefficient():
     far = SemigroupElement(other, {(1, 0): 1, (0, 1): -half})
     assert exp_action(lnd, far, half).terms == {(1, 0): 1}
     assert (far - meet).terms == {}
+
+
+# ---------------------------------------------------------------------------
+# arguments of the wrong kind raise typed errors that name them
+
+
+def test_toric_lnd_names_a_degree_that_is_no_sequence():
+    # iterating over None raised a bare TypeError
+    with pytest.raises(SchemaError) as info:
+        toric_lnd(Cone(2, [(1, 0), (0, 1)]), None)
+    assert str(info.value) == "degree: expected a sequence, got None"
+
+
+@pytest.mark.parametrize("normal, e, what", [
+    (None, (-1, 0), "ray normal"),
+    ((1, 0), None, "degree"),
+])
+def test_toric_derivation_names_a_vector_that_is_no_sequence(normal, e,
+                                                              what):
+    with pytest.raises(SchemaError) as info:
+        HomogeneousLND.toric(quadrant_carrier(), normal, e)
+    assert str(info.value) == f"{what}: expected a sequence, got None"
+
+
+def test_horizontal_derivation_reads_its_vertex_as_numbers():
+    # Fraction("a") raised a bare ValueError, iterating over None a bare
+    # TypeError
+    carrier = a1_carrier()
+    with pytest.raises(InvalidInteger, match="non-numeric entry"):
+        HomogeneousLND.horizontal(carrier, ("a",), 1, (1,), -1)
+    with pytest.raises(SchemaError, match="vertex: expected a sequence"):
+        HomogeneousLND.horizontal(carrier, None, 2, (1,), -1)
+    with pytest.raises(SchemaError, match="degree: expected a sequence"):
+        HomogeneousLND.horizontal(carrier, ("1/2",), 2, None, -1)
+    lnd = HomogeneousLND.horizontal(carrier, ("1/2",), 2, (1,), -1)
+    assert lnd.ray_normal == (1, 2)
+
+
+def test_a_flow_names_an_element_that_is_no_element():
+    # None.terms raised AttributeError
+    lnd = toric_lnd(Cone(2, [(1, 0), (0, 1)]), (-1, 0))
+    for flow in (lambda x: exp_action(lnd, x, 1), lambda x: derive(lnd, x),
+                 lambda x: exp_symbolic(lnd, x),
+                 lambda x: nilpotency_index(lnd, x)):
+        with pytest.raises(SchemaError) as info:
+            flow(None)
+        assert str(info.value) == \
+            "element: expected a SemigroupElement, got None"
+
+
+def test_a_flow_reads_its_time_as_a_number():
+    # Fraction("a") raised a bare ValueError, Fraction(None) a TypeError
+    c = quadrant_carrier()
+    lnd = toric_lnd(c.cone, (-1, 0))
+    x = monomial(c, (1, 0))
+    for s in ("a", None):
+        with pytest.raises(InvalidInteger, match="non-numeric entry"):
+            exp_action(lnd, x, s)
+    assert exp_action(lnd, x, "1/2") == exp_action(lnd, x, Fraction(1, 2))

@@ -39,6 +39,7 @@ from demazure.errors import (
     NotNormalized,
     NotProper,
     NotStronglyConvex,
+    SchemaError,
     WeightOutsideDual,
 )
 from demazure.lattice import Cone, dot, lattice_points
@@ -361,6 +362,16 @@ def test_coherence_rejects_a_non_integral_degree(entry):
         with pytest.raises(InvalidInteger, match="non-integral component"):
             entry(colored, (x,))
     assert coherent_check(colored, (1.0,)).e == (1,)
+
+
+@pytest.mark.parametrize("entry", [coherent_check, horizontal_lnd])
+def test_coherence_names_a_degree_that_is_no_sequence(entry):
+    # iterating over 5 raised a bare TypeError
+    div = PolyhedralDivisor("A1", ray1(), {0: [(Fraction(1, 2),)]})
+    colored = ColoredDivisor(div, 0, {0: (Fraction(1, 2),)})
+    with pytest.raises(SchemaError) as info:
+        entry(colored, 5)
+    assert str(info.value) == "degree: expected a sequence, got 5"
 
 
 def test_coherence_rejects_degree_outside_weight_cone():

@@ -801,6 +801,71 @@ def test_integer_feasible_matches_the_former_recursion_on_unbounded_systems():
     assert kinds["plain", True] > 100
 
 
+def tight_pattern_oracle(rank, rows, avoid):
+    """Does the region of the integer `rows` hold a lattice point at which
+    no row of `avoid` is tight?  One integer program per set P of the other
+    rows: the rows of P held tight, every other row strict."""
+    free = [k for k in range(len(rows)) if k not in avoid]
+    for bits in range(2 ** len(free)):
+        tight = {k for j, k in enumerate(free) if bits >> j & 1}
+        if integer_feasible(
+                rank, [(u, b + 1) for k, (u, b) in enumerate(rows)
+                       if k not in tight],
+                [rows[k] for k in tight]):
+            return True
+    return False
+
+
+def test_feasible_with_a_test_matches_the_tight_pattern_programs():
+    # "no tight row in S" passes every point whose tight rows lie among
+    # those of a point it passes, as Region.feasible requires; systems as
+    # in the test above, in at most as many coordinates and moved by a
+    # GL_n(Z) change, so that most are unbounded, and half of those in
+    # rank 1 and 2 cut down to a box
+    rng = random.Random(2121)
+    kinds = collections.Counter()
+    while sum(kinds.values()) < 240:
+        rank = rng.randint(1, 4)
+        ineqs, eqs, _ = random_system(rng, rng.randint(1, rank))
+        U = random_unimodular(rng, rank) if rank > 1 else [[1]]
+        ineqs, eqs = ([(mat_mul([list(u) + [0] * (rank - len(u))], U)[0], b)
+                       for u, b in rows] for rows in (ineqs, eqs))
+        if rank < 3 and rng.random() < 0.5:
+            ineqs += box_rows([(-rng.randint(0, 2), rng.randint(0, 2))
+                               for _ in range(rank)])
+        region = Region(rank, ineqs, eqs)
+        rows = region.rows
+        if not rows or len(rows) > 8 or not region.feasible():
+            continue
+        avoid = set(rng.sample(range(len(rows)), rng.randint(1, 2)
+                               if len(rows) > 1 else 1))
+
+        def test(x):
+            return all(dot(rows[k][0], x) != rows[k][1] for k in avoid)
+
+        verdict = region.feasible(test)
+        assert verdict == tight_pattern_oracle(rank, rows, avoid), (
+            rank, rows, avoid)
+        kinds[region.points() is None, verdict] += 1
+    assert min(kinds[k] for k in itertools.product((True, False),
+                                                   repeat=2)) > 20, kinds
+
+
+def test_feasible_tests_one_point_of_a_region_without_rows():
+    # Z^n, or the region left when every row goes slack along the
+    # recession cone: no row is tight, so one point decides, and a test
+    # that passes no point finds none
+    for rank, rows in ((0, []), (2, []), (2, [((1, 0), 3)]),
+                       (3, [((1, 1, 0), 1), ((0, 1, 0), -2)])):
+        region = Region(rank, rows)
+        tested = []
+        assert region.feasible()
+        assert not region.feasible(lambda x: tested.append(x))
+        assert len(tested) == 1
+        assert all(dot(u, tested[0]) > b for u, b in rows), tested
+        assert region.feasible(lambda x: all(dot(u, x) > b for u, b in rows))
+
+
 def test_regions_past_the_row_ceiling_match_the_box_scan(monkeypatch):
     # the root regions of seeded rank-6 cones with 12 generators: past the
     # ceiling the lower levels lift over the box and check the input rows;

@@ -259,3 +259,32 @@ def test_a_fan_pair_is_checked_one_way():
     assert not found, f"Fan.intersection_defect uses {found}"
     assert "face_normal" not in methods(trees["lattice.py"], "Cone"), \
         "lattice.Cone defines face_normal"
+
+
+def test_root_existence_is_read_off_the_root_regions():
+    # admits_g_structure asks each root region for a point that passes
+    # condition (2); the flats of the ray matroid, one integer program
+    # each, were a second algorithm for the same fact.  Region.feasible's
+    # reduction modulo a recession direction is the one Smith form in
+    # lattice.py besides the invariant factors
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in SOURCES}
+    assert set(trees) >= {"orbits.py", "lattice.py"}
+    funcs = {n.name: n for n in ast.walk(trees["orbits.py"])
+             if isinstance(n, ast.FunctionDef)}
+    assert "_flats" not in funcs, "orbits.py defines _flats"
+    found = sorted(_names_in(funcs["admits_g_structure"])
+                   & {"integer_feasible", "extension_in_fan"})
+    assert not found, f"admits_g_structure uses {found}"
+
+    def callers(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from callers(child, owner + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and getattr(
+                    child.func, "id", None) == "smith_normal_form":
+                yield ".".join(owner)
+            yield from callers(child, owner)
+
+    assert set(callers(trees["lattice.py"], ())) == {
+        "Region.feasible", "invariant_factors"}
