@@ -5,16 +5,20 @@ appear anywhere.  Linear algebra (rank, nullspace, determinant, inverse)
 runs on one fraction-free integer elimination, `_echelon`; Fractions only
 appear at the boundary, for rational input and the entries of an inverse.
 Cones are finitely generated convex cones in Q^n stored by primitive
-integer generators.  Duality walks the (r-1)-subsets of the generators
-depth first, r their rank, carrying the exterior product of each prefix
-(its integer minors) so that a subset's normal costs a few products and a
-dependent prefix is dropped with all its extensions; a cone that does not
-span Q^n is walked in the pivot coordinates of its span, and its facet
-normals are extended by 0 off them.  This is exact, needs one elimination
-for any cone, and suits the small ranks (<= 6 or so) this package targets.
-A cone computes one dual and reads its dimension, pointedness, extremal
-rays and faces off the incidences of its generators with its facets, the
-extremal dual rays (Ziegler, Lectures on Polytopes, 2.2).
+integer generators.  Every dual takes one elimination.  A simplicial cone
+(k <= n independent generators, as in every cone of a simplicial fan) is
+read off the elimination of [G | I]: its facet normals are the columns of
+G^-1 on the pivot coordinates, each opposite one generator (Cox-Little-
+Schenck, Toric Varieties, 1.2), and so are its incidences and rays.  Only
+dependent generators walk the (r-1)-subsets depth first, r their rank,
+carrying the exterior product of each prefix (its integer minors) so that
+a subset's normal costs a few products and a dependent prefix is dropped
+with all its extensions; in the pivot coordinates of their span, with the
+normals extended by 0 off them.  This is exact and suits the small ranks
+(<= 6 or so) this package targets.  A cone computes one dual and reads
+its dimension, pointedness, extremal rays and faces off the incidences of
+its generators with its facets, the extremal dual rays (Ziegler, Lectures
+on Polytopes, 2.2).
 
 The lattice points of a region {x : <u, x> >= b} are found by
 Fourier-Motzkin project-and-lift (Schrijver, Theory of Linear and Integer
@@ -94,12 +98,18 @@ def as_fraction(x):
 
 def as_tuple(obj, what):
     """obj as a tuple; SchemaError naming `what` and obj when it is not a
-    sequence."""
-    try:
-        return tuple(obj)
-    except TypeError:
-        raise SchemaError(
-            f"{what}: expected a sequence, got {obj!r}") from None
+    sequence.  A dict is refused: iterating it reads its keys alone."""
+    if not isinstance(obj, dict):
+        try:
+            return tuple(obj)
+        except TypeError:
+            pass
+    raise SchemaError(f"{what}: expected a sequence, got {obj!r}")
+
+
+def _matrix(rows):
+    """rows as a list of tuples, through `as_tuple`."""
+    return [as_tuple(r, "matrix row") for r in as_tuple(rows, "matrix")]
 
 
 def read_rank(rank):
@@ -119,7 +129,7 @@ def primitive(v):
     >>> primitive((Fraction(-3, 2), Fraction(9, 4)))
     (-2, 3)
     """
-    ints = _integral(v)[0]
+    ints = _integral(as_tuple(v, "vector"))[0]
     g = gcd(*ints)
     if g == 1:
         return tuple(ints)
@@ -200,7 +210,7 @@ def _echelon(rows):
 
 def pivot_columns(rows):
     """The first independent columns of rows, chosen greedily."""
-    return _echelon(rows)[1]
+    return _echelon(_matrix(rows))[1]
 
 
 def mat_rank(rows):
@@ -214,7 +224,7 @@ def nullspace(rows, n):
     the basis is the one read off the reduced row echelon form, one vector
     per free column.
     """
-    rows = list(rows)
+    rows = _matrix(rows)
     for r in rows:
         if len(r) != n:
             raise RankMismatch(f"row of length {len(r)} in ambient rank {n}")
@@ -245,6 +255,7 @@ def _kernel(m, pivots, n):
 
 def det(rows):
     """Exact determinant; returns an int for integer input."""
+    rows = _matrix(rows)
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise RankMismatch("determinant of a non-square matrix")
@@ -275,13 +286,16 @@ def mat_vec(A, v):
     return tuple(dot(row, v) for row in A)
 
 
+def _beside_identity(rows):
+    """[A | I]: each row of A followed by its unit vector."""
+    return [[*r, *(int(i == j) for j in range(len(rows)))]
+            for i, r in enumerate(rows)]
+
+
 def mat_inverse(rows):
     """Exact inverse over Q (list of Fraction rows); ValueError if singular."""
     n = len(rows)
-    m, pivots, _ = _echelon(
-        [list(r) + [1 if i == j else 0 for j in range(n)]
-         for i, r in enumerate(rows)]
-    )
+    m, pivots, _ = _echelon(_beside_identity(rows))
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [[Fraction(x, m[i][i]) for x in m[i][n:]] for i in range(n)]
@@ -298,6 +312,7 @@ def smith_normal_form(A):
     unimodular integer matrices and D is diagonal with nonnegative invariant
     factors d1 | d2 | ... .  All matrices are lists of int lists.
     """
+    A = _matrix(A)
     k = len(A)
     n = len(A[0]) if k else 0
     D = [[as_int(x) for x in row] for row in A]
@@ -487,9 +502,8 @@ def dual_description(gens, rank):
     (the `nullspace` basis) and the pivot columns P of their span V, of
     dimension r.  Projecting the generators to P is faithful on V, and
     there the extreme rays of the dual are the facet normals of a
-    full-dimensional cone, found by the exterior-product walk over the
-    (r-1)-subsets of generators (`_facet_normals`), in integers.  Each
-    normal is read back by zero-extension: its entries on P, 0 elsewhere.
+    full-dimensional cone.  Each normal is read back by zero-extension:
+    its entries on P, 0 elsewhere.
 
     It equals the first vector of `nullspace(the facet's generators)` that
     pairs nonzero with the generators, so oriented.  The facet spans a
@@ -500,15 +514,39 @@ def dual_description(gens, rank):
     vanishes on H, as the zero-extension does; on P these form a line, as
     H projects faithfully, and both vectors are primitive.
 
+    More than n generators are dependent and eliminated alone.  k <= n
+    generators g_1..g_k are eliminated beside the identity, as the rows
+    [G | I]; pivots in the identity block are dropped, and the left
+    block's are P.  The elimination is row operations, so it ends at
+    [E G | E] for an invertible k x k matrix E, and its left block is the
+    elimination of G up to a nonzero factor per row, with the same P.
+    The generators are independent exactly when every one of the k pivots
+    lies in the left block: the rank of G is the number of its pivots.
+    Then let G_P be G restricted to the columns P, a k x k matrix.  Row i
+    of E G_P is its leading entry d_i at its own pivot and 0 at the other
+    pivots, so E G_P = D, diagonal and invertible, and G_P^-1 = D^-1 E.
+    Column j of G_P^-1 pairs to 1 with row j of G_P and to 0 with the
+    others, so its zero-extension u_j has <u_j, g_j> = 1 and
+    <u_j, g_i> = 0 for i != j: u_j vanishes on the facet opposite g_j,
+    spanned by the other generators, and is oriented inward.  On P the
+    cone is simplicial and full-dimensional, so these are its k facet
+    normals, zero-extended.  The readout scales row i of E by s / d_i, s
+    the lcm of the |d_i|, an exact integer: the rows are then s G_P^-1,
+    whose columns are the u_j times s > 0, so the orientation is kept,
+    and `_opposite_normals` divides each by its gcd, in integers.
+    Dependent generators are left to the exterior-product walk over the
+    (r-1)-subsets (`_facet_normals`), in integers too.
+
     This is the only dual a Cone computes: the incidences of the
     generators with the extremal rays give its dimension, pointedness,
-    extremal rays and faces with no further elimination.  A Cone's
+    extremal rays and faces with no further elimination, and a simplicial
+    cone takes them from the normal opposite each generator.  A Cone's
     generators are already primitive and distinct, so it calls
     `_dual_of_primitive` directly.
     """
     prim = []
     seen = set()
-    for g in gens:
+    for g in as_tuple(gens, "generators"):
         p = primitive(g)
         if p not in seen:
             if len(p) != rank:
@@ -516,22 +554,47 @@ def dual_description(gens, rank):
                     f"row of length {len(p)} in ambient rank {rank}")
             seen.add(p)
             prim.append(p)
-    return _dual_of_primitive(prim, rank)
+    return _dual_of_primitive(prim, rank)[:2]
 
 
 def _dual_of_primitive(prim, rank):
-    """`dual_description` of distinct primitive integer vectors of length
-    rank."""
-    m, pivots, _ = _echelon(prim)
+    """(E, L, opposite): the `dual_description` (E, L) of distinct
+    primitive integer vectors of length rank, and for independent ones
+    opposite[k], the index of the vector opposite the facet normal E[k],
+    else None."""
+    if len(prim) > rank:
+        m, pivots, _ = _echelon(prim)
+    else:
+        m, pivots, _ = _echelon(_beside_identity(prim))
+        # dependent generators leave pivots in the identity block
+        pivots = [c for c in pivots if c < rank]
     L = _kernel(m, pivots, rank)
-    if not pivots:
-        return [], L
-    if not L:
-        return sorted(_facet_normals(prim, rank)), L
+    if len(pivots) == len(prim):
+        E, opposite = _opposite_normals(m, pivots, rank)
+        return E, L, opposite
+    # dependent generators: the walk, in the pivot coordinates of their span
     proj = [tuple(g[c] for c in pivots) for g in prim]
     at = {c: k for k, c in enumerate(pivots)}
     return sorted(tuple(u[at[c]] if c in at else 0 for c in range(rank))
-                  for u in _facet_normals(proj, len(pivots))), L
+                  for u in _facet_normals(proj, len(pivots))), L, None
+
+
+def _opposite_normals(m, pivots, rank):
+    """(E, opposite) read off the echelon form m of [G | I], G independent
+    with every pivot in its block: column j of D^-1 E, zero-extended off
+    the pivots, is the normal opposite g_j (see `dual_description`), and
+    E sorts these normals."""
+    s = lcm(*(row[c] for row, c in zip(m, pivots)))
+    # row i of D^-1 E times s, an integer: s // d_i is exact
+    rows = [[x * (s // row[c]) for x in row[rank:]]
+            for row, c in zip(m, pivots)]
+    normals = []
+    for column in zip(*rows):
+        g = gcd(*column)
+        u = dict(zip(pivots, column))
+        normals.append(tuple(u.get(c, 0) // g for c in range(rank)))
+    opposite = sorted(range(len(normals)), key=normals.__getitem__)
+    return [normals[j] for j in opposite], opposite
 
 
 class Cone:
@@ -543,8 +606,8 @@ class Cone:
     the incidences of the generators with its facets, and cached.
     """
 
-    __slots__ = ("rank", "gens", "_dual_pair", "_dual", "_inc",
-                 "_rays", "_faces")
+    __slots__ = ("rank", "gens", "_dual_pair", "_opposite", "_dual",
+                 "_inc", "_rays", "_faces")
 
     def __init__(self, rank, generators=()):
         rank = read_rank(rank)
@@ -562,6 +625,7 @@ class Cone:
         self.rank = rank
         self.gens = tuple(sorted(out))
         self._dual_pair = None
+        self._opposite = None
         self._dual = None
         self._inc = None
         self._rays = None
@@ -574,7 +638,16 @@ class Cone:
 
     def dual_pair(self):
         if self._dual_pair is None:
-            self._dual_pair = _dual_of_primitive(self.gens, self.rank)
+            E, L, opposite = _dual_of_primitive(self.gens, self.rank)
+            self._dual_pair = E, L
+            if opposite is not None:
+                # independent generators: each is a ray, and lies on
+                # every facet but the one opposite it
+                self._opposite = opposite
+                every = frozenset(range(len(E)))
+                self._inc = {self.gens[j]: every - {k}
+                             for k, j in enumerate(opposite)}
+                self._rays = self.gens
         return self._dual_pair
 
     def dual_generators(self):
@@ -589,8 +662,8 @@ class Cone:
     def _incidence(self):
         """dict: generator g -> {k : <E[k], g> = 0}, E the extremal dual
         rays, which are the facet normals of the cone."""
+        E, _ = self.dual_pair()
         if self._inc is None:
-            E, _ = self.dual_pair()
             self._inc = {
                 g: frozenset(k for k, u in enumerate(E) if not dot(u, g))
                 for g in self.gens
@@ -626,6 +699,7 @@ class Cone:
 
     def rays(self):
         """Sorted primitive extremal rays; requires strong convexity."""
+        self.dual_pair()  # independent generators are the rays
         if self._rays is None:
             if not self.is_strongly_convex():
                 raise NotStronglyConvex(
@@ -652,9 +726,14 @@ class Cone:
         """[(u, F)] for each facet normal u, the extremal rays of the dual:
         F is the set of indices into self.rays() of the rays on u."""
         rays = self.rays()
+        E = self.dual_pair()[0]
+        if self._opposite is not None:
+            # facet k holds every ray but the one opposite it
+            every = frozenset(range(len(rays)))
+            return [(u, every - {j}) for u, j in zip(E, self._opposite)]
         inc = self._incidence()
         return [(u, frozenset(i for i, r in enumerate(rays) if k in inc[r]))
-                for k, u in enumerate(self.dual_pair()[0])]
+                for k, u in enumerate(E)]
 
     def face_table(self):
         """dict: face index set -> dimension of that face.  A simplicial

@@ -882,6 +882,41 @@ def test_walls_in_pairs_alone_certify_nothing(case):
         build_fan(rank, rays, cones)
 
 
+def test_simplicial_fans_take_no_walk(monkeypatch):
+    # the cones of a simplicial fan are read off their one elimination;
+    # the exterior-product walk is left to dependent generators, as in
+    # the cube fan's cones and its pair loop
+    walks = []
+    original = lattice._facet_normals
+
+    def counted(vecs, d):
+        walks.append(d)
+        return original(vecs, d)
+
+    monkeypatch.setattr(lattice, "_facet_normals", counted)
+    inputs = [p_n_input(n) for n in (2, 3, 4, 5)]
+    inputs += [p1_power_input(n) for n in (2, 3, 4)]
+    inputs += [(2, [(1, 0), (0, 1), (-1, a), (0, -1)],
+                [[k, (k + 1) % 4] for k in range(4)]) for a in range(4)]
+    inputs.append((3, [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1),
+                       (0, 0, -1)],
+                   [[a, b, c] for a, b in ((0, 1), (1, 2), (0, 2))
+                    for c in (3, 4)]))
+    inputs.append((3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [[0, 1, 2]]))
+    for name in ("a2", "f1", "p1", "p1p1", "p2"):
+        obj = json.loads((FIXTURES / f"{name}.json").read_text())
+        inputs.append(fan_fields_from_json(obj))
+    for rank, rays, cones in inputs:
+        fan = build_fan(rank, rays, cones)
+        for key in fan.cones:
+            fan.face_sets(key)
+    assert walks == []
+    cube = [(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+    build_fan(3, cube, [[k for k, r in enumerate(cube) if r[i] == s]
+                        for i in range(3) for s in (1, -1)])
+    assert walks
+
+
 def test_a_complete_simplicial_fan_checks_no_pair(monkeypatch, capsys):
     calls = []
     original = Fan.intersection_defect

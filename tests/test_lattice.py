@@ -165,6 +165,31 @@ def test_smith_normal_form_reads_its_entries_with_as_int():
     assert smith_normal_form([[Fraction(4, 2), 2.0]])[1] == [[2, 0]]
 
 
+@pytest.mark.parametrize("read, shown", [
+    (lambda: dual_description(None, 2),
+     "generators: expected a sequence, got None"),
+    (lambda: dual_description([None], 2),
+     "vector: expected a sequence, got None"),
+    (lambda: smith_normal_form(None), "matrix: expected a sequence, got None"),
+    (lambda: smith_normal_form([None]),
+     "matrix row: expected a sequence, got None"),
+    (lambda: smith_normal_form({"a": 1}),
+     "matrix: expected a sequence, got {'a': 1}"),
+    (lambda: invariant_factors(None), "matrix: expected a sequence, got None"),
+    (lambda: primitive(None), "vector: expected a sequence, got None"),
+    (lambda: det(None), "matrix: expected a sequence, got None"),
+    (lambda: nullspace(None, 2), "matrix: expected a sequence, got None"),
+    (lambda: mat_rank(None), "matrix: expected a sequence, got None"),
+], ids=["dual_description", "dual_description-row", "smith_normal_form",
+        "smith_normal_form-row", "smith_normal_form-dict",
+        "invariant_factors", "primitive", "det", "nullspace", "mat_rank"])
+def test_matrix_readers_name_what_is_not_a_sequence(read, shown):
+    # each raised a bare TypeError, and the dict a bare KeyError: 0
+    with pytest.raises(SchemaError) as info:
+        read()
+    assert str(info.value) == shown
+
+
 def test_rank_and_nullspace():
     assert mat_rank([(1, 0), (0, 1)]) == 2
     assert mat_rank([(1, 2), (2, 4)]) == 1
@@ -1420,6 +1445,139 @@ def test_dual_description_eliminates_once(monkeypatch):
         calls.clear()
         assert nullspace_lift_dual_description(gens, rank) == (E, L)
         assert len(calls) == 1 + (len(E) if L else 0)
+    # independent generators, spanning Q^n or not, are read off the one
+    # elimination of [G | I], and dependent ones (k = n) walk after it
+    for gens, rank in [([(1, 0, 0), (1, 2, 0), (1, 1, 3)], 3),
+                       ([(1, 2, 0, 1), (0, 1, 1, 3)], 4),
+                       ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], 3)]:
+        calls.clear()
+        E, L = dual_description(gens, rank)
+        assert len(calls) == 1
+        assert walk_dual(gens, rank) == (E, L)
+
+
+# ---------------------------------------------------------------------------
+# differential test: the facet normals of independent generators, read off
+# the elimination of [G | I], against the exterior-product walk
+
+
+def walk_dual(prim, rank):
+    """The former `_dual_of_primitive`: the exterior-product walk for every
+    cone, in the pivot coordinates of its span when it does not span."""
+    m, pivots, _ = lattice._echelon(prim)
+    L = lattice._kernel(m, pivots, rank)
+    if not pivots:
+        return [], L
+    if not L:
+        return sorted(lattice._facet_normals(prim, rank)), L
+    proj = [tuple(g[c] for c in pivots) for g in prim]
+    at = {c: k for k, c in enumerate(pivots)}
+    return sorted(tuple(u[at[c]] if c in at else 0 for c in range(rank))
+                  for u in lattice._facet_normals(proj, len(pivots))), L
+
+
+def dot_combinatorics(gens, E):
+    """(incidence, rays, facets, face table) of cone(gens) read by dot
+    products with its facet normals E; the faces are the intersections of
+    facets, graded by inclusion.  rays is None for a cone with a line."""
+    inc = {g: frozenset(k for k, u in enumerate(E) if not dot(u, g))
+           for g in gens}
+    if frozenset(range(len(E))) in inc.values():
+        return inc, None, None, None
+    rays = tuple(g for g, s in inc.items()
+                 if sum(s <= t for t in inc.values()) == 1)
+    facets = [(u, frozenset(i for i, r in enumerate(rays) if not dot(u, r)))
+              for u in E]
+    faces = {frozenset(range(len(rays)))}
+    for _, facet in facets:
+        faces |= {facet & f for f in faces}
+    table = {}
+    for fs in sorted(faces, key=len):
+        table[fs] = max((d + 1 for f, d in table.items() if f < fs),
+                        default=0)
+    return inc, rays, facets, table
+
+
+def assert_cone_matches_dot_products(cone, E):
+    inc, rays, facets, table = dot_combinatorics(cone.gens, E)
+    assert cone._incidence() == inc
+    if rays is None:
+        assert not cone.is_strongly_convex()
+        return
+    assert cone.is_strongly_convex()
+    assert cone.rays() == rays
+    assert cone.facets() == facets
+    assert cone.face_table() == table
+
+
+def independent_generators(rng):
+    """k <= n independent primitive vectors in rank n = 1-6, entries at
+    most 5 in absolute value.  About half span Q^n; the others span a
+    subspace of dimension k < n, and half of those are combinations M B
+    of a basis B with entries in {-1, 0, 1}, so that their index in the
+    lattice of their span is often |det M| > 1."""
+    rank = rng.randint(1, 6)
+    k = rank if rank == 1 or rng.random() < 0.5 else rng.randint(1, rank - 1)
+    combined = k < rank and rng.random() < 0.5
+    while True:
+        if combined:
+            basis = [[rng.randint(-1, 1) for _ in range(rank)]
+                     for _ in range(k)]
+            gens = [tuple(combination(rng, basis, rank)) for _ in range(k)]
+        else:
+            gens = [tuple(rng.randint(-5, 5) for _ in range(rank))
+                    for _ in range(k)]
+        if mat_rank(gens) == k and max(map(abs, sum(gens, ()))) <= 5:
+            return [primitive(g) for g in gens], rank
+
+
+def test_independent_generators_match_the_walk_random():
+    rng = random.Random(2202)
+    kinds = collections.Counter()
+    for _ in range(1200):
+        gens, rank = independent_generators(rng)
+        E, L, opposite = lattice._dual_of_primitive(gens, rank)
+        assert (E, L) == walk_dual(gens, rank), (gens, rank)
+        assert sorted(opposite) == list(range(len(gens)))
+        for u, j in zip(E, opposite):
+            # the normal opposite g_j pairs positively with it alone
+            pairs = [dot(u, g) for g in gens]
+            assert pairs[j] > 0
+            assert not any(x for i, x in enumerate(pairs) if i != j)
+        assert_cone_matches_dot_products(Cone(rank, gens), E)
+        kind = "full" if len(gens) == rank else "lower"
+        kinds[kind] += 1
+        # the index of the generators in the lattice of their span
+        kinds[kind, "index > 1"] += math.prod(invariant_factors(gens)) > 1
+    assert kinds["full"] > 600 and kinds["lower"] > 400, kinds
+    assert kinds["full", "index > 1"] > 400, kinds
+    assert kinds["lower", "index > 1"] > 100, kinds
+
+
+@pytest.mark.parametrize("gens, rank", [
+    ([(1, 2), (-1, -2)], 2),
+    ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], 3),
+    ([(2, -1, 3), (1, 1, 0), (-1, 2, -3)], 3),
+    ([(2, 1, 0, 1), (-2, -1, 0, -1), (1, 0, 1, 1)], 4),
+    ([(1, 0, 0, 3), (0, 1, 0, 1), (2, 3, 0, 9)], 4),
+])
+def test_dependent_generators_take_the_walk(monkeypatch, gens, rank):
+    # the elimination of [G | I] puts pivots in the identity block; they
+    # are no pivots of the span, and the cone walks
+    walks = []
+    original = lattice._facet_normals
+
+    def counted(vecs, d):
+        walks.append(d)
+        return original(vecs, d)
+
+    monkeypatch.setattr(lattice, "_facet_normals", counted)
+    assert len(gens) <= rank and mat_rank(gens) < len(gens)
+    E, L, opposite = lattice._dual_of_primitive(gens, rank)
+    assert opposite is None and walks == [mat_rank(gens)]
+    assert (E, L) == walk_dual(gens, rank)
+    assert len(L) == rank - mat_rank(gens)
+    assert_cone_matches_dot_products(Cone(rank, gens), E)
 
 
 # ---------------------------------------------------------------------------

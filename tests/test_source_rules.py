@@ -288,3 +288,28 @@ def test_root_existence_is_read_off_the_root_regions():
 
     assert set(callers(trees["lattice.py"], ())) == {
         "Region.feasible", "invariant_factors"}
+
+
+def test_simplicial_duals_are_read_in_integers():
+    # the facet normals of independent generators are read off their one
+    # elimination and scaled to integers by one lcm (Fractions would
+    # normalize every entry by a gcd), and the exterior-product walk is
+    # left to dependent generators
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in SOURCES}
+    assert set(trees) >= {"lattice.py"}
+    funcs = {n.name: n for n in ast.walk(trees["lattice.py"])
+             if isinstance(n, ast.FunctionDef)}
+    for name in ("_dual_of_primitive", "_opposite_normals"):
+        assert "Fraction" not in _names_in(funcs[name]), \
+            f"{name} uses Fraction"
+    assert "_opposite_normals" in _names_in(funcs["_dual_of_primitive"])
+    walks = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        == "_facet_normals"
+    ]
+    assert len(walks) == 1, f"calls of _facet_normals: {walks}"
+    assert "_facet_normals" in _names_in(funcs["_dual_of_primitive"])
