@@ -129,7 +129,11 @@ def primitive(v):
     >>> primitive((Fraction(-3, 2), Fraction(9, 4)))
     (-2, 3)
     """
-    ints = _integral(as_tuple(v, "vector"))[0]
+    return _primitive(_integral(as_tuple(v, "vector"))[0])
+
+
+def _primitive(ints):
+    """`primitive` of a sequence of ints, unchecked."""
     g = gcd(*ints)
     if g == 1:
         return tuple(ints)
@@ -246,7 +250,7 @@ def _kernel(m, pivots, n):
         v[fc] = scale
         for ri, pc in used:
             v[pc] = -m[ri][fc] * scale // m[ri][pc]
-        p = primitive(v)
+        p = _primitive(v)
         if next(x for x in p if x) < 0:
             p = vneg(p)
         basis.append(p)
@@ -312,10 +316,10 @@ def smith_normal_form(A):
     unimodular integer matrices and D is diagonal with nonnegative invariant
     factors d1 | d2 | ... .  All matrices are lists of int lists.
     """
-    A = _matrix(A)
-    k = len(A)
-    n = len(A[0]) if k else 0
-    D = [[as_int(x) for x in row] for row in A]
+    D = [[as_int(x) for x in as_tuple(row, "matrix row")]
+         for row in as_tuple(A, "matrix")]
+    k = len(D)
+    n = len(D[0]) if k else 0
     if any(len(r) != n for r in D):
         raise RankMismatch("ragged matrix")
     S = identity_matrix(k)
@@ -606,8 +610,8 @@ class Cone:
     the incidences of the generators with its facets, and cached.
     """
 
-    __slots__ = ("rank", "gens", "_dual_pair", "_opposite", "_dual",
-                 "_inc", "_rays", "_faces")
+    __slots__ = ("rank", "gens", "_dual_pair", "_dual", "_inc",
+                 "_rays", "_faces")
 
     def __init__(self, rank, generators=()):
         rank = read_rank(rank)
@@ -625,7 +629,6 @@ class Cone:
         self.rank = rank
         self.gens = tuple(sorted(out))
         self._dual_pair = None
-        self._opposite = None
         self._dual = None
         self._inc = None
         self._rays = None
@@ -643,7 +646,6 @@ class Cone:
             if opposite is not None:
                 # independent generators: each is a ray, and lies on
                 # every facet but the one opposite it
-                self._opposite = opposite
                 every = frozenset(range(len(E)))
                 self._inc = {self.gens[j]: every - {k}
                              for k, j in enumerate(opposite)}
@@ -726,14 +728,9 @@ class Cone:
         """[(u, F)] for each facet normal u, the extremal rays of the dual:
         F is the set of indices into self.rays() of the rays on u."""
         rays = self.rays()
-        E = self.dual_pair()[0]
-        if self._opposite is not None:
-            # facet k holds every ray but the one opposite it
-            every = frozenset(range(len(rays)))
-            return [(u, every - {j}) for u, j in zip(E, self._opposite)]
         inc = self._incidence()
         return [(u, frozenset(i for i, r in enumerate(rays) if k in inc[r]))
-                for k, u in enumerate(E)]
+                for k, u in enumerate(self.dual_pair()[0])]
 
     def face_table(self):
         """dict: face index set -> dimension of that face.  A simplicial
