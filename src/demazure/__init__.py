@@ -36,7 +36,6 @@ from .errors import (  # noqa: F401
 )
 from .lattice import (  # noqa: F401
     Cone,
-    dot,
     dual_description,
     integer_feasible,
     invariant_factors,

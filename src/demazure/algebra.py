@@ -240,9 +240,6 @@ class SemigroupElement:
         self.terms = terms
         return self
 
-    def is_zero(self):
-        return not self.terms
-
     def _combine(self, other, sign):
         if not isinstance(other, SemigroupElement):
             return NotImplemented

@@ -5,20 +5,19 @@ appear anywhere.  Linear algebra (rank, nullspace, determinant, inverse)
 runs on one fraction-free integer elimination, `_echelon`; Fractions only
 appear at the boundary, for rational input and the entries of an inverse.
 Cones are finitely generated convex cones in Q^n stored by primitive
-integer generators.  Every dual takes one elimination.  A simplicial cone
-(k <= n independent generators, as in every cone of a simplicial fan) is
-read off the elimination of [G | I]: its facet normals are the columns of
-G^-1 on the pivot coordinates, each opposite one generator (Cox-Little-
-Schenck, Toric Varieties, 1.2), and so are its incidences and rays.  Only
-dependent generators walk the (r-1)-subsets depth first, r their rank,
-carrying the exterior product of each prefix (its integer minors) so that
-a subset's normal costs a few products and a dependent prefix is dropped
-with all its extensions; in the pivot coordinates of their span, with the
-normals extended by 0 off them.  This is exact and suits the small ranks
-(<= 6 or so) this package targets.  A cone computes one dual and reads
-its dimension, pointedness, extremal rays and faces off the incidences of
-its generators with its facets, the extremal dual rays (Ziegler, Lectures
-on Polytopes, 2.2).
+integer generators.  Every dual takes one elimination, of [G | I].  It
+reads off a basis B of the span of the generators and the dual of
+cone(B), whose facet normals are the columns of G_B^-1 on the pivot
+coordinates, each opposite one generator (Cox-Little-Schenck, Toric
+Varieties, 1.2).  The other generators are then inserted one at a time by
+the double description method (Motzkin-Raiffa-Thompson-Thrall 1953;
+Fukuda-Prodon 1996), each extreme dual ray carrying the set of generators
+it vanishes on.  A simplicial cone (k <= n independent generators, as in
+every cone of a simplicial fan) inserts none.  This is exact, in
+integers, and suits the small ranks (<= 6 or so) this package targets.  A
+cone computes one dual and reads its dimension, pointedness, extremal
+rays and faces off those zero sets, the incidences of its generators with
+its facets, the extremal dual rays (Ziegler, Lectures on Polytopes, 2.2).
 
 The lattice points of a region {x : <u, x> >= b} are found by
 Fourier-Motzkin project-and-lift (Schrijver, Theory of Linear and Integer
@@ -44,8 +43,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+from functools import reduce
 from math import gcd, lcm
-from operator import mul
+from operator import and_, mul
 
 from .errors import (
     InvalidInteger,
@@ -98,8 +98,9 @@ def as_fraction(x):
 
 def as_tuple(obj, what):
     """obj as a tuple; SchemaError naming `what` and obj when it is not a
-    sequence.  A dict is refused: iterating it reads its keys alone."""
-    if not isinstance(obj, dict):
+    sequence.  A dict is refused, as iterating it reads its keys alone, and
+    so are str and bytes, which would read as their characters or bytes."""
+    if not isinstance(obj, (dict, str, bytes)):
         try:
             return tuple(obj)
         except TypeError:
@@ -407,89 +408,7 @@ def invariant_factors(A):
 
 
 # ---------------------------------------------------------------------------
-# cone duality (prefix exterior products, lifted modulo the lineality)
-
-
-def _facet_normals(vecs, d):
-    """Primitive facet normals u of cone(vecs), for vecs spanning Q^d,
-    each oriented so that <u, g> >= 0 on every vector.
-
-    The (d-1)-subsets of vecs are walked depth first, carrying the k x k
-    minors of the prefix (its exterior product), keyed by their column
-    sets as bitmasks.  Extending a prefix by v expands every new minor
-    along the row v; a prefix whose minors all vanish is dependent, and so
-    is every extension of it.  At depth d - 1 the signed maximal minors
-    are the normal u with <u, g> = det(prefix; g): u_c is (-1)^(d-1+c)
-    times the minor without column c.  Each hyperplane is tested once, by
-    the signs of its pairings, up to the first conflict.
-    """
-    full = (1 << d) - 1
-    support = [[(j, x) for j, x in enumerate(v) if x] for v in vecs]
-    # the (k+1)-th vector of a (d-1)-subset is vecs[i] with i < last + k
-    last = len(vecs) - d + 2
-    tried = set()
-    found = []
-
-    def test(u):
-        g = gcd(*u)
-        for x in u:
-            if x:
-                break
-        if x < 0:
-            g = -g
-        u = tuple(u) if g == 1 else tuple(x // g for x in u)
-        if u in tried:
-            return  # this hyperplane was spanned by an earlier subset
-        tried.add(u)
-        pos = neg = False
-        for v in vecs:
-            x = sum(map(mul, u, v))
-            if x > 0:
-                pos = True
-            elif x < 0:
-                neg = True
-            else:
-                continue
-            if pos and neg:
-                return
-        found.append(u if pos else vneg(u))
-
-    def walk(start, k, minors):
-        # v adds (-1)^(k + position of j in S + j) v_j minor(S) to the minor
-        # on S + j, for each column j outside S; at the last step that
-        # minor is read as the entry of u at the one column left out
-        leaf = k == d - 2
-        terms = [[] for _ in range(d)]
-        for S, x in minors.items():
-            if not x:
-                continue
-            for j in range(d):
-                bit = 1 << j
-                if S & bit:
-                    continue
-                T = S | bit
-                odd = (S & (bit - 1)).bit_count() + k
-                if leaf:
-                    T = (full ^ T).bit_length() - 1
-                    odd += d - 1 + T
-                terms[j].append((T, -x if odd & 1 else x))
-        for i in range(start, last + k):
-            new = {}
-            for j, y in support[i]:
-                for T, x in terms[j]:
-                    new[T] = new.get(T, 0) + x * y
-            if not any(new.values()):
-                continue  # a dependent prefix, and so is each extension
-            if leaf:
-                test([new.get(c, 0) for c in range(d)])
-            else:
-                walk(i + 1, k + 1, new)
-
-    if d == 1:
-        test([1])
-    else:
-        walk(0, 0, {0: 1})
-    return found
+# cone duality (a basis read off one elimination, then double description)
 
 
 def dual_description(gens, rank):
@@ -502,10 +421,13 @@ def dual_description(gens, rank):
 
     The dual cone is generated by extremal + lineality + (-lineality).
 
-    Method: one integer elimination of the generators gives the lineality
-    (the `nullspace` basis) and the pivot columns P of their span V, of
-    dimension r.  Projecting the generators to P is faithful on V, and
-    there the extreme rays of the dual are the facet normals of a
+    Method: one integer elimination of the m generators beside the
+    identity, as the rows [G | I].  It is row operations, so it ends at
+    [E G | E] for an invertible m x m matrix E.  Its pivots in the left
+    block are the pivot columns P of the span V of the generators, of
+    dimension r, and the rows holding them give the lineality (the
+    `nullspace` basis).  Projecting the generators to P is faithful on V,
+    and there the extreme rays of the dual are the facet normals of a
     full-dimensional cone.  Each normal is read back by zero-extension:
     its entries on P, 0 elsewhere.
 
@@ -518,35 +440,47 @@ def dual_description(gens, rank):
     vanishes on H, as the zero-extension does; on P these form a line, as
     H projects faithfully, and both vectors are primitive.
 
-    More than n generators are dependent and eliminated alone.  k <= n
-    generators g_1..g_k are eliminated beside the identity, as the rows
-    [G | I]; pivots in the identity block are dropped, and the left
-    block's are P.  The elimination is row operations, so it ends at
-    [E G | E] for an invertible k x k matrix E, and its left block is the
-    elimination of G up to a nonzero factor per row, with the same P.
-    The generators are independent exactly when every one of the k pivots
-    lies in the left block: the rank of G is the number of its pivots.
-    Then let G_P be G restricted to the columns P, a k x k matrix.  Row i
-    of E G_P is its leading entry d_i at its own pivot and 0 at the other
-    pivots, so E G_P = D, diagonal and invertible, and G_P^-1 = D^-1 E.
-    Column j of G_P^-1 pairs to 1 with row j of G_P and to 0 with the
-    others, so its zero-extension u_j has <u_j, g_j> = 1 and
-    <u_j, g_i> = 0 for i != j: u_j vanishes on the facet opposite g_j,
-    spanned by the other generators, and is oriented inward.  On P the
-    cone is simplicial and full-dimensional, so these are its k facet
-    normals, zero-extended.  The readout scales row i of E by s / d_i, s
-    the lcm of the |d_i|, an exact integer: the rows are then s G_P^-1,
-    whose columns are the u_j times s > 0, so the orientation is kept,
-    and `_opposite_normals` divides each by its gcd, in integers.
-    Dependent generators are left to the exterior-product walk over the
-    (r-1)-subsets (`_facet_normals`), in integers too.
+    Basis.  [G | I] has rank m, so m - r pivots lie in the identity block.
+    A row with its pivot at the identity column of g_q is zero in the
+    left block and at the other pivots: it is a relation between g_q and
+    the generators without an identity pivot.  These span V, so they are
+    a basis B, |B| = r.  A row with its pivot in P is zero at every
+    identity pivot too, so its identity entries lie on B: those r rows
+    give E_B with E_B G_B = E G, and on P, E_B G_{B,P} = D, the diagonal
+    of their leading entries d_i.  So G_{B,P}^-1 = D^-1 E_B.  Its column j
+    pairs to 1 with b_j and to 0 with the other b_i, so its
+    zero-extension u_j vanishes on the facet of cone(B) opposite b_j and
+    is oriented inward.  On P, cone(B) is simplicial and full-dimensional,
+    so these are its r facet normals, and its dual D_B = cone(u_j) is
+    simplicial and pointed.  The readout scales row i of E_B by s / d_i,
+    s the lcm of the |d_i|, an exact integer: the rows are then
+    s G_{B,P}^-1, whose columns are the u_j times s > 0, so the
+    orientation is kept, and each is divided by its gcd, in integers.
 
-    This is the only dual a Cone computes: the incidences of the
-    generators with the extremal rays give its dimension, pointedness,
-    extremal rays and faces with no further elimination, and a simplicial
-    cone takes them from the normal opposite each generator.  A Cone's
-    generators are already primitive and distinct, so it calls
-    `_dual_of_primitive` directly.
+    Insertion (the double description method: Motzkin, Raiffa, Thompson
+    and Thrall 1953; Fukuda and Prodon 1996).  Each extreme ray u carries
+    its zero set, the generators inserted so far that it vanishes on;
+    u_j carries B - {b_j}.  The other generators v are inserted one by
+    one (`_insert`), and cut the dual D so far by {<v, .> >= 0}.  D lies
+    in D_B, so it is pointed, and the extreme rays of D and {<v, .> >= 0}
+    are the rays of D with <u, v> >= 0 and, for each adjacent pair p, n
+    of them with <v, p> > 0 > <v, n>, the ray <v, p> n - <v, n> p, where
+    their edge meets <v, .> = 0.  In a pointed cone p and n are adjacent
+    exactly when no other extreme ray vanishes on every generator that
+    both vanish on; their edge is a 2-face of the r-dimensional D, cut
+    out by generators of rank r - 2, so at least r - 2 of them, which is
+    tested first.  Both coefficients of the new ray are positive and p, n
+    pair nonnegatively with every inserted generator, so the new ray
+    vanishes on one exactly when p and n both do: its zero set is theirs
+    shared, plus v, and is exact, as the next test needs.  When every
+    generator is inserted, the zero sets are the incidences of the
+    generators with the facets.  Independent generators (B is all of
+    them, as in every cone of a simplicial fan) insert none.
+
+    This is the only dual a Cone computes: the incidences give its
+    dimension, pointedness, extremal rays and faces with no further
+    elimination and no dot product.  A Cone's generators are already
+    primitive and distinct, so it calls `_dual_of_primitive` directly.
     """
     prim = []
     seen = set()
@@ -562,43 +496,57 @@ def dual_description(gens, rank):
 
 
 def _dual_of_primitive(prim, rank):
-    """(E, L, opposite): the `dual_description` (E, L) of distinct
-    primitive integer vectors of length rank, and for independent ones
-    opposite[k], the index of the vector opposite the facet normal E[k],
-    else None."""
-    if len(prim) > rank:
-        m, pivots, _ = _echelon(prim)
-    else:
-        m, pivots, _ = _echelon(_beside_identity(prim))
-        # dependent generators leave pivots in the identity block
-        pivots = [c for c in pivots if c < rank]
-    L = _kernel(m, pivots, rank)
-    if len(pivots) == len(prim):
-        E, opposite = _opposite_normals(m, pivots, rank)
-        return E, L, opposite
-    # dependent generators: the walk, in the pivot coordinates of their span
-    proj = [tuple(g[c] for c in pivots) for g in prim]
-    at = {c: k for k, c in enumerate(pivots)}
-    return sorted(tuple(u[at[c]] if c in at else 0 for c in range(rank))
-                  for u in _facet_normals(proj, len(pivots))), L, None
-
-
-def _opposite_normals(m, pivots, rank):
-    """(E, opposite) read off the echelon form m of [G | I], G independent
-    with every pivot in its block: column j of D^-1 E, zero-extended off
-    the pivots, is the normal opposite g_j (see `dual_description`), and
-    E sorts these normals."""
-    s = lcm(*(row[c] for row, c in zip(m, pivots)))
+    """(E, L, Z): the `dual_description` (E, L) of distinct primitive
+    integer vectors of length rank, and Z[k], the bitmask of the indices
+    of the vectors that E[k] vanishes on."""
+    m, pivots, _ = _echelon(_beside_identity(prim))
+    span = [c for c in pivots if c < rank]
+    L = _kernel(m, span, rank)
+    dependent = [c - rank for c in pivots[len(span):]]
+    s = lcm(*(row[c] for row, c in zip(m, span)))
     # row i of D^-1 E times s, an integer: s // d_i is exact
-    rows = [[x * (s // row[c]) for x in row[rank:]]
-            for row, c in zip(m, pivots)]
-    normals = []
-    for column in zip(*rows):
-        g = gcd(*column)
-        u = dict(zip(pivots, column))
-        normals.append(tuple(u.get(c, 0) // g for c in range(rank)))
-    opposite = sorted(range(len(normals)), key=normals.__getitem__)
-    return [normals[j] for j in opposite], opposite
+    columns = list(zip(*([x * (s // row[c]) for x in row[rank:]]
+                         for row, c in zip(m, span))))
+    # the vectors whose identity column holds no pivot: a basis B
+    basis = ((1 << len(prim)) - 1) ^ sum(1 << j for j in dependent)
+    rays = []
+    for j, column in enumerate(columns):
+        if basis >> j & 1:
+            g = gcd(*column)
+            u = dict(zip(span, column))
+            rays.append((tuple(u.get(c, 0) // g for c in range(rank)),
+                         basis ^ 1 << j))
+    for j in dependent:
+        rays = _insert(rays, prim[j], j, len(span))
+    rays.sort()
+    return [u for u, _ in rays], L, [z for _, z in rays]
+
+
+def _insert(rays, v, j, r):
+    """The extreme rays of D and {u : <u, v> >= 0}, D a pointed cone in
+    an r-dimensional space given by its extreme rays (u, Z), Z the bitmask
+    of the generators u vanishes on, and v the generator of index j; each
+    with its zero set (see `dual_description`)."""
+    kept, pos, neg = [], [], []
+    for u, z in rays:
+        x = sum(map(mul, u, v))
+        if x > 0:
+            pos.append((x, u, z))
+            kept.append((u, z))
+        elif x < 0:
+            neg.append((x, u, z))
+        else:
+            kept.append((u, z | 1 << j))
+    zeros = [z for _, z in rays]
+    for a, p, zp in pos:
+        for b, n, zn in neg:
+            z = zp & zn
+            # adjacent: no third ray vanishes where p and n both do
+            if z.bit_count() < r - 2 or sum(z & w == z for w in zeros) > 2:
+                continue
+            kept.append((_primitive([a * y - b * x for x, y in zip(p, n)]),
+                         z | 1 << j))
+    return kept
 
 
 class Cone:
@@ -607,7 +555,9 @@ class Cone:
     Generators are normalized to primitive integer vectors, deduplicated and
     sorted; zero generators are dropped, so Cone(n, []) is the origin {0}.
     The dual description is computed lazily, once; all else is read off
-    the incidences of the generators with its facets, and cached.
+    the incidences of the generators with its facets, the zero sets of
+    the dual (`_inc[k]`, the bitmask of the generators on facet k), and
+    cached.
     """
 
     __slots__ = ("rank", "gens", "_dual_pair", "_dual", "_inc",
@@ -641,14 +591,10 @@ class Cone:
 
     def dual_pair(self):
         if self._dual_pair is None:
-            E, L, opposite = _dual_of_primitive(self.gens, self.rank)
+            E, L, self._inc = _dual_of_primitive(self.gens, self.rank)
             self._dual_pair = E, L
-            if opposite is not None:
-                # independent generators: each is a ray, and lies on
-                # every facet but the one opposite it
-                every = frozenset(range(len(E)))
-                self._inc = {self.gens[j]: every - {k}
-                             for k, j in enumerate(opposite)}
+            if len(self.gens) + len(L) == self.rank:
+                # independent generators: each is a ray
                 self._rays = self.gens
         return self._dual_pair
 
@@ -661,17 +607,6 @@ class Cone:
             self._dual = Cone(self.rank, self.dual_generators())
         return self._dual
 
-    def _incidence(self):
-        """dict: generator g -> {k : <E[k], g> = 0}, E the extremal dual
-        rays, which are the facet normals of the cone."""
-        E, _ = self.dual_pair()
-        if self._inc is None:
-            self._inc = {
-                g: frozenset(k for k, u in enumerate(E) if not dot(u, g))
-                for g in self.gens
-            }
-        return self._inc
-
     # -- basic predicates -----------------------------------------------------
 
     def dim(self):
@@ -680,8 +615,8 @@ class Cone:
     def is_strongly_convex(self):
         # the generators on every facet span the lineality space, the
         # smallest face (with no facets, the cone is a subspace)
-        every = frozenset(range(len(self.dual_pair()[0])))
-        return every not in self._incidence().values()
+        self.dual_pair()
+        return not reduce(and_, self._inc, (1 << len(self.gens)) - 1)
 
     def contains(self, v):
         # a positive multiple of v, which pairs with the same signs
@@ -707,13 +642,14 @@ class Cone:
                 raise NotStronglyConvex(
                     "extremal rays are only defined for strongly convex cones"
                 )
-            # the smallest face containing g lies on the facets g lies on;
-            # g is extremal iff that face is its ray, i.e. no other
+            # the smallest face containing g_i lies on the facets g_i lies
+            # on; g_i is extremal iff that face is its ray, i.e. no other
             # (primitive, deduplicated) generator lies on all those facets
-            inc = self._incidence()
+            every = (1 << len(self.gens)) - 1
             self._rays = tuple(
-                g for g, s in inc.items()
-                if sum(s <= t for t in inc.values()) == 1
+                g for i, g in enumerate(self.gens)
+                if reduce(and_, (z for z in self._inc if z >> i & 1),
+                          every) == 1 << i
             )
         return self._rays
 
@@ -727,10 +663,9 @@ class Cone:
     def facets(self):
         """[(u, F)] for each facet normal u, the extremal rays of the dual:
         F is the set of indices into self.rays() of the rays on u."""
-        rays = self.rays()
-        inc = self._incidence()
-        return [(u, frozenset(i for i, r in enumerate(rays) if k in inc[r]))
-                for k, u in enumerate(self.dual_pair()[0])]
+        at = [self.gens.index(r) for r in self.rays()]
+        return [(u, frozenset(p for p, i in enumerate(at) if z >> i & 1))
+                for u, z in zip(self.dual_pair()[0], self._inc)]
 
     def face_table(self):
         """dict: face index set -> dimension of that face.  A simplicial
@@ -754,10 +689,6 @@ class Cone:
                         default=0)
             self._faces = table
         return self._faces
-
-    def facet_ray_sets(self):
-        d = self.dim()
-        return [fs for fs, fd in self.face_table().items() if fd == d - 1]
 
 
 # ---------------------------------------------------------------------------

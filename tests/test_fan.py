@@ -86,6 +86,21 @@ def p_n_input(n):
     return n, rays, [list(c) for c in itertools.combinations(range(n + 1), n)]
 
 
+def cube_input():
+    """The face fan of the cube [-1, 1]^3: six cones of four rays."""
+    rays = [(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+    return 3, rays, [[k for k, r in enumerate(rays) if r[i] == s]
+                     for i in range(3) for s in (1, -1)]
+
+
+def product_input(first, second):
+    """The product of two fans, each given as (rank, rays, max cones)."""
+    (n, rays1, cones1), (m, rays2, cones2) = first, second
+    rays = [r + (0,) * m for r in rays1] + [(0,) * n + r for r in rays2]
+    return n + m, rays, [a + [len(rays1) + j for j in b]
+                         for a in cones1 for b in cones2]
+
+
 HEXAGON = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
 
 
@@ -672,6 +687,18 @@ def test_rays_and_cones_that_are_not_sequences_are_named():
     assert [v["kind"] for v in violations] == ["SchemaError", "RankMismatch"]
 
 
+def test_a_string_is_no_ray():
+    # the rays "10" and "01" were read as (1, 0) and (0, 1): A^2 was built
+    args = (2, ["10", "01"], [[0, 1]])
+    messages = [f"ray {k}: expected a sequence, got {r!r}"
+                for k, r in enumerate(args[1])]
+    with pytest.raises(SchemaError) as info:
+        build_fan(*args)
+    assert str(info.value) == messages[0]
+    assert fan_diagnostics(*args) == (
+        None, [{"kind": "SchemaError", "message": m} for m in messages])
+
+
 def test_a_fan_cone_that_is_no_sequence_is_named():
     # iterating over 5 or None raised a bare TypeError
     fan = p2()
@@ -883,17 +910,17 @@ def test_walls_in_pairs_alone_certify_nothing(case):
 
 
 def test_simplicial_fans_take_no_walk(monkeypatch):
-    # the cones of a simplicial fan are read off their one elimination;
-    # the exterior-product walk is left to dependent generators, as in
-    # the cube fan's cones and its pair loop
-    walks = []
-    original = lattice._facet_normals
+    # the cones of a simplicial fan are read off their one elimination and
+    # insert no generator; dependent generators are inserted, as in the
+    # cube fan's cones and its pair loop
+    inserts = []
+    original = lattice._insert
 
-    def counted(vecs, d):
-        walks.append(d)
-        return original(vecs, d)
+    def counted(rays, v, j, r):
+        inserts.append(r)
+        return original(rays, v, j, r)
 
-    monkeypatch.setattr(lattice, "_facet_normals", counted)
+    monkeypatch.setattr(lattice, "_insert", counted)
     inputs = [p_n_input(n) for n in (2, 3, 4, 5)]
     inputs += [p1_power_input(n) for n in (2, 3, 4)]
     inputs += [(2, [(1, 0), (0, 1), (-1, a), (0, -1)],
@@ -910,11 +937,24 @@ def test_simplicial_fans_take_no_walk(monkeypatch):
         fan = build_fan(rank, rays, cones)
         for key in fan.cones:
             fan.face_sets(key)
-    assert walks == []
-    cube = [(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
-    build_fan(3, cube, [[k for k, r in enumerate(cube) if r[i] == s]
-                        for i in range(3) for s in (1, -1)])
-    assert walks
+    assert inserts == []
+    build_fan(*cube_input())
+    assert inserts
+
+
+def test_products_with_the_cube_fan_are_complete_fans():
+    # cube x P^1 and cube x cube: maximal cones of 5 and 8 rays in ranks
+    # 4 and 6, whose duals insert their dependent generators, and every
+    # cone a product of faces, 27 of the cube fan's and 3 of P^1's
+    for second, size, count in ((p1_power_input(1), 5, 27 * 3),
+                                (cube_input(), 8, 27 * 27)):
+        rank, rays, cones = product_input(cube_input(), second)
+        fan = build_fan(rank, rays, cones)
+        assert len(fan.cones) == count and is_complete(fan)
+        assert {len(k) for k in fan.maximal_keys()} == {size}
+        assert all(fan.cones[k].dim == rank for k in fan.maximal_keys())
+        same, violations = fan_diagnostics(rank, rays, cones)
+        assert violations == [] and list(same.cones) == list(fan.cones)
 
 
 def test_a_complete_simplicial_fan_checks_no_pair(monkeypatch, capsys):

@@ -54,6 +54,12 @@ from test_fan import random_unimodular
 # oracle helpers
 
 
+def facet_ray_sets(cone):
+    """The faces of codimension one, as index sets into cone.rays()."""
+    d = cone.dim()
+    return [fs for fs, fd in cone.face_table().items() if fd == d - 1]
+
+
 def unimodular_with_last_column(c):
     """A unimodular integer matrix whose last column is the primitive c
     (formerly in the library, where integer_feasible changed coordinates
@@ -154,6 +160,17 @@ def test_cone_generators_that_are_not_sequences_are_named():
     assert str(info.value) == "generators: expected a sequence, got None"
     with pytest.raises(SchemaError, match="point: expected a sequence"):
         Cone(2, [(1, 0)]).contains(5)
+
+
+def test_a_string_is_no_generator():
+    # "12" was read as the sequence of its characters, the generator (1, 2)
+    with pytest.raises(SchemaError) as info:
+        Cone(2, ["12"])
+    assert str(info.value) == "generator: expected a sequence, got '12'"
+    with pytest.raises(SchemaError, match="got b'12'"):
+        Cone(2, [b"12"])
+    # a string entry is still read as a number
+    assert Cone(2, [("1", "2")]).gens == ((1, 2),)
 
 
 def test_smith_normal_form_reads_its_entries_with_as_int():
@@ -434,7 +451,7 @@ def test_simplicial_face_count_random():
             continue
         found += 1
         assert len(c.face_ray_sets()) == 2 ** rank
-        assert len(c.facet_ray_sets()) == rank
+        assert len(facet_ray_sets(c)) == rank
 
 
 def test_faces_of_origin():
@@ -1221,7 +1238,7 @@ def test_incidence_combinatorics_match_rank_oracles_random():
         table = closure_face_table(oracle, rays)
         assert c.face_table() == table
         assert c.face_ray_sets() == set(table)
-        assert sorted(c.facet_ray_sets(), key=sorted) == sorted(
+        assert sorted(facet_ray_sets(c), key=sorted) == sorted(
             (fs for fs, d in table.items() if d == dim - 1), key=sorted)
     assert seen["pointed"] > 1000 and seen["line"] > 200
     assert seen["low"] > 400 and seen["redundant"] > 250
@@ -1446,7 +1463,8 @@ def test_dual_description_eliminates_once(monkeypatch):
         assert nullspace_lift_dual_description(gens, rank) == (E, L)
         assert len(calls) == 1 + (len(E) if L else 0)
     # independent generators, spanning Q^n or not, are read off the one
-    # elimination of [G | I], and dependent ones (k = n) walk after it
+    # elimination of [G | I], and dependent ones (k = n) are inserted
+    # after it
     for gens, rank in [([(1, 0, 0), (1, 2, 0), (1, 1, 3)], 3),
                        ([(1, 2, 0, 1), (0, 1, 1, 3)], 4),
                        ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], 3)]:
@@ -1457,8 +1475,91 @@ def test_dual_description_eliminates_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# differential test: the facet normals of independent generators, read off
-# the elimination of [G | I], against the exterior-product walk
+# differential tests: the basis readout and the insertions against the
+# exterior-product walk they replaced
+
+
+def facet_normals_walk(vecs, d):
+    """The former `_facet_normals` of the library: primitive facet normals
+    u of cone(vecs), for vecs spanning Q^d, each oriented so that
+    <u, g> >= 0 on every vector.
+
+    The (d-1)-subsets of vecs are walked depth first, carrying the k x k
+    minors of the prefix (its exterior product), keyed by their column
+    sets as bitmasks.  Extending a prefix by v expands every new minor
+    along the row v; a prefix whose minors all vanish is dependent, and so
+    is every extension of it.  At depth d - 1 the signed maximal minors
+    are the normal u with <u, g> = det(prefix; g): u_c is (-1)^(d-1+c)
+    times the minor without column c.  Each hyperplane is tested once, by
+    the signs of its pairings, up to the first conflict.
+    """
+    full = (1 << d) - 1
+    support = [[(j, x) for j, x in enumerate(v) if x] for v in vecs]
+    # the (k+1)-th vector of a (d-1)-subset is vecs[i] with i < last + k
+    last = len(vecs) - d + 2
+    tried = set()
+    found = []
+
+    def test(u):
+        g = gcd(*u)
+        for x in u:
+            if x:
+                break
+        if x < 0:
+            g = -g
+        u = tuple(u) if g == 1 else tuple(x // g for x in u)
+        if u in tried:
+            return  # this hyperplane was spanned by an earlier subset
+        tried.add(u)
+        pos = neg = False
+        for v in vecs:
+            x = sum(map(mul, u, v))
+            if x > 0:
+                pos = True
+            elif x < 0:
+                neg = True
+            else:
+                continue
+            if pos and neg:
+                return
+        found.append(u if pos else vneg(u))
+
+    def walk(start, k, minors):
+        # v adds (-1)^(k + position of j in S + j) v_j minor(S) to the minor
+        # on S + j, for each column j outside S; at the last step that
+        # minor is read as the entry of u at the one column left out
+        leaf = k == d - 2
+        terms = [[] for _ in range(d)]
+        for S, x in minors.items():
+            if not x:
+                continue
+            for j in range(d):
+                bit = 1 << j
+                if S & bit:
+                    continue
+                T = S | bit
+                odd = (S & (bit - 1)).bit_count() + k
+                if leaf:
+                    T = (full ^ T).bit_length() - 1
+                    odd += d - 1 + T
+                terms[j].append((T, -x if odd & 1 else x))
+        for i in range(start, last + k):
+            new = {}
+            for j, y in support[i]:
+                for T, x in terms[j]:
+                    new[T] = new.get(T, 0) + x * y
+            if not any(new.values()):
+                continue  # a dependent prefix, and so is each extension
+            if leaf:
+                test([new.get(c, 0) for c in range(d)])
+            else:
+                walk(i + 1, k + 1, new)
+
+    if d == 1:
+        test([1])
+    else:
+        walk(0, 0, {0: 1})
+    return found
 
 
 def walk_dual(prim, rank):
@@ -1469,11 +1570,18 @@ def walk_dual(prim, rank):
     if not pivots:
         return [], L
     if not L:
-        return sorted(lattice._facet_normals(prim, rank)), L
+        return sorted(facet_normals_walk(prim, rank)), L
     proj = [tuple(g[c] for c in pivots) for g in prim]
     at = {c: k for k, c in enumerate(pivots)}
     return sorted(tuple(u[at[c]] if c in at else 0 for c in range(rank))
-                  for u in lattice._facet_normals(proj, len(pivots))), L
+                  for u in facet_normals_walk(proj, len(pivots))), L
+
+
+def zero_sets(prim, E):
+    """For each u in E, the bitmask of the indices of the vectors of prim
+    that u vanishes on, read by dot products."""
+    return [sum(1 << i for i, g in enumerate(prim) if not dot(u, g))
+            for u in E]
 
 
 def dot_combinatorics(gens, E):
@@ -1500,7 +1608,8 @@ def dot_combinatorics(gens, E):
 
 def assert_cone_matches_dot_products(cone, E):
     inc, rays, facets, table = dot_combinatorics(cone.gens, E)
-    assert cone._incidence() == inc
+    assert cone.dual_pair()[0] == E
+    assert cone._inc == zero_sets(cone.gens, E)
     if rays is None:
         assert not cone.is_strongly_convex()
         return
@@ -1536,10 +1645,15 @@ def test_independent_generators_match_the_walk_random():
     kinds = collections.Counter()
     for _ in range(1200):
         gens, rank = independent_generators(rng)
-        E, L, opposite = lattice._dual_of_primitive(gens, rank)
+        E, L, Z = lattice._dual_of_primitive(gens, rank)
         assert (E, L) == walk_dual(gens, rank), (gens, rank)
+        assert Z == zero_sets(gens, E)
+        # each normal vanishes on every generator but the one opposite it
+        every = (1 << len(gens)) - 1
+        opposite = [(every ^ z).bit_length() - 1 for z in Z]
         assert sorted(opposite) == list(range(len(gens)))
-        for u, j in zip(E, opposite):
+        for u, z, j in zip(E, Z, opposite):
+            assert z == every ^ 1 << j
             # the normal opposite g_j pairs positively with it alone
             pairs = [dot(u, g) for g in gens]
             assert pairs[j] > 0
@@ -1561,23 +1675,71 @@ def test_independent_generators_match_the_walk_random():
     ([(2, 1, 0, 1), (-2, -1, 0, -1), (1, 0, 1, 1)], 4),
     ([(1, 0, 0, 3), (0, 1, 0, 1), (2, 3, 0, 9)], 4),
 ])
-def test_dependent_generators_take_the_walk(monkeypatch, gens, rank):
+def test_dependent_generators_are_inserted(monkeypatch, gens, rank):
     # the elimination of [G | I] puts pivots in the identity block; they
-    # are no pivots of the span, and the cone walks
-    walks = []
-    original = lattice._facet_normals
+    # are no pivots of the span, and each of their generators is inserted
+    # into the dual of the basis the others form
+    inserts = []
+    original = lattice._insert
 
-    def counted(vecs, d):
-        walks.append(d)
-        return original(vecs, d)
+    def counted(rays, v, j, r):
+        inserts.append(r)
+        return original(rays, v, j, r)
 
-    monkeypatch.setattr(lattice, "_facet_normals", counted)
-    assert len(gens) <= rank and mat_rank(gens) < len(gens)
-    E, L, opposite = lattice._dual_of_primitive(gens, rank)
-    assert opposite is None and walks == [mat_rank(gens)]
+    monkeypatch.setattr(lattice, "_insert", counted)
+    r = mat_rank(gens)
+    assert len(gens) <= rank and r < len(gens)
+    E, L, Z = lattice._dual_of_primitive(gens, rank)
+    assert inserts == [r] * (len(gens) - r)
+    assert Z == zero_sets(gens, E)
     assert (E, L) == walk_dual(gens, rank)
     assert len(L) == rank - mat_rank(gens)
     assert_cone_matches_dot_products(Cone(rank, gens), E)
+
+
+def dependent_generators(rng):
+    """Distinct primitive generators of rank 1-5, at most 10, most of them
+    more than their rank: in Q^n or in a random subspace, half of them
+    flipped to one side of a random functional, some with a line (g and
+    -g)."""
+    rank = rng.randint(1, 5)
+    dim = rank if rng.random() < 0.5 else rng.randint(1, rank)
+    basis = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(dim)]
+    gens = [tuple(combination(rng, basis, rank))
+            for _ in range(rng.randint(1, 10))]
+    if rng.random() < 0.5:
+        w = [rng.randint(-3, 3) for _ in range(rank)]
+        gens = [vneg(g) if dot(w, g) < 0 else g for g in gens]
+    gens = [g for g in gens if any(g)]
+    if gens and rng.random() < 0.3:
+        gens.append(vneg(rng.choice(gens)))
+    prim = []
+    for g in map(primitive, gens):
+        if g not in prim:
+            prim.append(g)
+    return prim, rank
+
+
+def test_insertions_match_the_subsets_and_the_walk_random():
+    rng = random.Random(2323)
+    seen = collections.Counter()
+    for _ in range(1000):
+        prim, rank = dependent_generators(rng)
+        E, L, Z = lattice._dual_of_primitive(prim, rank)
+        assert (E, L) == subset_dual_description(prim, rank), (prim, rank)
+        assert (E, L) == walk_dual(prim, rank), (prim, rank)
+        assert Z == zero_sets(prim, E)
+        assert_cone_matches_dot_products(Cone(rank, prim), E)
+        r = mat_rank(prim)
+        seen["inserted"] += len(prim) > r
+        seen["low"] += r < rank
+        pointed = rank_pointed(Cone(rank, prim))
+        seen["line"] += not pointed
+        seen["pointed, inserted"] += pointed and len(prim) > r
+        seen["facets"] += len(E)
+    assert seen["inserted"] > 600 and seen["pointed, inserted"] > 150, seen
+    assert seen["low"] > 400 and seen["line"] > 400, seen
+    assert seen["facets"] > 1500, seen
 
 
 # ---------------------------------------------------------------------------
@@ -1600,10 +1762,10 @@ def nullspace_lift_dual_description(gens, rank):
     if not pivots:
         return [], L
     if not L:
-        return sorted(lattice._facet_normals(prim, rank)), L
+        return sorted(facet_normals_walk(prim, rank)), L
     E = []
     proj = [tuple(g[c] for c in pivots) for g in prim]
-    for u in lattice._facet_normals(proj, len(pivots)):
+    for u in facet_normals_walk(proj, len(pivots)):
         vals = [dot(u, p) for p in proj]
         incident = [g for g, x in zip(prim, vals) if not x]
         outside = prim[next(i for i, x in enumerate(vals) if x)]
@@ -1665,7 +1827,7 @@ def test_cone_combinatorics_eliminate_once(monkeypatch):
     for d in c.face_table().values():
         by_dim[d] = by_dim.get(d, 0) + 1
     assert by_dim == {0: 1, 1: 8, 2: 12, 3: 6, 4: 1}
-    assert sorted(map(len, c.facet_ray_sets())) == [4] * 6
+    assert sorted(map(len, facet_ray_sets(c))) == [4] * 6
     assert len(calls) == 1
 
 

@@ -21,7 +21,7 @@ from demazure.errors import (
     UnboundedRoots,
 )
 from demazure.fan import build_fan
-from demazure.lattice import Cone, dot
+from demazure.lattice import Cone, dot, lattice_points
 from demazure.roots import (
     DemazureRoot,
     check_condition2,
@@ -32,10 +32,13 @@ from demazure.roots import (
 
 from test_fan import (
     a2,
+    cube_input,
     f1,
     p1,
     p1p1,
+    p1_power_input,
     p2,
+    product_input,
     random_complete_fans,
     random_fan_input,
 )
@@ -54,6 +57,30 @@ def brute_fan_roots(fan, radius):
         if ok:
             found.append(DemazureRoot(neg[0], e))
     return sorted(found)
+
+
+def polytope_roots(fan):
+    """Oracle for a complete fan: the lattice points m of the polytope
+    {m : <n_j, m> >= -1 for all rays n_j} that lie on exactly one facet
+    <n_i, m> = -1, as the roots (i, m)."""
+    found = []
+    for m in lattice_points(fan.rank, [(r, -1) for r in fan.rays]):
+        tight = [i for i, r in enumerate(fan.rays) if dot(r, m) == -1]
+        if len(tight) == 1:
+            found.append(DemazureRoot(tight[0], m))
+    return sorted(found)
+
+
+def test_roots_of_cube_fans_match_the_polytope():
+    # the cube fan has none: the octahedron's points off 0 lie on four
+    # facets; cube x P^1 has the two roots of its P^1 factor
+    for rank, rays, cones in (cube_input(), product_input(
+            cube_input(), p1_power_input(1))):
+        fan = build_fan(rank, rays, cones)
+        rs = roots_of_fan(fan)
+        assert rs.complete_enumeration
+        assert sorted(rs.roots) == polytope_roots(fan)
+        assert len(rs.roots) == 2 * (rank - 3)
 
 
 def test_p2_roots_complete():

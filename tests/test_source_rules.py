@@ -290,26 +290,22 @@ def test_root_existence_is_read_off_the_root_regions():
         "Region.feasible", "invariant_factors"}
 
 
-def test_simplicial_duals_are_read_in_integers():
-    # the facet normals of independent generators are read off their one
-    # elimination and scaled to integers by one lcm (Fractions would
-    # normalize every entry by a gcd), and the exterior-product walk is
-    # left to dependent generators
+def test_every_dual_is_one_elimination_read_in_integers():
+    # every dual reads a basis off one elimination of [G | I] and inserts
+    # the other generators by double description, in integers (Fractions
+    # would normalize every entry by a gcd); no walk over subsets of the
+    # generators is left
     trees = {p.name: ast.parse(p.read_text(), str(p)) for p in SOURCES}
     assert set(trees) >= {"lattice.py"}
     funcs = {n.name: n for n in ast.walk(trees["lattice.py"])
              if isinstance(n, ast.FunctionDef)}
-    for name in ("_dual_of_primitive", "_opposite_normals"):
-        assert "Fraction" not in _names_in(funcs[name]), \
-            f"{name} uses Fraction"
-    assert "_opposite_normals" in _names_in(funcs["_dual_of_primitive"])
-    walks = [
-        f"{name}:{node.lineno}"
-        for name, tree in trees.items()
-        for node in ast.walk(tree)
+    assert "_facet_normals" not in funcs
+    for name in ("_dual_of_primitive", "_insert"):
+        names = _names_in(funcs[name])
+        assert "Fraction" not in names, f"{name} uses Fraction"
+        assert "combinations" not in names, f"{name} uses combinations"
+    eliminations = [
+        node.lineno for node in ast.walk(funcs["_dual_of_primitive"])
         if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None))
-        == "_facet_normals"
-    ]
-    assert len(walks) == 1, f"calls of _facet_normals: {walks}"
-    assert "_facet_normals" in _names_in(funcs["_dual_of_primitive"])
+        and getattr(node.func, "id", None) == "_echelon"]
+    assert len(eliminations) == 1, f"calls of _echelon: {eliminations}"
