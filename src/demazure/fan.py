@@ -80,7 +80,8 @@ class Fan:
     proves that at once for a complete simplicial fan, from the table of
     walls (`walls`); any other fan is checked pair by pair by
     `intersection_defect`: by containment, by a lone ray, or by one dual.
-    Faces and saturated bases are memoized per cone, the walls per fan.
+    Faces and saturated bases are memoized per cone, the walls and
+    `has_convex_support` per fan.
     """
 
     def __init__(self, rank, rays, supplied):
@@ -91,6 +92,7 @@ class Fan:
         self._face_sets = {}
         self._bases = {}
         self._walls = None
+        self._convex = None  # memo of has_convex_support
         self._symmetry = None  # memo of orbits.symmetry_chain
         self._automorphisms = None  # memo of orbits.fan_automorphisms
         self.supplied = list(supplied)
@@ -249,9 +251,28 @@ class Fan:
                 return False
         first, *others = self.supplied
         p = [sum(x) for x in zip(*(self.rays[i] for i in first))]
-        return not any(
-            all(dot(u, p) >= 0 for u in self._geom[key].dual_pair()[0])
-            for key in others)
+        if any(all(dot(u, p) >= 0 for u in self._geom[key].dual_pair()[0])
+               for key in others):
+            return False
+        self._convex = True  # a complete fan: has_convex_support holds
+        return True
+
+    def has_convex_support(self):
+        """Whether the support |Sigma| is certified convex: the fan is
+        complete or affine.  Computed once per fan.
+
+        A complete fan is one that `certified_complete` proved (the call
+        records it), or else one that `is_complete` finds, for the fans the
+        certificate does not apply to.  An affine fan has one supplied cone
+        holding every listed ray; every cone of a valid fan is then a face
+        of it.  Any other fan reads False, even when its support happens to
+        be convex, so callers treat False as "unknown".
+        """
+        if self._convex is None:
+            self._convex = (any(len(key) == len(self.rays)
+                                for key in self.supplied)
+                            or is_complete(self))
+        return self._convex
 
     def intersection_defect(self, a, b):
         """None if generating cones a and b meet in a common face, else the

@@ -63,6 +63,9 @@ def _verified(fan, e):
             "no other negative values"
         )
     i = neg[0]
+    # condition (2) follows from (1) when the support is convex (roots.py)
+    if fan.has_convex_support():
+        return i, vals, e
     ok, witness = check_condition2(fan, e, i, vals)
     if not ok:
         raise NotARoot(
@@ -206,11 +209,14 @@ def admits_g_structure(fan):
     <n_i, e> = -1 and the zero pattern Z(e) = {j != i : <n_j, e> = 0}, and
     condition (2) asks that cone(sigma, rho_i) be a fan cone for each fan
     cone sigma inside Z(e).  If Z(e') lies in Z(e), the cones inside Z(e')
-    are among those inside Z(e), so e' passes whenever e does.
+    are among those inside Z(e), so e' passes whenever e does.  When the
+    support is convex every point passes (roots.py), and no test is asked.
     """
+    convex = fan.has_convex_support()
     for i in range(len(fan.rays)):
         region = Region(fan.rank, *_root_system(fan.rays, i))
-        if region.feasible(lambda e: check_condition2(fan, e, i)[0]):
+        if region.feasible() if convex else region.feasible(
+                lambda e: check_condition2(fan, e, i)[0]):
             return True
     return False
 

@@ -12,6 +12,21 @@ Condition (1) makes e a lattice point of the root region of ray i
 (`_root_system`); condition (2) constrains the fan cones inside the zero
 pattern Z = {j != i : <n_j, e> = 0} of e (`cones_inside`).
 
+When the support |Sigma| is convex, condition (2) follows from (1).  Let
+e meet (1) with distinguished ray rho_i, let sigma be a fan cone with
+e|sigma = 0, and take p in the relative interior of sigma.  As |Sigma| is
+a convex cone holding p and n_i, some fan cone tau holds p + eps n_i for
+all small eps > 0, and p by closure; sigma ∩ tau is a face of sigma
+holding p, so sigma is a face of tau.  <e, p + eps n_i> = -eps < 0, so
+tau has a ray on which e is negative, and that ray is rho_i.  Let u cut
+sigma out of tau and set w = e + u / <u, n_i>: w >= 0 on tau and vanishes
+exactly on sigma and rho_i, so cone(sigma, rho_i) is a face of tau.  This
+is why Demazure (1970) and Cox (1995, §4) define the roots of a complete
+fan by (1) alone.  So `check_condition2` runs only on the fans whose
+support is not certified convex (`Fan.has_convex_support`: complete or
+affine).  Two lone rays {(1, 0), (0, 1)} show the limit: (-1, 0) vanishes
+on ray 1, but the two rays span no cone.
+
 For a single strongly convex cone only the sign conditions (1) over the
 cone's own rays apply.  Roots are in bijection with the homogeneous locally
 nilpotent derivations of the homogeneous coordinate/affine algebra, i.e.
@@ -134,6 +149,14 @@ def roots_of_fan(fan, bound=None):
     ray if it is missing) and each region's elimination is lifted within
     max |e_i| <= B.  A bound that is not an integer raises InvalidInteger
     and a negative one NegativeBound, also where it would be ignored.
+
+    Condition (2) is checked only when the support is not certified
+    convex.  On a complete or affine fan it holds at every region point
+    e: for a fan cone sigma on which e vanishes and p in its relative
+    interior, convexity puts p + eps n_i in one fan cone tau for all
+    small eps > 0, so sigma and rho_i are faces of tau, and
+    e + u / <u, n_i>, u cutting sigma out of tau, cuts cone(sigma, rho_i)
+    out of tau (the module docstring gives the details).
     """
     l = len(fan.rays)
     if l == 0:
@@ -157,7 +180,8 @@ def roots_of_fan(fan, bound=None):
         if bound is None:
             raise UnboundedRoots(infinite)
         points = boxed
+    convex = fan.has_convex_support()
     roots = [DemazureRoot(i, e) for i, found in enumerate(points)
              if found is not None
-             for e in found if check_condition2(fan, e, i)[0]]
+             for e in found if convex or check_condition2(fan, e, i)[0]]
     return RootSet(tuple(roots), infinite is None)

@@ -19,11 +19,16 @@ from fractions import Fraction
 
 import pytest
 
-from demazure import lattice
-from demazure.errors import DemazureError, UnboundedRoots
-from demazure.fan import build_fan, is_complete
+from demazure import lattice, orbits, roots
+from demazure.errors import DemazureError, NotARoot, UnboundedRoots
+from demazure.fan import Fan, build_fan, is_complete
 from demazure.lattice import Region, dot
-from demazure.orbits import admits_g_structure
+from demazure.orbits import (
+    admits_g_structure,
+    g_orbit_partition,
+    he_connected_pairs,
+    verify_root,
+)
 from demazure.roots import (
     DemazureRoot,
     _root_system,
@@ -34,12 +39,16 @@ from demazure.roots import (
 from test_fan import (
     HEXAGON,
     change_basis,
+    cube_input,
     p1_power,
+    p1_power_input,
     p_n_input,
+    product_input,
     random_complete_fan_input,
 )
 from test_lattice import fraction_nullspace
 from test_orbits import oracle_admits
+from test_roots import polytope_roots
 
 
 def condition2_loop(fan, e, ray_index):
@@ -313,6 +322,109 @@ def test_condition2_holds_on_fans_with_convex_support():
     # 1, but the two rays span no cone
     lone = build_fan(2, [(1, 0), (0, 1)], [[0], [1]])
     assert check_condition2(lone, (-1, 0), 0) == (False, frozenset({1}))
+
+
+def roots_checking_condition2(fan, bound):
+    """roots_of_fan with condition (2) checked at every region point, as it
+    was before fans with convex support skipped it: the regions are read
+    within the box of `bound` when one is unbounded."""
+    n = fan.rank
+    regions = [Region(n, *_root_system(fan.rays, i))
+               for i in range(len(fan.rays))]
+    points = [region.points() for region in regions]
+    if None in points:
+        points = [region.points([(-bound, bound)] * n) for region in regions]
+    return [DemazureRoot(i, e) for i, found in enumerate(points)
+            for e in found if check_condition2(fan, e, i)[0]]
+
+
+def admits_checking_condition2(fan):
+    """admits_g_structure as it was: each root region is asked for a point
+    that passes condition (2)."""
+    return any(
+        Region(fan.rank, *_root_system(fan.rays, i)).feasible(
+            lambda e: check_condition2(fan, e, i)[0])
+        for i in range(len(fan.rays)))
+
+
+def test_roots_skip_condition2_exactly_where_it_is_a_theorem():
+    complete = charts = 0
+    for fan in convex_support_fans(2121, 120):
+        assert fan.has_convex_support(), fan.rays
+        got = roots_of_fan(fan, bound=2)
+        assert list(got.roots) == roots_checking_condition2(fan, 2), fan.rays
+        if is_complete(fan):
+            assert got.complete_enumeration
+            assert sorted(got.roots) == polytope_roots(fan), fan.rays
+            complete += 1
+        else:
+            charts += 1
+        assert admits_g_structure(fan) == admits_checking_condition2(fan)
+    assert complete > 60 and charts > 20
+    # supports that are not convex: two lone rays, and P^2 less one cone
+    for fan in (build_fan(2, [(1, 0), (0, 1)], [[0], [1]]),
+                without_cone(P2, 0)):
+        assert not fan.has_convex_support(), fan.rays
+        assert admits_g_structure(fan) == admits_checking_condition2(fan)
+
+
+@pytest.fixture
+def condition2_calls(monkeypatch):
+    """Counts check_condition2 calls from roots and orbits."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return check_condition2(*args)
+
+    monkeypatch.setattr(roots, "check_condition2", counted)
+    monkeypatch.setattr(orbits, "check_condition2", counted)
+    return calls
+
+
+def exercise_condition2(fan, bound):
+    """roots_of_fan, then g_orbit_partition and he_connected_pairs of each
+    root, then admits_g_structure: the number of roots found."""
+    found = roots_of_fan(fan, bound=bound)
+    for root in found:
+        g_orbit_partition(fan, root.e)
+        he_connected_pairs(fan, root.e)
+    admits_g_structure(fan)
+    return len(found)
+
+
+# the number of roots, and the check_condition2 calls that the same
+# functions make when the support is not known to be convex (the cube fan
+# has no roots, and no region of it holds a point)
+@pytest.mark.parametrize("name, fan, bound, count, unskipped", [
+    ("P^2", lambda: p_n(2), None, 6, 19),
+    ("(P^1)^3", lambda: p1_power(3), None, 6, 19),
+    ("cube", lambda: build_fan(*cube_input()), None, 0, 0),
+    ("cube x P^1", lambda: build_fan(*product_input(
+        cube_input(), p1_power_input(1))), None, 2, 7),
+    ("A^3", lambda: affine(3), 4, 75, 226),
+])
+def test_fans_with_convex_support_make_no_condition2_call(
+        monkeypatch, condition2_calls, name, fan, bound, count, unskipped):
+    fan = fan()
+    assert fan.has_convex_support()
+    assert exercise_condition2(fan, bound) == count
+    assert condition2_calls == [], name
+    monkeypatch.setattr(Fan, "has_convex_support", lambda self: False)
+    assert exercise_condition2(fan, bound) == count
+    assert len(condition2_calls) == unskipped, name
+
+
+def test_a_support_that_is_not_convex_is_checked(condition2_calls):
+    lone = build_fan(2, [(1, 0), (0, 1)], [[0], [1]])
+    assert not lone.has_convex_support()
+    assert exercise_condition2(lone, 3) == 6
+    assert len(condition2_calls) == 21
+    with pytest.raises(NotARoot) as info:
+        verify_root(lone, (-1, 0))
+    assert str(info.value) == (
+        "(-1, 0) vanishes on cone [1] but its extension by ray 0 is not "
+        "in the fan")
 
 
 # ---------------------------------------------------------------------------

@@ -309,3 +309,28 @@ def test_every_dual_is_one_elimination_read_in_integers():
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", None) == "_echelon"]
     assert len(eliminations) == 1, f"calls of _echelon: {eliminations}"
+
+
+def test_condition2_is_checked_only_off_convex_support():
+    # condition (2) follows from (1) on a fan whose support is convex, so
+    # each library function that calls check_condition2 first asks the
+    # fan (Fan.has_convex_support); the CLI reaches condition (2) only
+    # through those functions, so a caller cannot drop the skip or add a
+    # second one
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in SOURCES}
+    assert set(trees) >= {"cli.py", "roots.py", "orbits.py"}
+    callers = set()
+    for name, tree in trees.items():
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            if any(isinstance(node, ast.Call)
+                   and "check_condition2" in _names_in(node.func)
+                   for node in ast.walk(func)):
+                callers.add(f"{name}:{func.name}")
+                assert "has_convex_support" in _names_in(func), \
+                    f"{name}:{func.name} checks condition (2) on every fan"
+    assert callers >= {"roots.py:roots_of_fan", "orbits.py:_verified",
+                       "orbits.py:admits_g_structure"}
+    assert "check_condition2" not in _names_in(trees["cli.py"]), \
+        "cli.py checks condition (2)"
