@@ -15,6 +15,15 @@ is checked pair by pair: by containment, by a lone ray, or by one dual.
 Each stage reports typed DemazureErrors; `build_fan` raises the first
 one, `serialize.fan_diagnostics` lists all of the first failing stage.
 
+Each supplied cone takes one dual, on the rays as the ray stage made
+them, and the fan reads the rest off it: the cone's extremal rays, and
+so its key; its faces, every subset of the key when it is simplicial;
+its walls, from the zero sets of its facet normals; and, for n
+independent rays in rank n, whether it is unimodular, from the pairings
+of its normals with its rays (`Fan.unimodular_faces`).  The faces of a
+unimodular cone are smooth and their rays are saturated bases, so a
+Smith form is taken only for the other cones.
+
 Cones are keyed by their extremal-ray index sets; that is sound because a
 strongly convex cone is determined by its extremal rays.  The canonical id
 of a cone is "dim:i1,i2,..." (the origin is "0:").
@@ -80,8 +89,11 @@ class Fan:
     proves that at once for a complete simplicial fan, from the table of
     walls (`walls`); any other fan is checked pair by pair by
     `intersection_defect`: by containment, by a lone ray, or by one dual.
-    Faces and saturated bases are memoized per cone, the walls and
-    `has_convex_support` per fan.
+    A supplied cone's faces, walls and unimodularity are read off its key
+    and its one dual; a cone is unimodular iff each facet normal pairs to
+    1 with the ray off its facet (the proof is at `unimodular_faces`).
+    Faces and saturated bases are memoized per cone, the walls,
+    `unimodular_faces` and `has_convex_support` per fan.
     """
 
     def __init__(self, rank, rays, supplied):
@@ -92,6 +104,7 @@ class Fan:
         self._face_sets = {}
         self._bases = {}
         self._walls = None
+        self._unimodular = None  # memo of unimodular_faces
         self._convex = None  # memo of has_convex_support
         self._symmetry = None  # memo of orbits.symmetry_chain
         self._automorphisms = None  # memo of orbits.fan_automorphisms
@@ -121,8 +134,9 @@ class Fan:
         return _as_key(cone) in self.cones
 
     def ray_index(self, vector):
-        """Index of a primitive ray vector, or None."""
-        return self._ray_index.get(tuple(vector))
+        """Index of a primitive ray vector, or None; SchemaError when the
+        vector is not a sequence."""
+        return self._ray_index.get(as_tuple(vector, "vector"))
 
     def ref(self, cone):
         key = _as_key(cone)
@@ -139,32 +153,74 @@ class Fan:
         key = _as_key(cone)
         if key not in self._geom:
             self.ref(key)  # raises ConeNotInFan when absent
-            self._geom[key] = Cone(self.rank, [self.rays[i] for i in key])
+            self._geom[key] = Cone._of_primitive(
+                self.rank, [self.rays[i] for i in key])
         return self._geom[key]
 
     def face_sets(self, cone):
         """Faces of a fan cone as frozensets of fan ray indices, mapped to
-        their dimensions."""
+        their dimensions.  Every set of a simplicial cone's rays is a face,
+        of dimension its size; the faces of any other cone are read off
+        `Cone.face_table` and taken to fan indices."""
         key = _as_key(cone)
         if key not in self._face_sets:
             geom = self.cone_geometry(key)
-            local = [self._ray_index[r] for r in geom.rays()]
-            self._face_sets[key] = {
-                frozenset(local[j] for j in fs): d
-                for fs, d in geom.face_table().items()
-            }
+            if len(key) == geom.dim():
+                table = {frozenset(fs): k for k in range(len(key) + 1)
+                         for fs in itertools.combinations(key, k)}
+            else:
+                local = [self._ray_index[r] for r in geom.rays()]
+                table = {frozenset(local[j] for j in fs): d
+                         for fs, d in geom.face_table().items()}
+            self._face_sets[key] = table
         return self._face_sets[key]
 
+    def unimodular_faces(self):
+        """The faces of the unimodular supplied cones, computed once per fan.
+
+        A supplied cone of n independent generators in rank n is
+        unimodular (its generators are a basis of N) iff each facet normal
+        u_j pairs to 1 with g_j, the generator off its facet; u_j pairs to
+        0 with the others, so that is <u_j, sum of the g_i> = 1.  Proof:
+        the columns c_j of G^-1 satisfy <g_i, c_j> = delta_ij, so c_j lies
+        on the ray of u_j.  If |det G| = 1, c_j is integral, and primitive
+        as it pairs to 1 with g_j, so c_j = u_j.  Conversely, if every
+        <u_j, g_j> = 1, then c_j = u_j and G^-1 is integral, so det G and
+        det G^-1 are integers with product 1.  The rays of a face of a
+        unimodular cone are part of a basis of N, so they are a basis of
+        N ∩ span(face) and the face is smooth (Cox-Little-Schenck, Toric
+        Varieties, 1.3.12).
+        """
+        if self._unimodular is None:
+            faces = set()
+            for key in self.supplied:
+                geom = self._geom[key]
+                E, L = geom.dual_pair()
+                if len(geom.gens) != self.rank or L:
+                    continue
+                p = [sum(x) for x in zip(*geom.gens)]
+                if all(dot(u, p) == 1 for u in E):
+                    faces.update(self.face_sets(key))
+            self._unimodular = faces
+        return self._unimodular
+
     def saturated_basis(self, cone):
-        """A basis of N ∩ span(cone): the rows of T at the nonzero invariant
-        factors of the Smith form S D T of the cone's rays."""
+        """A basis of N ∩ span(cone), memoized per cone.  The rays of a
+        face of a unimodular supplied cone (`unimodular_faces`) are one;
+        for any other cone it is the rows of T at the nonzero invariant
+        factors of the Smith form S D T of the cone's rays.  Only its
+        length and the gcd of its pairings with a character are read, and
+        neither depends on the basis chosen."""
         key = _as_key(cone)
         if key not in self._bases:
             self.ref(key)  # raises ConeNotInFan when absent
-            _, D, T = smith_normal_form([self.rays[i] for i in key])
-            # a non-simplicial cone has more rays than the rank
-            self._bases[key] = [T[k] for k, d in enumerate(D[:len(T)])
-                                if d[k]]
+            if key in self.unimodular_faces():
+                self._bases[key] = [self.rays[i] for i in sorted(key)]
+            else:
+                _, D, T = smith_normal_form([self.rays[i] for i in key])
+                # a non-simplicial cone has more rays than the rank
+                self._bases[key] = [T[k] for k, d in enumerate(D[:len(T)])
+                                    if d[k]]
         return self._bases[key]
 
     def maximal_keys(self):
@@ -177,9 +233,10 @@ class Fan:
         """dict: each facet of an n-dimensional generating cone, as a ray
         index set -> [(cone, facet normal)] over the cones it bounds.
 
-        A facet is the set of a cone's rays on one of its facet normals,
-        read off the cone's own dual.  In a valid fan the n-dimensional
-        cones are the n-dimensional generating ones.
+        A facet is the set of a cone's extremal rays on one of its facet
+        normals, read off the zero sets of the cone's own dual (`_inc[k]`,
+        the bitmask of its generators on normal k).  In a valid fan the
+        n-dimensional cones are the n-dimensional generating ones.
         """
         if self._walls is None:
             table = {}
@@ -187,9 +244,12 @@ class Fan:
                 if self.cones[key].dim != self.rank:
                     continue
                 geom = self.cone_geometry(key)
-                local = [self._ray_index[r] for r in geom.rays()]
-                for u, facet in geom.facets():
-                    wall = frozenset(local[j] for j in facet)
+                extremal = set(geom.rays())
+                # (bit of the generator, its fan index) per extremal ray
+                at = [(1 << j, self._ray_index[g])
+                      for j, g in enumerate(geom.gens) if g in extremal]
+                for u, z in zip(geom.dual_pair()[0], geom._inc):
+                    wall = frozenset(i for bit, i in at if z & bit)
                     table.setdefault(wall, []).append((key, u))
             self._walls = table
         return self._walls
@@ -374,7 +434,7 @@ def cone_stage(rank, rays, maximal_cones):
                 f"cone {idxs} references a ray that is not listed"
             ))
             continue
-        geom = Cone(rank, [rays[i] for i in idxs])
+        geom = Cone._of_primitive(rank, [rays[i] for i in idxs])
         if not geom.is_strongly_convex():
             violations.append(NotStronglyConvex(
                 f"maximal cone {idxs} contains a line"
@@ -432,13 +492,18 @@ def is_complete(fan):
 
 
 def cone_properties(fan, cone):
-    """dim / orbit_dim / smooth / simplicial of one fan cone."""
+    """dim / orbit_dim / smooth / simplicial of one fan cone.
+
+    A cone is smooth when its rays are part of a basis of N: every face of
+    a unimodular supplied cone is (`Fan.unimodular_faces`); any other
+    simplicial cone is iff its invariant factors are all 1.
+    """
     ref = fan.ref(cone)
     d = ref.dim
     simplicial = len(ref.indices) == d
-    smooth = simplicial and all(
-        x == 1 for x in invariant_factors([fan.rays[i] for i in ref.indices])
-    )
+    smooth = frozenset(ref.indices) in fan.unimodular_faces() or (
+        simplicial and all(x == 1 for x in invariant_factors(
+            [fan.rays[i] for i in ref.indices])))
     return {
         "dim": d,
         "orbit_dim": fan.rank - d,

@@ -84,6 +84,8 @@ def vneg(a):
 def as_int(x):
     """x as an int; InvalidInteger when it is not integral (int() would
     truncate 1/2 or 0.5 to 0) or not a number."""
+    if type(x) is int:
+        return x
     (w,), d = _integral((x,))
     if d != 1:
         raise InvalidInteger(f"non-integral component {x!r}")
@@ -293,8 +295,8 @@ def mat_vec(A, v):
 
 def _beside_identity(rows):
     """[A | I]: each row of A followed by its unit vector."""
-    return [[*r, *(int(i == j) for j in range(len(rows)))]
-            for i, r in enumerate(rows)]
+    n = len(rows)
+    return [[*r, *[0] * i, 1, *[0] * (n - 1 - i)] for i, r in enumerate(rows)]
 
 
 def mat_inverse(rows):
@@ -513,9 +515,10 @@ def _dual_of_primitive(prim, rank):
     for j, column in enumerate(columns):
         if basis >> j & 1:
             g = gcd(*column)
-            u = dict(zip(span, column))
-            rays.append((tuple(u.get(c, 0) // g for c in range(rank)),
-                         basis ^ 1 << j))
+            u = [0] * rank
+            for c, x in zip(span, column):
+                u[c] = x // g
+            rays.append((tuple(u), basis ^ 1 << j))
     for j in dependent:
         rays = _insert(rays, prim[j], j, len(span))
     rays.sort()
@@ -557,7 +560,8 @@ class Cone:
     The dual description is computed lazily, once; all else is read off
     the incidences of the generators with its facets, the zero sets of
     the dual (`_inc[k]`, the bitmask of the generators on facet k), and
-    cached.
+    cached.  `_of_primitive` builds a Cone on generators that are already
+    primitive and distinct, a fan's rays, without reading them again.
     """
 
     __slots__ = ("rank", "gens", "_dual_pair", "_dual", "_inc",
@@ -576,8 +580,19 @@ class Cone:
             d = gcd(*vec)
             if d:
                 out.add(tuple(vec) if d == 1 else tuple(x // d for x in vec))
+        self._start(rank, out)
+
+    @classmethod
+    def _of_primitive(cls, rank, gens):
+        """The Cone on gens, distinct primitive integer tuples of length
+        rank (a validated fan's rays), read as they are: no check, no gcd."""
+        cone = cls.__new__(cls)
+        cone._start(rank, gens)
+        return cone
+
+    def _start(self, rank, gens):
         self.rank = rank
-        self.gens = tuple(sorted(out))
+        self.gens = tuple(sorted(gens))
         self._dual_pair = None
         self._dual = None
         self._inc = None
@@ -916,10 +931,16 @@ def lattice_points(rank, inequalities=(), equalities=(), box=None):
     point holds infinitely many and raises UnboundedRegion.  A `box` (a
     list of rational (lo, hi) pairs per coordinate) is rounded inward and
     bounds the lift: the elimination sees the system's own rows only.
+    The rank is read by `read_rank`; a box, or a pair of it, that is not
+    a sequence, or a pair of another length, raises SchemaError.
     """
+    rank = read_rank(rank)
     if box is not None:
+        box = [as_tuple(pair, "box pair") for pair in as_tuple(box, "box")]
         if len(box) != rank:
             raise RankMismatch("box length disagrees with rank")
+        if any(len(pair) != 2 for pair in box):
+            raise SchemaError(f"box: expected (lo, hi) pairs, got {box!r}")
         # each pair times the lcm d of its denominators, rounded inward
         box = [(-(-lo // d), hi // d) for (lo, hi), d in map(_integral, box)]
     region = Region(rank, inequalities, equalities)
@@ -933,5 +954,6 @@ def lattice_points(rank, inequalities=(), equalities=(), box=None):
 
 
 def integer_feasible(rank, inequalities=(), equalities=()):
-    """Does {x : <u,x> >= b, <v,x> == c} hold a lattice point?  (Region)"""
-    return Region(rank, inequalities, equalities).feasible()
+    """Does {x : <u,x> >= b, <v,x> == c} hold a lattice point?  (Region)
+    The rank is read by `read_rank`."""
+    return Region(read_rank(rank), inequalities, equalities).feasible()

@@ -193,16 +193,24 @@ def test_lone_rays_fan_is_valid():
 
 def test_rays_get_their_faces_without_a_cone(monkeypatch):
     # a ray's faces are {0} and itself: building P^3 makes one Cone per
-    # maximal cone and none for a ray, until a ray's geometry is asked for
+    # maximal cone and none for a ray, until a ray's geometry is asked for;
+    # the fan's Cones are made by the public constructor or the one that
+    # takes its primitive rays as they are, and both are counted
     made = []
     original = Cone.__init__
+    of_primitive = Cone._of_primitive
 
     def counted(self, rank, generators=()):
         generators = list(generators)
         made.append(len(generators))
         original(self, rank, generators)
 
+    def counted_primitive(rank, gens):
+        made.append(len(gens))
+        return of_primitive(rank, gens)
+
     monkeypatch.setattr(Cone, "__init__", counted)
+    monkeypatch.setattr(Cone, "_of_primitive", counted_primitive)
     rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
     fan = build_fan(3, rays, list(itertools.combinations(range(4), 3)))
     assert made == [3] * 4
@@ -725,6 +733,18 @@ def test_each_supplied_cone_is_normalized_once(monkeypatch):
     fan = build_fan(*p1_power_input(3))
     assert [tuple(v) for v in calls] == p1_power_input(3)[1]
     assert len(calls) == len(fan.rays) == 6
+
+
+def test_ray_index_reads_its_vector_as_a_sequence():
+    # ray_index(None) raised a bare TypeError, and the string "10" was
+    # read as the vector of its characters
+    fan = p2()
+    assert fan.ray_index([-1, -1]) == 2
+    assert fan.ray_index((2, 0)) is None and fan.ray_index((1, 0, 0)) is None
+    for vector in (None, 5, "10"):
+        with pytest.raises(SchemaError) as info:
+            fan.ray_index(vector)
+        assert str(info.value) == f"vector: expected a sequence, got {vector!r}"
 
 
 def test_saturated_basis_only_of_a_fan_cone():

@@ -1842,6 +1842,40 @@ def test_cone_reads_its_rank_as_a_nonnegative_integer():
         Cone(-1)
 
 
+def test_lattice_points_and_integer_feasible_read_their_rank():
+    # the rank was never read: lattice_points(-3) returned [()],
+    # integer_feasible(-1) returned True, and the rank None or 2.5 raised
+    # a bare TypeError
+    for ask in (lattice_points, integer_feasible):
+        for rank in (-3, -1):
+            with pytest.raises(RankMismatch, match=f"negative rank {rank}"):
+                ask(rank)
+        with pytest.raises(InvalidInteger, match="non-integral component"):
+            ask(2.5)
+        with pytest.raises(InvalidInteger, match="non-numeric entry"):
+            ask(None)
+    rows = [((1,), 0), ((-1,), -2)]
+    assert lattice_points("1", rows) == lattice_points(1.0, rows) == [
+        (0,), (1,), (2,)]
+    assert integer_feasible("1", rows) and integer_feasible(0)
+
+
+def test_a_box_that_is_no_list_of_pairs_is_named():
+    # box=5 and the pairs 5 and None raised a bare TypeError, and the
+    # triple (0, 1, 2) a bare ValueError
+    rows = [((1, 0), 0)]
+    for box, message in (
+            (5, "box: expected a sequence, got 5"),
+            ([(0, 1), 5], "box pair: expected a sequence, got 5"),
+            ([None, None], "box pair: expected a sequence, got None"),
+            ([(0, 1), (0, 1, 2)], "box: expected (lo, hi) pairs, got ")):
+        with pytest.raises(SchemaError) as info:
+            lattice_points(2, rows, box=box)
+        assert str(info.value).startswith(message)
+    assert lattice_points(2, rows, box=([0, 1], (Fraction(1, 2), 1))) == [
+        (0, 1), (1, 1)]
+
+
 def test_cone_generators_are_read_once_to_their_primitive_vectors():
     gens = [(2, 4), (Fraction(1, 2), 1), (0, 0), (-3, 0), ("-1", 0.0),
             (Fraction(0), 7)]

@@ -27,10 +27,18 @@ from demazure.errors import (
     SchemaError,
     UnsupportedFan,
 )
-from demazure.fan import build_fan
+from demazure.fan import (
+    build_fan,
+    cone_properties,
+    cone_stage,
+    is_complete,
+    ray_stage,
+)
 from demazure.lattice import (
+    Cone,
     det,
     dot,
+    invariant_factors,
     mat_inverse,
     mat_mul,
     mat_rank,
@@ -62,12 +70,15 @@ from demazure.roots import (
 from test_fan import (
     HEXAGON,
     a2,
+    cube_input,
     f1,
     p1,
     p1_power,
+    p1_power_input,
     p1p1,
     p2,
     p_n_input,
+    product_input,
     random_complete_fans,
     random_fan_input,
 )
@@ -702,19 +713,109 @@ def smith_calls(monkeypatch):
 
 
 def test_one_smith_form_per_fan_cone(smith_calls):
+    # every cone of P^3 is a face of a unimodular supplied cone, whose
+    # rays are a saturated basis: no Smith form at all
     fan = build_fan(*p_n_input(3))
     roots = list(roots_of_fan(fan))
     smith_calls.clear()
     for root in roots:
         g_orbit_partition(fan, root.e)
-    assert len(roots) == 12
-    # every cone is an orbit of every root
-    assert len(smith_calls) == len(fan.cones) == 15
-    for root in roots:
-        g_orbit_partition(fan, root.e)
         for key in fan.cones:
             stabilizer_data(fan, root.e, key)
-    assert len(smith_calls) == 15
+    assert len(roots) == 12 and len(fan.cones) == 15
+    assert smith_calls == []
+    # P(3, 2, 1): the cones through the ray (-2, -3) are no face of the
+    # unimodular cone {0, 1}, and each takes one Smith form, memoized
+    fan = non_smooth_fans()[0]
+    roots = list(roots_of_fan(fan))
+    assert is_complete(fan) and len(fan.unimodular_faces()) == 4
+    for _ in range(2):
+        for root in roots:
+            g_orbit_partition(fan, root.e)
+            for key in fan.cones:
+                stabilizer_data(fan, root.e, key)
+    assert roots and len(smith_calls) == 3
+    assert {frozenset(map(tuple, A)) for A in smith_calls} == {
+        frozenset(fan.rays[i] for i in key)
+        for key in ({2}, {0, 2}, {1, 2})}
+
+
+def readout_fans():
+    """(fan, validated) pairs for the fan's readouts: smooth and not,
+    simplicial and not, complete and not, and seeded fans whose pairs
+    were never checked, some of them meeting badly."""
+    fans = [(fan, True) for fan in named_fans() + non_smooth_fans()
+            + lone_ray_fans()]
+    fans += [(build_fan(*args), True) for args in (
+        cube_input(), product_input(cube_input(), p1_power_input(1)),
+        (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [[0, 1, 2]]))]
+    # the listed ray (1, 1, 0) lies on a facet of the cone, but is none of
+    # its extremal rays
+    rays = ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 0))
+    fans.append((cone_stage(3, rays, [[0, 1, 2, 3]])[0], False))
+    rng = random.Random(2525)
+    while len(fans) < 70:
+        rank, rays, cones = random_fan_input(rng)
+        rays, violations = ray_stage(rank, rays)
+        fan = None if violations else cone_stage(rank, rays, cones)[0]
+        if fan is not None:
+            fans.append((fan, False))
+    return fans
+
+
+def test_fan_readouts_match_the_general_routes():
+    # faces, walls, smoothness and stabilizers read off each supplied
+    # cone's key and dual against the routes they replaced: the face
+    # table and facets of a Cone on the cone's rays, taken to fan indices,
+    # the invariant factors and a Smith basis
+    rng = random.Random(2526)
+    seen = set()
+    for fan, validated in readout_fans():
+        walls = {}
+        for key in fan.generating:
+            if fan.cones[key].dim == fan.rank:
+                geom = Cone(fan.rank, [fan.rays[i] for i in key])
+                local = [fan.ray_index(r) for r in geom.rays()]
+                for u, facet in geom.facets():
+                    walls.setdefault(frozenset(local[j] for j in facet),
+                                     []).append((key, u))
+                seen.add(("wall past a ray", len(fan._geom[key].gens)
+                          > len(geom.gens)))
+        assert fan.walls() == walls, fan.rays
+        characters = [tuple(rng.randint(-3, 3) for _ in range(fan.rank))
+                      for _ in range(4)]
+        for key, ref in fan.cones.items():
+            rays = [fan.rays[i] for i in key]
+            geom = Cone(fan.rank, rays)
+            local = [fan.ray_index(r) for r in geom.rays()]
+            assert fan.face_sets(key) == {
+                frozenset(local[j] for j in fs): d
+                for fs, d in geom.face_table().items()}, (fan.rays, key)
+            simplicial = len(key) == ref.dim
+            smooth = simplicial and all(x == 1
+                                        for x in invariant_factors(rays))
+            assert cone_properties(fan, key)["smooth"] == smooth, (
+                fan.rays, key)
+            for e in characters:
+                assert orbits._stabilizer_core(
+                    fan, e, key, True) == oracle_stabilizer(
+                        fan, e, key, True), (fan.rays, e, key)
+            seen.add((simplicial, smooth, key in fan.unimodular_faces()))
+        if validated:
+            for root in list(roots_of_fan(fan, bound=1))[:4]:
+                paired = {frozenset(c)
+                          for p in he_connected_pairs(fan, root.e)
+                          for c in (p.cone1, p.cone2)}
+                for key in fan.cones:
+                    assert stabilizer_data(
+                        fan, root.e, key) == oracle_stabilizer(
+                            fan, root.e, key, key not in paired)
+    # every route is taken: faces of unimodular cones, smooth cones that
+    # are none, non-smooth simplicial cones and non-simplicial ones, and a
+    # supplied cone listing a ray that is not extremal
+    assert seen == {(True, True, True), (True, True, False),
+                    (True, False, False), (False, False, False),
+                    ("wall past a ray", True), ("wall past a ray", False)}
 
 
 def test_classify_matches_the_contragredient_oracle():
