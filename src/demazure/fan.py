@@ -15,14 +15,18 @@ is checked pair by pair: by containment, by a lone ray, or by one dual.
 Each stage reports typed DemazureErrors; `build_fan` raises the first
 one, `serialize.fan_diagnostics` lists all of the first failing stage.
 
-Each supplied cone takes one dual, on the rays as the ray stage made
-them, and the fan reads the rest off it: the cone's extremal rays, and
-so its key; its faces, every subset of the key when it is simplicial;
-its walls, from the zero sets of its facet normals; and, for n
-independent rays in rank n, whether it is unimodular, from the pairings
-of its normals with its rays (`Fan.unimodular_faces`).  The faces of a
-unimodular cone are smooth and their rays are saturated bases, so a
-Smith form is taken only for the other cones.
+Each supplied cone has one dual, on the rays as the ray stage made them.
+The first cone of each component of the supplied cones' wall graph takes
+it by one elimination, and every other n-dimensional simplicial cone by
+one integer pivot across a wall from a neighbour (`_cone_duals`, with
+the proof at `_across`), so a complete simplicial fan takes one
+elimination.  The fan reads the rest off each dual: the cone's extremal
+rays, and so its key; its faces, every subset of the key when it is
+simplicial; its walls, from the zero sets of its facet normals; and, for
+n independent rays in rank n, whether it is unimodular, from the
+pairings of its normals with its rays (`Fan.unimodular_faces`).  The
+faces of a unimodular cone are smooth and their rays are saturated
+bases, so a Smith form is taken only for the other cones.
 
 Cones are keyed by their extremal-ray index sets; that is sound because a
 strongly convex cone is determined by its extremal rays.  The canonical id
@@ -33,6 +37,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import gcd
+from operator import mul
 
 from .errors import (
     BadIntersection,
@@ -54,6 +60,7 @@ from .lattice import (
     primitive,
     read_rank,
     smith_normal_form,
+    vneg,
 )
 
 
@@ -90,7 +97,8 @@ class Fan:
     walls (`walls`); any other fan is checked pair by pair by
     `intersection_defect`: by containment, by a lone ray, or by one dual.
     A supplied cone's faces, walls and unimodularity are read off its key
-    and its one dual; a cone is unimodular iff each facet normal pairs to
+    and its one dual (eliminated, or pivoted from a neighbour's by
+    `cone_stage`); a cone is unimodular iff each facet normal pairs to
     1 with the ray off its facet (the proof is at `unimodular_faces`).
     Faces and saturated bases are memoized per cone, the walls,
     `unimodular_faces` and `has_convex_support` per fan.
@@ -411,30 +419,130 @@ def ray_stage(rank, ray_list):
     return tuple(rays), violations
 
 
+def _across(opposite, out, r):
+    """The Cone of n independent generators with `out` replaced by r, its
+    dual read off theirs by one pivot across the wall they share, or None
+    when r lies on the span of that wall.  `opposite` maps each generator
+    to the facet normal opposite it (`Cone.opposite_normals`).
+
+    The pivot is the basis exchange of the simplex method.  Let u_k be
+    the inward primitive normal opposite g_k: it vanishes on every g_l
+    with l != k and pairs to d_k > 0 with g_k.  Replace g_j by r and put
+    a = <u_j, r>.  If a = 0, r lies on the span of the wall and the new
+    cone is not n-dimensional.  Otherwise, with s = sign(a), the new
+    normal opposite r is s u_j, and the one opposite g_k, k != j, is
+    w_k = s (a u_k - <u_k, r> u_j) divided by its gcd.  w_k vanishes on
+    g_l for l != j, k, as u_k and u_j do, and on r, as
+    a <u_k, r> - <u_k, r> a = 0; it pairs to |a| d_k > 0 with g_k.  s u_j
+    vanishes on the wall and pairs to |a| > 0 with r.  So these are the
+    n inward primitive facet normals of the new cone, whose generators
+    are independent, and so the ones `_dual_of_primitive` reads off, for
+    any two cones, in a valid fan or not.  The dual is seeded as that
+    routine returns it: E sorted, L = [], and Z[k] the bitmask of every
+    generator but the one opposite E[k].
+    """
+    uj = opposite[out]
+    a = sum(map(mul, uj, r))
+    if not a:
+        return None
+    s = 1 if a > 0 else -1
+    normals = {r: uj if a > 0 else vneg(uj)}
+    for g, u in opposite.items():
+        if g != out:
+            b = sum(map(mul, u, r))
+            w = [s * (a * x - b * y) for x, y in zip(u, uj)]
+            c = gcd(*w)
+            normals[g] = tuple(x // c for x in w)
+    gens = sorted(normals)
+    every = (1 << len(gens)) - 1
+    dual = sorted((normals[g], every ^ 1 << k) for k, g in enumerate(gens))
+    cone = Cone._of_primitive(len(r), gens)
+    cone._seed([u for u, _ in dual], [], [z for _, z in dual])
+    return cone
+
+
+def _cone_duals(rank, rays, listed):
+    """dict: each listed cone's index set -> its Cone.
+
+    The cones of rank indices are joined by their walls, the
+    (rank - 1)-subsets of their index lists, which needs no dual.  The
+    first cone of each component of that wall graph, in input order,
+    takes one elimination; every other cone that the walk reaches from
+    one with n independent generators takes one pivot across the wall
+    they share (`_across`), and is returned with its dual.  A cone of
+    another size, one with no neighbour, and one that its pivot finds
+    not n-dimensional take their own elimination when first asked.  So
+    a complete simplicial fan takes one elimination per component.
+    """
+    full = [idxs for idxs in listed if len(idxs) == rank]
+    walls = {}
+    if len(full) > 1:  # a lone cone shares no wall
+        for idxs in full:
+            key = frozenset(idxs)
+            for i in idxs:
+                walls.setdefault(key - {i}, []).append((key, i))
+    # cone -> (its index off a shared wall, the neighbour, the neighbour's)
+    steps = {}
+    for sides in walls.values():
+        for key, i in sides:
+            for other, far in sides:
+                if other != key:
+                    steps.setdefault(key, []).append((i, other, far))
+    duals = {}
+    for idxs in listed:
+        key = frozenset(idxs)
+        if key in duals:
+            continue
+        duals[key] = Cone._of_primitive(rank, [rays[i] for i in idxs])
+        todo = [key]
+        while todo:
+            key = todo.pop()
+            if key not in steps or duals[key].dual_pair()[1]:
+                continue  # no neighbour, or no n independent generators
+            opposite = duals[key].opposite_normals()
+            for i, other, far in steps[key]:
+                if other not in duals:
+                    duals[other] = (
+                        _across(opposite, rays[i], rays[far])
+                        or Cone._of_primitive(rank, [rays[j] for j in other]))
+                    todo.append(other)
+    return duals
+
+
 def cone_stage(rank, rays, maximal_cones):
     """The fan of the supplied maximal cones, its pairs not yet checked,
     and the violations among the cones.
 
-    Every cone is checked: SchemaError for a cone that is not a sequence
-    (or cones that are not a sequence), UnknownRay for an index outside
-    the ray list, NotStronglyConvex for a cone that contains a line.  The
-    fan is None when there is a violation.
+    Every cone is checked, and its violations are listed in input order:
+    SchemaError for a cone that is not a sequence (or cones that are not
+    a sequence), UnknownRay for an index outside the ray list,
+    NotStronglyConvex for a cone that contains a line.  Each cone's dual
+    is taken by `_cone_duals`, after every cone is parsed.  The fan is
+    None when there is a violation.
     """
     ray_of = {r: i for i, r in enumerate(rays)}
-    supplied = {}
     violations = []
+    listed = []  # per cone: its sorted ray indices, or its violation
     cones = _sequence(maximal_cones, "max cones", violations) or ()
     for k, raw in enumerate(cones):
-        raw = _sequence(raw, f"max cone {k}", violations)
+        raw = _sequence(raw, f"max cone {k}", listed)
         if raw is None:
             continue
         idxs = sorted({as_int(i) for i in raw})
         if any(i < 0 or i >= len(rays) for i in idxs):
-            violations.append(UnknownRay(
+            listed.append(UnknownRay(
                 f"cone {idxs} references a ray that is not listed"
             ))
+        else:
+            listed.append(idxs)
+    duals = _cone_duals(rank, rays,
+                        [idxs for idxs in listed if isinstance(idxs, list)])
+    supplied = {}
+    for idxs in listed:
+        if not isinstance(idxs, list):
+            violations.append(idxs)
             continue
-        geom = Cone._of_primitive(rank, [rays[i] for i in idxs])
+        geom = duals[frozenset(idxs)]
         if not geom.is_strongly_convex():
             violations.append(NotStronglyConvex(
                 f"maximal cone {idxs} contains a line"

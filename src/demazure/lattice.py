@@ -5,7 +5,8 @@ appear anywhere.  Linear algebra (rank, nullspace, determinant, inverse)
 runs on one fraction-free integer elimination, `_echelon`; Fractions only
 appear at the boundary, for rational input and the entries of an inverse.
 Cones are finitely generated convex cones in Q^n stored by primitive
-integer generators.  Every dual takes one elimination, of [G | I].  It
+integer generators.  A dual takes one elimination, of [G | I], unless a
+fan pivots it from a neighbour's (`fan._across`).  The elimination
 reads off a basis B of the span of the generators and the dual of
 cone(B), whose facet normals are the columns of G_B^-1 on the pivot
 coordinates, each opposite one generator (Cox-Little-Schenck, Toric
@@ -479,11 +480,16 @@ def dual_description(gens, rank):
     generators with the facets.  Independent generators (B is all of
     them, as in every cone of a simplicial fan) insert none.
 
-    This is the only dual a Cone computes: the incidences give its
-    dimension, pointedness, extremal rays and faces with no further
+    This is the only elimination a Cone's dual takes: the incidences give
+    its dimension, pointedness, extremal rays and faces with no further
     elimination and no dot product.  A Cone's generators are already
     primitive and distinct, so it calls `_dual_of_primitive` directly.
+    The other route to a dual is a pivot: a fan's n-dimensional simplicial
+    cone gets it from a neighbour across a shared wall (`fan._across`),
+    exactly as this elimination would give it.  The rank is read by
+    `read_rank`.
     """
+    rank = read_rank(rank)
     prim = []
     seen = set()
     for g in as_tuple(gens, "generators"):
@@ -606,12 +612,27 @@ class Cone:
 
     def dual_pair(self):
         if self._dual_pair is None:
-            E, L, self._inc = _dual_of_primitive(self.gens, self.rank)
-            self._dual_pair = E, L
-            if len(self.gens) + len(L) == self.rank:
-                # independent generators: each is a ray
-                self._rays = self.gens
+            self._seed(*_dual_of_primitive(self.gens, self.rank))
         return self._dual_pair
+
+    def _seed(self, E, L, Z):
+        """Take (E, L, Z), exactly as `_dual_of_primitive` returns it on
+        self.gens, as the dual, with no elimination (`fan._across` reads
+        one off a neighbour's)."""
+        self._dual_pair = E, L
+        self._inc = Z
+        if len(self.gens) + len(L) == self.rank:
+            # independent generators: each is a ray
+            self._rays = self.gens
+
+    def opposite_normals(self):
+        """dict: each generator -> the facet normal opposite it, for n
+        independent generators in rank n.  The zero set of each normal
+        holds every generator but that one."""
+        E, _ = self.dual_pair()
+        every = (1 << len(self.gens)) - 1
+        return {self.gens[(every ^ z).bit_length() - 1]: u
+                for u, z in zip(E, self._inc)}
 
     def dual_generators(self):
         E, L = self.dual_pair()

@@ -18,14 +18,14 @@ regions: one asks each for a lattice point that passes condition (2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .errors import NotARoot, UnsupportedFan
 from .lattice import (
+    Cone,
     Region,
     as_int,
     as_tuple,
-    det,
     dot,
     identity_matrix,
     mat_inverse,
@@ -257,11 +257,15 @@ def symmetry_chain(fan):
     rays.  A ray can only go to a ray of its colour (the number of fan
     cones of each dimension containing it), and two base rays that span a
     2-cone (or do not) only to two rays that do the same.  The matrix is
-    solved from the base images in integers, and kept if it permutes the
-    rays and maps the supplied cones to fan cones: every fan cone is a
-    face of a generating cone, a linear map sends faces to faces, and a
-    ray always goes to a 1-cone, so then it maps the fan onto itself.  As
-    the rays span, some power of it is 1, so it is unimodular.
+    solved from the base images in integers, as B A^-1 with A^-1 = adj / D
+    read off the facet normals of the base cone's dual: row k of adj is
+    the normal opposite b_k, scaled by D over its pairing with b_k
+    (`_base_inverse` has the proof), so the search takes no determinant,
+    inverse or Fraction.  It is kept if it permutes the rays and maps the
+    supplied cones to fan cones: every fan cone is a face of a generating
+    cone, a linear map sends faces to faces, and a ray always goes to a
+    1-cone, so then it maps the fan onto itself.  As the rays span, some
+    power of it is 1, so it is unimodular.
 
     The levels run from b_{n-1} up to b_0 (Sims 1970).  At level k the
     orbit of b_k is closed under the generators found so far, which all
@@ -345,9 +349,7 @@ def _search_chain(fan):
             "rays do not span the ambient space; the automorphism group "
             "is not finite"
         )
-    A = [[rays[i][r] for i in base] for r in range(n)]  # columns = base rays
-    d = det(A)
-    adj = [[as_int(x * d) for x in row] for row in mat_inverse(A)]
+    adj, d = _base_inverse(fan, base)
     cone_keys = set(fan.cones)
     colour = [[0] * (n + 1) for _ in range(l)]
     for key, ref in fan.cones.items():
@@ -398,9 +400,39 @@ def _search_chain(fan):
                          tuple(generators))
 
 
+def _base_inverse(fan, base):
+    """(adj, D) with A^-1 = adj / D, A the matrix whose columns are the
+    base rays b_0 ... b_{n-1}, read off the dual of their cone: the
+    supplied Cone when the base is a supplied cone of exactly n
+    generators, else one fresh dual.
+
+    The cone of n independent rays is simplicial and n-dimensional, and
+    its inward primitive facet normal u_k opposite b_k vanishes on every
+    other base ray, so <u_k, b_l> = delta_kl d_k with d_k = <u_k, b_k>
+    > 0.  Row k of A^-1 is the one vector that pairs to delta_kl with
+    each column b_l of A, so it is u_k / d_k; with D = lcm(d_k), row k of
+    adj is (D / d_k) u_k, in integers.  No determinant, inverse or
+    Fraction is taken.
+    """
+    rays = [fan.rays[i] for i in base]
+    ref = fan.cones.get(frozenset(base))
+    geom = fan.cone_geometry(ref) if ref and ref.is_maximal else None
+    if geom is None or len(geom.gens) != fan.rank:
+        geom = Cone._of_primitive(fan.rank, rays)
+    opposite = geom.opposite_normals()
+    normals = [opposite[b] for b in rays]
+    pairings = [dot(u, b) for u, b in zip(normals, rays)]
+    D = lcm(*pairings)
+    return [[D // d * x for x in u] for u, d in zip(normals, pairings)], D
+
+
 def _solve(adj, d, columns):
     """The integer matrix M = B A^-1, where A^-1 = adj / d and B has the
-    given columns, or None if M is not integral."""
+    given columns, or None if M is not integral.  adj and d are read off
+    the base cone's facet normals (`_base_inverse`): row k of adj is the
+    normal u_k opposite b_k times d / <u_k, b_k>, and d is the lcm of
+    those pairings, so adj / d pairs to delta_kl with b_l.  Each entry of
+    M is an integer sum over d, integral iff d divides it."""
     n = len(adj)
     M = []
     for r in range(n):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -43,7 +44,14 @@ from demazure.orbits import (
 )
 from demazure.roots import DemazureRoot, roots_of_fan
 
-from test_fan import FIXTURES, f1, p1_power, p_n_input, random_fan_input
+from test_fan import (
+    FIXTURES,
+    f1,
+    p1_power,
+    p1_power_input,
+    p_n_input,
+    random_fan_input,
+)
 from test_orbits import named_fans, non_smooth_fans
 from test_reports_golden import INLINE
 
@@ -449,6 +457,45 @@ def test_the_search_stops_at_the_first_ray_that_fails(monkeypatch):
     assert looked == [(1, 0, 0), (1, 0, 0)]
 
 
+def former_base_inverse(fan, base):
+    """The former readout of the base inverse: (adj, det A) from a
+    Fraction inverse and a determinant of A, the base rays as columns."""
+    A = [[fan.rays[i][r] for i in base] for r in range(fan.rank)]
+    d = det(A)
+    return [[as_int(x * d) for x in row] for row in mat_inverse(A)], d
+
+
+def test_the_base_inverse_matches_the_fraction_inverse(monkeypatch):
+    # adj / D read off the base cone's facet normals is A^-1, and the
+    # search on it finds the chain that the determinant and Fraction
+    # inverse found: the same base, transversals and generators
+    routes = set()
+    spanning = 0
+    for fan in all_fans():
+        try:
+            chain = orbits._search_chain(fan)
+        except UnsupportedFan:
+            continue
+        spanning += 1
+        base = list(chain.base)
+        adj, D = orbits._base_inverse(fan, base)
+        former, d = former_base_inverse(fan, base)
+        assert [[Fraction(x, D) for x in row] for row in adj] == [
+            [Fraction(x, d) for x in row] for row in former], fan.rays
+        with monkeypatch.context() as patch:
+            patch.setattr(orbits, "_base_inverse", former_base_inverse)
+            expected = orbits._search_chain(fan)
+        assert chain.base == expected.base
+        assert [list(t) for t in chain.transversals] == [
+            list(t) for t in expected.transversals]
+        assert chain == expected
+        assert automorphism_order(fan) == expected.order
+        routes.add(frozenset(base) in fan.supplied)
+    # the base is a supplied cone, whose dual is read, or is not, and its
+    # cone takes one dual
+    assert routes == {True, False} and spanning >= 40
+
+
 # -- orbit counts and fan properties through the CLI -------------------------
 
 
@@ -519,13 +566,43 @@ def count_calls(monkeypatch, name):
 
 def test_one_classify_job_on_p3_solves_once(capsys, tmp_path, monkeypatch):
     (tmp_path / "fan.json").write_text(INLINE["p3"])
-    dets = count_calls(monkeypatch, "det")
+    eliminations = count_calls(monkeypatch, "_echelon")
     smiths = count_calls(monkeypatch, "smith_normal_form")
     code, report = _report(capsys, tmp_path, "classify")
     assert code == 0 and report["class_count"] == 1
-    # the base matrix of the symmetry search, and no Smith form
-    assert len(dets) == 1
+    # the first supplied cone's dual, which the wall walk takes to the
+    # other cones, and the base's pivot columns: the base inverse is read
+    # off the base cone's dual; and no Smith form
+    assert len(eliminations) == 2
     assert smiths == []
+
+
+# eliminations per CLI job on a complete simplicial fan: one dual for the
+# wall walk, and the symmetry search's pivot columns (4, 8, 4 and 5 per
+# fan-validate or roots job while each supplied cone took its own
+# elimination, and 3 more per classify job for the base's determinant
+# and inverse)
+ELIMINATIONS = {"fan-validate": 1, "roots": 1, "classify": 2}
+
+
+@pytest.mark.parametrize("name, data", [
+    ("P^3", p_n_input(3)),
+    ("(P^1)^3", p1_power_input(3)),
+    ("F_3", (2, [(1, 0), (0, 1), (-1, 3), (0, -1)],
+             [[k, (k + 1) % 4] for k in range(4)])),
+    ("P^4", p_n_input(4)),
+])
+def test_one_elimination_per_complete_simplicial_fan(
+        capsys, tmp_path, monkeypatch, name, data):
+    rank, rays, cones = data
+    (tmp_path / "fan.json").write_text(json.dumps(
+        {"rank": rank, "rays": rays, "max_cones": cones}))
+    eliminations = count_calls(monkeypatch, "_echelon")
+    for command, count in ELIMINATIONS.items():
+        eliminations.clear()
+        code, _ = _report(capsys, tmp_path, command)
+        assert code == 0
+        assert len(eliminations) == count, (name, command)
 
 
 def test_one_fan_validate_job_reads_the_generating_cones(

@@ -707,6 +707,34 @@ def test_a_string_is_no_ray():
         None, [{"kind": "SchemaError", "message": m} for m in messages])
 
 
+def test_cone_violations_are_listed_in_input_order():
+    # every cone is parsed before its dual is taken, by the wall walk,
+    # and each is tested for a line after that; the violations still come
+    # in input order, so a cone with a line, eliminated or reached by a
+    # pivot that finds it flat, is named before a later unknown index or
+    # cone that is no sequence, and after an earlier one
+    rays = [(1, 0), (0, 1), (-1, 0)]
+    line = "maximal cone [0, 2] contains a line"
+    unknown = "cone [0, 5] references a ray that is not listed"
+    for cones, expected in [
+            ([[0, 2], [0, 5], 7, [0, 1]],
+             [("NotStronglyConvex", line), ("UnknownRay", unknown),
+              ("SchemaError", "max cone 2: expected a sequence, got 7")]),
+            ([[0, 1], [2, 0], [5, 0], "x"],
+             [("NotStronglyConvex", line), ("UnknownRay", unknown),
+              ("SchemaError", "max cone 3: expected a sequence, got 'x'")]),
+            ([[5, 0], None, [0, 1], [0, 2], [1, 2]],
+             [("UnknownRay", unknown),
+              ("SchemaError", "max cone 1: expected a sequence, got None"),
+              ("NotStronglyConvex", line)])]:
+        kind, message = expected[0]
+        with pytest.raises(DemazureError) as info:
+            build_fan(2, rays, cones)
+        assert (type(info.value).__name__, str(info.value)) == (kind, message)
+        assert fan_diagnostics(2, rays, cones) == (
+            None, [{"kind": k, "message": m} for k, m in expected])
+
+
 def test_a_fan_cone_that_is_no_sequence_is_named():
     # iterating over 5 or None raised a bare TypeError
     fan = p2()

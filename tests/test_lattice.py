@@ -1860,6 +1860,20 @@ def test_lattice_points_and_integer_feasible_read_their_rank():
     assert integer_feasible("1", rows) and integer_feasible(0)
 
 
+def test_dual_description_reads_its_rank():
+    # the rank was never read: the rank -1 gave ([], []), the rank "2" a
+    # RankMismatch "row of length 2 in ambient rank 2", and the rank None
+    # a bare TypeError
+    with pytest.raises(RankMismatch, match="negative rank -1"):
+        dual_description([], -1)
+    with pytest.raises(InvalidInteger, match="non-numeric entry"):
+        dual_description([], None)
+    with pytest.raises(InvalidInteger, match="non-integral component"):
+        dual_description([(1, 0)], 2.5)
+    assert dual_description([(1, 0)], "2") == dual_description(
+        [(1, 0)], 2) == ([(1, 0)], [(0, 1)])
+
+
 def test_a_box_that_is_no_list_of_pairs_is_named():
     # box=5 and the pairs 5 and None raised a bare TypeError, and the
     # triple (0, 1, 2) a bare ValueError

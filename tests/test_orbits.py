@@ -9,8 +9,10 @@ replaced: a Smith form per call, and a Fraction inverse per automorphism.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -67,6 +69,8 @@ from demazure.roots import (
     roots_of_fan,
 )
 
+from demazure.serialize import fan_fields_from_json
+
 from test_fan import (
     HEXAGON,
     a2,
@@ -82,6 +86,7 @@ from test_fan import (
     random_complete_fans,
     random_fan_input,
 )
+from test_reports_golden import INLINE
 
 
 def oracle_automorphisms(fan):
@@ -816,6 +821,78 @@ def test_fan_readouts_match_the_general_routes():
     assert seen == {(True, True, True), (True, True, False),
                     (True, False, False), (False, False, False),
                     ("wall past a ray", True), ("wall past a ray", False)}
+
+
+def walk_inputs():
+    """(rank, rays, cone index lists) for the wall walk: the named and
+    non-smooth fans, the bad-intersection inputs, cones whose pivot finds
+    them flat (a = 0) or on the same side of the wall (a > 0), and seeded
+    random_fan_input fans, some of them meeting badly."""
+    inputs = [(fan.rank, fan.rays, [sorted(key) for key in fan.supplied])
+              for fan in named_fans() + non_smooth_fans()]
+    for name in ("overlapping", "crossing", "subcone_not_face",
+                 "interior_ray", "many_violations", "not_pointed"):
+        rank, rays, cones = fan_fields_from_json(json.loads(INLINE[name]))
+        inputs.append((rank, ray_stage(rank, rays)[0], cones))
+    inputs += [
+        # (1, 1, 0) replaces (0, 0, 1) on the span of the wall {0, 1}
+        (3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)),
+         [[0, 1, 2], [0, 1, 3], [1, 2, 3]]),
+        # (-1, 0) replaces (0, 1) on the span of the wall {0}: a line
+        (2, ((1, 0), (0, 1), (-1, 0)), [[0, 1], [0, 2], [1, 2]]),
+        # (1, 1) replaces (0, 1) on the same side of the wall {0}
+        (2, ((1, 0), (0, 1), (1, 1)), [[0, 1], [0, 2], [1, 2]]),
+    ]
+    rng = random.Random(2626)
+    while len(inputs) < 100:
+        rank, rays, cones = random_fan_input(rng)
+        rays, violations = ray_stage(rank, rays)
+        listed = [sorted(set(c)) for c in cones]
+        if not violations and all(i < len(rays) for c in listed for i in c):
+            inputs.append((rank, rays, listed))
+    return inputs
+
+
+def test_the_wall_walk_takes_the_duals_an_elimination_would(monkeypatch):
+    # each Cone that _cone_duals returns holds exactly the (E, L, Z) that
+    # its own elimination gives, whether the walk eliminated it or
+    # reached it by a pivot; a complete simplicial fan takes one
+    # elimination in all
+    signs = collections.Counter()
+    across = fan_module._across
+
+    def recorded(opposite, out, r):
+        a = dot(opposite[out], r)
+        signs[(a > 0) - (a < 0)] += 1
+        return across(opposite, out, r)
+
+    eliminations = []
+    echelon = lattice._echelon
+
+    def counted(rows):
+        eliminations.append(len(rows))
+        return echelon(rows)
+
+    monkeypatch.setattr(fan_module, "_across", recorded)
+    monkeypatch.setattr(lattice, "_echelon", counted)
+    complete = len(named_fans())
+    cones = taken = 0
+    for k, (rank, rays, listed) in enumerate(walk_inputs()):
+        eliminations.clear()
+        duals = fan_module._cone_duals(rank, rays, listed)
+        if k < complete:
+            assert len(eliminations) == 1, rays
+        cones += len(duals)
+        taken += len(eliminations)
+        assert set(duals) == {frozenset(c) for c in listed}
+        for key, geom in duals.items():
+            assert geom.gens == tuple(sorted(rays[i] for i in key))
+            E, L = geom.dual_pair()
+            assert (E, L, geom._inc) == lattice._dual_of_primitive(
+                geom.gens, rank), (rays, sorted(key))
+    # most cones are reached by a pivot, with a of each sign
+    assert taken < cones / 3
+    assert signs[-1] > 150 and signs[0] >= 2 and signs[1] >= 2
 
 
 def test_classify_matches_the_contragredient_oracle():

@@ -130,6 +130,24 @@ def test_classify_and_solve_use_no_matrix_algebra():
     assert "det" not in _names_in(funcs["_solve"]), "_solve computes det"
 
 
+def test_the_symmetry_search_inverts_no_matrix():
+    # the base inverse is read off the facet normals of the base cone's
+    # dual, scaled to integers, so the search takes no determinant, no
+    # inverse and no Fraction; det and mat_inverse stay in lattice.py,
+    # which the benchmark's tracer wraps
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in SOURCES}
+    assert set(trees) >= {"orbits.py", "lattice.py"}
+    funcs = {n.name: n for n in ast.walk(trees["orbits.py"])
+             if isinstance(n, ast.FunctionDef)}
+    for name in ("_search_chain", "_base_inverse", "_solve"):
+        found = sorted(_names_in(funcs[name])
+                       & {"det", "mat_inverse", "Fraction"})
+        assert not found, f"{name} uses {found}"
+    defined = {n.name for n in trees["lattice.py"].body
+               if isinstance(n, ast.FunctionDef)}
+    assert defined >= {"det", "mat_inverse"}
+
+
 def test_classify_never_expands_the_group():
     # a classify job needs |G| and the orbits of a generating set, both
     # read off the stabilizer chain; fan_automorphisms builds all of G,
