@@ -31,13 +31,26 @@ if it never does.
 Elements built from outside input (``SemigroupElement(...)``) are frozen
 and checked term by term; the results of derivations, flows and
 arithmetic on elements of one carrier are built without a second check.
+Every coefficient, scalar and time is read by ``as_fraction``, so a value
+that is not a number raises InvalidInteger.
+
+Products are integer convolutions (``_convolve``).  Each factor is held as
+integer numerators over one denominator, and each flat weight k as the one
+int sum k_i W^i, with W = 2B + 1 and B the sum over the factors of their
+largest |coordinate|.  Every product weight then has |k_i| <= B < W / 2, so
+its coordinates are its balanced base-W digits, which are unique: the
+packing is injective on product weights, and packing is additive.  A pair
+of terms then costs one int addition and one int product, and each
+distinct weight is unpacked once (Monagan and Pearce, *Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors*, CASC 2007).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
-from operator import add
+from operator import add, mul
 
 from .errors import (
     CurveMismatch,
@@ -94,6 +107,10 @@ class ToricCarrier:
     def flat(self, key):
         """The key as a weight of the cone's lattice."""
         return key
+
+    def unflat(self, weight):
+        """The key whose flat form is ``weight``, a tuple."""
+        return weight
 
     def add_keys(self, a, b, k=1):
         """The weight a + k*b.
@@ -166,12 +183,12 @@ class CurveCarrier(ToricCarrier):
         self.curve = curve
         self.tail = tail
         self.vertices0 = tuple(
-            tuple(Fraction(x) for x in v) for v in vertices0
+            tuple(_number(x) for x in v) for v in vertices0
         )
         if not self.vertices0:
             raise InvalidDivisor("need at least one vertex at t = 0")
         self.vertices_inf = (
-            tuple(tuple(Fraction(x) for x in v) for v in vertices_inf)
+            tuple(tuple(_number(x) for x in v) for v in vertices_inf)
             if vertices_inf is not None
             else None
         )
@@ -190,6 +207,9 @@ class CurveCarrier(ToricCarrier):
     def flat(self, key):
         m, r = key
         return m + (r,)
+
+    def unflat(self, weight):
+        return weight[:-1], weight[-1]
 
     def add_keys(self, a, b, k=1):
         (m, r), (e, s) = a, b
@@ -222,7 +242,7 @@ class SemigroupElement:
         data = {}
         for key, coeff in items:
             key = carrier.freeze(key)
-            coeff = Fraction(coeff)
+            coeff = _number(coeff)
             if not coeff:
                 continue
             if not carrier.admits(key):
@@ -263,29 +283,34 @@ class SemigroupElement:
         )
 
     def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = _number(scalar)
         return SemigroupElement._trusted(
             self.carrier,
             {k: scalar * c for k, c in self.terms.items()} if scalar else {},
         )
 
     def __mul__(self, other):
+        """The product, by one integer convolution (``_convolve``).
+
+        Both factors are read as integer numerators over their common
+        denominators, and each weight is packed into one int with the
+        radix W = 2B + 1, B the sum of the factors' largest |coordinate|.
+        A product weight has |k_i| <= B < W / 2, so its coordinates are
+        the balanced base-W digits of its packing, which are unique: the
+        packing is injective, and each distinct weight is unpacked once.
+        The terms come in the order the double loop over the terms of
+        (self, other) reaches their weights first.
+        """
         if not isinstance(other, SemigroupElement):
             return self.__rmul__(other)
         _check_key_shapes(self.carrier, other.carrier)
-        # each factor as integer numerators over one common denominator:
-        # one int product per pair of terms, one Fraction per weight
-        d1, left = _integer_numerators(self.terms)
-        d2, right = _integer_numerators(other.terms)
-        add_keys = self.carrier.add_keys
-        sums = {}
-        for k1, n1 in left:
-            for k2, n2 in right:
-                k = add_keys(k1, k2)
-                sums[k] = sums.get(k, 0) + n1 * n2
-        d = d1 * d2
-        return _computed(self.carrier, other.carrier,
-                         {k: Fraction(n, d) for k, n in sums.items() if n})
+        carrier = self.carrier
+        bound, d, sums = _convolve(carrier, [
+            _integer_numerators(self.terms), _integer_numerators(other.terms)])
+        unflat, radix, n = carrier.unflat, 2 * bound + 1, carrier.cone.rank
+        return _computed(carrier, other.carrier, {
+            unflat(_unpack(p, radix, n)): Fraction(c, d)
+            for p, c in sums.items()})
 
     def __pow__(self, n):
         n = as_int(n)
@@ -309,22 +334,111 @@ class SemigroupElement:
         return f"SemigroupElement({dict(sorted(self.terms.items()))!r})"
 
 
+def _number(x):
+    """x as a Fraction: Fractions and ints directly, anything else through
+    ``as_fraction`` (InvalidInteger when it is not a number)."""
+    if type(x) is Fraction:
+        return x
+    return Fraction(x) if type(x) is int else as_fraction(x)
+
+
 def _integer_numerators(terms):
-    """(d, [(key, n), ...]) with d the lcm of the denominators of the
+    """(d, {key: n}) with d the lcm of the denominators of the
     coefficients and each coefficient equal to n / d, in term order."""
     d = lcm(*(c.denominator for c in terms.values()))
-    return d, [(k, c.numerator * (d // c.denominator))
-               for k, c in terms.items()]
+    return d, {k: c.numerator * (d // c.denominator)
+               for k, c in terms.items()}
+
+
+def _powers(bound, n):
+    """[W^0, ..., W^(n-1)] for the packing radix W = 2 bound + 1."""
+    radix = 2 * bound + 1
+    return [radix ** i for i in range(n)]
+
+
+def _unpack(p, radix, n):
+    """The n balanced base-``radix`` digits of p, lowest first: the flat
+    weight k packed into p = sum k_i radix^i when every |k_i| < radix / 2."""
+    half = radix // 2
+    digits = []
+    for _ in range(n):
+        r = (p + half) % radix - half
+        digits.append(r)
+        p = (p - r) // radix
+    return tuple(digits)
+
+
+def _convolve(carrier, operands):
+    """The product of integer images over ``carrier``, on packed weights.
+
+    Each operand is (d, {key: n}), the element sum n/d chi^key.  Returns
+    (B, d, {packed weight: n}): B, the sum over the operands of their
+    largest |coordinate|, bounds every coordinate of a product weight (and
+    of every partial product), so that with W = 2B + 1 the weights pack
+    injectively (see the module docstring); d is the product of the
+    denominators; the nonzero sums come in the order the loops over pairs
+    of terms reach their weights first.
+    """
+    flat = carrier.flat
+    flats = [[(flat(k), n) for k, n in nums.items()] for _, nums in operands]
+    bound = sum(max(map(abs, chain.from_iterable(w for w, _ in op)),
+                    default=0) for op in flats)
+    powers = _powers(bound, carrier.cone.rank)
+    d, acc = 1, {0: 1}
+    for (den, _), op in zip(operands, flats):
+        d *= den
+        right = [(sum(map(mul, w, powers)), n) for w, n in op]
+        sums = {}
+        get = sums.get
+        for p1, n1 in acc.items():
+            for p2, n2 in right:
+                p = p1 + p2
+                sums[p] = get(p, 0) + n1 * n2
+        acc = sums
+    return bound, d, {p: n for p, n in acc.items() if n}
+
+
+def is_product(carrier, image, factors):
+    """Whether ``image`` is the product of ``factors``, all integer images
+    (d, {key: n}) over ``carrier`` with nonzero numerators, compared as
+    integers: no Fraction and no element is built.
+
+    The product's weights are packed as in ``_convolve``.  A key of
+    ``image`` with a coordinate beyond the bound B is no product weight,
+    and its packing might alias one, so it fails at once.  The other keys
+    are looked up by their packed weights, and a coefficient n / den of
+    ``image`` equals the product's m / d when n d = m den.  As the packing
+    is injective on these keys, equal term counts then make the two key
+    sets one.
+    """
+    bound, d, sums = _convolve(carrier, factors)
+    den, nums = image
+    if len(nums) != len(sums):
+        return False
+    flats = [carrier.flat(k) for k in nums]
+    if max(map(abs, chain.from_iterable(flats)), default=0) > bound:
+        return False
+    powers = _powers(bound, carrier.cone.rank)
+    get = sums.get
+    for w, n in zip(flats, nums.values()):
+        m = get(sum(map(mul, w, powers)))
+        if m is None or n * d != m * den:
+            return False
+    return True
 
 
 def _check_key_shapes(a, b):
     """RankMismatch unless the keys of carriers a and b have one shape: a
-    toric key is a weight m, a curve key a pair (m, r)."""
+    toric key is a weight m, a curve key a pair (m, r), and the flat
+    weights of both have one length."""
     if type(a) is not type(b):
         raise RankMismatch(
             f"keys of a {type(a).__name__} and of a {type(b).__name__} "
             "have different shapes"
         )
+    if a.cone.rank != b.cone.rank:
+        raise RankMismatch(
+            f"weights of ranks {a.cone.rank} and {b.cone.rank} do not add")
 
 
 def _computed(carrier, source, data):
@@ -522,19 +636,18 @@ class Flow:
         """max(q + 1) over the multipliers q of the terms, 0 for zero."""
         return max((q + 1 for _, q, _ in self.orbits), default=0)
 
-    def at(self, s):
-        """The image at the rational time ``s`` = a/b.
+    def integer_image(self, s):
+        """The image at the rational time ``s`` = a/b, as (d, {key: n}):
+        the element sum n/d chi^key, with every n nonzero.
 
         Each term c chi^m with multiplier q contributes c C(q, k) s^k
-        chi^(m + k e) for k = 0..q.  Over the one denominator L b^Q, with
-        L the lcm of the denominators of the c and Q the largest q, that
-        is the integer num(c) (L / den(c)) C(q, k) a^k b^(Q - k).  The
-        integers are summed per weight, where orbits may meet, and each
-        nonzero sum becomes one Fraction.
+        chi^(m + k e) for k = 0..q.  Over the one denominator d = L b^Q,
+        with L the lcm of the denominators of the c and Q the largest q,
+        that is the integer num(c) (L / den(c)) C(q, k) a^k b^(Q - k).  The
+        integers are summed per weight, where orbits may meet.
         """
-        carrier, source = self.lnd.carrier, self.element.carrier
         if not s:
-            return _computed(carrier, source, dict(self.element.terms))
+            return _integer_numerators(self.element.terms)
         a, b = s.numerator, s.denominator
         orbits = self.orbits
         top = max((q for _, q, _ in orbits), default=0)
@@ -554,9 +667,27 @@ class Flow:
                 binom = binom * (q - k + 1) // k
                 key = keys[k]
                 acc[key] = get(key, 0) + n * binom * scale[k]
-        d = den * scale[0]
-        return _computed(carrier, source,
-                         {k: Fraction(n, d) for k, n in acc.items() if n})
+        return den * scale[0], {k: n for k, n in acc.items() if n}
+
+    def wrap(self, image):
+        """The element of an integer image (d, {key: n}) of this flow: each
+        n / d as one Fraction, in the image's order."""
+        d, nums = image
+        return _computed(self.lnd.carrier, self.element.carrier,
+                         {k: Fraction(n, d) for k, n in nums.items()})
+
+    def at(self, s):
+        """The image at the rational time ``s``: ``integer_image`` as an
+        element (``wrap``).
+
+        ``is_product`` compares integer images without the wrap.  It packs
+        each weight k of a product of images into the int sum k_i W^i,
+        with W = 2B + 1 and B the sum of the images' largest |coordinate|.
+        A product weight then has |k_i| <= B < W / 2, so its coordinates
+        are its balanced base-W digits, which are unique: the packing is
+        injective on product weights.
+        """
+        return self.wrap(self.integer_image(s))
 
     def symbolic(self):
         """The image with s left symbolic: c C(q, k) at s^k chi^(m + k e).
@@ -619,7 +750,7 @@ class SymbolicElement:
                 deg = as_int(deg)
                 if deg < 0:
                     raise InvalidInteger(f"negative power {deg} of s")
-                c = Fraction(c)
+                c = _number(c)
                 if c and not carrier.admits(key):
                     raise WeightEscape(f"weight {key!r} is not admissible")
                 p[deg] = p.get(deg, 0) + c
@@ -637,7 +768,7 @@ class SymbolicElement:
         return self
 
     def evaluate(self, s):
-        s = Fraction(s)
+        s = _number(s)
         data = {}
         for key, poly in self.terms.items():
             data[key] = sum((c * s ** deg for deg, c in poly.items()),

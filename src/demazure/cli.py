@@ -25,7 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import serialize
-from .algebra import CurveCarrier, Flow, exp_action, toric_lnd
+from .algebra import CurveCarrier, Flow, is_product, toric_lnd
 from .divisors import (
     INF,
     ColoredDivisor,
@@ -406,13 +406,14 @@ def _cmd_lnd(args):
             ) from None
         result["mode"] = "numeric"
         result["time"] = serialize.encode_rational(s)
-        lhs = flow.at(s)
-        result["exp"] = serialize.element_to_json(lhs)
+        image = flow.integer_image(s)
+        result["exp"] = serialize.element_to_json(flow.wrap(image))
         if factors is not None:
-            rhs = exp_action(lnd, factors[0], s)
-            for f in factors[1:]:
-                rhs = rhs * exp_action(lnd, f, s)
-            result["homomorphism"] = {"equal": lhs == rhs}
+            # exp(sD)(f g ...) against the product of the factors' images,
+            # in integers; each factor's walk raises in factor order first
+            images = [Flow(lnd, f).integer_image(s) for f in factors]
+            result["homomorphism"] = {
+                "equal": is_product(lnd.carrier, image, images)}
     return result, 0
 
 

@@ -645,3 +645,69 @@ def test_a_flow_reads_its_time_as_a_number():
         with pytest.raises(InvalidInteger, match="non-numeric entry"):
             exp_action(lnd, x, s)
     assert exp_action(lnd, x, "1/2") == exp_action(lnd, x, Fraction(1, 2))
+
+
+NOT_NUMBERS = [None, "zz", "q", float("inf"), float("nan"), object()]
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS)
+def test_element_coefficients_are_read_as_numbers(value):
+    # Fraction(None) raised a bare TypeError, Fraction("zz") and
+    # Fraction(nan) a bare ValueError, Fraction(inf) an OverflowError
+    c = quadrant_carrier()
+    with pytest.raises(InvalidInteger, match="non-numeric entry"):
+        SemigroupElement(c, [((3, 1), value)])
+    with pytest.raises(InvalidInteger, match="non-numeric entry"):
+        SymbolicElement(c, {(3, 1): {0: value}})
+    tail = Cone(1, [(1,)])
+    with pytest.raises(InvalidInteger, match="non-numeric entry"):
+        CurveCarrier("A1", tail, [(value,)])
+    with pytest.raises(InvalidInteger, match="non-numeric entry"):
+        CurveCarrier("P1", tail, [(0,)], [(value,)])
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS)
+def test_scalars_and_times_are_read_as_numbers(value):
+    c = quadrant_carrier()
+    x = monomial(c, (3, 1), Fraction(1, 2))
+    # both orders go through __rmul__
+    for product in (lambda: value * x, lambda: x * value):
+        with pytest.raises(InvalidInteger, match="non-numeric entry"):
+            product()
+    sym = SymbolicElement(c, {(3, 1): {0: 1, 2: Fraction(1, 3)}})
+    with pytest.raises(InvalidInteger, match="non-numeric entry"):
+        sym.evaluate(value)
+
+
+def test_fractions_and_ints_skip_the_number_reader(monkeypatch):
+    # the inputs element_from_json builds are taken as they are
+    from demazure import algebra
+
+    def refuse(x):
+        raise AssertionError(f"as_fraction({x!r})")
+
+    c = quadrant_carrier()
+    x = SemigroupElement(c, [((3, 1), Fraction(2, 4)), ((0, 1), -3)])
+    monkeypatch.setattr(algebra, "as_fraction", refuse)
+    assert SemigroupElement(c, [((3, 1), Fraction(1, 2)), ((0, 1), -3)]) == x
+    assert (2 * x).terms == {(3, 1): 1, (0, 1): -6}
+    assert (x * Fraction(1, 3)).terms == {(3, 1): Fraction(1, 6),
+                                          (0, 1): -1}
+    sym = SymbolicElement(c, {(3, 1): {0: 1, 2: Fraction(1, 3)}})
+    assert sym.evaluate(3) == monomial(c, (3, 1), 4)
+    # other numbers still read as before
+    monkeypatch.undo()
+    assert SemigroupElement(c, [((3, 1), "1/2"), ((0, 1), -3.0)]) == x
+    assert (0.5 * x).terms == {(3, 1): Fraction(1, 4), (0, 1): Fraction(-3, 2)}
+    assert sym.evaluate("3") == monomial(c, (3, 1), 4)
+
+
+def test_products_across_ranks_raise():
+    # map(add) used to cut the longer key short
+    small = monomial(quadrant_carrier(), (1, 0))
+    big = monomial(ToricCarrier(Cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])),
+                   (1, 0, 2))
+    for product in (lambda: small * big, lambda: big * small,
+                    lambda: big + small, lambda: small - big):
+        with pytest.raises(RankMismatch, match="ranks"):
+            product()

@@ -501,7 +501,7 @@ def test_the_base_inverse_matches_the_fraction_inverse(monkeypatch):
 
 def fan_json(fan):
     return json.dumps({"rank": fan.rank, "rays": [list(r) for r in fan.rays],
-                       "max_cones": [sorted(g) for g in fan.generating]})
+                       "max_cones": [sorted(g) for g in fan.supplied]})
 
 
 def _report(capsys, tmp_path, *argv):

@@ -417,6 +417,41 @@ def test_lnd_numeric_product_homomorphism(capsys):
     ]
 
 
+def test_lnd_product_check_builds_no_right_hand_side(capsys, monkeypatch):
+    # the check compares integer images: one walk of the product and one
+    # per factor, and no exp_action or element comparison
+    from demazure import algebra
+
+    calls = {"walk": 0, "exp_action": 0, "__eq__": 0}
+    walk, exp_action, eq = (algebra._orbits, algebra.exp_action,
+                            algebra.SemigroupElement.__eq__)
+
+    def counted(name, fn):
+        def inner(*args):
+            calls[name] += 1
+            return fn(*args)
+        return inner
+
+    monkeypatch.setattr(algebra, "_orbits", counted("walk", walk))
+    monkeypatch.setattr(algebra, "exp_action",
+                        counted("exp_action", exp_action))
+    monkeypatch.setattr(algebra.SemigroupElement, "__eq__",
+                        counted("__eq__", eq))
+    factors = [{"terms": [{"key": [1, 0], "coeff": [2, 3]},
+                          {"key": [0, 1], "coeff": 1}]},
+               {"terms": [{"key": [3, 0], "coeff": -1}]},
+               {"terms": [{"key": [2, 1], "coeff": [1, 5]}]}]
+    for k in (1, 2, 3):
+        element = json.dumps({"product": factors[:k]})
+        for key in calls:
+            calls[key] = 0
+        code, rep, _ = run(capsys, "lnd", fixture("a2"), "--root=-1,2",
+                           "--element", element, "--time=-3/2")
+        assert code == 0
+        assert rep["result"]["homomorphism"] == {"equal": True}
+        assert calls == {"walk": 1 + k, "exp_action": 0, "__eq__": 0}
+
+
 def test_lnd_constant_is_fixed(capsys):
     code, rep, _ = run(capsys, "lnd", fixture("a2"), "--root=-1,2",
                        "--element", '{"terms":[{"key":[0,0],"coeff":3}]}',

@@ -15,6 +15,11 @@ must agree with them everywhere except in two documented places:
 ``Flow.at`` used to multiply Fractions for every orbit term; that closed
 form is kept below as the oracle of the integer one, which must give the
 same terms in the same order.
+
+The ``lnd`` product check used to build exp(sD)f_1 ... exp(sD)f_k as an
+element, by Fraction products, and compare it with ``==``; that check is
+kept below as the oracle of ``is_product``, which must give the same
+verdict on the true image and on images changed by one term.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from demazure.algebra import (
     derive,
     exp_action,
     exp_symbolic,
+    is_product,
     monomial,
     nilpotency_index,
     toric_lnd,
@@ -43,7 +49,7 @@ from demazure.algebra import (
 from demazure.errors import NotARoot, NotNilpotent, WeightEscape
 from demazure.lattice import Cone, dot
 
-from test_algebra import is_zero
+from test_algebra import fraction_product, is_zero
 
 # -- the former step loops (oracles only) ------------------------------------
 
@@ -583,3 +589,157 @@ def test_integer_flow_of_an_element_of_another_carrier():
         assert _assert_flow(Flow(lnd, y), s) == "WeightEscape"
     assert _escape(Flow(lnd, y).at, Fraction(1, 2)) \
         == "weight (2, -1) is not admissible"
+
+
+# -- the product check in integers against the former Fraction check --------
+
+
+def fraction_rhs(lnd, factors, s):
+    """The former right-hand side: each factor's flow at s as an element,
+    multiplied by the former Fraction double loop."""
+    rhs = exp_action(lnd, factors[0], s)
+    for f in factors[1:]:
+        rhs = SemigroupElement._trusted(
+            lnd.carrier, dict(fraction_product(rhs, exp_action(lnd, f, s))))
+    return rhs
+
+
+def _image(x):
+    """An element as integer numerators over the lcm of its denominators."""
+    d = lcm(*(c.denominator for c in x.terms.values()))
+    return d, {k: int(c * d) for k, c in x.terms.items()}
+
+
+def _radix(carrier, images):
+    """W = 2B + 1, B the sum of the images' largest |flat coordinate|."""
+    return 1 + 2 * sum(
+        max((abs(x) for k in nums for x in carrier.flat(k)), default=0)
+        for _, nums in images)
+
+
+def _moved(carrier, key, by):
+    """The key whose flat weight is flat(key) + by."""
+    return carrier.unflat(tuple(
+        x + y for x, y in zip(carrier.flat(key), by)))
+
+
+def _variants(carrier, lhs, radix, rng):
+    """(name, terms) for images that differ from ``lhs`` in one term: a
+    coefficient changed, a key dropped or added, and a key moved by W e_0
+    - e_1 (its packing aliases the key's own) or by (W - 2) e_0 - e_1 (an
+    alias of the key under the radix W - 2)."""
+    terms = dict(lhs.terms)
+    if not terms:
+        yield "added", {carrier.unflat((0,) * carrier.cone.rank): 1}
+        return
+    key = rng.choice(list(terms))
+    n = len(carrier.flat(key))
+    changed = dict(terms)
+    changed[key] += Fraction(1, 7)
+    yield "coefficient", {k: c for k, c in changed.items() if c}
+    yield "dropped", {k: c for k, c in terms.items() if k != key}
+    new = next(k for k in (_moved(carrier, key, (j,) + (0,) * (n - 1))
+                           for j in range(1, len(terms) + 2))
+               if k not in terms)
+    yield "added", {**terms, new: Fraction(rng.randint(1, 9), 3)}
+    for name, w in (("alias", radix), ("alias W - 2", radix - 2)):
+        moved = _moved(carrier, key, (w, -1) + (0,) * (n - 2))
+        if moved not in terms:
+            yield name, {moved if k == key else k: c
+                         for k, c in terms.items()}
+
+
+def _check_product(lnd, factors, s, rng, verdicts):
+    """The integer check against the former Fraction check: the same
+    outcome on the true image, then the same False on each variant."""
+    element = factors[0]
+    for f in factors[1:]:
+        element = element * f
+    try:
+        flow = Flow(lnd, element)
+        image = flow.integer_image(s)
+        images = [Flow(lnd, f).integer_image(s) for f in factors]
+    except (WeightEscape, NotNilpotent) as exc:
+        old = _outcome(lambda: (exp_action(lnd, element, s),
+                                fraction_rhs(lnd, factors, s)))
+        assert old == (type(exc).__name__, str(exc))
+        verdicts[old[0]] += 1
+        return
+    lhs = flow.at(s)
+    rhs = fraction_rhs(lnd, factors, s)
+    assert lhs == exp_action(lnd, element, s)
+    assert is_product(lnd.carrier, image, images) is (lhs == rhs) is True
+    assert is_product(lnd.carrier, _image(lhs), images)
+    radix = _radix(lnd.carrier, images)
+    for name, terms in _variants(lnd.carrier, lhs, radix, rng):
+        other = SemigroupElement._trusted(lnd.carrier, terms)
+        assert (other == rhs) is False, name
+        assert is_product(lnd.carrier, _image(other), images) is False, \
+            (name, lnd, factors, s)
+        verdicts[name] += 1
+
+
+def test_integer_product_check_matches_the_fraction_check():
+    rng = random.Random(20261020)
+    verdicts = {k: 0 for k in ("coefficient", "dropped", "added", "alias",
+                               "alias W - 2", "WeightEscape",
+                               "NotNilpotent")}
+    kinds = {"toric": 0, "curve": 0}
+    for i in range(160):
+        case = _toric_case(rng) if i % 2 else _horizontal_case(rng)
+        if case is None or not case[2]:
+            continue
+        carrier, lnd, keys = case
+        for _ in range(2):
+            factors = [_element(carrier, keys, rng)
+                       for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.1:
+                factors[rng.randrange(len(factors))] = \
+                    SemigroupElement(carrier, {})
+            for s in (Fraction(0), rng.choice(TIMES[1:])):
+                _check_product(lnd, factors, s, rng, verdicts)
+            kinds[type(carrier).__name__[:5].lower()] += 1
+    assert kinds["toric"] > 100 and kinds["curve"] > 60
+    assert min(verdicts.values()) >= 20, verdicts
+
+
+def test_integer_product_check_at_the_packing_bound():
+    # exp(sD) (a, b) has the keys (a - k, b + k), so the product of two
+    # such images reaches the bound B = B_1 + B_2 in its second coordinate
+    quad = quadrant()
+    lnd = HomogeneousLND.toric(quad, (1, 0), (-1, 1))
+    rng = random.Random(3)
+    for a, b in [((3, 0), (2, 1)), ((1, 5), (0, 4)), ((7, 2), (1, 1))]:
+        factors = [monomial(quad, a, Fraction(2, 3)),
+                   monomial(quad, b, -5) + monomial(quad, (0, 0), 1)]
+        for s in (Fraction(0), Fraction(1), Fraction(-5, 4)):
+            images = [Flow(lnd, f).integer_image(s) for f in factors]
+            lhs = exp_action(lnd, factors[0] * factors[1], s)
+            bound = _radix(quad, images) // 2
+            assert max(abs(x) for k in lhs.terms for x in k) == bound
+            assert is_product(quad, _image(lhs), images)
+            verdicts = dict.fromkeys(("coefficient", "dropped", "added",
+                                      "alias", "alias W - 2"), 0)
+            _check_product(lnd, factors, s, rng, verdicts)
+            assert all(verdicts.values()), verdicts
+    # negative coordinates over a curve
+    carrier, hor = line_over_a1()
+    x = SemigroupElement(carrier, [(((-3,), 5), Fraction(1, 2))])
+    y = SemigroupElement(carrier, [(((2,), 1), 3), (((-4,), 6), 1)])
+    for s in (Fraction(0), Fraction(2, 3)):
+        verdicts = dict.fromkeys(("coefficient", "dropped", "added",
+                                  "alias", "alias W - 2"), 0)
+        _check_product(hor, [x, y, x], s, rng, verdicts)
+        assert all(verdicts.values()), verdicts
+
+
+def test_integer_product_check_of_zero():
+    quad = quadrant()
+    lnd = HomogeneousLND.toric(quad, (1, 0), (-1, 1))
+    zero = SemigroupElement(quad, {})
+    x = monomial(quad, (2, 1), 3)
+    for s in (Fraction(0), Fraction(1, 2)):
+        images = [Flow(lnd, f).integer_image(s) for f in (x, zero)]
+        assert is_product(quad, (1, {}), images)
+        assert not is_product(quad, (1, {(0, 0): 1}), images)
+        assert is_product(quad, Flow(lnd, x).integer_image(s), images[:1])
