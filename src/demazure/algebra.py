@@ -97,7 +97,7 @@ class ToricCarrier:
         return self.cone.rank
 
     def freeze(self, key):
-        m = tuple(as_int(x) for x in key)
+        m = tuple(as_int(x) for x in as_tuple(key, "weight"))
         if len(m) != self.rank:
             raise RankMismatch(
                 f"weight of length {len(m)} in ambient rank {self.rank}"
@@ -154,6 +154,13 @@ class ToricCarrier:
         return f"ToricCarrier({self.cone!r})"
 
 
+def _vertices(vertices):
+    """A list of vertices as tuples of numbers; SchemaError when it or a
+    vertex is not a sequence."""
+    return tuple(tuple(_number(x) for x in as_tuple(v, "vertex"))
+                 for v in as_tuple(vertices, "vertices"))
+
+
 class CurveCarrier(ToricCarrier):
     """Monomial weights (m, r) over the base curve A^1 or P^1.
 
@@ -182,15 +189,11 @@ class CurveCarrier(ToricCarrier):
             raise CurveMismatch("vertices at infinity only occur over P^1")
         self.curve = curve
         self.tail = tail
-        self.vertices0 = tuple(
-            tuple(_number(x) for x in v) for v in vertices0
-        )
+        self.vertices0 = _vertices(vertices0)
         if not self.vertices0:
             raise InvalidDivisor("need at least one vertex at t = 0")
         self.vertices_inf = (
-            tuple(tuple(_number(x) for x in v) for v in vertices_inf)
-            if vertices_inf is not None
-            else None
+            _vertices(vertices_inf) if vertices_inf is not None else None
         )
         super().__init__(lifted_cone(
             tail.rank, tail.gens, self.vertices0, self.vertices_inf or ()
@@ -201,6 +204,9 @@ class CurveCarrier(ToricCarrier):
         return self.tail.rank
 
     def freeze(self, key):
+        key = as_tuple(key, "weight")
+        if len(key) != 2:
+            raise SchemaError(f"weight: expected an (m, r) pair, got {key!r}")
         m, r = key
         return (super().freeze(m), as_int(r))
 

@@ -22,11 +22,18 @@ one integer pivot across a wall from a neighbour (`_cone_duals`, with
 the proof at `_across`), so a complete simplicial fan takes one
 elimination.  The fan reads the rest off each dual: the cone's extremal
 rays, and so its key; its faces, every subset of the key when it is
-simplicial; its walls, from the zero sets of its facet normals; and, for
-n independent rays in rank n, whether it is unimodular, from the
-pairings of its normals with its rays (`Fan.unimodular_faces`).  The
-faces of a unimodular cone are smooth and their rays are saturated
-bases, so a Smith form is taken only for the other cones.
+simplicial; and, for n independent rays in rank n, whether it is
+unimodular, from the pairings of its normals with its rays
+(`Fan.unimodular_faces`).  The faces of a unimodular cone are smooth and
+their rays are saturated bases, so a Smith form is taken only for the
+other cones.
+
+The fan has one wall table (`Fan.walls`).  When, in rank >= 2, the
+walk leaves every supplied cone by its walls (each has n independent
+generators, none is listed twice) and every listed ray is used, the
+walk hands over the table it already holds: the (n - 1)-subsets of the
+keys, each with the normal opposite the generator off it.  Any other fan
+reads its walls off the zero sets of its cones' facet normals.
 
 Cones are keyed by their extremal-ray index sets; that is sound because a
 strongly convex cone is determined by its extremal rays.  The canonical id
@@ -96,43 +103,54 @@ class Fan:
     proves that at once for a complete simplicial fan, from the table of
     walls (`walls`); any other fan is checked pair by pair by
     `intersection_defect`: by containment, by a lone ray, or by one dual.
-    A supplied cone's faces, walls and unimodularity are read off its key
-    and its one dual (eliminated, or pivoted from a neighbour's by
+    A supplied cone's faces and unimodularity are read off its key and
+    its one dual (eliminated, or pivoted from a neighbour's by
     `cone_stage`); a cone is unimodular iff each facet normal pairs to
     1 with the ray off its facet (the proof is at `unimodular_faces`).
-    Faces and saturated bases are memoized per cone, the walls,
-    `unimodular_faces` and `has_convex_support` per fan.
+    The wall table is the one `cone_stage` passes as `walls` when its
+    walk covered the supplied cones, else read off their zero sets when
+    first asked.  The cones and their dimensions are read as sorted
+    index tuples, every subset of a simplicial cone's key; the per-cone
+    `face_sets` tables and saturated bases are built when asked and
+    memoized per cone, the walls, `unimodular_faces` and
+    `has_convex_support` per fan.
     """
 
-    def __init__(self, rank, rays, supplied):
+    def __init__(self, rank, rays, supplied, walls=None):
         self.rank = rank
         self.rays = rays  # tuple of primitive integer tuples
         self._ray_index = {r: i for i, r in enumerate(rays)}
         self._geom = dict(supplied)
         self._face_sets = {}
         self._bases = {}
-        self._walls = None
+        self._walls = walls  # the walk's wall table, or None: zero sets
         self._unimodular = None  # memo of unimodular_faces
         self._convex = None  # memo of has_convex_support
         self._symmetry = None  # memo of orbits.symmetry_chain
         self._automorphisms = None  # memo of orbits.fan_automorphisms
         self.supplied = list(supplied)
         self.generating = list(supplied)
+        # every face of a generating cone, as sorted indices: its dim; a
+        # ray that is not supplied has the faces {0} and itself
+        dims = {(): 0}
         for i in range(len(rays)):
-            key = frozenset({i})
-            if key not in supplied:
-                # a ray's faces are {0} and itself: no cone, no dual
-                self.generating.append(key)
-                self._face_sets[key] = {frozenset(): 0, key: 1}
-        dims = {frozenset(): 0}  # every face of a generating cone: its dim
-        for g in self.generating:
-            dims.update(self.face_sets(g))
-        order = sorted(dims.items(),
-                       key=lambda kv: (kv[1], tuple(sorted(kv[0]))))
+            if frozenset({i}) not in supplied:
+                self.generating.append(frozenset({i}))
+                dims[(i,)] = 1
+        for key, geom in supplied.items():
+            if len(key) == geom.dim():
+                idxs = sorted(key)
+                for k in range(1, len(idxs) + 1):
+                    dims.update(dict.fromkeys(
+                        itertools.combinations(idxs, k), k))
+            else:
+                table = self._face_sets[key] = self._faces_of(geom)
+                dims.update((tuple(sorted(fs)), d) for fs, d in table.items())
         # dict: frozenset(indices) -> ConeRef, canonical order
         self.cones = {
-            fs: ConeRef(tuple(sorted(fs)), dim, fs in supplied)
-            for fs, dim in order
+            frozenset(idxs): ConeRef(idxs, dim, frozenset(idxs) in supplied)
+            for idxs, dim in sorted(dims.items(),
+                                    key=lambda kv: (kv[1], kv[0]))
         }
 
     def __repr__(self):
@@ -167,21 +185,25 @@ class Fan:
 
     def face_sets(self, cone):
         """Faces of a fan cone as frozensets of fan ray indices, mapped to
-        their dimensions.  Every set of a simplicial cone's rays is a face,
-        of dimension its size; the faces of any other cone are read off
-        `Cone.face_table` and taken to fan indices."""
+        their dimensions, memoized per cone.  Every set of a simplicial
+        cone's rays is a face, of dimension its size; the faces of any
+        other cone are read off `Cone.face_table` and taken to fan
+        indices."""
         key = _as_key(cone)
         if key not in self._face_sets:
-            geom = self.cone_geometry(key)
-            if len(key) == geom.dim():
+            if len(key) == self.ref(key).dim:
                 table = {frozenset(fs): k for k in range(len(key) + 1)
                          for fs in itertools.combinations(key, k)}
             else:
-                local = [self._ray_index[r] for r in geom.rays()]
-                table = {frozenset(local[j] for j in fs): d
-                         for fs, d in geom.face_table().items()}
+                table = self._faces_of(self.cone_geometry(key))
             self._face_sets[key] = table
         return self._face_sets[key]
+
+    def _faces_of(self, geom):
+        """`Cone.face_table` of a cone on fan rays, in fan indices."""
+        local = [self._ray_index[r] for r in geom.rays()]
+        return {frozenset(local[j] for j in fs): d
+                for fs, d in geom.face_table().items()}
 
     def unimodular_faces(self):
         """The faces of the unimodular supplied cones, computed once per fan.
@@ -240,27 +262,40 @@ class Fan:
     def walls(self):
         """dict: each facet of an n-dimensional generating cone, as a ray
         index set -> [(cone, facet normal)] over the cones it bounds.
+        This is the fan's one wall table.
 
-        A facet is the set of a cone's extremal rays on one of its facet
-        normals, read off the zero sets of the cone's own dual (`_inc[k]`,
-        the bitmask of its generators on normal k).  In a valid fan the
-        n-dimensional cones are the n-dimensional generating ones.
+        In rank >= 2, when every supplied cone has n independent
+        generators and was left by the wall walk of `cone_stage`, no cone
+        is listed twice and every listed ray is used, the table is the
+        walk's (`_cone_duals`): each cone's walls are its (n - 1)-subsets,
+        with the normal opposite the generator off each.  Otherwise
+        (`_zero_set_walls`) a facet is the set of a cone's extremal rays
+        on one of its facet normals, read off the zero sets of the cone's
+        own dual (`_inc[k]`, the bitmask of its generators on normal k),
+        once, when first asked.  Both list the cones in supplied order.
+        In a valid fan the n-dimensional cones are the n-dimensional
+        generating ones.
         """
         if self._walls is None:
-            table = {}
-            for key in self.generating:
-                if self.cones[key].dim != self.rank:
-                    continue
-                geom = self.cone_geometry(key)
-                extremal = set(geom.rays())
-                # (bit of the generator, its fan index) per extremal ray
-                at = [(1 << j, self._ray_index[g])
-                      for j, g in enumerate(geom.gens) if g in extremal]
-                for u, z in zip(geom.dual_pair()[0], geom._inc):
-                    wall = frozenset(i for bit, i in at if z & bit)
-                    table.setdefault(wall, []).append((key, u))
-            self._walls = table
+            self._walls = self._zero_set_walls()
         return self._walls
+
+    def _zero_set_walls(self):
+        """The wall table read off the zero sets of the duals of the
+        n-dimensional generating cones, in generating order."""
+        table = {}
+        for key in self.generating:
+            if self.cones[key].dim != self.rank:
+                continue
+            geom = self.cone_geometry(key)
+            extremal = set(geom.rays())
+            # (bit of the generator, its fan index) per extremal ray
+            at = [(1 << j, self._ray_index[g])
+                  for j, g in enumerate(geom.gens) if g in extremal]
+            for u, z in zip(geom.dual_pair()[0], geom._inc):
+                wall = frozenset(i for bit, i in at if z & bit)
+                table.setdefault(wall, []).append((key, u))
+        return table
 
     def certified_complete(self):
         """Whether the generating cones are certified to form a complete
@@ -272,12 +307,15 @@ class Fan:
         off the wall pairs negatively with the first one's normal, so the
         two lie on opposite sides; and p, the sum of the rays of the first
         cone, lies in no other cone.  That is n lookups and dot products
-        per cone, with no new dual.  False says only that the certificate
-        does not apply, and the pair loop then decides: at most n
-        supplied cones (too few to be complete, and an affine fan pays
-        one len), a cone that is not simplicial or not n-dimensional (a
-        ray supplied as a 1-cone in rank >= 2), an unused ray, an
-        unmatched or same-side wall, or a covered p.
+        per cone, with no new dual.  The walls are the fan's one table
+        (`walls`), which is the wall walk's own on every fan of rank
+        >= 2 that the certificate holds for and that lists no cone
+        twice: the walk left each of its cones by its walls.  False says
+        only that the certificate does not apply, and the pair loop then
+        decides: at most n supplied cones (too few to be complete, and an
+        affine fan pays one len), a cone that is not simplicial or not
+        n-dimensional (a ray supplied as a 1-cone in rank >= 2), an
+        unused ray, an unmatched or same-side wall, or a covered p.
 
         Why it suffices: the pseudo-manifold and covering
         characterization of triangulations (De Loera-Rambau-Santos,
@@ -367,12 +405,17 @@ class Fan:
             spanned = all(self._ray_index.get(e) in common for e in E)
         if not spanned:
             why = "their intersection is not spanned by common rays"
-        elif (common not in self._face_sets[a]
-              or common not in self._face_sets[b]):
+        elif not (self._has_face(a, common) and self._has_face(b, common)):
             why = "the common rays do not span a face of both"
         else:
             return None
         return BadIntersection(self.cone_id(a), self.cone_id(b), why)
+
+    def _has_face(self, key, sub):
+        """Whether `sub`, a subset of the fan cone `key`, spans a face of
+        it: every subset does when the cone is simplicial, and no face
+        table is built for that."""
+        return len(key) == self.cones[key].dim or sub in self.face_sets(key)
 
 
 def _sequence(obj, what, violations):
@@ -462,7 +505,8 @@ def _across(opposite, out, r):
 
 
 def _cone_duals(rank, rays, listed):
-    """dict: each listed cone's index set -> its Cone.
+    """(duals, walls): dict of each listed cone's index set -> its Cone,
+    and the wall table of the listed cones when the walk covers them.
 
     The cones of rank indices are joined by their walls, the
     (rank - 1)-subsets of their index lists, which needs no dual.  The
@@ -473,6 +517,15 @@ def _cone_duals(rank, rays, listed):
     another size, one with no neighbour, and one that its pivot finds
     not n-dimensional take their own elimination when first asked.  So
     a complete simplicial fan takes one elimination per component.
+
+    The walk leaves each cone of n independent generators by its walls,
+    with the normal opposite each generator (`Cone.opposite_normals`),
+    which is the cone's normal on the wall off that generator.  When it
+    leaves every listed cone so, and no cone is listed twice, `walls`
+    maps each (rank - 1)-subset to [(cone, its normal there)] over the
+    cones on it, in input order: `Fan.walls` of these cones, read with
+    no zero set.  Otherwise, and in rank 1, where the one wall is the
+    origin, `walls` is None.
     """
     full = [idxs for idxs in listed if len(idxs) == rank]
     walls = {}
@@ -489,6 +542,7 @@ def _cone_duals(rank, rays, listed):
                 if other != key:
                     steps.setdefault(key, []).append((i, other, far))
     duals = {}
+    left = {}  # each cone the walk left: generator -> normal opposite it
     for idxs in listed:
         key = frozenset(idxs)
         if key in duals:
@@ -499,14 +553,17 @@ def _cone_duals(rank, rays, listed):
             key = todo.pop()
             if key not in steps or duals[key].dual_pair()[1]:
                 continue  # no neighbour, or no n independent generators
-            opposite = duals[key].opposite_normals()
+            opposite = left[key] = duals[key].opposite_normals()
             for i, other, far in steps[key]:
                 if other not in duals:
                     duals[other] = (
                         _across(opposite, rays[i], rays[far])
                         or Cone._of_primitive(rank, [rays[j] for j in other]))
                     todo.append(other)
-    return duals
+    if rank < 2 or not left or len(left) != len(listed):
+        return duals, None
+    return duals, {wall: [(key, left[key][rays[i]]) for key, i in sides]
+                   for wall, sides in walls.items()}
 
 
 def cone_stage(rank, rays, maximal_cones):
@@ -535,8 +592,8 @@ def cone_stage(rank, rays, maximal_cones):
             ))
         else:
             listed.append(idxs)
-    duals = _cone_duals(rank, rays,
-                        [idxs for idxs in listed if isinstance(idxs, list)])
+    duals, walls = _cone_duals(
+        rank, rays, [idxs for idxs in listed if isinstance(idxs, list)])
     supplied = {}
     for idxs in listed:
         if not isinstance(idxs, list):
@@ -553,7 +610,9 @@ def cone_stage(rank, rays, maximal_cones):
         supplied.setdefault(frozenset(ray_of[r] for r in geom.rays()), geom)
     if violations:
         return None, violations
-    return Fan(rank, rays, supplied), []
+    if walls is not None and len(frozenset().union(*supplied)) < len(rays):
+        walls = None  # an unused ray is a generating cone of its own
+    return Fan(rank, rays, supplied, walls), []
 
 
 def build_fan(rank, ray_list, maximal_cones):

@@ -837,8 +837,11 @@ def _row(constraint):
 class Region:
     """The region {x : <u,x> >= b, <v,x> == c} in Q^rank, eliminated once.
     Its rows are one >= list, each given row times the lcm of its
-    denominators; a zero row that always holds is dropped, and one that
-    never holds, 0 >= b > 0, is kept for the elimination to refute."""
+    denominators, an equality as the row and its negative; a zero row
+    that always holds is dropped, and one that never holds, 0 >= b > 0,
+    is kept for the elimination to refute.  `_of_integer_rows` builds a
+    Region on rows that are already integral, a fan's root regions and
+    the reduced regions of `feasible`, without reading them again."""
 
     def __init__(self, rank, inequalities=(), equalities=()):
         rows = [_row(c) for c in as_tuple(inequalities, "inequalities")]
@@ -849,9 +852,19 @@ class Region:
             if len(w) != rank + 1:
                 raise RankMismatch(f"constraint of length {len(w) - 1} "
                                    f"in ambient rank {rank}")
+        self._start(rank, [(tuple(w[:-1]), w[-1]) for w in rows])
+
+    @classmethod
+    def _of_integer_rows(cls, rank, rows):
+        """The Region {x : <u, x> >= b} of rows (u, b), u a tuple of rank
+        ints and b an int, read as they are: no check, no lcm."""
+        region = cls.__new__(cls)
+        region._start(rank, rows)
+        return region
+
+    def _start(self, rank, rows):
         self.rank = rank
-        self.rows = [(tuple(w[:-1]), w[-1]) for w in rows
-                     if any(w[:-1]) or w[-1] > 0]
+        self.rows = [(u, b) for u, b in rows if any(u) or b > 0]
         self.levels, self.cut = _eliminate(rank, self.rows)
         self._shape = None
 
@@ -940,7 +953,7 @@ class Region:
                     default=0)
             return tuple(y + m * s for y, s in zip(x, c))
 
-        return Region(self.rank - 1, [
+        return Region._of_integer_rows(self.rank - 1, [
             (tuple(dot(u, t) for t in T[1:]), b) for u, a, b in rows if not a
         ]).feasible(lambda z: test(lift(z)))
 

@@ -23,7 +23,6 @@ from math import gcd, lcm, prod
 from .errors import NotARoot, UnsupportedFan
 from .lattice import (
     Cone,
-    Region,
     as_int,
     as_tuple,
     dot,
@@ -36,7 +35,7 @@ from .lattice import (
 )
 from .roots import (
     DemazureRoot,
-    _root_system,
+    _root_region,
     check_condition2,
     cones_inside,
     root_pairings,
@@ -214,7 +213,7 @@ def admits_g_structure(fan):
     """
     convex = fan.has_convex_support()
     for i in range(len(fan.rays)):
-        region = Region(fan.rank, *_root_system(fan.rays, i))
+        region = _root_region(fan, i)
         if region.feasible() if convex else region.feasible(
                 lambda e: check_condition2(fan, e, i)[0]):
             return True

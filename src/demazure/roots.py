@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NegativeBound, NoRays, UnboundedRoots
-from .lattice import Region, as_int, dot, lattice_points
+from .lattice import Region, as_int, dot, lattice_points, vneg
 
 
 @dataclass(frozen=True, order=True)
@@ -73,6 +73,16 @@ def _root_system(rays, i):
     j != i and <n_i, e> = -1."""
     ineqs = [(r, 0) for j, r in enumerate(rays) if j != i]
     return ineqs, [(rays[i], -1)]
+
+
+def _root_region(fan, i):
+    """Ray i's root region as a `Region` on the fan's primitive integer
+    rays, read as they are: the rows of `Region(fan.rank,
+    *_root_system(fan.rays, i))`, in the same order, the equality as the
+    row and its negative."""
+    ineqs, [(u, b)] = _root_system(fan.rays, i)
+    return Region._of_integer_rows(fan.rank,
+                                   ineqs + [(u, b), (vneg(u), -b)])
 
 
 def roots_of_cone(cone, bound):
@@ -142,7 +152,7 @@ def check_condition2(fan, e, ray_index, vals=None):
 def roots_of_fan(fan, bound=None):
     """All Demazure roots of a fan.
 
-    Each root region is eliminated once (`lattice.Region`), with no dual
+    Each root region is eliminated once (`_root_region`), with no dual
     unless it passes ROW_CEILING rows.  If no region holds infinitely many
     lattice points, the enumeration is exact and any bound is ignored.
     Otherwise a bound B is required (UnboundedRoots names the first such
@@ -166,7 +176,7 @@ def roots_of_fan(fan, bound=None):
         if bound < 0:
             raise NegativeBound(bound)
     n = fan.rank
-    regions = [Region(n, *_root_system(fan.rays, i)) for i in range(l)]
+    regions = [_root_region(fan, i) for i in range(l)]
     points = [region.points() for region in regions]
     unbounded = [i for i, p in enumerate(points) if p is None]
     boxed = None

@@ -624,6 +624,42 @@ def test_horizontal_derivation_reads_its_vertex_as_numbers():
     assert lnd.ray_normal == (1, 2)
 
 
+def test_weights_and_vertex_lists_that_are_no_sequences_are_named():
+    # iterating over None or an int raised a bare TypeError, and
+    # unpacking a curve weight of the wrong length a bare ValueError
+    tail = Cone(1, [(1,)])
+    cases = [
+        (lambda: SemigroupElement(quadrant_carrier(), [(None, 1)]),
+         "weight: expected a sequence, got None"),
+        (lambda: CurveCarrier("A1", tail, None),
+         "vertices: expected a sequence, got None"),
+        (lambda: CurveCarrier("A1", tail, [None]),
+         "vertex: expected a sequence, got None"),
+        (lambda: CurveCarrier("P1", tail, [(0,)], 5),
+         "vertices: expected a sequence, got 5"),
+        (lambda: CurveCarrier("P1", tail, [(0,)], [5]),
+         "vertex: expected a sequence, got 5"),
+        (lambda: SemigroupElement(a1_carrier(), [(None, 1)]),
+         "weight: expected a sequence, got None"),
+        (lambda: SemigroupElement(a1_carrier(), [((1,), 1)]),
+         "weight: expected an (m, r) pair, got (1,)"),
+        (lambda: SemigroupElement(a1_carrier(), [(((1,), None), 1)]),
+         None),
+    ]
+    for make, message in cases:
+        if message is None:
+            with pytest.raises(InvalidInteger, match="non-numeric entry"):
+                make()
+            continue
+        with pytest.raises(SchemaError) as info:
+            make()
+        assert str(info.value) == message
+    # sequences of any kind are read as before
+    assert CurveCarrier("P1", tail, ([0],), ([1],)) == p1_carrier()
+    assert SemigroupElement(a1_carrier(), [(([1], 0), 1)]).terms == {
+        ((1,), 0): 1}
+
+
 def test_a_flow_names_an_element_that_is_no_element():
     # None.terms raised AttributeError
     lnd = toric_lnd(Cone(2, [(1, 0), (0, 1)]), (-1, 0))

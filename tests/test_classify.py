@@ -598,11 +598,22 @@ def test_one_elimination_per_complete_simplicial_fan(
     (tmp_path / "fan.json").write_text(json.dumps(
         {"rank": rank, "rays": rays, "max_cones": cones}))
     eliminations = count_calls(monkeypatch, "_echelon")
+    # and no wall pass over the duals' zero sets: the walls are the ones
+    # the wall walk handed over
+    zero_set_passes = []
+    zero_set_walls = fan_module.Fan._zero_set_walls
+
+    def counted(self):
+        zero_set_passes.append(self)
+        return zero_set_walls(self)
+
+    monkeypatch.setattr(fan_module.Fan, "_zero_set_walls", counted)
     for command, count in ELIMINATIONS.items():
         eliminations.clear()
         code, _ = _report(capsys, tmp_path, command)
         assert code == 0
         assert len(eliminations) == count, (name, command)
+    assert zero_set_passes == []
 
 
 def test_one_fan_validate_job_reads_the_generating_cones(

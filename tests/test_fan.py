@@ -928,19 +928,100 @@ def test_wall_certificate_matches_the_pair_loop():
                          former_is_complete, rank, rays, cones)
         assert outcome(build_fan, fan_diagnostics, is_complete,
                        rank, rays, cones) == former, (rank, rays, cones)
+        primitive_rays, violations = ray_stage(rank, rays)
+        staged = not violations and cone_stage(rank, primitive_rays, cones)[0]
+        if staged:
+            seen["walk table" if staged._walls is not None else
+                 "zero sets"] += 1
         if former[1]:
             seen["invalid"] += 1
             continue
         fan = build_fan(rank, rays, cones)
         simplicial = all(fan.cones[k].dim == len(k) == rank
                          for k in fan.supplied)
-        # a valid fan is certified exactly when complete and simplicial
+        # a valid fan is certified exactly when complete and simplicial,
+        # and then from the walk's wall table unless a cone is listed
+        # twice (or in rank 1)
         assert fan.certified_complete() == (simplicial and former[0][1])
+        if fan.certified_complete():
+            assert (staged._walls is not None) == (rank > 1 and len(
+                {frozenset(c) for c in cones}) == len(cones)), cones
         seen["certified" if fan.certified_complete() else
              "complete, not simplicial" if former[0][1] else
              "incomplete"] += 1
     assert seen == {"invalid": 179, "certified": 124,
-                    "complete, not simplicial": 7, "incomplete": 94}
+                    "complete, not simplicial": 7, "incomplete": 94,
+                    "walk table": 178, "zero sets": 171}
+
+
+def facet_walls(fan):
+    """The wall table from the facets of a Cone on each n-dimensional
+    generating cone's rays, taken to fan indices."""
+    walls = {}
+    for key in fan.generating:
+        if fan.cones[key].dim == fan.rank:
+            geom = Cone(fan.rank, [fan.rays[i] for i in key])
+            local = [fan.ray_index(r) for r in geom.rays()]
+            for u, facet in geom.facets():
+                walls.setdefault(frozenset(local[j] for j in facet),
+                                 []).append((key, u))
+    return walls
+
+
+SQUARE = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+
+
+# (rank, rays, cones, whether the wall walk hands over its table)
+WALK_TABLE_ROUTES = {
+    "P^3": (*p_n_input(3), True),
+    "(P^1)^3": (*p1_power_input(3), True),
+    "F_3": (2, [(1, 0), (0, 1), (-1, 3), (0, -1)],
+            [[k, (k + 1) % 4] for k in range(4)], True),
+    "P^4": (*p_n_input(4), True),
+    "hexagon": (2, HEXAGON, [[k, (k + 1) % 6] for k in range(6)], True),
+    # the pivot finds the cone [0, 1, 3] flat: (1, 1, 0) is on its wall
+    "flat cone": (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)],
+                  [[0, 1, 2], [0, 1, 3], [1, 2, 3]], False),
+    "cone listed twice": (2, [(1, 0), (0, 1), (-1, -1)],
+                          [[0, 1], [1, 2], [0, 2], [1, 0]], False),
+    "unused ray": (2, [(1, 0), (0, 1), (-1, -1), (1, 1)],
+                   [[0, 1], [1, 2], [0, 2]], False),
+    "square beside simplices": (
+        3, SQUARE + [(0, 0, -1)],
+        [[0, 1, 2, 3]] + [[k, (k + 1) % 4, 4] for k in range(4)], False),
+    "rank 1": (1, [(1,), (-1,)], [[0], [1]], False),
+    "lone cone": (2, [(1, 0), (0, 1)], [[0, 1]], False),
+    "no shared wall": (2, [(1, 0), (0, 1), (-1, 0), (0, -1)],
+                       [[0, 1], [2, 3]], False),
+}
+
+
+@pytest.mark.parametrize("name", WALK_TABLE_ROUTES)
+def test_the_walk_hands_over_its_wall_table_only_when_it_covers_the_fan(
+        name, monkeypatch):
+    # the walk's table is the fan's one wall table when every listed cone
+    # has n independent generators and was left by the walk, no cone is
+    # listed twice and every listed ray is used; any other fan reads its
+    # walls off the zero sets.  Both routes give the facets' table
+    rank, rays, cones, walked = WALK_TABLE_ROUTES[name]
+    fan, violations = cone_stage(rank, ray_stage(rank, rays)[0], cones)
+    assert violations == []
+    assert (fan._walls is not None) == walked
+    passes = []
+    zero_sets = Fan._zero_set_walls
+
+    def counted(self):
+        passes.append(self)
+        return zero_sets(self)
+
+    monkeypatch.setattr(Fan, "_zero_set_walls", counted)
+    assert fan.walls() == facet_walls(fan)
+    assert len(passes) == (not walked)
+    # the certificate and the pair loop still agree on every case
+    assert outcome(build_fan, fan_diagnostics, is_complete,
+                   rank, rays, cones) == outcome(
+        former_build_fan, former_fan_diagnostics, former_is_complete,
+        rank, rays, cones)
 
 
 @pytest.mark.parametrize("case", [double_wound(k) for k in (5, 7, 9, 11)]

@@ -76,6 +76,7 @@ from test_fan import (
     a2,
     cube_input,
     f1,
+    facet_walls,
     p1,
     p1_power,
     p1_power_input,
@@ -768,25 +769,31 @@ def readout_fans():
     return fans
 
 
+def walk_fans():
+    """The fans that cone_stage makes of walk_inputs(), their pairs never
+    checked, each with whether the walk handed over its wall table."""
+    fans = []
+    for rank, rays, listed in walk_inputs():
+        fan = cone_stage(rank, rays, listed)[0]
+        if fan is not None:
+            fans.append((fan, fan._walls is not None))
+    return fans
+
+
 def test_fan_readouts_match_the_general_routes():
     # faces, walls, smoothness and stabilizers read off each supplied
     # cone's key and dual against the routes they replaced: the face
     # table and facets of a Cone on the cone's rays, taken to fan indices,
-    # the invariant factors and a Smith basis
+    # the invariant factors and a Smith basis; the wall walk's tables
+    # against those facets too
     rng = random.Random(2526)
-    seen = set()
-    for fan, validated in readout_fans():
-        walls = {}
-        for key in fan.generating:
-            if fan.cones[key].dim == fan.rank:
-                geom = Cone(fan.rank, [fan.rays[i] for i in key])
-                local = [fan.ray_index(r) for r in geom.rays()]
-                for u, facet in geom.facets():
-                    walls.setdefault(frozenset(local[j] for j in facet),
-                                     []).append((key, u))
-                seen.add(("wall past a ray", len(fan._geom[key].gens)
-                          > len(geom.gens)))
-        assert fan.walls() == walls, fan.rays
+    walked = walk_fans()
+    seen = {("walk table", table) for _, table in walked}
+    for fan, validated in readout_fans() + [(f, False) for f, _ in walked]:
+        assert fan.walls() == facet_walls(fan), fan.rays
+        seen.update(("wall past a ray", len(fan._geom[key].gens) > len(key))
+                    for key in fan.generating
+                    if fan.cones[key].dim == fan.rank)
         characters = [tuple(rng.randint(-3, 3) for _ in range(fan.rank))
                       for _ in range(4)]
         for key, ref in fan.cones.items():
@@ -820,7 +827,8 @@ def test_fan_readouts_match_the_general_routes():
     # supplied cone listing a ray that is not extremal
     assert seen == {(True, True, True), (True, True, False),
                     (True, False, False), (False, False, False),
-                    ("wall past a ray", True), ("wall past a ray", False)}
+                    ("wall past a ray", True), ("wall past a ray", False),
+                    ("walk table", True), ("walk table", False)}
 
 
 def walk_inputs():
@@ -857,7 +865,10 @@ def test_the_wall_walk_takes_the_duals_an_elimination_would(monkeypatch):
     # each Cone that _cone_duals returns holds exactly the (E, L, Z) that
     # its own elimination gives, whether the walk eliminated it or
     # reached it by a pivot; a complete simplicial fan takes one
-    # elimination in all
+    # elimination in all, and its wall table is handed over with the
+    # duals.  A table, when there is one, lists each cone's walls off
+    # its own dual: the (n - 1)-subsets of its key, each with the facet
+    # normal vanishing on it, in input order
     signs = collections.Counter()
     across = fan_module._across
 
@@ -876,12 +887,12 @@ def test_the_wall_walk_takes_the_duals_an_elimination_would(monkeypatch):
     monkeypatch.setattr(fan_module, "_across", recorded)
     monkeypatch.setattr(lattice, "_echelon", counted)
     complete = len(named_fans())
-    cones = taken = 0
+    cones = taken = tables = 0
     for k, (rank, rays, listed) in enumerate(walk_inputs()):
         eliminations.clear()
-        duals = fan_module._cone_duals(rank, rays, listed)
+        duals, walls = fan_module._cone_duals(rank, rays, listed)
         if k < complete:
-            assert len(eliminations) == 1, rays
+            assert len(eliminations) == 1 and walls is not None, rays
         cones += len(duals)
         taken += len(eliminations)
         assert set(duals) == {frozenset(c) for c in listed}
@@ -890,8 +901,19 @@ def test_the_wall_walk_takes_the_duals_an_elimination_would(monkeypatch):
             E, L = geom.dual_pair()
             assert (E, L, geom._inc) == lattice._dual_of_primitive(
                 geom.gens, rank), (rays, sorted(key))
+        if walls is None:
+            continue
+        tables += 1
+        table = {}
+        for c in listed:
+            key = frozenset(c)
+            E, _ = duals[key].dual_pair()
+            for i in c:
+                (u,) = [u for u in E if dot(u, rays[i])]
+                table.setdefault(key - {i}, []).append((key, u))
+        assert list(walls.items()) == list(table.items()), (rays, listed)
     # most cones are reached by a pivot, with a of each sign
-    assert taken < cones / 3
+    assert taken < cones / 3 and tables >= complete
     assert signs[-1] > 150 and signs[0] >= 2 and signs[1] >= 2
 
 

@@ -21,7 +21,7 @@ import pytest
 
 from demazure import lattice, orbits, roots
 from demazure.errors import DemazureError, NotARoot, UnboundedRoots
-from demazure.fan import Fan, build_fan, is_complete
+from demazure.fan import Fan, build_fan, is_complete, ray_stage
 from demazure.lattice import Region, dot
 from demazure.orbits import (
     admits_g_structure,
@@ -45,9 +45,11 @@ from test_fan import (
     p_n_input,
     product_input,
     random_complete_fan_input,
+    random_fan_input,
 )
 from test_lattice import fraction_nullspace
-from test_orbits import oracle_admits
+from test_orbits import named_fans as complete_named_fans
+from test_orbits import non_smooth_fans, oracle_admits
 from test_roots import polytope_roots
 
 
@@ -627,3 +629,63 @@ def test_mixed_region_fans_dualize_each_region_at_most_twice(
     assert admits == 23
     # the flats search decided 234 programs
     assert tried == 0 and pattern_search == 686
+
+
+# ---------------------------------------------------------------------------
+# a fan's root regions are built on its integer rays, read as they are
+
+
+def region_fans():
+    """The complete named and non-smooth fans, the incomplete named fans,
+    and fans on the rays of seeded random_fan_input inputs, which only the
+    rays matter to; each with a box for the lift, None but on A^3."""
+    fans = [(fan, None) for fan in complete_named_fans() + non_smooth_fans()
+            + named_fans()]
+    fans.append((affine(3), [(-4, 4)] * 3))
+    rng = random.Random(2828)
+    while len(fans) < 60:
+        rank, rays, _ = random_fan_input(rng)
+        rays, violations = ray_stage(rank, rays)
+        if not violations:
+            fans.append((Fan(rank, rays, {}), None))
+    return fans
+
+
+def test_root_regions_on_integer_rows_match_the_public_constructor():
+    # the same rows in the same order, so the same elimination, points
+    # and verdicts, as the Region of the root system's constraints
+    unbounded = 0
+    for fan, box in region_fans():
+        for i in range(len(fan.rays)):
+            public = Region(fan.rank, *_root_system(fan.rays, i))
+            region = roots._root_region(fan, i)
+            assert (region.rows, region.levels, region.cut) == (
+                public.rows, public.levels, public.cut), (fan.rays, i)
+            points = public.points(box)
+            unbounded += points is None
+            assert (region.points(box) is None) == (points is None)
+            if points is not None:
+                assert list(region.points(box)) == list(points)
+            assert region.feasible() == public.feasible(), (fan.rays, i)
+    assert unbounded > 20
+
+
+def test_roots_and_admits_read_no_row_again(monkeypatch):
+    # roots_of_fan and admits_g_structure build every region on the fan's
+    # integer rays, and Region.feasible recurses on integer rows, so no
+    # constraint is read through lattice._row
+    rows = []
+    original = lattice._row
+
+    def counted(constraint):
+        rows.append(constraint)
+        return original(constraint)
+
+    monkeypatch.setattr(lattice, "_row", counted)
+    for fan in (mixed_region_fans() + complete_named_fans()
+                + non_smooth_fans() + [affine(3), p_n(4), p1_power(3)]):
+        roots_of_fan(fan, bound=2)
+        admits_g_structure(fan)
+    assert rows == []
+    Region(2, [((1, 0), 0)])  # the public constructor reads its rows
+    assert rows == [((1, 0), 0)]

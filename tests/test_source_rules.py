@@ -352,3 +352,74 @@ def test_condition2_is_checked_only_off_convex_support():
                        "orbits.py:admits_g_structure"}
     assert "check_condition2" not in _names_in(trees["cli.py"]), \
         "cli.py checks condition (2)"
+
+
+def _functions_using(tree, test):
+    """The names of the innermost functions holding a node that passes
+    `test`, with "<module>" for a node outside every function."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = (child.name if isinstance(child, ast.FunctionDef)
+                     else owner)
+            if test(child):
+                found.add(inner)
+            visit(child, inner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_the_wall_table_is_indexed_by_subsets_once():
+    # the walls keyed by the (n - 1)-subsets of the cones' keys, key - {i},
+    # are built in one place, the wall walk of fan._cone_duals, which
+    # hands them to the Fan; Fan.walls, certified_complete and is_complete
+    # read that one table, and only _zero_set_walls reads walls off a dual
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in SOURCES}
+    assert set(trees) >= {"fan.py", "serialize.py", "orbits.py"}
+
+    def subset_of_a_key(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                and isinstance(node.right, ast.Set))
+
+    found = {f"{name}:{func}" for name, tree in trees.items()
+             for func in _functions_using(tree, subset_of_a_key)}
+    assert found == {"fan.py:_cone_duals"}, found
+    funcs = {n.name: n for n in ast.walk(trees["fan.py"])
+             if isinstance(n, ast.FunctionDef)}
+    for name in ("walls", "certified_complete", "is_complete"):
+        names = _names_in(funcs[name])
+        assert not names & {"_inc", "opposite_normals", "_cone_duals"}, \
+            f"{name} builds walls of its own"
+    readers = {f"{name}:{func}" for name, tree in trees.items()
+               for func in _functions_using(
+                   tree, lambda node: isinstance(node, ast.Attribute)
+                   and node.attr == "_zero_set_walls")}
+    assert readers == {"fan.py:walls"}, readers
+
+
+def test_root_regions_are_built_by_one_helper():
+    # roots.py and orbits.py build each root region on the fan's integer
+    # rays through roots._root_region, the one user of the private
+    # Region constructor outside lattice.py
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in SOURCES}
+    assert set(trees) >= {"roots.py", "orbits.py", "lattice.py"}
+
+    def names(*wanted):
+        return lambda node: ((isinstance(node, ast.Name)
+                              and node.id in wanted)
+                             or (isinstance(node, ast.Attribute)
+                                 and node.attr in wanted))
+
+    for name in ("roots.py", "orbits.py"):
+        users = _functions_using(trees[name], names("Region"))
+        assert users <= {"_root_region", "<module>"}, (name, users)
+    private = {f"{name}:{func}" for name, tree in trees.items()
+               for func in _functions_using(tree, names("_of_integer_rows"))}
+    assert private == {"roots.py:_root_region", "lattice.py:feasible"}, \
+        private
+    users = {f"{name}:{func}" for name, tree in trees.items()
+             for func in _functions_using(tree, names("_root_region"))}
+    assert users == {"roots.py:roots_of_fan",
+                     "orbits.py:admits_g_structure"}, users
