@@ -296,16 +296,11 @@ class SemigroupElement:
         )
 
     def __mul__(self, other):
-        """The product, by one integer convolution (``_convolve``).
-
-        Both factors are read as integer numerators over their common
-        denominators, and each weight is packed into one int with the
-        radix W = 2B + 1, B the sum of the factors' largest |coordinate|.
-        A product weight has |k_i| <= B < W / 2, so its coordinates are
-        the balanced base-W digits of its packing, which are unique: the
-        packing is injective, and each distinct weight is unpacked once.
-        The terms come in the order the double loop over the terms of
-        (self, other) reaches their weights first.
+        """The product, by one integer convolution of the factors'
+        integer numerators on packed weights (``_convolve``, with the
+        packing argument in the module docstring); each distinct weight
+        is unpacked once.  The terms come in the order the double loop
+        over the terms of (self, other) reaches their weights first.
         """
         if not isinstance(other, SemigroupElement):
             return self.__rmul__(other)
@@ -409,7 +404,8 @@ def is_product(carrier, image, factors):
     (d, {key: n}) over ``carrier`` with nonzero numerators, compared as
     integers: no Fraction and no element is built.
 
-    The product's weights are packed as in ``_convolve``.  A key of
+    The product's weights are packed as in ``_convolve``, injectively
+    (the module docstring).  A key of
     ``image`` with a coordinate beyond the bound B is no product weight,
     and its packing might alias one, so it fails at once.  The other keys
     are looked up by their packed weights, and a coefficient n / den of
@@ -683,16 +679,8 @@ class Flow:
                          {k: Fraction(n, d) for k, n in nums.items()})
 
     def at(self, s):
-        """The image at the rational time ``s``: ``integer_image`` as an
-        element (``wrap``).
-
-        ``is_product`` compares integer images without the wrap.  It packs
-        each weight k of a product of images into the int sum k_i W^i,
-        with W = 2B + 1 and B the sum of the images' largest |coordinate|.
-        A product weight then has |k_i| <= B < W / 2, so its coordinates
-        are its balanced base-W digits, which are unique: the packing is
-        injective on product weights.
-        """
+        """exp(s D) applied to the element at the rational time ``s``:
+        its ``integer_image``, read back as an element (``wrap``)."""
         return self.wrap(self.integer_image(s))
 
     def symbolic(self):

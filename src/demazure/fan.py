@@ -24,16 +24,16 @@ elimination.  The fan reads the rest off each dual: the cone's extremal
 rays, and so its key; its faces, every subset of the key when it is
 simplicial; and, for n independent rays in rank n, whether it is
 unimodular, from the pairings of its normals with its rays
-(`Fan.unimodular_faces`).  The faces of a unimodular cone are smooth and
-their rays are saturated bases, so a Smith form is taken only for the
-other cones.
+(`Fan.unimodular_cones`).  A cone whose key is a subset of a unimodular
+cone's key is smooth and its rays are a saturated basis; any other cone
+takes one Smith form, which gives both (`Fan._lattice`).
 
-The fan has one wall table (`Fan.walls`).  When, in rank >= 2, the
-walk leaves every supplied cone by its walls (each has n independent
-generators, none is listed twice) and every listed ray is used, the
-walk hands over the table it already holds: the (n - 1)-subsets of the
-keys, each with the normal opposite the generator off it.  Any other fan
-reads its walls off the zero sets of its cones' facet normals.
+The fan has one wall table (`Fan.walls`).  In rank >= 2, when the walk
+leaves every listed cone by its walls (each has n independent
+generators, and none is listed twice), the walk hands over the table it
+already holds: the (n - 1)-subsets of the keys, each with the normal
+opposite the generator off it.  Any other fan reads its walls off the
+facets of its n-dimensional generating cones.
 
 Cones are keyed by their extremal-ray index sets; that is sound because a
 strongly convex cone is determined by its extremal rays.  The canonical id
@@ -63,7 +63,6 @@ from .lattice import (
     as_tuple,
     dot,
     dual_description,
-    invariant_factors,
     primitive,
     read_rank,
     smith_normal_form,
@@ -106,14 +105,15 @@ class Fan:
     A supplied cone's faces and unimodularity are read off its key and
     its one dual (eliminated, or pivoted from a neighbour's by
     `cone_stage`); a cone is unimodular iff each facet normal pairs to
-    1 with the ray off its facet (the proof is at `unimodular_faces`).
-    The wall table is the one `cone_stage` passes as `walls` when its
-    walk covered the supplied cones, else read off their zero sets when
-    first asked.  The cones and their dimensions are read as sorted
-    index tuples, every subset of a simplicial cone's key; the per-cone
-    `face_sets` tables and saturated bases are built when asked and
-    memoized per cone, the walls, `unimodular_faces` and
-    `has_convex_support` per fan.
+    1 with the ray off its facet (the proof is at `unimodular_cones`),
+    and a cone is a face of one iff its key is a subset of that key.
+    The wall table is the one `cone_stage` passes as `walls` when, in
+    rank >= 2, its walk left every listed cone, else read off the
+    cones' facets when first asked.  The cones and their dimensions are
+    read as sorted index tuples, every subset of a simplicial cone's
+    key; the per-cone `face_sets` tables and lattice readings
+    (`_lattice`) are built when asked and memoized per cone, the walls,
+    `unimodular_cones` and `has_convex_support` per fan.
     """
 
     def __init__(self, rank, rays, supplied, walls=None):
@@ -122,9 +122,9 @@ class Fan:
         self._ray_index = {r: i for i, r in enumerate(rays)}
         self._geom = dict(supplied)
         self._face_sets = {}
-        self._bases = {}
-        self._walls = walls  # the walk's wall table, or None: zero sets
-        self._unimodular = None  # memo of unimodular_faces
+        self._lattices = {}  # memo of _lattice, per cone
+        self._walls = walls  # the walk's wall table, or None: facets
+        self._unimodular = None  # memo of unimodular_cones
         self._convex = None  # memo of has_convex_support
         self._symmetry = None  # memo of orbits.symmetry_chain
         self._automorphisms = None  # memo of orbits.fan_automorphisms
@@ -205,8 +205,8 @@ class Fan:
         return {frozenset(local[j] for j in fs): d
                 for fs, d in geom.face_table().items()}
 
-    def unimodular_faces(self):
-        """The faces of the unimodular supplied cones, computed once per fan.
+    def unimodular_cones(self):
+        """The keys of the unimodular supplied cones, computed once per fan.
 
         A supplied cone of n independent generators in rank n is
         unimodular (its generators are a basis of N) iff each facet normal
@@ -216,13 +216,10 @@ class Fan:
         on the ray of u_j.  If |det G| = 1, c_j is integral, and primitive
         as it pairs to 1 with g_j, so c_j = u_j.  Conversely, if every
         <u_j, g_j> = 1, then c_j = u_j and G^-1 is integral, so det G and
-        det G^-1 are integers with product 1.  The rays of a face of a
-        unimodular cone are part of a basis of N, so they are a basis of
-        N ∩ span(face) and the face is smooth (Cox-Little-Schenck, Toric
-        Varieties, 1.3.12).
+        det G^-1 are integers with product 1.
         """
         if self._unimodular is None:
-            faces = set()
+            self._unimodular = []
             for key in self.supplied:
                 geom = self._geom[key]
                 E, L = geom.dual_pair()
@@ -230,28 +227,41 @@ class Fan:
                     continue
                 p = [sum(x) for x in zip(*geom.gens)]
                 if all(dot(u, p) == 1 for u in E):
-                    faces.update(self.face_sets(key))
-            self._unimodular = faces
+                    self._unimodular.append(key)
         return self._unimodular
 
-    def saturated_basis(self, cone):
-        """A basis of N ∩ span(cone), memoized per cone.  The rays of a
-        face of a unimodular supplied cone (`unimodular_faces`) are one;
-        for any other cone it is the rows of T at the nonzero invariant
-        factors of the Smith form S D T of the cone's rays.  Only its
-        length and the gcd of its pairings with a character are read, and
-        neither depends on the basis chosen."""
-        key = _as_key(cone)
-        if key not in self._bases:
-            self.ref(key)  # raises ConeNotInFan when absent
-            if key in self.unimodular_faces():
-                self._bases[key] = [self.rays[i] for i in sorted(key)]
+    def _lattice(self, key):
+        """(a basis of N ∩ span(cone), whether the cone's rays are one),
+        memoized per cone key.
+
+        The rays of a face of a unimodular cone are part of a basis of N,
+        so they are a basis of N ∩ span(face) (Cox-Little-Schenck, Toric
+        Varieties, 1.3.12); in the fan, the faces of a unimodular supplied
+        cone are the subsets of its key (`unimodular_cones`).  Any other
+        cone takes one Smith form S D T of its rays: the rows of T at the
+        nonzero invariant factors are a basis of N ∩ span, and the rays
+        are one iff those factors are exactly len(rays) ones, so a cone
+        with dependent rays reads False.
+        """
+        if key not in self._lattices:
+            rays = [self.rays[i] for i in sorted(key)]
+            if any(key <= u for u in self.unimodular_cones()):
+                self._lattices[key] = rays, True
             else:
-                _, D, T = smith_normal_form([self.rays[i] for i in key])
+                _, D, T = smith_normal_form(rays)
                 # a non-simplicial cone has more rays than the rank
-                self._bases[key] = [T[k] for k, d in enumerate(D[:len(T)])
-                                    if d[k]]
-        return self._bases[key]
+                at = [k for k, d in enumerate(D[:len(T)]) if d[k]]
+                self._lattices[key] = ([T[k] for k in at], [
+                    D[k][k] for k in at] == [1] * len(rays))
+        return self._lattices[key]
+
+    def saturated_basis(self, cone):
+        """A basis of N ∩ span(cone), memoized per cone (`_lattice`).
+        Only its length and the gcd of its pairings with a character are
+        read, and neither depends on the basis chosen."""
+        key = _as_key(cone)
+        self.ref(key)  # raises ConeNotInFan when absent
+        return self._lattice(key)[0]
 
     def maximal_keys(self):
         """Cones not properly contained in another fan cone."""
@@ -264,15 +274,14 @@ class Fan:
         index set -> [(cone, facet normal)] over the cones it bounds.
         This is the fan's one wall table.
 
-        In rank >= 2, when every supplied cone has n independent
-        generators and was left by the wall walk of `cone_stage`, no cone
-        is listed twice and every listed ray is used, the table is the
-        walk's (`_cone_duals`): each cone's walls are its (n - 1)-subsets,
-        with the normal opposite the generator off each.  Otherwise
-        (`_zero_set_walls`) a facet is the set of a cone's extremal rays
-        on one of its facet normals, read off the zero sets of the cone's
-        own dual (`_inc[k]`, the bitmask of its generators on normal k),
+        In rank >= 2, when the wall walk of `cone_stage` left every
+        listed cone (each has n independent generators, and none is
+        listed twice), the table is the walk's (`_cone_duals`): each
+        cone's walls are its (n - 1)-subsets, with the normal opposite the
+        generator off each.  Otherwise (`_zero_set_walls`) the walls are
+        the facets of the n-dimensional generating cones (`Cone.facets`),
         once, when first asked.  Both list the cones in supplied order.
+        An unused ray is a generating 1-cone, with no wall in rank >= 2.
         In a valid fan the n-dimensional cones are the n-dimensional
         generating ones.
         """
@@ -281,20 +290,17 @@ class Fan:
         return self._walls
 
     def _zero_set_walls(self):
-        """The wall table read off the zero sets of the duals of the
-        n-dimensional generating cones, in generating order."""
+        """The wall table read off the facets of the n-dimensional
+        generating cones, in generating order, in fan indices."""
         table = {}
         for key in self.generating:
             if self.cones[key].dim != self.rank:
                 continue
             geom = self.cone_geometry(key)
-            extremal = set(geom.rays())
-            # (bit of the generator, its fan index) per extremal ray
-            at = [(1 << j, self._ray_index[g])
-                  for j, g in enumerate(geom.gens) if g in extremal]
-            for u, z in zip(geom.dual_pair()[0], geom._inc):
-                wall = frozenset(i for bit, i in at if z & bit)
-                table.setdefault(wall, []).append((key, u))
+            local = [self._ray_index[r] for r in geom.rays()]
+            for u, facet in geom.facets():
+                table.setdefault(frozenset(local[j] for j in facet),
+                                 []).append((key, u))
         return table
 
     def certified_complete(self):
@@ -308,9 +314,9 @@ class Fan:
         two lie on opposite sides; and p, the sum of the rays of the first
         cone, lies in no other cone.  That is n lookups and dot products
         per cone, with no new dual.  The walls are the fan's one table
-        (`walls`), which is the wall walk's own on every fan of rank
-        >= 2 that the certificate holds for and that lists no cone
-        twice: the walk left each of its cones by its walls.  False says
+        (`walls`), the wall walk's own when, in rank >= 2, the walk left
+        every listed cone: it does on every fan that the certificate
+        holds for and that lists no cone twice.  False says
         only that the certificate does not apply, and the pair loop then
         decides: at most n supplied cones (too few to be complete, and an
         affine fan pays one len), a cone that is not simplicial or not
@@ -520,12 +526,14 @@ def _cone_duals(rank, rays, listed):
 
     The walk leaves each cone of n independent generators by its walls,
     with the normal opposite each generator (`Cone.opposite_normals`),
-    which is the cone's normal on the wall off that generator.  When it
-    leaves every listed cone so, and no cone is listed twice, `walls`
-    maps each (rank - 1)-subset to [(cone, its normal there)] over the
-    cones on it, in input order: `Fan.walls` of these cones, read with
-    no zero set.  Otherwise, and in rank 1, where the one wall is the
-    origin, `walls` is None.
+    which is the cone's normal on the wall off that generator.  When, in
+    rank >= 2, it leaves every listed cone so (a cone listed twice is
+    left once), `walls` maps each (rank - 1)-subset to [(cone, its normal
+    there)] over the cones on it, in input order: `Fan.walls` of these
+    cones, read off no facet.  Otherwise `walls` is None.  Rank 1 is
+    excluded: there a ray that no listed cone names is an n-dimensional
+    generating cone, so with no listed cone both rays share the wall
+    {0}, where the empty walk would hand over no wall.
     """
     full = [idxs for idxs in listed if len(idxs) == rank]
     walls = {}
@@ -560,7 +568,7 @@ def _cone_duals(rank, rays, listed):
                         _across(opposite, rays[i], rays[far])
                         or Cone._of_primitive(rank, [rays[j] for j in other]))
                     todo.append(other)
-    if rank < 2 or not left or len(left) != len(listed):
+    if rank < 2 or len(left) != len(listed):
         return duals, None
     return duals, {wall: [(key, left[key][rays[i]]) for key, i in sides]
                    for wall, sides in walls.items()}
@@ -610,8 +618,6 @@ def cone_stage(rank, rays, maximal_cones):
         supplied.setdefault(frozenset(ray_of[r] for r in geom.rays()), geom)
     if violations:
         return None, violations
-    if walls is not None and len(frozenset().union(*supplied)) < len(rays):
-        walls = None  # an unused ray is a generating cone of its own
     return Fan(rank, rays, supplied, walls), []
 
 
@@ -661,19 +667,13 @@ def is_complete(fan):
 def cone_properties(fan, cone):
     """dim / orbit_dim / smooth / simplicial of one fan cone.
 
-    A cone is smooth when its rays are part of a basis of N: every face of
-    a unimodular supplied cone is (`Fan.unimodular_faces`); any other
-    simplicial cone is iff its invariant factors are all 1.
+    A cone is smooth when its rays are part of a basis of N (`Fan._lattice`).
     """
     ref = fan.ref(cone)
     d = ref.dim
-    simplicial = len(ref.indices) == d
-    smooth = frozenset(ref.indices) in fan.unimodular_faces() or (
-        simplicial and all(x == 1 for x in invariant_factors(
-            [fan.rays[i] for i in ref.indices])))
     return {
         "dim": d,
         "orbit_dim": fan.rank - d,
-        "smooth": smooth,
-        "simplicial": simplicial,
+        "smooth": fan._lattice(frozenset(ref.indices))[1],
+        "simplicial": len(ref.indices) == d,
     }

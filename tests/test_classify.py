@@ -618,9 +618,34 @@ def test_one_elimination_per_complete_simplicial_fan(
 
 def test_one_fan_validate_job_reads_the_generating_cones(
         capsys, tmp_path, monkeypatch):
+    smiths = count_calls(monkeypatch, "smith_normal_form")
     (tmp_path / "fan.json").write_text(INLINE["p3"])
-    factors = count_calls(monkeypatch, "invariant_factors")
     code, report = _report(capsys, tmp_path, "fan-validate")
     assert code == 0 and report["properties"]["smooth"]
-    # four maximal cones and four rays, where every cone used to count
-    assert len(factors) <= 8 < report["properties"]["total_cones"]
+    # every cone of P^3 is a face of a unimodular supplied cone
+    assert smiths == []
+    # P(3, 2, 1): each generating cone that is no face of the one
+    # unimodular cone {0, 1} takes one Smith form
+    rank, rays = 2, [(1, 0), (0, 1), (-2, -3)]
+    cones = [[0, 1], [1, 2], [0, 2]]
+    (tmp_path / "fan.json").write_text(json.dumps(
+        {"rank": rank, "rays": rays, "max_cones": cones}))
+    code, report = _report(capsys, tmp_path, "fan-validate")
+    assert code == 0 and not report["properties"]["smooth"]
+    fan = build_fan(rank, rays, cones)
+    assert fan.unimodular_cones() == [frozenset({0, 1})]
+    others = [key for key in fan.generating if not key <= {0, 1}]
+    assert len(others) == 3
+    assert sorted(sorted(A) for (A,) in smiths) == sorted(
+        sorted(rays[i] for i in key) for key in others)
+    # on one fan, smoothness and the stabilizers read one memo: once the
+    # generating cones' properties are read, the orbits take no Smith form
+    smiths.clear()
+    for key in fan.generating:
+        cone_properties(fan, key)
+    assert len(smiths) == 3
+    smiths.clear()
+    roots = list(roots_of_fan(fan))
+    for root in roots:
+        g_orbit_partition(fan, root.e)
+    assert roots and smiths == []

@@ -951,7 +951,7 @@ def test_wall_certificate_matches_the_pair_loop():
              "incomplete"] += 1
     assert seen == {"invalid": 179, "certified": 124,
                     "complete, not simplicial": 7, "incomplete": 94,
-                    "walk table": 178, "zero sets": 171}
+                    "walk table": 228, "zero sets": 121}
 
 
 def facet_walls(fan):
@@ -984,8 +984,9 @@ WALK_TABLE_ROUTES = {
                   [[0, 1, 2], [0, 1, 3], [1, 2, 3]], False),
     "cone listed twice": (2, [(1, 0), (0, 1), (-1, -1)],
                           [[0, 1], [1, 2], [0, 2], [1, 0]], False),
+    # an unused ray is a generating 1-cone, with no wall in rank 2
     "unused ray": (2, [(1, 0), (0, 1), (-1, -1), (1, 1)],
-                   [[0, 1], [1, 2], [0, 2]], False),
+                   [[0, 1], [1, 2], [0, 2]], True),
     "square beside simplices": (
         3, SQUARE + [(0, 0, -1)],
         [[0, 1, 2, 3]] + [[k, (k + 1) % 4, 4] for k in range(4)], False),
@@ -999,10 +1000,10 @@ WALK_TABLE_ROUTES = {
 @pytest.mark.parametrize("name", WALK_TABLE_ROUTES)
 def test_the_walk_hands_over_its_wall_table_only_when_it_covers_the_fan(
         name, monkeypatch):
-    # the walk's table is the fan's one wall table when every listed cone
-    # has n independent generators and was left by the walk, no cone is
-    # listed twice and every listed ray is used; any other fan reads its
-    # walls off the zero sets.  Both routes give the facets' table
+    # the walk's table is the fan's one wall table when the rank is at
+    # least 2 and the walk left every listed cone (each has n independent
+    # generators, and none is listed twice); any other fan reads its
+    # walls off its cones' facets.  Both routes give the facets' table
     rank, rays, cones, walked = WALK_TABLE_ROUTES[name]
     fan, violations = cone_stage(rank, ray_stage(rank, rays)[0], cones)
     assert violations == []

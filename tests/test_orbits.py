@@ -734,7 +734,7 @@ def test_one_smith_form_per_fan_cone(smith_calls):
     # unimodular cone {0, 1}, and each takes one Smith form, memoized
     fan = non_smooth_fans()[0]
     roots = list(roots_of_fan(fan))
-    assert is_complete(fan) and len(fan.unimodular_faces()) == 4
+    assert is_complete(fan) and fan.unimodular_cones() == [frozenset({0, 1})]
     for _ in range(2):
         for root in roots:
             g_orbit_partition(fan, root.e)
@@ -812,7 +812,9 @@ def test_fan_readouts_match_the_general_routes():
                 assert orbits._stabilizer_core(
                     fan, e, key, True) == oracle_stabilizer(
                         fan, e, key, True), (fan.rays, e, key)
-            seen.add((simplicial, smooth, key in fan.unimodular_faces()))
+            # a face of a unimodular supplied cone: a subset of its key
+            seen.add((simplicial, smooth,
+                      any(key <= u for u in fan.unimodular_cones())))
         if validated:
             for root in list(roots_of_fan(fan, bound=1))[:4]:
                 paired = {frozenset(c)
@@ -915,6 +917,55 @@ def test_the_wall_walk_takes_the_duals_an_elimination_would(monkeypatch):
     # most cones are reached by a pivot, with a of each sign
     assert taken < cones / 3 and tables >= complete
     assert signs[-1] > 150 and signs[0] >= 2 and signs[1] >= 2
+
+
+def handover_inputs():
+    """walk_inputs() and, per seeded random_fan_input fan, the variants
+    (name, rank, rays, listed) with a ray no cone uses, with a cone
+    listed twice, and with no cone listed; then the rank-1 inputs."""
+    inputs = [("walk", *case) for case in walk_inputs()]
+    rng = random.Random(2929)
+    while len(inputs) < 340:
+        rank, rays, cones = random_fan_input(rng)
+        rays, violations = ray_stage(rank, rays)
+        listed = [sorted(set(c)) for c in cones]
+        if violations or any(i >= len(rays) for c in listed for i in c):
+            continue
+        unused = rays[0]
+        while unused in rays:
+            v = tuple(rng.randint(-3, 3) for _ in range(rank))
+            unused = lattice.primitive(v) if any(v) else rays[0]
+        inputs += [("unused ray", rank, rays + (unused,), listed),
+                   ("listed twice", rank, rays,
+                    listed + [rng.choice(listed)]),
+                   ("no cone", rank, rays, [])]
+    inputs += [("rank 1", 1, ((1,), (-1,)), listed)
+               for listed in ([[0], [1]], [[0]], [], [[0], [1], [0]])]
+    return inputs
+
+
+def test_a_handed_over_wall_table_is_the_facets_table():
+    # the walk hands over its table iff the rank is at least 2 and it
+    # left every listed cone; the table is then the one the facets of
+    # the n-dimensional generating cones give, wall for wall and cone
+    # for cone, an unused ray (a generating 1-cone) adding no wall
+    seen = collections.Counter()
+    for name, rank, rays, listed in handover_inputs():
+        fan = cone_stage(rank, rays, listed)[0]
+        if fan is None:
+            continue
+        if fan._walls is not None:
+            assert fan._walls == fan._zero_set_walls(), (rank, rays, listed)
+        seen[name, fan._walls is not None] += 1
+    assert not seen["rank 1", True] and not seen["listed twice", True]
+    assert seen["no cone", True] >= 60 and not seen["no cone", False]
+    assert seen["unused ray", True] >= 10 and seen["walk", True] >= 20
+    # in rank 1 with no listed cone, both rays are generating cones on
+    # the wall {0}, which the walk, having left no cone, never saw
+    fan = cone_stage(1, ((1,), (-1,)), [])[0]
+    assert fan._walls is None
+    assert fan.walls() == {frozenset(): [(frozenset({0}), (1,)),
+                                         (frozenset({1}), (-1,))]}
 
 
 def test_classify_matches_the_contragredient_oracle():

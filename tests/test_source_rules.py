@@ -423,3 +423,30 @@ def test_root_regions_are_built_by_one_helper():
              for func in _functions_using(tree, names("_root_region"))}
     assert users == {"roots.py:roots_of_fan",
                      "orbits.py:admits_g_structure"}, users
+
+
+def test_each_cone_lattice_fact_is_read_in_one_place():
+    # smoothness and the saturated basis come from one reading per cone,
+    # Fan._lattice: the containment in a unimodular supplied cone's key,
+    # else one Smith form; the unimodular cones are listed by key, with
+    # no face table, and the walls off the zero sets are decoded by
+    # Cone.facets alone
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in SOURCES}
+    assert set(trees) >= {"fan.py", "orbits.py", "cli.py"}
+    assert "invariant_factors" not in _names_in(trees["fan.py"]), \
+        "fan.py reads invariant factors beside Fan._lattice"
+    funcs = {n.name: n for n in ast.walk(trees["fan.py"])
+             if isinstance(n, ast.FunctionDef)}
+    assert "face_sets" not in _names_in(funcs["unimodular_cones"]), \
+        "unimodular_cones builds face tables"
+    assert "_inc" not in _names_in(funcs["_zero_set_walls"]), \
+        "_zero_set_walls decodes zero sets of its own"
+    users = {f"{name}:{func}" for name, tree in trees.items()
+             for func in _functions_using(
+                 tree, lambda node: isinstance(node, (ast.Name, ast.Attribute))
+                 and "unimodular_cones" in (getattr(node, "id", None),
+                                            getattr(node, "attr", None)))}
+    assert users == {"fan.py:_lattice"}, users
+    assert any(isinstance(op, ast.LtE) for node in ast.walk(funcs["_lattice"])
+               if isinstance(node, ast.Compare) for op in node.ops), \
+        "Fan._lattice tests no key for containment"
