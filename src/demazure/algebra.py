@@ -62,7 +62,8 @@ from .errors import (
     SchemaError,
     WeightEscape,
 )
-from .lattice import Cone, as_fraction, as_int, as_tuple, dot
+from .lattice import (Cone, as_fraction, as_instance, as_int, as_pairs,
+                      as_tuple, dot)
 from .roots import root_pairings
 
 
@@ -157,7 +158,7 @@ class ToricCarrier:
 def _vertices(vertices):
     """A list of vertices as tuples of numbers; SchemaError when it or a
     vertex is not a sequence."""
-    return tuple(tuple(_number(x) for x in as_tuple(v, "vertex"))
+    return tuple(tuple(map(as_fraction, as_tuple(v, "vertex")))
                  for v in as_tuple(vertices, "vertices"))
 
 
@@ -244,11 +245,10 @@ class SemigroupElement:
     __slots__ = ("carrier", "terms")
 
     def __init__(self, carrier, terms=()):
-        items = terms.items() if hasattr(terms, "items") else terms
         data = {}
-        for key, coeff in items:
+        for key, coeff in as_pairs(terms, "terms"):
             key = carrier.freeze(key)
-            coeff = _number(coeff)
+            coeff = as_fraction(coeff)
             if not coeff:
                 continue
             if not carrier.admits(key):
@@ -289,7 +289,7 @@ class SemigroupElement:
         )
 
     def __rmul__(self, scalar):
-        scalar = _number(scalar)
+        scalar = as_fraction(scalar)
         return SemigroupElement._trusted(
             self.carrier,
             {k: scalar * c for k, c in self.terms.items()} if scalar else {},
@@ -333,14 +333,6 @@ class SemigroupElement:
 
     def __repr__(self):
         return f"SemigroupElement({dict(sorted(self.terms.items()))!r})"
-
-
-def _number(x):
-    """x as a Fraction: Fractions and ints directly, anything else through
-    ``as_fraction`` (InvalidInteger when it is not a number)."""
-    if type(x) is Fraction:
-        return x
-    return Fraction(x) if type(x) is int else as_fraction(x)
 
 
 def _integer_numerators(terms):
@@ -497,7 +489,7 @@ class HomogeneousLND:
 
     @classmethod
     def horizontal(cls, carrier, v0, d, e, s):
-        v = tuple(as_fraction(x) for x in as_tuple(v0, "vertex"))
+        v = tuple(map(as_fraction, as_tuple(v0, "vertex")))
         d = as_int(d)
         ee = tuple(as_int(x) for x in as_tuple(e, "degree"))
         s = as_int(s)
@@ -522,7 +514,7 @@ class HomogeneousLND:
 def toric_lnd(cone, e):
     """The homogeneous derivation attached to a root of a pointed cone."""
     ee = tuple(as_int(x) for x in as_tuple(e, "degree"))
-    rays = cone.rays()
+    rays = as_instance(cone, Cone, "cone").rays()
     vals, neg = root_pairings(rays, ee)
     # the first ray pairing to -1 is the distinguished one; the first other
     # negative pairing is the one reported
@@ -542,7 +534,8 @@ def derive(lnd, element):
     admissible weights, which is how unsound input data surfaces.
     """
     out = {}
-    for key, c in _as_element(element).terms.items():
+    element = as_instance(element, SemigroupElement, "element")
+    for key, c in element.terms.items():
         mult = lnd.multiplier(key)
         if not mult:
             continue
@@ -554,14 +547,6 @@ def derive(lnd, element):
         # the shift is injective, so no two terms meet at one weight
         out[new] = mult * c
     return SemigroupElement._trusted(lnd.carrier, out)
-
-
-def _as_element(element):
-    """element; SchemaError naming it when it is not a SemigroupElement."""
-    if not isinstance(element, SemigroupElement):
-        raise SchemaError(
-            f"element: expected a SemigroupElement, got {element!r}")
-    return element
 
 
 def _orbits(lnd, element):
@@ -623,7 +608,7 @@ class Flow:
 
     def __init__(self, lnd, element):
         self.lnd = lnd
-        self.element = _as_element(element)
+        self.element = as_instance(element, SemigroupElement, "element")
         self.orbits = _orbits(lnd, element)
 
     def derivative(self):
@@ -737,14 +722,14 @@ class SymbolicElement:
 
     def __init__(self, carrier, terms):
         data = {}
-        for key, poly in terms.items():
+        for key, poly in as_pairs(terms, "terms"):
             key = carrier.freeze(key)
             p = data.setdefault(key, {})
-            for deg, c in poly.items():
+            for deg, c in as_pairs(poly, "powers"):
                 deg = as_int(deg)
                 if deg < 0:
                     raise InvalidInteger(f"negative power {deg} of s")
-                c = _number(c)
+                c = as_fraction(c)
                 if c and not carrier.admits(key):
                     raise WeightEscape(f"weight {key!r} is not admissible")
                 p[deg] = p.get(deg, 0) + c
@@ -762,7 +747,7 @@ class SymbolicElement:
         return self
 
     def evaluate(self, s):
-        s = _number(s)
+        s = as_fraction(s)
         data = {}
         for key, poly in self.terms.items():
             data[key] = sum((c * s ** deg for deg, c in poly.items()),

@@ -8,6 +8,15 @@ distinguishes a point z0 and one vertex of every coefficient away from
 infinity; the coherence conditions below decide whether that choice yields a
 one-parameter additive symmetry, and if so the divisor can be rewritten with
 support in {0, infinity} and realized torically one rank higher.
+
+A coloring is checked by one cone, the sum of the coefficients' tangent
+cones at the chosen vertices: the tail and every difference v - v_z of a
+vertex and the chosen vertex of its coefficient.  The chosen vertices sum to
+a vertex of the Minkowski sum iff that cone is pointed (the proof is at
+`ColoredDivisor`), and `coherent_check` lifts the same cone to sigma-tilde.
+Input is read by the lattice readers: numbers by `as_fraction` / `as_int`
+(InvalidInteger), lists and pairs by `as_tuple` / `as_pairs` and divisors,
+colorings and tails by `as_instance` (SchemaError naming the argument).
 """
 
 from __future__ import annotations
@@ -29,7 +38,8 @@ from .errors import (
     RankMismatch,
     WeightOutsideDual,
 )
-from .lattice import Cone, as_int, as_tuple, dot, primitive, vadd, vsub
+from .lattice import (Cone, as_fraction, as_instance, as_int, as_pairs,
+                      as_tuple, dot, primitive, vadd, vsub)
 
 
 class _Infinity:
@@ -50,14 +60,13 @@ INF = _Infinity()
 
 
 def _point(z):
-    if z is INF:
-        return z
-    return Fraction(z)
+    """A curve point: INF, or z read by `as_fraction`."""
+    return z if z is INF else as_fraction(z)
 
 
 def point_order(z):
     """Sort key of a curve point: the finite points in order, then INF."""
-    return (1, Fraction(0)) if z is INF else (0, Fraction(z))
+    return (1, Fraction(0)) if z is INF else (0, as_fraction(z))
 
 
 class TailedPolyhedron:
@@ -72,19 +81,16 @@ class TailedPolyhedron:
     __slots__ = ("tail", "vertices", "_cone")
 
     def __init__(self, tail, vertices):
-        if not tail.is_strongly_convex():
+        if not as_instance(tail, Cone, "tail").is_strongly_convex():
             raise NotStronglyConvex("the tail cone must be strongly convex")
-        vs = []
-        seen = set()
-        for v in vertices:
-            vec = tuple(Fraction(x) for x in v)
+        vs = list(dict.fromkeys(  # distinct, in the order given
+            tuple(map(as_fraction, as_tuple(v, "vertex")))
+            for v in as_tuple(vertices, "vertices")))
+        for vec in vs:
             if len(vec) != tail.rank:
                 raise RankMismatch(
                     f"vertex of length {len(vec)} in ambient rank {tail.rank}"
                 )
-            if vec not in seen:
-                seen.add(vec)
-                vs.append(vec)
         if not vs:
             raise InvalidDivisor("a polyhedron needs at least one vertex")
         self.tail = tail
@@ -99,8 +105,7 @@ class TailedPolyhedron:
         return self.tail.rank
 
     def contains_point(self, p):
-        vec = tuple(Fraction(x) for x in p)
-        return self._cone.contains(vec + (1,))
+        return self._cone.contains(as_tuple(p, "point") + (1,))
 
     def is_trivial(self):
         """True when the polyhedron is the tail cone itself."""
@@ -130,7 +135,8 @@ class TailedPolyhedron:
 
 
 def trivial_polyhedron(tail):
-    return TailedPolyhedron(tail, [tuple(0 for _ in range(tail.rank))])
+    rank = as_instance(tail, Cone, "tail").rank
+    return TailedPolyhedron(tail, [(0,) * rank])
 
 
 class FreeRankOne:
@@ -144,7 +150,8 @@ class FreeRankOne:
     def __init__(self, shifts):
         self.shifts = tuple(
             (z, k)
-            for z, k in sorted(shifts, key=lambda p: point_order(p[0]))
+            for z, k in sorted(as_pairs(shifts, "shifts"),
+                               key=lambda p: point_order(p[0]))
             if k
         )
 
@@ -170,11 +177,10 @@ class PolyhedralDivisor:
     def __init__(self, curve, tail, parts=()):
         if curve not in ("A1", "P1"):
             raise CurveMismatch("curve must be 'A1' or 'P1'")
-        if not tail.is_strongly_convex():
+        if not as_instance(tail, Cone, "tail").is_strongly_convex():
             raise NotStronglyConvex("the tail cone must be strongly convex")
-        items = parts.items() if hasattr(parts, "items") else parts
         clean = {}
-        for z, piece in items:
+        for z, piece in as_pairs(parts, "parts"):
             z = _point(z)
             if z is INF and curve == "A1":
                 raise CurveMismatch("A^1 has no point at infinity")
@@ -207,7 +213,7 @@ class PolyhedralDivisor:
         Only weights in the dual of the tail cone evaluate to something
         finite; anything else raises WeightOutsideDual.
         """
-        m = tuple(Fraction(x) for x in m)
+        m = tuple(map(as_fraction, as_tuple(m, "weight")))
         if len(m) != self.rank:
             raise RankMismatch(
                 f"weight of length {len(m)} in ambient rank {self.rank}"
@@ -267,18 +273,33 @@ class PolyhedralDivisor:
 class ColoredDivisor:
     """A polyhedral divisor with a distinguished point and chosen vertices.
 
-    ``z0`` is the distinguished point and ``vertices`` picks one vertex of
-    the coefficient at z0 and at every support point other than ``zinf``
-    (the complementary point, required over P^1).  The chosen vertices must
-    be lattice points away from z0, and their sum must be a vertex of the
-    Minkowski sum of the coefficients involved.
+    ``z0`` is the distinguished point and ``vertices`` picks one vertex v_z
+    of the coefficient at z0 and at every support point z other than
+    ``zinf`` (the complementary point, required over P^1).  The chosen
+    vertices must be lattice points away from z0, and their sum v_deg must
+    be a vertex of the Minkowski sum of the coefficients involved.
+
+    That is one test of one cone, ``tangent``, spanned by the tail's
+    generators and every difference v - v_z of a vertex v and the chosen
+    vertex v_z of the same coefficient: it must be pointed.  Proof
+    (Ziegler, Lectures on Polytopes, 2.1-2.2): at a point p of a
+    polyhedron P = conv(V) + tail, the tangent cone is T_p(P) =
+    cone(P - p) = cone(V - p) + tail, which is {t(x - p) : x in P,
+    t >= 0} as P is convex.  So T_p(P) holds a line, t(x - p) = -s(y - p)
+    with s, t > 0, iff p lies strictly between two points x != y of P,
+    that is, iff p is not a vertex.  Tangent cones add under Minkowski
+    sums, T_(sum p_i)(sum P_i) = sum T_(p_i)(P_i), as cone(sum (P_i - p_i))
+    contains each P_i - p_i (each holds 0) and lies in the sum of their
+    cones.  So v_deg is a vertex of the Minkowski sum iff ``tangent``, the
+    sum of the coefficients' tangent cones at the v_z, is pointed.
+    `coherent_check` lifts it to sigma-tilde.
     """
 
-    __slots__ = ("divisor", "z0", "zinf", "vertices", "v_deg")
+    __slots__ = ("divisor", "z0", "zinf", "vertices", "v_deg", "tangent")
 
     def __init__(self, divisor, z0, vertices, zinf=None):
         z0 = _point(z0)
-        if divisor.curve == "P1":
+        if as_instance(divisor, PolyhedralDivisor, "divisor").curve == "P1":
             if zinf is None:
                 raise InvalidColoring("a coloring over P^1 must name zinf")
             zinf = _point(zinf)
@@ -290,15 +311,16 @@ class ColoredDivisor:
             if z0 is INF:
                 raise InvalidColoring("z0 must be a point of A^1")
         cprime = {z0} | {z for z in divisor.parts if z != zinf}
-        normalized = {_point(z): v for z, v in vertices.items()}
+        normalized = {_point(z): v for z, v in as_pairs(vertices, "vertices")}
         if set(normalized) != cprime:
             raise InvalidColoring(
                 "need exactly one chosen vertex for each of "
                 f"{sorted(cprime, key=point_order)!r}"
             )
         chosen = {}
+        gens = list(divisor.tail.gens)
         for z, v in normalized.items():
-            vec = tuple(Fraction(x) for x in v)
+            vec = tuple(map(as_fraction, as_tuple(v, "vertex")))
             piece = divisor.coefficient(z)
             if vec not in piece.vertices:
                 raise InvalidColoring(
@@ -309,13 +331,9 @@ class ColoredDivisor:
                     f"the chosen vertex at {z!r} must be a lattice point"
                 )
             chosen[z] = vec
-        total = None
-        vdeg = tuple(Fraction(0) for _ in range(divisor.rank))
-        for z in chosen:
-            piece = divisor.coefficient(z)
-            total = piece if total is None else total.minkowski(piece)
-            vdeg = vadd(vdeg, chosen[z])
-        if vdeg not in total.vertices:
+            gens += [vsub(w, vec) for w in piece.vertices if w != vec]
+        tangent = Cone(divisor.rank, gens)
+        if not tangent.is_strongly_convex():
             raise InvalidColoring(
                 "the chosen vertices do not sum to a vertex of the total"
             )
@@ -323,7 +341,8 @@ class ColoredDivisor:
         self.z0 = z0
         self.zinf = zinf
         self.vertices = chosen
-        self.v_deg = vdeg  # the sum of the chosen vertices
+        self.v_deg = tuple(map(sum, zip(*chosen.values())))  # their sum
+        self.tangent = tangent
 
     @property
     def v0(self):
@@ -371,7 +390,7 @@ def coherent_check(colored, e):
       (iv)  over P^1 the vertices at zinf are bounded below by the degree
             pairing of the total chosen vertex.
     """
-    div = colored.divisor
+    div = as_instance(colored, ColoredDivisor, "colored").divisor
     e = tuple(as_int(x) for x in as_tuple(e, "degree"))
     if len(e) != div.rank:
         raise RankMismatch(
@@ -386,17 +405,12 @@ def coherent_check(colored, e):
         )
     s = num // d
 
-    delta_gens = list(div.tail.gens)
-    for z, vz in colored.vertices.items():
-        for v in div.coefficient(z).vertices:
-            if v != vz:
-                delta_gens.append(vsub(v, vz))
     at_inf = []
     if div.curve == "P1":
         shift = vsub(colored.v_deg, v0)
         at_inf = [vadd(w, shift)
                   for w in div.coefficient(colored.zinf).vertices]
-    sigma_tilde = lifted_cone(div.rank, delta_gens, [v0], at_inf)
+    sigma_tilde = lifted_cone(div.rank, colored.tangent.gens, [v0], at_inf)
     if not sigma_tilde.is_strongly_convex():
         return CoherenceViolation(
             "i", "the lifted cone is not strongly convex"
@@ -457,7 +471,7 @@ def degree_zero_normalize(colored):
     infinity; the distinguished point is relabeled to 0.  The degree
     polyhedron is unchanged.  Raises NotProper or NoDegreeZeroLND.
     """
-    div = colored.divisor
+    div = as_instance(colored, ColoredDivisor, "colored").divisor
     if not div.is_proper():
         raise NotProper("the divisor is not proper")
     zero = tuple(0 for _ in range(div.rank))
@@ -483,7 +497,7 @@ def toric_realization(div):
     over P^1 the support must lie in {infinity}.  Returns the lifted cone
     together with the degree of the fiberwise translation symmetry.
     """
-    if not div.is_proper():
+    if not as_instance(div, PolyhedralDivisor, "div").is_proper():
         raise NotProper("the divisor is not proper")
     n = div.rank
     if div.curve == "A1" and div.parts:
@@ -520,19 +534,16 @@ def horizontal_lnd(colored, e):
             )
     part0 = div.coefficient(colored.z0)
     parts = {Fraction(0): part0}
+    at_inf = None
     if div.curve == "P1":
         shift = vsub(colored.v_deg, colored.v0)
         parts[INF] = div.coefficient(colored.zinf).translate(shift)
+        at_inf = parts[INF].vertices
     # every coefficient away from z0 and zinf is v_z + tail (checked just
     # above), so over P^1 the rewritten divisor keeps the degree
     # Delta_z0 + Delta_zinf + (v_deg - v0)
     normalized = PolyhedralDivisor(div.curve, div.tail, parts)
-    if div.curve == "P1":
-        carrier = CurveCarrier(
-            "P1", div.tail, part0.vertices, parts[INF].vertices
-        )
-    else:
-        carrier = CurveCarrier("A1", div.tail, part0.vertices)
+    carrier = CurveCarrier(div.curve, div.tail, part0.vertices, at_inf)
     lnd = HomogeneousLND.horizontal(
         carrier, colored.v0, res.d, res.e, res.s
     )

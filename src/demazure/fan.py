@@ -59,6 +59,7 @@ from .errors import (
 )
 from .lattice import (
     Cone,
+    as_instance,
     as_int,
     as_tuple,
     dot,
@@ -111,9 +112,10 @@ class Fan:
     rank >= 2, its walk left every listed cone, else read off the
     cones' facets when first asked.  The cones and their dimensions are
     read as sorted index tuples, every subset of a simplicial cone's
-    key; the per-cone `face_sets` tables and lattice readings
-    (`_lattice`) are built when asked and memoized per cone, the walls,
-    `unimodular_cones` and `has_convex_support` per fan.
+    key, and through `face_sets` for a supplied cone that is not.  The
+    other `face_sets` tables and the lattice readings (`_lattice`) are
+    built when asked and memoized per cone, the walls, `unimodular_cones`
+    and `has_convex_support` per fan.
     """
 
     def __init__(self, rank, rays, supplied, walls=None):
@@ -144,8 +146,8 @@ class Fan:
                     dims.update(dict.fromkeys(
                         itertools.combinations(idxs, k), k))
             else:
-                table = self._face_sets[key] = self._faces_of(geom)
-                dims.update((tuple(sorted(fs)), d) for fs, d in table.items())
+                dims.update((tuple(sorted(fs)), d)
+                            for fs, d in self.face_sets(key).items())
         # dict: frozenset(indices) -> ConeRef, canonical order
         self.cones = {
             frozenset(idxs): ConeRef(idxs, dim, frozenset(idxs) in supplied)
@@ -185,25 +187,21 @@ class Fan:
 
     def face_sets(self, cone):
         """Faces of a fan cone as frozensets of fan ray indices, mapped to
-        their dimensions, memoized per cone.  Every set of a simplicial
-        cone's rays is a face, of dimension its size; the faces of any
-        other cone are read off `Cone.face_table` and taken to fan
-        indices."""
+        their dimensions, memoized per cone: `Cone.face_table` of the
+        cone's geometry, taken to fan indices.  A simplicial cone whose
+        geometry is not built yet (a face or a ray) builds none: its
+        table is `Cone.simplex_faces` of its key."""
         key = _as_key(cone)
         if key not in self._face_sets:
-            if len(key) == self.ref(key).dim:
-                table = {frozenset(fs): k for k in range(len(key) + 1)
-                         for fs in itertools.combinations(key, k)}
+            if key not in self._geom and len(key) == self.ref(key).dim:
+                table = Cone.simplex_faces(key)
             else:
-                table = self._faces_of(self.cone_geometry(key))
+                geom = self.cone_geometry(key)
+                local = [self._ray_index[r] for r in geom.rays()]
+                table = {frozenset(local[j] for j in fs): d
+                         for fs, d in geom.face_table().items()}
             self._face_sets[key] = table
         return self._face_sets[key]
-
-    def _faces_of(self, geom):
-        """`Cone.face_table` of a cone on fan rays, in fan indices."""
-        local = [self._ray_index[r] for r in geom.rays()]
-        return {frozenset(local[j] for j in fs): d
-                for fs, d in geom.face_table().items()}
 
     def unimodular_cones(self):
         """The keys of the unimodular supplied cones, computed once per fan.
@@ -657,7 +655,7 @@ def is_complete(fan):
     of a valid fan on one wall lie on opposite sides), so every other
     cone lies in one of them and the maximal cones all have dimension n.
     """
-    n = fan.rank
+    n = as_instance(fan, Fan, "fan").rank
     dims = [ref.dim for ref in fan.cones.values()]
     walls = fan.walls()
     return (n in dims and dims.count(n - 1) == len(walls)
@@ -669,7 +667,7 @@ def cone_properties(fan, cone):
 
     A cone is smooth when its rays are part of a basis of N (`Fan._lattice`).
     """
-    ref = fan.ref(cone)
+    ref = as_instance(fan, Fan, "fan").ref(cone)
     d = ref.dim
     return {
         "dim": d,

@@ -94,7 +94,12 @@ def as_int(x):
 
 
 def as_fraction(x):
-    """x as a Fraction; InvalidInteger when it is not a number."""
+    """x as a Fraction: a Fraction as it is, an int directly, anything
+    else through `_integral` (InvalidInteger when it is not a number)."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
+        return Fraction(x)
     (w,), d = _integral((x,))
     return Fraction(w, d)
 
@@ -109,6 +114,24 @@ def as_tuple(obj, what):
         except TypeError:
             pass
     raise SchemaError(f"{what}: expected a sequence, got {obj!r}")
+
+
+def as_instance(obj, kind, what):
+    """obj; SchemaError naming `what` and obj when it is not a `kind`."""
+    if not isinstance(obj, kind):
+        raise SchemaError(
+            f"{what}: expected a {kind.__name__}, got {obj!r}")
+    return obj
+
+
+def as_pairs(obj, what):
+    """The (key, value) pairs of a mapping or of a sequence of pairs, as
+    tuples; SchemaError naming `what` and obj otherwise."""
+    items = obj.items() if hasattr(obj, "items") else obj
+    pairs = [as_tuple(p, what) for p in as_tuple(items, what)]
+    if any(len(p) != 2 for p in pairs):
+        raise SchemaError(f"{what}: expected pairs, got {obj!r}")
+    return pairs
 
 
 def _matrix(rows):
@@ -703,17 +726,23 @@ class Cone:
         return [(u, frozenset(p for p, i in enumerate(at) if z >> i & 1))
                 for u, z in zip(self.dual_pair()[0], self._inc)]
 
+    @staticmethod
+    def simplex_faces(rays):
+        """The face table of a simplicial cone, with as many rays as its
+        dimension: every set of its rays is a face, of dimension its
+        size."""
+        return {frozenset(fs): k for k in range(len(rays) + 1)
+                for fs in combinations(rays, k)}
+
     def face_table(self):
-        """dict: face index set -> dimension of that face.  A simplicial
-        cone, with as many rays as its dimension, has every set of its
-        rays as a face, of dimension its size.  Otherwise the faces are
+        """dict: face index set -> dimension of that face, read by
+        `simplex_faces` for a simplicial cone.  Otherwise the faces are
         the intersections of facets, graded by dimension: a face has one
         more than the largest face strictly inside it, and {0} has 0."""
         if self._faces is None:
             rays = range(len(self.rays()))
             if len(rays) == self.dim():
-                table = {frozenset(fs): k for k in range(len(rays) + 1)
-                         for fs in combinations(rays, k)}
+                table = self.simplex_faces(rays)
             else:
                 faces = {frozenset(rays)}
                 for _, facet in self.facets():

@@ -21,8 +21,10 @@ from dataclasses import dataclass
 from math import gcd, lcm, prod
 
 from .errors import NotARoot, UnsupportedFan
+from .fan import Fan
 from .lattice import (
     Cone,
+    as_instance,
     as_int,
     as_tuple,
     dot,
@@ -53,7 +55,7 @@ def _verified(fan, e):
     root e; raise SchemaError when e is not a sequence, InvalidInteger for
     a non-integral e and NotARoot when e is not a root."""
     e = tuple(as_int(x) for x in as_tuple(e, "character"))
-    if len(e) != fan.rank:
+    if len(e) != as_instance(fan, Fan, "fan").rank:
         raise NotARoot(f"character of length {len(e)} in rank {fan.rank}")
     vals, neg = root_pairings(fan.rays, e)
     if len(neg) != 1 or vals[neg[0]] != -1:
@@ -211,7 +213,7 @@ def admits_g_structure(fan):
     are among those inside Z(e), so e' passes whenever e does.  When the
     support is convex every point passes (roots.py), and no test is asked.
     """
-    convex = fan.has_convex_support()
+    convex = as_instance(fan, Fan, "fan").has_convex_support()
     for i in range(len(fan.rays)):
         region = _root_region(fan, i)
         if region.feasible() if convex else region.feasible(
@@ -281,7 +283,7 @@ def symmetry_chain(fan):
     product, so the search builds under 2 sum |Delta_k| automorphisms and
     the failed leaves, not prod |Delta_k|.  Computed once per fan.
     """
-    if fan._symmetry is None:
+    if as_instance(fan, Fan, "fan")._symmetry is None:
         fan._symmetry = _search_chain(fan)
     return fan._symmetry
 
@@ -301,7 +303,7 @@ def fan_automorphisms(fan):
     sorted by ray permutation and computed once per fan; each call returns
     a fresh list.  Raises UnsupportedFan when the rays do not span.
     """
-    if fan._automorphisms is None:
+    if as_instance(fan, Fan, "fan")._automorphisms is None:
         group = [_identity(fan)]
         for transversal in reversed(symmetry_chain(fan).transversals):
             group = [_compose(u, h) for u in transversal.values()
@@ -476,6 +478,7 @@ def _ray_of(root, rays):
 def root_image(automorphism, root):
     """Image of a root under the contragredient action e -> (M^-1)^T e,
     which preserves the pairing: <M n, (M^-1)^T e> = <n, e>."""
+    automorphism = as_instance(automorphism, FanAutomorphism, "automorphism")
     i = _ray_of(root, automorphism.ray_permutation)
     inv = mat_inverse([list(r) for r in automorphism.matrix])
     # integral for an integral e, because det M = +/-1

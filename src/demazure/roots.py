@@ -38,7 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NegativeBound, NoRays, UnboundedRoots
-from .lattice import Region, as_int, dot, lattice_points, vneg
+from .fan import Fan
+from .lattice import Region, as_instance, as_int, dot, lattice_points, vneg
 
 
 @dataclass(frozen=True, order=True)
@@ -168,7 +169,7 @@ def roots_of_fan(fan, bound=None):
     e + u / <u, n_i>, u cutting sigma out of tau, cuts cone(sigma, rho_i)
     out of tau (the module docstring gives the details).
     """
-    l = len(fan.rays)
+    l = len(as_instance(fan, Fan, "fan").rays)
     if l == 0:
         raise NoRays("the fan has no rays")
     if bound is not None:

@@ -716,15 +716,16 @@ def test_scalars_and_times_are_read_as_numbers(value):
 
 
 def test_fractions_and_ints_skip_the_number_reader(monkeypatch):
-    # the inputs element_from_json builds are taken as they are
-    from demazure import algebra
+    # the inputs element_from_json builds are taken as they are: as_fraction
+    # reads a Fraction or an int without its general reader, _integral
+    from demazure import lattice
 
     def refuse(x):
-        raise AssertionError(f"as_fraction({x!r})")
+        raise AssertionError(f"_integral({x!r})")
 
     c = quadrant_carrier()
     x = SemigroupElement(c, [((3, 1), Fraction(2, 4)), ((0, 1), -3)])
-    monkeypatch.setattr(algebra, "as_fraction", refuse)
+    monkeypatch.setattr(lattice, "_integral", refuse)
     assert SemigroupElement(c, [((3, 1), Fraction(1, 2)), ((0, 1), -3)]) == x
     assert (2 * x).terms == {(3, 1): 1, (0, 1): -6}
     assert (x * Fraction(1, 3)).terms == {(3, 1): Fraction(1, 6),

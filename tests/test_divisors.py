@@ -32,6 +32,7 @@ from demazure.divisors import (
 )
 from demazure.errors import (
     CurveMismatch,
+    DemazureError,
     InvalidColoring,
     InvalidInteger,
     NoDegreeZeroLND,
@@ -632,3 +633,230 @@ def test_invariants_behind_the_removed_runtime_checks():
     assert checked["pairing"] > 300
     assert checked["normalize"] > 10
     assert checked["horizontal"] > 100
+
+
+# -- the tangent cone of a coloring -------------------------------------------
+
+
+def minkowski_fold_verdict(div, chosen):
+    """The test ColoredDivisor ran before it read one tangent cone: fold
+    the Minkowski sum of the chosen points' coefficients, one at a time,
+    and ask whether the chosen vertices sum to one of its vertices."""
+    total = None
+    vdeg = (0,) * div.rank
+    for z, v in chosen.items():
+        piece = div.coefficient(z)
+        total = piece if total is None else total.minkowski(piece)
+        vdeg = tuple(a + b for a, b in zip(vdeg, v))
+    return vdeg in total.vertices
+
+
+def delta_gens(div, chosen):
+    """The generators coherent_check built before it lifted the tangent
+    cone: the tail's and every v - v_z at the chosen points."""
+    gens = list(div.tail.gens)
+    for z, vz in chosen.items():
+        gens += [tuple(a - b for a, b in zip(v, vz))
+                 for v in div.coefficient(z).vertices if v != vz]
+    return gens
+
+
+def _integral_points(rng, rank, count):
+    return [tuple(rng.randint(-3, 3) for _ in range(rank))
+            for _ in range(count)]
+
+
+def test_the_tangent_cone_decides_a_coloring_as_the_minkowski_fold():
+    rng = random.Random(4099)
+    seen = set()
+    verdicts = {True: 0, False: 0}
+    lifted = 0
+    for _ in range(700):
+        rank = rng.randint(1, 3)
+        # in rank 1 only the zero tail leaves two vertices to choose from
+        tail = (Cone(rank, []) if rng.random() < 0.3
+                else random_pointed_tail(rng, rank))
+        curve = rng.choice(["A1", "P1"])
+        z0 = rng.choice([Fraction(0), Fraction(1, 2)])
+        parts = {z0: random_points(rng, tail, rng.randint(1, 3))}
+        # a sum of one chosen vertex is always a vertex, so most draws
+        # take two or three more coefficients
+        for z in rng.sample([1, 2, -1], rng.choice([0, 1, 2, 2, 3])):
+            parts[z] = _integral_points(rng, rank, rng.randint(2, 3))
+        if curve == "P1":
+            parts[INF] = random_points(rng, tail, rng.randint(1, 2))
+        div = PolyhedralDivisor(curve, tail, parts)
+        zinf = INF if curve == "P1" else None
+        chosen = {z: rng.choice(div.coefficient(z).vertices)
+                  for z in {z0} | set(div.parts) if z is not INF}
+        want = minkowski_fold_verdict(div, chosen)
+        seen.add((rank, curve, want))
+        verdicts[want] += 1
+        try:
+            colored = ColoredDivisor(div, z0, chosen, zinf=zinf)
+        except InvalidColoring as exc:
+            assert not want, (div, chosen)
+            assert str(exc) == \
+                "the chosen vertices do not sum to a vertex of the total"
+            continue
+        assert want, (div, chosen)
+        gens = delta_gens(div, colored.vertices)
+        assert colored.tangent.gens == Cone(rank, gens).gens
+        at_inf = []
+        if curve == "P1":
+            shift = tuple(a - b for a, b in zip(colored.v_deg, colored.v0))
+            at_inf = [tuple(a + b for a, b in zip(w, shift))
+                      for w in div.coefficient(INF).vertices]
+        reference = lifted_cone(rank, gens, [colored.v0], at_inf)
+        for e in itertools.product(range(-1, 2), repeat=rank):
+            res = coherent_check(colored, e)
+            if isinstance(res, CoherencePair):
+                assert res.sigma_tilde.gens == reference.gens
+                assert res.sigma_tilde.rays() == reference.rays()
+                lifted += 1
+    assert seen == {(rank, curve, want) for rank in (1, 2, 3)
+                    for curve in ("A1", "P1") for want in (True, False)}
+    assert min(verdicts.values()) > 100, verdicts
+    assert lifted > 100
+
+
+# -- arguments of the wrong kind ----------------------------------------------
+
+
+def _probe_divisor():
+    return PolyhedralDivisor("A1", ray1(), {0: [(0,), (1,)]})
+
+
+def _probe_polyhedron():
+    return TailedPolyhedron(ray1(), [(0,), (1,)])
+
+
+DIVISOR_PROBES = [
+    (lambda: TailedPolyhedron(ray1(), [["a"]]), InvalidInteger,
+     "non-numeric entry in ('a',)"),
+    (lambda: TailedPolyhedron(ray1(), [None]), SchemaError,
+     "vertex: expected a sequence, got None"),
+    (lambda: TailedPolyhedron(ray1(), None), SchemaError,
+     "vertices: expected a sequence, got None"),
+    (lambda: _probe_divisor().evaluate(["x"]), InvalidInteger,
+     "non-numeric entry in ('x',)"),
+    (lambda: _probe_divisor().evaluate(None), SchemaError,
+     "weight: expected a sequence, got None"),
+    (lambda: _probe_divisor().weight_dim(["x"]), InvalidInteger,
+     "non-numeric entry in ('x',)"),
+    (lambda: PolyhedralDivisor("A1", ray1(), {"x": [[1]]}), InvalidInteger,
+     "non-numeric entry in ('x',)"),
+    (lambda: PolyhedralDivisor("A1", ray1(), None), SchemaError,
+     "parts: expected a sequence, got None"),
+    (lambda: _probe_polyhedron().contains_point(["q"]), InvalidInteger,
+     "non-numeric entry in ('q', 1)"),
+    (lambda: ColoredDivisor(_probe_divisor(), 0, {0: ["z"]}),
+     InvalidInteger, "non-numeric entry in ('z',)"),
+    (lambda: ColoredDivisor(_probe_divisor(), 0, [[1]]), SchemaError,
+     "vertices: expected pairs, got [[1]]"),
+    (lambda: coherent_check(None, (1,)), SchemaError,
+     "colored: expected a ColoredDivisor, got None"),
+    (lambda: TailedPolyhedron(None, [(0,)]), SchemaError,
+     "tail: expected a Cone, got None"),
+    (lambda: PolyhedralDivisor("A1", None, {}), SchemaError,
+     "tail: expected a Cone, got None"),
+    (lambda: horizontal_lnd(None, (1,)), SchemaError,
+     "colored: expected a ColoredDivisor, got None"),
+    (lambda: degree_zero_normalize(None), SchemaError,
+     "colored: expected a ColoredDivisor, got None"),
+    (lambda: toric_realization(None), SchemaError,
+     "div: expected a PolyhedralDivisor, got None"),
+    (lambda: ColoredDivisor(None, 0, {}), SchemaError,
+     "divisor: expected a PolyhedralDivisor, got None"),
+]
+
+
+@pytest.mark.parametrize("call, kind, message", DIVISOR_PROBES)
+def test_divisor_arguments_of_the_wrong_kind_are_named(call, kind, message):
+    # each of these raised a bare ValueError, TypeError or AttributeError
+    # (Fraction("a"), iterating None, None.is_strongly_convex, ...)
+    with pytest.raises(kind) as info:
+        call()
+    assert type(info.value) is kind
+    assert str(info.value) == message
+
+
+HASHABLE_JUNK = [None, "a", "1/2", 1.5, True, -1, Fraction(1, 3),
+                 float("nan"), float("inf"), (1, 2, 3, 4), 10 ** 30]
+JUNK = HASHABLE_JUNK + [[], [None], [["a"]], [[1]], {"x": 1}, "",
+                        Cone(1, [(1,)]), object()]
+
+
+def _mutate(rng, value):
+    """value with one entry at some depth, or all of it, replaced by junk;
+    a mapping may also get a junk key."""
+    if isinstance(value, (list, tuple)) and value and rng.random() < 0.6:
+        out = list(value)
+        i = rng.randrange(len(out))
+        out[i] = _mutate(rng, out[i])
+        return tuple(out) if isinstance(value, tuple) else out
+    if isinstance(value, dict) and value and rng.random() < 0.6:
+        out = dict(value)
+        key = rng.choice(list(out))
+        if rng.random() < 0.3:
+            out[rng.choice(HASHABLE_JUNK)] = out.pop(key)
+        else:
+            out[key] = _mutate(rng, out[key])
+        return out
+    return rng.choice(JUNK)
+
+
+def _divisor_calls(colored):
+    """(name, callable, valid arguments) for each divisor-layer entry point
+    that reads outside input, around one valid coloring."""
+    div = colored.divisor
+    n = div.rank
+    tail = div.tail
+    piece = div.coefficient(colored.z0)
+    parts = {z: [list(v) for v in p.vertices] for z, p in div.parts.items()}
+    marks = {z: list(v) for z, v in colored.vertices.items()}
+    weight = [sum(g[k] for g in tail.gens) for k in range(n)]
+    return [
+        ("TailedPolyhedron", TailedPolyhedron,
+         [tail, [list(v) for v in piece.vertices]]),
+        ("trivial_polyhedron", trivial_polyhedron, [tail]),
+        ("contains_point", piece.contains_point, [list(piece.vertices[0])]),
+        ("PolyhedralDivisor", PolyhedralDivisor, [div.curve, tail, parts]),
+        ("coefficient", div.coefficient, [colored.z0]),
+        ("evaluate", div.evaluate, [weight]),
+        ("weight_dim", div.weight_dim, [weight]),
+        ("ColoredDivisor", ColoredDivisor,
+         [div, colored.z0, marks, colored.zinf]),
+        ("coherent_check", coherent_check, [colored, [1] * n]),
+        ("horizontal_lnd", horizontal_lnd, [colored, [0] * n]),
+        ("degree_zero_normalize", degree_zero_normalize, [colored]),
+        ("toric_realization", toric_realization, [div]),
+        ("FreeRankOne", FreeRankOne, [[(0, 1), (1, -2)]]),
+    ]
+
+
+def test_divisor_layer_arguments_raise_only_typed_errors():
+    # the divisor half of a seeded argument fuzzer: one argument of a valid
+    # call is mutated, and every call returns or raises a DemazureError
+    rng = random.Random(8191)
+    calls = [c for colored in _fixture_colorings()
+             for c in _divisor_calls(colored)]
+    outcomes = {}
+    for _ in range(4000):
+        name, func, args = rng.choice(calls)
+        args = list(args)
+        if rng.random() < 0.9:
+            i = rng.randrange(len(args))
+            args[i] = _mutate(rng, args[i])
+        try:
+            func(*args)
+            kind = "returned"
+        except DemazureError as exc:
+            kind = type(exc).__name__
+        except Exception as exc:  # noqa: BLE001 -- the finding itself
+            pytest.fail(f"{name}{tuple(args)!r} raised {exc!r}")
+        outcomes.setdefault(name, set()).add(kind)
+    assert set(outcomes) == {name for name, _, _ in calls}
+    kinds = set().union(*outcomes.values())
+    assert {"returned", "SchemaError", "InvalidInteger", "RankMismatch",
+            "InvalidColoring"} <= kinds, kinds

@@ -21,6 +21,7 @@ import pytest
 
 from demazure import fan as fan_module
 from demazure import lattice, orbits
+from demazure.algebra import toric_lnd
 from demazure.errors import (
     ConeNotInFan,
     DemazureError,
@@ -59,6 +60,7 @@ from demazure.orbits import (
     he_connected_pairs,
     root_image,
     stabilizer_data,
+    symmetry_chain,
     verify_root,
 )
 from demazure.roots import (
@@ -1127,3 +1129,27 @@ def test_classify_roots_reads_characters_with_as_int():
     assert classify_roots(fan, [root, DemazureRoot(1, (0, -1))]) == \
         classify_roots(fan, [DemazureRoot(0, (-1, 0)),
                              DemazureRoot(1, (0, -1))])
+
+
+MISSING_FAN_PROBES = [
+    (lambda: classify_roots(None, []), "fan: expected a Fan, got None"),
+    (lambda: admits_g_structure(None), "fan: expected a Fan, got None"),
+    (lambda: is_complete(None), "fan: expected a Fan, got None"),
+    (lambda: symmetry_chain(None), "fan: expected a Fan, got None"),
+    (lambda: root_image(None, (1, 0)),
+     "automorphism: expected a FanAutomorphism, got None"),
+    (lambda: toric_lnd(None, (1, 0)), "cone: expected a Cone, got None"),
+    (lambda: fan_automorphisms(None), "fan: expected a Fan, got None"),
+    (lambda: roots_of_fan(None), "fan: expected a Fan, got None"),
+    (lambda: verify_root(None, (1, 0)), "fan: expected a Fan, got None"),
+    (lambda: cone_properties(None, [0]), "fan: expected a Fan, got None"),
+]
+
+
+@pytest.mark.parametrize("call, message", MISSING_FAN_PROBES)
+def test_a_missing_fan_or_cone_is_named(call, message):
+    # each raised a bare AttributeError on None ('_symmetry', 'rank',
+    # 'has_convex_support', 'ray_permutation', 'rays')
+    with pytest.raises(SchemaError) as info:
+        call()
+    assert str(info.value) == message

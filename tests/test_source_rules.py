@@ -450,3 +450,52 @@ def test_each_cone_lattice_fact_is_read_in_one_place():
     assert any(isinstance(op, ast.LtE) for node in ast.walk(funcs["_lattice"])
                if isinstance(node, ast.Compare) for op in node.ops), \
         "Fan._lattice tests no key for containment"
+
+
+def test_a_coloring_is_checked_by_one_tangent_cone():
+    # ColoredDivisor.__init__ tests one pointed cone, spanned by the tail
+    # and the differences v - v_z, where it folded Minkowski sums, 2(k - 1)
+    # cones and duals for k chosen points; coherent_check lifts that cone
+    # to sigma-tilde instead of building the differences again
+    path = next(p for p in SOURCES if p.name == "divisors.py")
+    tree = ast.parse(path.read_text(), str(path))
+    funcs = {n.name: n for n in ast.walk(tree)
+             if isinstance(n, ast.FunctionDef)}
+    init = next(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)
+                and n.name == "ColoredDivisor").body
+    init = next(n for n in init if isinstance(n, ast.FunctionDef)
+                and n.name == "__init__")
+    assert "minkowski" not in _names_in(init), \
+        "ColoredDivisor.__init__ folds Minkowski sums"
+    check = funcs["coherent_check"]
+    assert "tangent" in _names_in(check), "coherent_check lifts no tangent"
+    loops = [n for n in ast.walk(check)
+             if isinstance(n, (ast.For, ast.comprehension))]
+    found = [f"{path.name}:{node.lineno}"
+             for loop in loops for node in ast.walk(loop)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "vsub"]
+    assert not found, f"coherent_check builds differences: {found}"
+
+
+@pytest.mark.parametrize("name", ["divisors.py", "algebra.py"])
+def test_rational_input_is_read_with_as_fraction(name):
+    # Fraction("a") raises a bare ValueError and Fraction(None) a
+    # TypeError; as_fraction raises InvalidInteger, and it takes a
+    # Fraction or an int without its general reader, as algebra._number
+    # did before it was folded in.  A one-argument Fraction() is left only
+    # on constants
+    assert {p.name for p in SOURCES} >= {name}
+    path = next(p for p in SOURCES if p.name == name)
+    tree = ast.parse(path.read_text(), str(path))
+    assert "_number" not in {n.name for n in ast.walk(tree)
+                             if isinstance(n, ast.FunctionDef)}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "Fraction"
+        and len(node.args) == 1 and not node.keywords
+        and not isinstance(node.args[0], ast.Constant)
+    ]
+    assert not found, f"one-argument Fraction() calls in {name}: {found}"
