@@ -2,18 +2,9 @@
 
 Every command reads a JSON file, computes with exact arithmetic, and
 prints a versioned JSON report to stdout.  Identical input produces
-byte-identical output.  Exit codes are a stable contract:
-
-    0  success
-    2  unreadable input, malformed JSON, a schema violation, or a
-       negative --bound
-    3  fan validation failure (bad rays, bad cones, bad intersections),
-       or a fan that is not affine given to lnd
-    4  unbounded root enumeration without --bound
-    5  the supplied character is not a root
-    6  fan with infinite symmetry group (rays do not span)
-    7  divisor-domain failures (not proper, not coherent, bad coloring...)
-    8  derivation escapes its algebra or fails to be locally nilpotent
+byte-identical output.  Exit codes are a stable contract: the table in
+README.md lists them, and an error class with a fixed code names it as
+``exit_code`` in errors.py.
 """
 
 from __future__ import annotations
@@ -21,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,17 +27,7 @@ from .divisors import (
     horizontal_lnd,
     toric_realization,
 )
-from .errors import (
-    DemazureError,
-    NegativeBound,
-    NotARoot,
-    NotAffine,
-    NotNilpotent,
-    SchemaError,
-    UnboundedRoots,
-    UnsupportedFan,
-    WeightEscape,
-)
+from .errors import DemazureError, NotAffine, SchemaError
 from .fan import cone_properties, is_complete
 from .orbits import (
     automorphism_order,
@@ -421,110 +403,150 @@ def _cmd_lnd(args):
 # wiring
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="demazure",
-        description="Roots, orbit structure, and derivations of toric "
-                    "and complexity-one torus data, with JSON reports.",
-    )
-    sub = parser.add_subparsers(dest="command_name")
+# A command: its handler, help line, arguments as (name, add_argument
+# keywords), defaults, and the flags of its required one-of group.  A name
+# without a leading "-" is a positional; a flag's dest is its name undashed.
+# `_read` knows the keywords type, choices, required, default and
+# action="store_true".
+_Command = namedtuple("_Command", "handler help args defaults one_of",
+                      defaults=({}, ()))
 
-    p = sub.add_parser("fan-validate", help="check a fan file, report "
-                       "violations and geometric properties")
-    p.add_argument("path")
-    p.set_defaults(handler=_cmd_fan_validate)
+# The grammar, written once: the reader `_read` and the argparse fallback
+# `_parser` are both built from this table.
+COMMANDS = {
+    "fan-validate": _Command(
+        _cmd_fan_validate,
+        "check a fan file, report violations and geometric properties",
+        [("path", {})]),
+    "roots": _Command(_cmd_roots, "enumerate the roots of a fan", [
+        ("path", {}),
+        ("--bound", {"type": int, "help": "max |coordinate| when the root "
+                                          "set is infinite"}),
+    ]),
+    "orbits": _Command(_cmd_orbits, "orbit partition for one root", [
+        ("path", {}),
+        ("--root", {"required": True, "help": "the root as comma-separated "
+                                              "integers, e.g. '1,0'"}),
+        ("--dot", {"help": "also write the orbit digraph to this DOT file"}),
+    ]),
+    "classify": _Command(_cmd_classify, "root classes under fan symmetry",
+                         [("path", {}), ("--bound", {"type": int})]),
+    "ah": _Command(_cmd_ah, "polyhedral-divisor tools", [
+        ("action", {"choices": ["eval", "proper", "normalize", "toric",
+                                "coherent", "lnd"]}),
+        ("path", {}),
+        ("--weight", {"help": "lattice weight for 'eval', e.g. '2,0'"}),
+        ("--root", {"help": "character for 'coherent' and 'lnd'"}),
+    ], defaults={"family": "ah"}),
+    "lnd": _Command(_cmd_lnd, "apply and exponentiate a derivation", [
+        ("path", {"help": "affine fan file or marked divisor file"}),
+        ("--root", {"required": True}),
+        ("--element", {"required": True,
+                       "help": "element JSON: {\"terms\": [{\"key\": ..., "
+                               "\"coeff\": [num, den]}]} or "
+                               "{\"product\": [...]}"}),
+        ("--time", {"help": "evaluate the flow at this rational time"}),
+        ("--symbolic", {"action": "store_true", "default": False,
+                        "help": "keep the flow parameter symbolic"}),
+    ], one_of=("--time", "--symbolic")),
+}
 
-    p = sub.add_parser("roots", help="enumerate the roots of a fan")
-    p.add_argument("path")
-    p.add_argument("--bound", type=int, default=None,
-                   help="max |coordinate| when the root set is infinite")
-    p.set_defaults(handler=_cmd_roots)
 
-    p = sub.add_parser("orbits", help="orbit partition for one root")
-    p.add_argument("path")
-    p.add_argument("--root", required=True,
-                   help="the root as comma-separated integers, e.g. '1,0'")
-    p.add_argument("--dot", default=None,
-                   help="also write the orbit digraph to this DOT file")
-    p.set_defaults(handler=_cmd_orbits)
-
-    p = sub.add_parser("classify", help="root classes under fan symmetry")
-    p.add_argument("path")
-    p.add_argument("--bound", type=int, default=None)
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("ah", help="polyhedral-divisor tools")
-    p.add_argument("action", choices=[
-        "eval", "proper", "normalize", "toric", "coherent", "lnd",
-    ])
-    p.add_argument("path")
-    p.add_argument("--weight", default=None,
-                   help="lattice weight for 'eval', e.g. '2,0'")
-    p.add_argument("--root", default=None,
-                   help="character for 'coherent' and 'lnd'")
-    p.set_defaults(handler=_cmd_ah, family="ah")
-
-    p = sub.add_parser("lnd", help="apply and exponentiate a derivation")
-    p.add_argument("path", help="affine fan file or marked divisor file")
-    p.add_argument("--root", required=True)
-    p.add_argument("--element", required=True,
-                   help="element JSON: {\"terms\": [{\"key\": ..., "
-                        "\"coeff\": [num, den]}]} or {\"product\": [...]}")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--time", default=None,
-                      help="evaluate the flow at this rational time")
-    mode.add_argument("--symbolic", action="store_true",
-                      help="keep the flow parameter symbolic")
-    p.set_defaults(handler=_cmd_lnd)
-
-    return parser
+def _read(argv):
+    """The Namespace that argparse builds for a plain, well-formed argv,
+    read off COMMANDS; None for any other argv, which argparse reads.
+    Plain: each flag as in the table and at most once, as --flag=value or
+    as --flag value with a value not starting with "-", and no positional
+    starting with "-"."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    flags = {name: kw for name, kw in command.args if name[0] == "-"}
+    texts, positionals = {}, []
+    rest = iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            positionals.append(arg)
+            continue
+        name, eq, text = arg.partition("=")
+        kw = flags.get(name)
+        if kw is None or name in texts or eq and "action" in kw:
+            return None
+        if "action" in kw:  # store_true: the flag takes no value
+            text = None
+        elif not eq:
+            text = next(rest, "-")  # a missing value declines as "-" does
+            if text.startswith("-"):
+                return None
+        texts[name] = text
+    names = [name for name, _ in command.args if name[0] != "-"]
+    if len(positionals) != len(names) or command.one_of and sum(
+            name in texts for name in command.one_of) != 1:
+        return None
+    texts.update(zip(names, positionals))
+    args = argparse.Namespace(command_name=argv[0], handler=command.handler,
+                              **command.defaults)
+    for name, kw in command.args:
+        if name not in texts:
+            if kw.get("required"):
+                return None
+            value = kw.get("default")
+        elif texts[name] is None:
+            value = True
+        else:
+            try:
+                value = kw.get("type", str)(texts[name])
+            except ValueError:
+                return None
+            if "choices" in kw and value not in kw["choices"]:
+                return None
+        setattr(args, name.lstrip("-"), value)
+    return args
 
 
 _PARSER = None
 
 
 def _parser():
-    """The argument parser, built on first use and kept for the process."""
+    """argparse built from COMMANDS on first use and kept for the process:
+    it reads what `_read` declines, --help and usage errors (exit 2)."""
     global _PARSER
     if _PARSER is None:
-        _PARSER = _build_parser()
+        parser = argparse.ArgumentParser(
+            prog="demazure",
+            description="Roots, orbit structure, and derivations of toric "
+                        "and complexity-one torus data, with JSON reports.",
+        )
+        sub = parser.add_subparsers(dest="command_name")
+        for command_name, command in COMMANDS.items():
+            p = sub.add_parser(command_name, help=command.help)
+            group = p.add_mutually_exclusive_group(required=True) \
+                if command.one_of else None
+            for name, kw in command.args:
+                (group if name in command.one_of else p).add_argument(
+                    name, **kw)
+            p.set_defaults(handler=command.handler, **command.defaults)
+        _PARSER = parser
     return _PARSER
 
 
-def _fail(args, exc, code):
-    rep = serialize.error_report(
-        args.command_name, args.digest, type(exc).__name__, str(exc)
-    )
-    sys.stdout.write(serialize.render(rep))
-    return code
-
-
 def main(argv=None):
-    parser = _parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read(argv) or _parser().parse_args(argv)
     if getattr(args, "handler", None) is None:
-        parser.print_usage(sys.stderr)
+        _parser().print_usage(sys.stderr)
         return 2
     args.digest = None
-    if not hasattr(args, "family"):
-        args.family = "fan"
     try:
         result, code = args.handler(args)
-    except (SchemaError, NegativeBound) as exc:
-        return _fail(args, exc, 2)
-    except (WeightEscape, NotNilpotent) as exc:
-        return _fail(args, exc, 8)
-    except UnboundedRoots as exc:
-        return _fail(args, exc, 4)
-    except NotARoot as exc:
-        return _fail(args, exc, 5)
-    except UnsupportedFan as exc:
-        return _fail(args, exc, 6)
     except DemazureError as exc:
-        return _fail(args, exc, 7 if args.family == "ah" else 3)
-    sys.stdout.write(serialize.render(
-        serialize.report(args.command_name, args.digest, result)
-    ))
+        code = exc.exit_code or (
+            7 if getattr(args, "family", "fan") == "ah" else 3)
+        rep = serialize.error_report(args.command_name, args.digest,
+                                     type(exc).__name__, str(exc))
+    else:
+        rep = serialize.report(args.command_name, args.digest, result)
+    sys.stdout.write(serialize.render(rep))
     return code
 
 

@@ -113,18 +113,22 @@ class TailedPolyhedron:
 
     def support_min(self, m):
         """min <v, m> over the polyhedron, for m in the dual of the tail."""
+        m = tuple(map(as_fraction, as_tuple(m, "weight")))
         return min(dot(v, m) for v in self.vertices)
 
     def translate(self, w):
+        w = tuple(map(as_fraction, as_tuple(w, "translation")))
         return TailedPolyhedron(self.tail, [vadd(v, w) for v in self.vertices])
 
     def minkowski(self, other):
+        as_instance(other, TailedPolyhedron, "other")
         tail = Cone(self.rank, self.tail.gens + other.tail.gens)
         return TailedPolyhedron(
             tail, [vadd(v, w) for v in self.vertices for w in other.vertices]
         )
 
     def equals(self, other):
+        as_instance(other, TailedPolyhedron, "other")
         return (self.rank == other.rank
                 and self.tail.equals(other.tail)
                 and self.vertices == other.vertices)
@@ -148,12 +152,9 @@ class FreeRankOne:
     __slots__ = ("shifts",)
 
     def __init__(self, shifts):
-        self.shifts = tuple(
-            (z, k)
-            for z, k in sorted(as_pairs(shifts, "shifts"),
-                               key=lambda p: point_order(p[0]))
-            if k
-        )
+        read = ((_point(z), as_int(k)) for z, k in as_pairs(shifts, "shifts"))
+        self.shifts = tuple(sorted(((z, k) for z, k in read if k),
+                                   key=lambda p: point_order(p[0])))
 
     def __eq__(self, other):
         return isinstance(other, FreeRankOne) and self.shifts == other.shifts
@@ -255,6 +256,7 @@ class PolyhedralDivisor:
         )
 
     def equals(self, other):
+        as_instance(other, PolyhedralDivisor, "other")
         if (self.curve != other.curve or self.rank != other.rank
                 or not self.tail.equals(other.tail)):
             return False

@@ -1,13 +1,17 @@
 """Exception types shared across the package.
 
 Everything raised on purpose by this library derives from DemazureError, so
-callers can catch the whole family at once.  The CLI maps these onto its
-stable exit codes (see cli.py).
+callers can catch the whole family at once.  A class that always means one
+exit code of the CLI names it as ``exit_code``; the others leave it None
+and exit with their command's family code, 3 for a fan command and 7 for
+a divisor command.  README.md's table lists the codes.
 """
 
 
 class DemazureError(Exception):
     """Base class for all library errors."""
+
+    exit_code = None
 
 
 class ZeroVector(DemazureError):
@@ -58,6 +62,8 @@ class NoRays(DemazureError):
 class UnboundedRoots(DemazureError):
     """The root region of some ray is unbounded and no bound was supplied."""
 
+    exit_code = 4
+
     def __init__(self, ray_index):
         self.ray_index = ray_index
         super().__init__(
@@ -68,6 +74,8 @@ class UnboundedRoots(DemazureError):
 class NegativeBound(DemazureError):
     """A root search bound (max |coordinate|) must be nonnegative."""
 
+    exit_code = 2
+
     def __init__(self, bound):
         self.bound = bound
         super().__init__(f"bound must be nonnegative, got {bound}")
@@ -76,9 +84,13 @@ class NegativeBound(DemazureError):
 class NotARoot(DemazureError):
     """The given character is not a Demazure root of the fan."""
 
+    exit_code = 5
+
 
 class UnsupportedFan(DemazureError):
     """The fan violates a precondition (e.g. rays do not span the space)."""
+
+    exit_code = 6
 
 
 class NotAffine(DemazureError):
@@ -88,10 +100,14 @@ class NotAffine(DemazureError):
 class WeightEscape(DemazureError):
     """A derivation produced a term whose weight left the weight monoid."""
 
+    exit_code = 8
+
 
 class NotNilpotent(DemazureError):
     """A term has a negative multiplier, so no power of the derivation
     kills it."""
+
+    exit_code = 8
 
 
 class WeightOutsideDual(DemazureError):
@@ -132,3 +148,5 @@ class InvalidInteger(DemazureError):
 
 class SchemaError(DemazureError):
     """An input document does not match the expected JSON shape."""
+
+    exit_code = 2

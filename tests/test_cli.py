@@ -3,7 +3,11 @@ schema conformance of the shipped fixtures, and byte determinism."""
 
 from __future__ import annotations
 
+import contextlib
+import io
+import itertools
 import json
+import random
 from pathlib import Path
 
 import jsonschema
@@ -511,34 +515,287 @@ def test_reports_are_byte_identical(capsys):
 # -- one parser per process ----------------------------------------------------
 
 
+def outcome(call):
+    """(("ok", result) or ("exit", code), stdout, stderr) of call(); argparse
+    exits on --help and on a usage error."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = ("ok", call())
+    except SystemExit as exc:
+        status = ("exit", exc.code)
+    return status, out.getvalue(), err.getvalue()
+
+
 def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
     import demazure.cli as cli
 
-    h3 = '{"terms":[{"key":[[3],0],"coeff":1}]}'
+    monkeypatch.setenv("COLUMNS", "80")
     e1 = '{"terms":[{"key":[1,0],"coeff":1}]}'
+    # a plain argv never builds the parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    code, rep, _ = run(capsys, "lnd", fixture("a2"), "--root=-1,2",
+                       "--element", e1, "--time=1/2")
+    assert code == 0 and rep["result"]["time"] == [1, 2]
+    assert cli._PARSER is None
+
+    # argv that only argparse reads: abbreviations, "--", a repeated flag,
+    # and space-form values that start with "-"
+    h3 = '{"terms":[{"key":[[3],0],"coeff":1}]}'
     commands = [
-        ["ah", "eval", fixture("div_relabel"), "--weight", "2"],
-        ["lnd", fixture("div_relabel"), "--root", "1", "--element", h3,
-         "--symbolic"],
+        ["roots", fixture("a2"), "--bou", "3"],
+        ["roots", fixture("a2"), "--bound", "7", "--bound", "-3"],
+        ["orbits", fixture("p2"), "--root", "-1,2"],
         ["lnd", fixture("a2"), "--root=-1,2", "--element", e1,
-         "--time", "1/2"],
-        ["fan-validate", fixture("bad_intersection")],
+         "--time", "1/2", "--symbolic"],
+        ["ah", "eval", fixture("div_relabel"), "--weig", "2"],
+        ["lnd", fixture("div_relabel"), "--root", "1", "--element", h3,
+         "--symb"],
+        ["fan-validate", "--", fixture("bad_intersection")],
         # fan errors reported through the command family
-        ["roots", fixture("bad_intersection")],
-        ["lnd", fixture("p2"), "--root", "1,0", "--element", e1,
+        ["roots", fixture("bad_intersection"), "--bou=1"],
+        ["lnd", fixture("p2"), "--ro", "1,0", "--element", e1,
          "--symbolic"],
     ]
-    shared = [run(capsys, *argv) for argv in commands]
+    assert not [argv for argv in commands
+                if cli._read([str(a) for a in argv]) is not None]
+    shared = [outcome(lambda: main([str(a) for a in argv]))
+              for argv in commands]
     parser = cli._parser()
     assert cli._parser() is parser
-    for argv, (code, _, out) in zip(commands, shared):
+    for argv, seen in zip(commands, shared):
         monkeypatch.setattr(cli, "_PARSER", None)
-        fresh_code, _, fresh_out = run(capsys, *argv)
-        assert cli._PARSER is not parser
-        assert (fresh_code, fresh_out) == (code, out)
-    codes = [code for code, _, _ in shared]
-    assert codes == [0, 0, 0, 3, 3, 3]
-    assert shared[4][1]["error"]["kind"] == "BadIntersection"
+        assert outcome(lambda: main([str(a) for a in argv])) == seen
+        assert cli._PARSER is not None and cli._PARSER is not parser
+    assert [s[0] for s in shared] == [
+        ("ok", 0), ("ok", 2), ("exit", 2), ("exit", 2),
+        ("ok", 0), ("ok", 0), ("ok", 3), ("ok", 3), ("ok", 3)]
+    assert json.loads(shared[7][1])["error"]["kind"] == "BadIntersection"
+    assert json.loads(shared[8][1])["error"]["kind"] == "NotAffine"
+    assert json.loads(shared[0][1])["result"]["bound"] == 3
+    assert json.loads(shared[1][1])["error"]["kind"] == "NegativeBound"
+    assert shared[2][2] == (
+        "usage: demazure orbits [-h] --root ROOT [--dot DOT] path\n"
+        "demazure orbits: error: argument --root: expected one argument\n")
+    assert shared[3][2].endswith(
+        "demazure lnd: error: argument --symbolic: not allowed with "
+        "argument --time\n")
+
+
+def reference_parser():
+    """The command line's argparse grammar as written before the command
+    table, kept as the reference the table and the reader are checked
+    against."""
+    import argparse
+
+    import demazure.cli as cli
+
+    parser = argparse.ArgumentParser(
+        prog="demazure",
+        description="Roots, orbit structure, and derivations of toric "
+                    "and complexity-one torus data, with JSON reports.",
+    )
+    sub = parser.add_subparsers(dest="command_name")
+    p = sub.add_parser("fan-validate", help="check a fan file, report "
+                       "violations and geometric properties")
+    p.add_argument("path")
+    p.set_defaults(handler=cli._cmd_fan_validate)
+    p = sub.add_parser("roots", help="enumerate the roots of a fan")
+    p.add_argument("path")
+    p.add_argument("--bound", type=int, default=None,
+                   help="max |coordinate| when the root set is infinite")
+    p.set_defaults(handler=cli._cmd_roots)
+    p = sub.add_parser("orbits", help="orbit partition for one root")
+    p.add_argument("path")
+    p.add_argument("--root", required=True,
+                   help="the root as comma-separated integers, e.g. '1,0'")
+    p.add_argument("--dot", default=None,
+                   help="also write the orbit digraph to this DOT file")
+    p.set_defaults(handler=cli._cmd_orbits)
+    p = sub.add_parser("classify", help="root classes under fan symmetry")
+    p.add_argument("path")
+    p.add_argument("--bound", type=int, default=None)
+    p.set_defaults(handler=cli._cmd_classify)
+    p = sub.add_parser("ah", help="polyhedral-divisor tools")
+    p.add_argument("action", choices=[
+        "eval", "proper", "normalize", "toric", "coherent", "lnd",
+    ])
+    p.add_argument("path")
+    p.add_argument("--weight", default=None,
+                   help="lattice weight for 'eval', e.g. '2,0'")
+    p.add_argument("--root", default=None,
+                   help="character for 'coherent' and 'lnd'")
+    p.set_defaults(handler=cli._cmd_ah, family="ah")
+    p = sub.add_parser("lnd", help="apply and exponentiate a derivation")
+    p.add_argument("path", help="affine fan file or marked divisor file")
+    p.add_argument("--root", required=True)
+    p.add_argument("--element", required=True,
+                   help="element JSON: {\"terms\": [{\"key\": ..., "
+                        "\"coeff\": [num, den]}]} or {\"product\": [...]}")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--time", default=None,
+                      help="evaluate the flow at this rational time")
+    mode.add_argument("--symbolic", action="store_true",
+                      help="keep the flow parameter symbolic")
+    p.set_defaults(handler=cli._cmd_lnd)
+    return parser
+
+
+# values a flag may take in a plain argv: (both forms, the "=" form only);
+# a space-form value never starts with "-", an "="-form value may
+INT_TEXTS = (["0", "3", "12", "+4", " 5", "1_0", "٣"], ["-3", "-0"])
+STR_TEXTS = (["1,0", "2", "", "1/2", "a=b", '{"terms":[]}', "x y"],
+             ["-1,2", "-1/2", "--root", "-"])
+
+
+def flag_forms(rng, name, kw):
+    """The argv pieces that give flag `name` one value: both forms."""
+    if kw.get("action") == "store_true":
+        return [[name]]
+    pool, eq_only = INT_TEXTS if kw.get("type") is int else STR_TEXTS
+    text = rng.choice(pool)
+    eq_text = rng.choice(pool + eq_only)
+    return [[name, text], [f"{name}={eq_text}"]]
+
+
+def valid_argv(rng):
+    """Every plain, well-formed argv of each command in COMMANDS: each
+    allowed set of flags, in every order, each flag in both forms, the
+    positionals at every place between the flags."""
+    from demazure.cli import COMMANDS
+
+    for command_name, command in COMMANDS.items():
+        flags = [(n, kw) for n, kw in command.args if n[0] == "-"]
+        names = [n for n, _ in command.args if n[0] != "-"]
+        for mask in itertools.product((0, 1), repeat=len(flags)):
+            chosen = [f for f, m in zip(flags, mask) if m]
+            given = {n for n, _ in chosen}
+            if any(kw.get("required") and n not in given for n, kw in flags):
+                continue
+            if command.one_of and len(given & set(command.one_of)) != 1:
+                continue
+            for order in itertools.permutations(chosen):
+                for pieces in itertools.product(
+                        *(flag_forms(rng, n, kw) for n, kw in order)):
+                    for slots in itertools.combinations_with_replacement(
+                            range(len(pieces) + 1), len(names)):
+                        values = [rng.choice(kw.get("choices") or
+                                             ["p.json", "", "a=b"])
+                                  for n, kw in command.args if n[0] != "-"]
+                        argv = [command_name]
+                        for i, piece in enumerate(pieces + ((),)):
+                            argv += [values[k] for k, s in enumerate(slots)
+                                     if s == i]
+                            argv += piece
+                        yield argv
+
+
+def declined_argv(valid):
+    """Argv the reader leaves to argparse, one or more per case, each a
+    near miss of a valid argv."""
+    roots = ["roots", "p.json", "--bound", "3"]
+    lnd = ["lnd", "p.json", "--root=-1,2", "--element", "{}",
+           "--time=1/2"]
+    ah = ["ah", "lnd", "d.json", "--root", "1"]
+    cases = {
+        "not in the table": [
+            [], ["-h"], ["--help"], ["roots", "-h"], ["lnd", "--help"],
+            ["rootz", "p.json"], ["roots", "p.json", "--bou", "3"],
+            ["roots", "p.json", "--bou=3"], ["lnd", "p.json", "--ro=1",
+                                              "--element", "{}", "--symb"],
+            ["roots", "p.json", "--root=1"], ["orbits", "p.json", "-r", "1"],
+            ["ah", "eval", "d.json", "--weight", "1", "--time=1"],
+        ],
+        "repeated": [
+            roots + ["--bound", "4"], roots + ["--bound=3"],
+            lnd + ["--root", "1,2"], ah + ["--root=2"],
+            ["lnd", "p.json", "--root=1", "--element", "{}", "--symbolic",
+             "--symbolic"],
+        ],
+        "--": [roots + ["--"], ["roots", "--", "p.json"],
+               ["orbits", "--", "p.json", "--root=1"]],
+        "space value with -": [
+            ["roots", "p.json", "--bound", "-3"],
+            ["orbits", "p.json", "--root", "-1,2"],
+            ["lnd", "p.json", "--root", "1", "--element", "{}", "--time",
+             "-1/2"],
+            ["lnd", "p.json", "--root", "--element", "{}", "--symbolic"],
+            ["roots", "p.json", "--bound"],
+        ],
+        "positional with -": [
+            ["roots", "-", "--bound=3"], ["roots", "-1"],
+            ["fan-validate", "-x"], ["ah", "-lnd", "d.json"],
+        ],
+        "int rejects": [
+            ["roots", "p.json", "--bound", "x"], ["classify", "p.json",
+                                                  "--bound=1.5"],
+            ["roots", "p.json", "--bound="], ["roots", "p.json",
+                                              "--bound", "1/2"],
+        ],
+        "not a choice": [["ah", "evaluate", "d.json"], ["ah", "", "d.json"],
+                         ["ah", "d.json", "eval"]],
+        "required missing": [
+            ["orbits", "p.json"], ["orbits", "p.json", "--dot", "o.dot"],
+            ["lnd", "p.json", "--element", "{}", "--symbolic"],
+            ["lnd", "p.json", "--root", "1", "--time", "1"],
+        ],
+        "one of": [
+            lnd + ["--symbolic"], ["lnd", "p.json", "--root=1",
+                                   "--element", "{}"],
+        ],
+        "--symbolic=": [
+            ["lnd", "p.json", "--root=1", "--element", "{}", "--symbolic=x"],
+            ["lnd", "p.json", "--root=1", "--element", "{}", "--symbolic="],
+        ],
+        "positional count": [
+            ["roots"], ["roots", "--bound", "3"], ["roots", "a", "b"],
+            ["ah", "eval"], ["ah", "eval", "d.json", "e.json"],
+            ["fan-validate", "a", "b"],
+            lnd + ["q.json"],
+        ],
+    }
+    for argv in valid[::97]:
+        # an extra positional, and the first flag repeated
+        cases["positional count"].append(argv + ["extra.json"])
+        flags = [a for a in argv[1:] if a.startswith("--")]
+        if flags:
+            cases["repeated"].append(argv + [flags[0]] + (
+                [] if "=" in flags[0] or flags[0] == "--symbolic"
+                else ["1"]))
+    return cases
+
+
+def test_the_reader_agrees_with_argparse():
+    import demazure.cli as cli
+
+    rng = random.Random(31)
+    # 388 forms, each with four seeded draws of its values
+    valid = [argv for _ in range(4) for argv in valid_argv(rng)]
+    declined = declined_argv(valid)
+    reference = reference_parser()
+    fallback = cli._parser()
+    assert len(valid) == 4 * 388
+    for argv in valid:
+        expected = outcome(lambda: vars(reference.parse_args(argv)))
+        assert expected[0][0] == "ok", (argv, expected)
+        ns = cli._read(argv)
+        assert ns is not None, argv
+        assert vars(ns) == expected[0][1], argv
+        assert outcome(lambda: vars(fallback.parse_args(argv))) == expected
+    for case, argvs in declined.items():
+        for argv in argvs:
+            assert cli._read(argv) is None, (case, argv)
+            expected = outcome(lambda: vars(reference.parse_args(argv)))
+            assert outcome(lambda: vars(fallback.parse_args(argv))) \
+                == expected, (case, argv)
+            if expected[0][0] == "exit":
+                # main exits as the parent's argparse did, before any handler
+                assert outcome(lambda: main(argv)) == expected, (case, argv)
+    # --help and the usage of every command read the same
+    for name in [None, *cli.COMMANDS]:
+        argv = ["--help"] if name is None else [name, "--help"]
+        assert outcome(lambda: main(argv)) == outcome(
+            lambda: reference.parse_args(argv))
 
 
 def test_lnd_multiplier_beyond_former_ceiling(capsys):

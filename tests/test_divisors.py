@@ -768,6 +768,22 @@ DIVISOR_PROBES = [
      "div: expected a PolyhedralDivisor, got None"),
     (lambda: ColoredDivisor(None, 0, {}), SchemaError,
      "divisor: expected a PolyhedralDivisor, got None"),
+    (lambda: _probe_polyhedron().translate(None), SchemaError,
+     "translation: expected a sequence, got None"),
+    (lambda: _probe_polyhedron().minkowski(None), SchemaError,
+     "other: expected a TailedPolyhedron, got None"),
+    (lambda: _probe_polyhedron().equals(None), SchemaError,
+     "other: expected a TailedPolyhedron, got None"),
+    (lambda: _probe_polyhedron().support_min(None), SchemaError,
+     "weight: expected a sequence, got None"),
+    (lambda: _probe_polyhedron().support_min(["x"]), InvalidInteger,
+     "non-numeric entry in ('x',)"),
+    (lambda: _probe_divisor().equals(None), SchemaError,
+     "other: expected a PolyhedralDivisor, got None"),
+    (lambda: FreeRankOne([(0, "a")]), InvalidInteger,
+     "non-numeric entry in ('a',)"),
+    (lambda: FreeRankOne([("z", 1)]), InvalidInteger,
+     "non-numeric entry in ('z',)"),
 ]
 
 
@@ -821,6 +837,11 @@ def _divisor_calls(colored):
          [tail, [list(v) for v in piece.vertices]]),
         ("trivial_polyhedron", trivial_polyhedron, [tail]),
         ("contains_point", piece.contains_point, [list(piece.vertices[0])]),
+        ("support_min", piece.support_min, [weight]),
+        ("translate", piece.translate, [[1] * n]),
+        ("minkowski", piece.minkowski, [piece]),
+        ("TailedPolyhedron.equals", piece.equals, [piece]),
+        ("PolyhedralDivisor.equals", div.equals, [div]),
         ("PolyhedralDivisor", PolyhedralDivisor, [div.curve, tail, parts]),
         ("coefficient", div.coefficient, [colored.z0]),
         ("evaluate", div.evaluate, [weight]),

@@ -1153,3 +1153,89 @@ def test_a_missing_fan_or_cone_is_named(call, message):
     with pytest.raises(SchemaError) as info:
         call()
     assert str(info.value) == message
+
+
+# -- identities between a product fan and its factors --------------------------
+
+
+def product_factors():
+    """Complete fans as (rank, rays, max cones): P^1, P^2, F_1, F_3, the
+    hexagon and P^1 × P^1."""
+    def hirzebruch(a):
+        return 2, [(1, 0), (0, 1), (0, -1), (-1, a)], \
+            [[0, 1], [0, 2], [2, 3], [1, 3]]
+    return {"P1": p1_power_input(1), "P2": p_n_input(2),
+            "F1": hirzebruch(1), "F3": hirzebruch(3),
+            "hexagon": (2, HEXAGON, [[k, (k + 1) % 6] for k in range(6)]),
+            "P1xP1": product_input(p1_power_input(1), p1_power_input(1))}
+
+
+def product_pairs(seed):
+    """(Σ1, Σ2, Σ1 × Σ2) for each ordered pair of the factors, rank ≤ 4;
+    the rays of each product are listed in a seeded random order."""
+    rng = random.Random(seed)
+    factors = [(spec, build_fan(*spec))
+               for spec in product_factors().values()]
+    pairs = []
+    for spec1, fan1 in factors:
+        for spec2, fan2 in factors:
+            rank, rays, cones = product_input(spec1, spec2)
+            order = rng.sample(range(len(rays)), len(rays))
+            place = {old: new for new, old in enumerate(order)}
+            pairs.append((fan1, fan2, build_fan(
+                rank, [rays[k] for k in order],
+                [[place[k] for k in cone] for cone in cones])))
+    return pairs
+
+
+def test_the_roots_of_a_product_lie_in_one_factor():
+    """roots(Σ1 × Σ2) = roots(Σ1) × {0} ∪ {0} × roots(Σ2), Σ1, Σ2 complete.
+
+    Proof.  The product of complete fans is complete, so a root e of it is
+    a character with one distinguished ray ρ, <ρ, e> = -1, and <ρ', e> ≥ 0
+    for every other ray ρ'; condition (2) does not arise.  The rays of the
+    product are the (ρ1, 0) and the (0, ρ2).  Say ρ = (ρ1, 0) and e =
+    (e1, e2).  Then <ρ2, e2> ≥ 0 for every ray ρ2 of Σ2, and these rays
+    span N2 ⊗ R as a cone, Σ2 being complete, so e2 pairs ≥ 0 with all of
+    N2: e2 = 0.  What is left says that e1 is a root of Σ1 with the
+    distinguished ray ρ1.  Conversely (e1, 0) meets every condition when
+    e1 is such a root.  The same holds with the factors swapped.
+    """
+    def root_set(fan, before, after):
+        found = roots_of_fan(fan)
+        assert found.complete_enumeration
+        return {((0,) * before + fan.rays[r.ray_index] + (0,) * after,
+                 (0,) * before + r.e + (0,) * after) for r in found.roots}
+
+    pairs = product_pairs(seed=18)
+    assert len(pairs) == 36
+    for fan1, fan2, fan in pairs:
+        n, m = fan1.rank, fan2.rank
+        assert root_set(fan, 0, 0) == \
+            root_set(fan1, 0, m) | root_set(fan2, n, 0)
+
+
+def test_a_root_of_one_factor_multiplies_its_orbits_by_the_other_cones():
+    """For a root e = (e1, 0) of Σ1 × Σ2, with e1 a root of Σ1, the
+    G-orbits number orbit_count(Σ1, e1) times the cones of Σ2, the origin
+    included.
+
+    Proof.  X = X1 × X2, and G is generated by the torus T1 × T2 and the
+    root subgroup of e.  That subgroup is exp of the derivation
+    χ^m ↦ <ρ, m> χ^(m+e), which is 0 on the characters of M2, as ρ lies in
+    N1; so it acts on X1 alone, as the root subgroup of e1 does, and G =
+    G1 × T2 with G1 the group of (Σ1, e1).  The orbits of a product group
+    acting factorwise are the products of the orbits: the G1-orbits of
+    X1, orbit_count(Σ1, e1) of them, times the T2-orbits of X2, one for
+    each cone of Σ2 by the orbit-cone correspondence.
+    """
+    checked = 0
+    for fan1, fan2, fan in product_pairs(seed=1818):
+        m = fan2.rank
+        for root in roots_of_fan(fan1).roots:
+            count = g_orbit_partition(fan, root.e + (0,) * m).orbit_count
+            assert count == g_orbit_partition(fan1, root.e).orbit_count \
+                * len(fan2.cones)
+            checked += 1
+    assert checked == 6 * sum(len(roots_of_fan(build_fan(*spec)).roots)
+                              for spec in product_factors().values())

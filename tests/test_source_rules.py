@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -499,3 +500,58 @@ def test_rational_input_is_read_with_as_fraction(name):
         and not isinstance(node.args[0], ast.Constant)
     ]
     assert not found, f"one-argument Fraction() calls in {name}: {found}"
+
+
+def readme_exit_rows():
+    """{code: meaning} of the exit-code table in README.md."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = text[text.index("Exit codes:"):].splitlines()[4:]
+    rows = {}
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        code, meaning = line.strip("|").split("|", 1)
+        rows[int(code)] = meaning
+    return rows
+
+
+def test_exit_codes_match_the_readme_table():
+    # an error class with a fixed exit code names it; the others exit with
+    # their command family's code, 3 (fan) or 7 (divisor)
+    from demazure import errors
+
+    classes = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type)
+               and issubclass(cls, errors.DemazureError)}
+    assert errors.DemazureError.exit_code is None
+    codes = {cls.exit_code for cls in classes.values()} - {None}
+    rows = readme_exit_rows()
+    assert set(rows) <= {0, 3, 7} | codes
+    assert codes <= set(rows)
+    for code, meaning in rows.items():
+        for name in set(re.findall(r"`(\w+)`", meaning)) & set(classes):
+            own = classes[name].exit_code
+            assert own == code or own is None and code in (3, 7), \
+                f"{name} is in README row {code}, its exit_code is {own}"
+    for name, cls in classes.items():
+        if cls.exit_code is not None:
+            assert f"`{name}`" in rows[cls.exit_code], name
+
+
+def test_the_cli_grammar_and_exit_codes_are_written_once():
+    # the table COMMANDS holds the grammar: argparse is built from it in
+    # one loop, and main maps every DemazureError in one except clause
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    tree = ast.parse(path.read_text(), str(path))
+    main = next(n for n in ast.walk(tree)
+                if isinstance(n, ast.FunctionDef) and n.name == "main")
+    assert len([n for n in ast.walk(main)
+                if isinstance(n, ast.ExceptHandler)]) == 1
+    table_loops = [n for n in ast.walk(tree) if isinstance(n, ast.For)
+                   and "COMMANDS" in ast.unparse(n.iter)]
+    inside = {id(node) for loop in table_loops for node in ast.walk(loop)}
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+             and getattr(n.func, "attr", None) == "add_argument"]
+    assert len(table_loops) == 1 and calls
+    assert all(id(call) in inside for call in calls), \
+        [call.lineno for call in calls if id(call) not in inside]
