@@ -307,7 +307,7 @@ class SemigroupElement:
         _check_key_shapes(self.carrier, other.carrier)
         carrier = self.carrier
         bound, d, sums = _convolve(carrier, [
-            _integer_numerators(self.terms), _integer_numerators(other.terms)])
+            integer_numerators(self.terms), integer_numerators(other.terms)])
         unflat, radix, n = carrier.unflat, 2 * bound + 1, carrier.cone.rank
         return _computed(carrier, other.carrier, {
             unflat(_unpack(p, radix, n)): Fraction(c, d)
@@ -335,7 +335,7 @@ class SemigroupElement:
         return f"SemigroupElement({dict(sorted(self.terms.items()))!r})"
 
 
-def _integer_numerators(terms):
+def integer_numerators(terms):
     """(d, {key: n}) with d the lcm of the denominators of the
     coefficients and each coefficient equal to n / d, in term order."""
     d = lcm(*(c.denominator for c in terms.values()))
@@ -601,7 +601,9 @@ class Flow:
     The walk (``_orbits``) raises where stepping the derivation would, so
     each reading carries the checks of every step: the derivative is the
     sum of q c chi^(m+e) over the terms with q >= 1, the nilpotency index
-    is max(q + 1), and both flows use the closed form.
+    is max(q + 1), and both flows use the closed form.  The numeric flow
+    is computed in integers (``integer_image``); ``at`` reads it back as
+    an element, while the CLI writes and checks the integers themselves.
     """
 
     __slots__ = ("lnd", "element", "orbits")
@@ -634,7 +636,7 @@ class Flow:
         integers are summed per weight, where orbits may meet.
         """
         if not s:
-            return _integer_numerators(self.element.terms)
+            return integer_numerators(self.element.terms)
         a, b = s.numerator, s.denominator
         orbits = self.orbits
         top = max((q for _, q, _ in orbits), default=0)
@@ -656,17 +658,13 @@ class Flow:
                 acc[key] = get(key, 0) + n * binom * scale[k]
         return den * scale[0], {k: n for k, n in acc.items() if n}
 
-    def wrap(self, image):
-        """The element of an integer image (d, {key: n}) of this flow: each
-        n / d as one Fraction, in the image's order."""
-        d, nums = image
-        return _computed(self.lnd.carrier, self.element.carrier,
-                         {k: Fraction(n, d) for k, n in nums.items()})
-
     def at(self, s):
         """exp(s D) applied to the element at the rational time ``s``:
-        its ``integer_image``, read back as an element (``wrap``)."""
-        return self.wrap(self.integer_image(s))
+        its ``integer_image`` (d, {key: n}) read back as an element, each
+        n / d one Fraction, in the image's order."""
+        d, nums = self.integer_image(s)
+        return _computed(self.lnd.carrier, self.element.carrier,
+                         {k: Fraction(n, d) for k, n in nums.items()})
 
     def symbolic(self):
         """The image with s left symbolic: c C(q, k) at s^k chi^(m + k e).

@@ -40,7 +40,8 @@ from .roots import roots_of_fan
 
 def _load_json(args):
     try:
-        data = Path(args.path).read_bytes()
+        with open(args.path, "rb") as f:
+            data = f.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {args.path}: {exc}") from None
     args.digest = serialize.input_digest(data)
@@ -389,7 +390,7 @@ def _cmd_lnd(args):
         result["mode"] = "numeric"
         result["time"] = serialize.encode_rational(s)
         image = flow.integer_image(s)
-        result["exp"] = serialize.element_to_json(flow.wrap(image))
+        result["exp"] = serialize.image_to_json(image)
         if factors is not None:
             # exp(sD)(f g ...) against the product of the factors' images,
             # in integers; each factor's walk raises in factor order first

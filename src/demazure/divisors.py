@@ -75,7 +75,9 @@ class TailedPolyhedron:
     The tail must be strongly convex.  The polyhedron is read off one
     cone, its lift spanned by (g, 0) for the tail generators g and (v, 1)
     for the given points v: that cone is pointed, and v is a vertex iff
-    (v, 1) spans one of its extremal rays.
+    (v, 1) spans one of its extremal rays.  The lift is built when it is
+    read: by the pruning, for two or more distinct points, and otherwise
+    by the first ``contains_point``.  A lone point is a vertex as it is.
     """
 
     __slots__ = ("tail", "vertices", "_cone")
@@ -94,8 +96,9 @@ class TailedPolyhedron:
         if not vs:
             raise InvalidDivisor("a polyhedron needs at least one vertex")
         self.tail = tail
-        self._cone = lifted_cone(tail.rank, tail.gens, vs)
+        self._cone = None
         if len(vs) > 1:  # a lone point is a vertex, with no dual to compute
+            self._cone = lifted_cone(tail.rank, tail.gens, vs)
             rays = set(self._cone.rays())
             vs = [v for v in vs if primitive(v + (1,)) in rays]
         self.vertices = tuple(sorted(vs))
@@ -105,7 +108,10 @@ class TailedPolyhedron:
         return self.tail.rank
 
     def contains_point(self, p):
-        return self._cone.contains(as_tuple(p, "point") + (1,))
+        point = as_tuple(p, "point") + (1,)
+        if self._cone is None:  # a lone vertex, lifted when first read
+            self._cone = lifted_cone(self.rank, self.tail.gens, self.vertices)
+        return self._cone.contains(point)
 
     def is_trivial(self):
         """True when the polyhedron is the tail cone itself."""
@@ -118,6 +124,10 @@ class TailedPolyhedron:
 
     def translate(self, w):
         w = tuple(map(as_fraction, as_tuple(w, "translation")))
+        if len(w) != self.rank:
+            raise RankMismatch(
+                f"translation of length {len(w)} in ambient rank {self.rank}"
+            )
         return TailedPolyhedron(self.tail, [vadd(v, w) for v in self.vertices])
 
     def minkowski(self, other):

@@ -24,8 +24,9 @@ import itertools
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 
-from .algebra import CurveCarrier
+from .algebra import CurveCarrier, integer_numerators
 from .divisors import INF, ColoredDivisor, PolyhedralDivisor, point_order
 from .errors import BadIntersection, SchemaError
 from .fan import build_fan, cone_stage, ray_stage
@@ -302,14 +303,21 @@ def _decode_key(carrier, value, where):
     return _int_vector(value, carrier.rank, where)
 
 
-def element_to_json(element):
+def image_to_json(image):
+    """An integer image (d, {key: n}), the element sum n/d chi^key with
+    d > 0, as its terms in key order, each coefficient written as the
+    reduced pair [n // g, d // g] with g = gcd(n, d)."""
+    d, nums = image
     terms = []
-    for key in sorted(element.terms):
-        terms.append({
-            "key": encode_key(key),
-            "coeff": encode_rational(element.terms[key]),
-        })
+    for key in sorted(nums):
+        n = nums[key]
+        g = gcd(n, d)
+        terms.append({"key": encode_key(key), "coeff": [n // g, d // g]})
     return {"terms": terms}
+
+
+def element_to_json(element):
+    return image_to_json(integer_numerators(element.terms))
 
 
 def element_from_json(carrier, obj):

@@ -99,6 +99,14 @@ def test_fan_validate_names_the_cone_pair(capsys):
 def test_parse_and_schema_errors(capsys, tmp_path):
     code, rep, _ = run(capsys, "fan-validate", tmp_path / "missing.json")
     assert code == 2 and rep["error"]["kind"] == "SchemaError"
+    # the input is read by one open(), with the OSError text that
+    # Path.read_bytes gave
+    for path in (tmp_path / "missing.json", tmp_path):
+        code, rep, _ = run(capsys, "roots", path)
+        with pytest.raises(OSError) as info:
+            path.read_bytes()
+        assert code == 2
+        assert rep["error"]["message"] == f"cannot read {path}: {info.value}"
 
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")

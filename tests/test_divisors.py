@@ -40,6 +40,7 @@ from demazure.errors import (
     NotNormalized,
     NotProper,
     NotStronglyConvex,
+    RankMismatch,
     SchemaError,
     WeightOutsideDual,
 )
@@ -70,6 +71,14 @@ def test_polyhedron_trivial_and_translate():
     moved = t.translate((1, 2))
     assert moved.vertices == ((1, 2),)
     assert not moved.is_trivial()
+    # vadd zips, so a translation of another length was cut or padded
+    # silently: (1, 2) moved the rank-1 vertex 0 to (1,)
+    line = TailedPolyhedron(ray1(), [(0,)])
+    for piece, w in ((t, (1, 2, 3)), (t, (1,)), (line, (1, 2)), (line, ())):
+        with pytest.raises(RankMismatch) as info:
+            piece.translate(w)
+        assert str(info.value) == (f"translation of length {len(w)} in "
+                                   f"ambient rank {piece.rank}")
 
 
 def test_polyhedron_minkowski():
@@ -179,6 +188,36 @@ def test_polyhedron_vertices_match_sequential_prune_random():
             outside += not want
     assert pruned > 300 and lone > 300
     assert inside > 1000 and outside > 1000
+
+
+def test_a_lone_vertex_is_lifted_when_read(monkeypatch):
+    # the lifted cone of one vertex was built in __init__ and never read
+    # on the way through divisor_from_json; correctness of the lazy lift
+    # is pinned by the random test above, whose polyhedra include more
+    # than 300 with one vertex
+    import json
+    from pathlib import Path
+
+    from demazure import divisors, serialize
+
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return lifted_cone(*args)
+
+    monkeypatch.setattr(divisors, "lifted_cone", counted)
+    path = Path(__file__).resolve().parent.parent / "fixtures"
+    obj = json.loads((path / "div_relabel.json").read_text())
+    div = serialize.divisor_from_json(obj)
+    assert [len(p.vertices) for p in div.parts.values()] == [1, 1, 1]
+    assert built == []
+    piece = div.coefficient(0)
+    assert piece.contains_point((1,)) and not piece.contains_point((0,))
+    assert built == [(1, ((1,),), ((Fraction(1, 2),),))]
+    segment = TailedPolyhedron(ray1(), [(0,), (1,), (2,)])
+    assert segment.vertices == ((0,),) and len(built) == 2
+    assert segment.contains_point((5,)) and len(built) == 2
 
 
 # -- polyhedral divisors ------------------------------------------------------

@@ -16,6 +16,10 @@ must agree with them everywhere except in two documented places:
 form is kept below as the oracle of the integer one, which must give the
 same terms in the same order.
 
+The ``lnd`` command used to write exp(sD)f from ``Flow.at``, one Fraction
+per term split back into [num, den]; that route is kept below as the
+oracle of ``serialize.image_to_json``, which writes the integer image.
+
 The ``lnd`` product check used to build exp(sD)f_1 ... exp(sD)f_k as an
 element, by Fraction products, and compare it with ``==``; that check is
 kept below as the oracle of ``is_product``, which must give the same
@@ -27,7 +31,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -46,10 +50,15 @@ from demazure.algebra import (
     nilpotency_index,
     toric_lnd,
 )
-from demazure.errors import NotARoot, NotNilpotent, WeightEscape
+from demazure.divisors import horizontal_lnd
+from demazure.errors import (NotARoot, NotCoherent, NotNilpotent,
+                             NotNormalized, WeightEscape)
 from demazure.lattice import Cone, dot
+from demazure.roots import roots_of_cone
+from demazure.serialize import element_to_json, image_to_json
 
 from test_algebra import fraction_product, is_zero
+from test_divisors import _fixture_colorings
 
 # -- the former step loops (oracles only) ------------------------------------
 
@@ -743,3 +752,76 @@ def test_integer_product_check_of_zero():
         assert is_product(quad, (1, {}), images)
         assert not is_product(quad, (1, {(0, 0): 1}), images)
         assert is_product(quad, Flow(lnd, x).integer_image(s), images[:1])
+
+
+# -- the integer writer against one Fraction per term ------------------------
+
+
+def fraction_json(image):
+    """The former writer: each term of (d, {key: n}) as one Fraction(n, d),
+    split into [numerator, denominator], in key order."""
+    d, nums = image
+    terms = []
+    for key in sorted(nums):
+        c = Fraction(nums[key], d)
+        shown = ([list(key[0]), key[1]] if isinstance(key[0], tuple)
+                 else list(key))
+        terms.append({"key": shown, "coeff": [c.numerator, c.denominator]})
+    return {"terms": terms}
+
+
+def _writer_cases():
+    """(lnd, admissible keys) for the roots of A^2, A^3 and the cone on
+    (1, 0) and (1, 2) with |e_i| <= 2, and for the horizontal derivations
+    of the divisor fixtures' colorings with |e_i| <= 2."""
+    for gens in ([(1, 0), (0, 1)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                 [(1, 0), (1, 2)]):
+        cone = Cone(len(gens[0]), gens)
+        keys = _admissible(ToricCarrier(cone),
+                           product(range(-3, 5), repeat=cone.rank))
+        for root in roots_of_cone(cone, 2):
+            yield toric_lnd(cone, root.e), keys
+    for colored in _fixture_colorings():
+        rank = colored.divisor.rank
+        for e in product(range(-2, 3), repeat=rank):
+            try:
+                _, lnd = horizontal_lnd(colored, e)
+            except (NotCoherent, NotNormalized):
+                continue
+            box = [(m, r) for m in product(range(-3, 4), repeat=rank)
+                   for r in range(-4, 5)]
+            yield lnd, _admissible(lnd.carrier, box)
+
+
+def test_image_writer_matches_one_fraction_per_term():
+    rng = random.Random(4093)
+    times = TIMES + [Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+                     for _ in range(4)]
+    seen = {"toric": 0, "curve": 0, "factor": 0, "reduced": 0}
+    for lnd, keys in _writer_cases():
+        carrier = lnd.carrier
+        for _ in range(3):
+            factors = [_element(carrier, keys, rng)
+                       for _ in range(rng.randint(1, 3))]
+            element = factors[0]
+            for f in factors[1:]:
+                element = element * f
+            if len(factors) == 1:
+                factors = []
+            for s in rng.sample(times, 4):
+                flow = Flow(lnd, element)
+                images = [flow.integer_image(s)] + [
+                    Flow(lnd, f).integer_image(s) for f in factors]
+                for image in images:
+                    written = image_to_json(image)
+                    assert written == fraction_json(image), (lnd, image)
+                    for term in written["terms"]:
+                        n, d = term["coeff"]
+                        assert d > 0 and gcd(n, d) == 1, term
+                        seen["reduced"] += d != image[0]
+                assert image_to_json(images[0]) == element_to_json(
+                    flow.at(s))
+                seen["factor"] += len(factors)
+                seen[type(carrier).__name__[:5].lower()] += 1
+    assert seen["toric"] > 300 and seen["curve"] > 250, seen
+    assert seen["factor"] > 1000 and seen["reduced"] > 20000, seen

@@ -555,3 +555,22 @@ def test_the_cli_grammar_and_exit_codes_are_written_once():
     assert len(table_loops) == 1 and calls
     assert all(id(call) in inside for call in calls), \
         [call.lineno for call in calls if id(call) not in inside]
+
+
+def test_the_lnd_image_is_written_from_integers():
+    # _cmd_lnd writes exp(sD)f from Flow.integer_image's (d, {key: n});
+    # reading it back through Flow.at (formerly Flow.wrap) built one
+    # Fraction per term only for the writer to split it into [num, den]
+    # again, by encode_rational
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in SOURCES}
+    assert set(trees) >= {"cli.py", "serialize.py"}
+    funcs = {(name, n.name): n for name, tree in trees.items()
+             for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    lnd = _names_in(funcs["cli.py", "_cmd_lnd"])
+    assert "image_to_json" in lnd, "_cmd_lnd does not call image_to_json"
+    found = sorted(lnd & {"wrap", "at"})
+    assert not found, f"_cmd_lnd builds the image as an element: {found}"
+    for name in ("element_to_json", "image_to_json"):
+        found = sorted(_names_in(funcs["serialize.py", name])
+                       & {"encode_rational", "Fraction"})
+        assert not found, f"{name} uses {found}"
