@@ -91,7 +91,7 @@ class ToricCarrier:
     __slots__ = ("cone",)
 
     def __init__(self, cone):
-        self.cone = cone
+        self.cone = as_instance(cone, Cone, "cone")
 
     @property
     def rank(self):
@@ -189,7 +189,7 @@ class CurveCarrier(ToricCarrier):
         if curve == "A1" and vertices_inf:
             raise CurveMismatch("vertices at infinity only occur over P^1")
         self.curve = curve
-        self.tail = tail
+        self.tail = as_instance(tail, Cone, "tail")
         self.vertices0 = _vertices(vertices0)
         if not self.vertices0:
             raise InvalidDivisor("need at least one vertex at t = 0")
@@ -245,6 +245,7 @@ class SemigroupElement:
     __slots__ = ("carrier", "terms")
 
     def __init__(self, carrier, terms=()):
+        as_instance(carrier, ToricCarrier, "carrier")
         data = {}
         for key, coeff in as_pairs(terms, "terms"):
             key = carrier.freeze(key)
@@ -481,6 +482,7 @@ class HomogeneousLND:
 
     @classmethod
     def toric(cls, carrier, ray_normal, e):
+        as_instance(carrier, ToricCarrier, "carrier")
         n = tuple(as_int(x) for x in as_tuple(ray_normal, "ray normal"))
         ee = tuple(as_int(x) for x in as_tuple(e, "degree"))
         if len(n) != carrier.rank or len(ee) != carrier.rank:
@@ -489,6 +491,7 @@ class HomogeneousLND:
 
     @classmethod
     def horizontal(cls, carrier, v0, d, e, s):
+        as_instance(carrier, ToricCarrier, "carrier")
         v = tuple(map(as_fraction, as_tuple(v0, "vertex")))
         d = as_int(d)
         ee = tuple(as_int(x) for x in as_tuple(e, "degree"))
@@ -534,6 +537,7 @@ def derive(lnd, element):
     admissible weights, which is how unsound input data surfaces.
     """
     out = {}
+    lnd = as_instance(lnd, HomogeneousLND, "lnd")
     element = as_instance(element, SemigroupElement, "element")
     for key, c in element.terms.items():
         mult = lnd.multiplier(key)
@@ -609,7 +613,7 @@ class Flow:
     __slots__ = ("lnd", "element", "orbits")
 
     def __init__(self, lnd, element):
-        self.lnd = lnd
+        self.lnd = as_instance(lnd, HomogeneousLND, "lnd")
         self.element = as_instance(element, SemigroupElement, "element")
         self.orbits = _orbits(lnd, element)
 
@@ -719,6 +723,7 @@ class SymbolicElement:
     __slots__ = ("carrier", "terms")
 
     def __init__(self, carrier, terms):
+        as_instance(carrier, ToricCarrier, "carrier")
         data = {}
         for key, poly in as_pairs(terms, "terms"):
             key = carrier.freeze(key)

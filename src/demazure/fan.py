@@ -162,9 +162,13 @@ class Fan:
         return _as_key(cone) in self.cones
 
     def ray_index(self, vector):
-        """Index of a primitive ray vector, or None; SchemaError when the
-        vector is not a sequence."""
-        return self._ray_index.get(as_tuple(vector, "vector"))
+        """Index of a primitive ray vector, or None (also for a vector with
+        an unhashable entry); SchemaError when it is not a sequence."""
+        vector = as_tuple(vector, "vector")
+        try:
+            return self._ray_index.get(vector)
+        except TypeError:
+            return None
 
     def ref(self, cone):
         key = _as_key(cone)

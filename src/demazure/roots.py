@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 from .errors import NegativeBound, NoRays, UnboundedRoots
 from .fan import Fan
-from .lattice import Region, as_instance, as_int, dot, lattice_points, vneg
+from .lattice import (Cone, Region, as_instance, as_int, dot, lattice_points,
+                      vneg)
 
 
 @dataclass(frozen=True, order=True)
@@ -94,7 +95,7 @@ def roots_of_cone(cone, bound):
     otherwise) that is not negative.  Output is ordered by distinguished
     ray index (into cone.rays()), then lexicographically in e.
     """
-    rays = cone.rays()
+    rays = as_instance(cone, Cone, "cone").rays()
     if not rays:
         raise NoRays("the cone {0} has no rays and hence no roots")
     bound = as_int(bound)

@@ -23,6 +23,7 @@ import hashlib
 import itertools
 import json
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 
@@ -379,7 +380,8 @@ def render(obj):
 
     With ``indent`` set, CPython's json runs its pure-Python encoder; this
     writer gives the same bytes (two-space indent, sorted keys, ASCII
-    escapes, a trailing newline) in one recursive pass of ``_dumps``.
+    escapes, a trailing newline) in one recursive pass of ``_dumps``, which
+    writes each term of an element from one format string (``_term``).
     """
     return _dumps(obj, "\n") + "\n"
 
@@ -390,7 +392,8 @@ def _dumps(obj, nl):
 
     Exact str, int, None and bool are written here, as is every dict, list
     and tuple (subclasses too, which json also sorts and indents); an int
-    inside a container is written in place, without a call.  Any other
+    inside a container is written in place, without a call, and so is a
+    term dict inside a list, by one ``%`` format (``_term``).  Any other
     leaf (floats, subclasses of str and int, and anything json rejects)
     and any key that is not a str go through ``json.dumps``, so the output
     and the TypeErrors are json's.  Plain loops, not generators, keep the
@@ -428,11 +431,102 @@ def _dumps(obj, nl):
         inner = nl + "  "
         items = []
         for x in obj:
-            items.append(int.__repr__(x) if type(x) is int
-                         else _dumps(x, inner))
+            kind = type(x)
+            if kind is int:
+                items.append(int.__repr__(x))
+            elif kind is dict and len(x) == 2 \
+                    and (text := _term(x, inner)) is not None:
+                items.append(text)
+            else:
+                items.append(_dumps(x, inner))
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     # floats, subclasses of str and int, and anything json rejects
     return json.dumps(obj)
+
+
+def _term(obj, nl):
+    """The two-key dict ``obj`` as ``_dumps(obj, nl)`` writes it, when it is
+    a term as the element writers make it, else None.
+
+    A term is {"key": K, "coeff": [n, d]} or {"key": K, "polynomial":
+    [[k, [n, d]], ...]}, K a toric key [m...] or a curve key [[m...], r],
+    every list nonempty and of exact type list, every leaf of exact type
+    int.  It is written by one ``%`` format per indentation, key shape and
+    second key, a polynomial by one entry format per indentation, joined
+    (so the cached formats grow with the depths and key lengths met, not
+    with the number of powers); ``%d`` writes an exact int as ``int.__repr__`` does, ValueError past
+    the digit limit included.  Anything else is left to the generic path.
+    """
+    key = obj.get("key")
+    if type(key) is not list or not key:
+        return None
+    head = key[0]
+    if type(head) is list:
+        if len(key) != 2 or not head:
+            return None
+        args = [*head, key[1]]
+        shape = -len(head)
+    else:
+        args = key
+        shape = len(key)
+    for x in args:
+        if type(x) is not int:
+            return None
+    coeff = obj.get("coeff")
+    if coeff is not None:
+        if type(coeff) is not list or len(coeff) != 2:
+            return None
+        n, d = coeff
+        if type(n) is not int or type(d) is not int:
+            return None
+        args = (n, d, *args)
+        second = "coeff"
+    else:
+        poly = obj.get("polynomial")
+        if type(poly) is not list or not poly:
+            return None
+        b = nl + "    "
+        entry = _entry_format(b)
+        entries = []
+        for p in poly:
+            if type(p) is not list or len(p) != 2:
+                return None
+            k, c = p
+            if type(k) is not int or type(c) is not list or len(c) != 2:
+                return None
+            n, d = c
+            if type(n) is not int or type(d) is not int:
+                return None
+            entries.append(entry % (k, n, d))
+        args = (*args, ("," + b).join(entries))
+        second = "polynomial"
+    return _term_format(nl, shape, second) % args
+
+
+@cache
+def _entry_format(nl):
+    """The ``%`` format of a polynomial entry [k, [n, d]] at ``nl``."""
+    i, j = nl + "  ", nl + "    "
+    return "[" + i + "%d," + i + "[" + j + "%d," + j + "%d" + i + "]" + nl + "]"
+
+
+@cache
+def _term_format(nl, shape, second):
+    """The ``%`` format of a term at ``nl`` whose key is toric with
+    ``shape`` entries or, for ``-shape``, a curve key with that many, and
+    whose second key is "coeff" or "polynomial"."""
+    a = nl + "  "
+    b, c = a + "  ", a + "    "
+    if shape > 0:
+        key = '"key": [' + b + ("," + b).join(["%d"] * shape) + a + "]"
+    else:
+        key = ('"key": [' + b + "[" + c + ("," + c).join(["%d"] * -shape)
+               + b + "]," + b + "%d" + a + "]")
+    if second == "coeff":
+        items = ['"coeff": [' + b + "%d," + b + "%d" + a + "]", key]
+    else:
+        items = [key, '"polynomial": [' + b + "%s" + a + "]"]
+    return "{" + a + ("," + a).join(items) + nl + "}"
 
 
 def dot_graph(fan, pairs):

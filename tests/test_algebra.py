@@ -23,6 +23,7 @@ from demazure.algebra import (
 )
 from demazure.errors import (
     CurveMismatch,
+    DemazureError,
     InvalidInteger,
     NotARoot,
     NotNilpotent,
@@ -30,7 +31,9 @@ from demazure.errors import (
     SchemaError,
     WeightEscape,
 )
+from demazure.fan import build_fan
 from demazure.lattice import Cone
+from demazure.roots import roots_of_cone
 
 
 def is_zero(x):
@@ -748,3 +751,75 @@ def test_products_across_ranks_raise():
                     lambda: big + small, lambda: small - big):
         with pytest.raises(RankMismatch, match="ranks"):
             product()
+
+
+FOREIGN = [None, 1.5, [], object()]
+
+
+def _object_argument_calls():
+    """(name, function, valid arguments, index of the object argument, the
+    name the SchemaError gives it) for each entry point that takes a cone,
+    carrier or derivation."""
+    cone = Cone(2, [(1, 0), (0, 1)])
+    c, h = quadrant_carrier(), a1_carrier()
+    lnd = HomogeneousLND.toric(c, (1, 0), (-1, 2))
+    x = monomial(c, (2, 1), Fraction(1, 3)) + monomial(c, (0, 3))
+    return [
+        ("ToricCarrier", ToricCarrier, (cone,), 0, "cone"),
+        ("CurveCarrier", CurveCarrier,
+         ("A1", Cone(1, [(1,)]), [(Fraction(1, 2),)]), 1, "tail"),
+        ("SemigroupElement", SemigroupElement, (c, [((1, 0), 2)]), 0,
+         "carrier"),
+        ("monomial", monomial, (c, (1, 0)), 0, "carrier"),
+        ("SymbolicElement", SymbolicElement, (c, [((1, 0), {0: 1})]), 0,
+         "carrier"),
+        ("toric", HomogeneousLND.toric, (c, (1, 0), (-1, 2)), 0, "carrier"),
+        ("horizontal", HomogeneousLND.horizontal,
+         (h, (Fraction(1, 2),), 2, (1,), -1), 0, "carrier"),
+        ("Flow", Flow, (lnd, x), 0, "lnd"),
+        ("derive", derive, (lnd, x), 0, "lnd"),
+        ("exp_action", exp_action, (lnd, x, Fraction(1, 2)), 0, "lnd"),
+        ("exp_symbolic", exp_symbolic, (lnd, x), 0, "lnd"),
+        ("nilpotency_index", nilpotency_index, (lnd, x), 0, "lnd"),
+        ("roots_of_cone", roots_of_cone, (cone, 2), 0, "cone"),
+    ]
+
+
+def test_a_foreign_cone_carrier_or_derivation_raises_a_schema_error():
+    # a seeded run over the entry points: the object argument, or now and
+    # then another one, is replaced by a foreign value; only DemazureErrors
+    # come out, and a foreign object argument is a SchemaError naming it
+    rng = random.Random(33)
+    calls = _object_argument_calls()
+    for name, func, args, _, _ in calls:
+        func(*args)
+    seen = set()
+    for _ in range(600):
+        name, func, args, i, what = rng.choice(calls)
+        args = list(args)
+        j = i if rng.random() < 0.75 else rng.randrange(len(args))
+        args[j] = rng.choice(FOREIGN)
+        try:
+            func(*args)
+        except SchemaError as exc:
+            if j == i:
+                assert str(exc).startswith(f"{what}: expected a "), exc
+                seen.add(name)
+            continue
+        except DemazureError:
+            assert j != i, name
+            continue
+        except Exception as exc:  # noqa: BLE001 -- the finding itself
+            pytest.fail(f"{name}{tuple(args)!r} raised {exc!r}")
+        assert j != i, f"{name} accepted {args[i]!r}"
+    assert seen == {name for name, _, _, _, _ in calls}
+
+
+def test_ray_index_of_a_vector_that_is_no_ray_is_none():
+    fan = build_fan(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [0, 2]])
+    assert fan.ray_index((0, 1)) == 1 and fan.ray_index([-1, -1]) == 2
+    assert fan.ray_index((1.5, 0)) is None
+    assert fan.ray_index([[1, 0]]) is None
+    assert fan.ray_index([(1, 0), {}]) is None
+    with pytest.raises(SchemaError):
+        fan.ray_index(None)
